@@ -1,0 +1,217 @@
+"""One random realization of every channel in the system, plus the RCS.
+
+Small-scale models: Rayleigh fading for BS->user links, pure LOS
+steering-vector channels for the target- and repeater-related links, and an
+i.i.d. Gaussian clutter matrix whose per-entry variance is the (suppressed)
+BS-to-BS path gain.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .errors import ConfigError
+from .scenario import Geometry, ScenarioConfig, azimuth, distance, pathloss_linear
+
+
+def steering_vector(n_antennas: int, angle_rad: float) -> np.ndarray:
+    """Half-wavelength ULA response: element m = exp(i*pi*m*sin(angle))."""
+    if n_antennas < 1:
+        raise ConfigError("n_antennas must be >= 1")
+    m = np.arange(n_antennas)
+    return np.exp(1j * np.pi * m * np.sin(angle_rad))
+
+
+def draw_rcs(sigma_t_sq: float, rng: np.random.Generator) -> complex:
+    """Swerling-I RCS coefficient: alpha ~ CN(0, sigma_T^2), fixed per slot."""
+    if sigma_t_sq <= 0.0:
+        raise ConfigError("rcs variance must be positive")
+    scale = np.sqrt(sigma_t_sq / 2.0)
+    return complex(rng.normal(scale=scale) + 1j * rng.normal(scale=scale))
+
+
+def _cn_matrix(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. CN(0, variance) entries (exact zeros when variance == 0)."""
+    if variance == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = np.sqrt(variance / 2.0)
+    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale, size=shape)
+
+
+@dataclass
+class ChannelRealization:
+    """One draw of all propagation channels plus the target RCS."""
+
+    f_user: np.ndarray  # (K, Nt) transmit BS -> user n
+    h_user: np.ndarray  # (K,)    repeater -> user n
+    a_tx: np.ndarray    # (Nt,)   transmit BS -> target
+    a_rx: np.ndarray    # (Nr,)   target -> receive BS
+    b_tx: np.ndarray    # (Nt,)   transmit BS -> repeater
+    b_rx: np.ndarray    # (Nr,)   repeater -> receive BS
+    g_rep: complex      # target -> repeater
+    interbs_error: np.ndarray  # (Nr, Nt) residual G_B after subtraction
+    clutter: np.ndarray        # (Nr, Nt)
+    rcs: complex
+
+
+@dataclass
+class ClutterModel:
+    """Covariance of vec(C) (column-major vec), i.i.d. diagonal by default."""
+
+    covariance: np.ndarray
+    entry_variance: float | None = None  # set when the model is i.i.d. diagonal
+    _inverse: np.ndarray | None = None
+
+    @classmethod
+    def iid(cls, entry_variance: float, n_tx: int, n_rx: int) -> "ClutterModel":
+        if entry_variance <= 0.0:
+            raise ConfigError("clutter entry variance must be positive "
+                              "(the covariance has to be invertible)")
+        size = n_tx * n_rx
+        return cls(covariance=entry_variance * np.eye(size), entry_variance=entry_variance)
+
+    @property
+    def size(self) -> int:
+        return self.covariance.shape[0]
+
+    def inverse_covariance(self) -> np.ndarray:
+        if self._inverse is None:
+            if self.entry_variance is not None:
+                self._inverse = np.eye(self.size) / self.entry_variance
+            else:
+                try:
+                    self._inverse = np.linalg.inv(self.covariance)
+                except np.linalg.LinAlgError as exc:
+                    raise ConfigError("clutter covariance is singular") from exc
+        return self._inverse
+
+
+def clutter_covariance(config: ScenarioConfig, geometry: Geometry) -> ClutterModel:
+    """Sigma_c = kappa * beta_clutter * I for the default i.i.d. model."""
+    beta = pathloss_linear(distance(geometry.tx_bs, geometry.rx_bs),
+                           config.carrier_ghz, config.bs_height_m)
+    return ClutterModel.iid(config.clutter_suppression * beta, config.n_tx_antennas,
+                            config.n_rx_antennas)
+
+
+def _los_scalar(d: float, config: ScenarioConfig, endpoint_height: float) -> complex:
+    beta = pathloss_linear(d, config.carrier_ghz, endpoint_height)
+    phase = -2.0 * np.pi * d / config.wavelength_m
+    return complex(np.sqrt(beta) * np.exp(1j * phase))
+
+
+def gen_channels(geometry: Geometry, config: ScenarioConfig,
+                 rng: np.random.Generator) -> ChannelRealization:
+    """Draw one full channel realization for the given geometry.
+
+    The draw order is fixed, so identical (geometry, config, seed) give an
+    identical realization.
+    """
+    nt, nr = config.n_tx_antennas, config.n_rx_antennas
+    fc = config.carrier_ghz
+
+    # BS -> user: Rayleigh with UMi NLOS large-scale gain
+    f_user = np.zeros((config.n_users, nt), dtype=complex)
+    h_user = np.zeros(config.n_users, dtype=complex)
+    for n in range(config.n_users):
+        beta_n = pathloss_linear(distance(geometry.tx_bs, geometry.users[n]), fc,
+                                 config.user_height_m)
+        f_user[n] = np.sqrt(beta_n) * _cn_matrix(nt, 1.0, rng)
+    # repeater -> user: LOS scalar with distance-derived phase
+    for n in range(config.n_users):
+        h_user[n] = _los_scalar(distance(geometry.repeater, geometry.users[n]),
+                                config, config.user_height_m)
+
+    # target / repeater links: LOS steering-vector channels
+    def los_vector(n_ant, array_pos, point_pos, endpoint_height):
+        beta = pathloss_linear(distance(array_pos, point_pos), fc, endpoint_height)
+        return np.sqrt(beta) * steering_vector(n_ant, azimuth(array_pos, point_pos))
+
+    a_tx = los_vector(nt, geometry.tx_bs, geometry.hotspot, config.target_height_m)
+    a_rx = los_vector(nr, geometry.rx_bs, geometry.hotspot, config.target_height_m)
+    b_tx = los_vector(nt, geometry.tx_bs, geometry.repeater, config.repeater_height_m)
+    b_rx = los_vector(nr, geometry.rx_bs, geometry.repeater, config.repeater_height_m)
+    g_rep = _los_scalar(distance(geometry.hotspot, geometry.repeater), config,
+                        config.target_height_m)
+
+    interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)
+    clutter_var = clutter_covariance(config, geometry).entry_variance \
+        if config.clutter_suppression > 0 else 0.0
+    clutter = _cn_matrix((nr, nt), clutter_var, rng)
+    rcs = draw_rcs(config.rcs_variance, rng)
+
+    return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,
+                              b_tx=b_tx, b_rx=b_rx, g_rep=g_rep, interbs_error=interbs,
+                              clutter=clutter, rcs=rcs)
+
+
+def redraw_nuisance(base: ChannelRealization, config: ScenarioConfig,
+                    clutter_entry_variance: float, rng: np.random.Generator,
+                    force_null: bool = False) -> ChannelRealization:
+    """Fresh clutter, inter-BS residual and RCS on top of fixed deterministic
+    channels; used by the per-trial Monte Carlo resampling policy."""
+    nr, nt = base.interbs_error.shape
+    clutter = _cn_matrix((nr, nt), clutter_entry_variance, rng)
+    interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)
+    rcs = 0.0 + 0.0j if force_null else draw_rcs(config.rcs_variance, rng)
+    return replace(base, clutter=clutter, interbs_error=interbs, rcs=rcs)
+
+
+# -- channel dump files ------------------------------------------------------
+
+_VECTOR_FIELDS = ("f_user", "h_user", "a_tx", "a_rx", "b_tx", "b_rx",
+                  "interbs_error", "clutter")
+
+
+def dump_channels(channels: ChannelRealization, path: str) -> None:
+    """CSV dump of a realization: one row per complex entry, ``re,im`` pairs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("field,row,col,re,im\n")
+        for name in _VECTOR_FIELDS:
+            arr = np.atleast_2d(getattr(channels, name))
+            for i in range(arr.shape[0]):
+                for j in range(arr.shape[1]):
+                    z = complex(arr[i, j])
+                    fh.write(f"{name},{i},{j},{z.real!r},{z.imag!r}\n")
+        for name in ("g_rep", "rcs"):
+            z = complex(getattr(channels, name))
+            fh.write(f"{name},0,0,{z.real!r},{z.imag!r}\n")
+
+
+def load_channels(path: str) -> ChannelRealization:
+    """Rebuild a realization from a dump written by :func:`dump_channels`."""
+    entries: dict[str, dict[tuple[int, int], complex]] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != "field,row,col,re,im":
+            raise ConfigError(f"{path}: not a channel dump file")
+        for line in fh:
+            name, i, j, re_s, im_s = line.strip().split(",")
+            entries.setdefault(name, {})[(int(i), int(j))] = float(re_s) + 1j * float(im_s)
+
+    def as_array(name):
+        cells = entries.get(name, {})
+        if not cells:
+            return np.zeros((0, 0), dtype=complex)
+        n_rows = max(i for i, _ in cells) + 1
+        n_cols = max(j for _, j in cells) + 1
+        arr = np.zeros((n_rows, n_cols), dtype=complex)
+        for (i, j), z in cells.items():
+            arr[i, j] = z
+        return arr
+
+    def as_vector(name):
+        return as_array(name).reshape(-1)
+
+    return ChannelRealization(
+        f_user=as_array("f_user"),
+        h_user=as_vector("h_user"),
+        a_tx=as_vector("a_tx"), a_rx=as_vector("a_rx"),
+        b_tx=as_vector("b_tx"), b_rx=as_vector("b_rx"),
+        g_rep=complex(entries["g_rep"][(0, 0)]),
+        interbs_error=as_array("interbs_error"),
+        clutter=as_array("clutter"),
+        rcs=complex(entries["rcs"][(0, 0)]),
+    )

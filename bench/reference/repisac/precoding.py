@@ -1,0 +1,173 @@
+"""Precoder construction, power allocation, and the per-slot transmit frame.
+
+Downlink users get regularized zero-forcing beams built on the effective
+channels (direct path plus repeater path). The sensing beam comes in three
+flavors: steered at the target, projected out of the users' channel subspace,
+or projected out of the repeater direction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import ChannelRealization
+from .errors import ConfigError, DegenerateNullspaceError, PowerBudgetError
+from .scenario import ScenarioConfig
+
+
+@dataclass
+class PrecoderSet:
+    user_precoders: np.ndarray  # (K, Nt), unit-norm rows
+    sensing_precoder: np.ndarray | None  # (Nt,), unit norm; None when sensing is off
+    user_normalizers: np.ndarray  # (K,)
+    sensing_normalizer: float | None = None
+
+
+@dataclass
+class TransmitFrame:
+    """Precoded transmit signal over one slot."""
+
+    x: np.ndarray  # (slot_length, Nt)
+    user_symbols: np.ndarray  # (slot_length, K)
+    sensing_symbols: np.ndarray  # (slot_length,)
+    user_fractions: np.ndarray  # (K,)
+    sensing_fraction: float
+
+    @property
+    def slot_length(self) -> int:
+        return self.x.shape[0]
+
+
+def _c(v: np.ndarray, conjugate: bool) -> np.ndarray:
+    return np.conj(v) if conjugate else v
+
+
+def effective_downlink_channel(f_n: np.ndarray, h_n: complex, nu: complex,
+                               b_tx: np.ndarray) -> np.ndarray:
+    """Composite user channel f_n + nu*h_n*b_tx seen through the repeater."""
+    return f_n + nu * h_n * b_tx
+
+
+def effective_channels(channels: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
+    """Stack of effective downlink channels, shape (K, Nt)."""
+    nu = config.nu
+    return channels.f_user + nu * channels.h_user[:, None] * channels.b_tx[None, :]
+
+
+def rzf_precoders(fdot: np.ndarray, zf_regularizer: float,
+                  conjugate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized zero-forcing beams for the stacked channels ``fdot`` (K, Nt).
+
+    Returns (precoders, normalizers); each row of the precoder matrix has unit
+    norm. With ``conjugate`` on, beams combine coherently under the transposed
+    reception convention y = fdot^T x.
+    """
+    if zf_regularizer <= 0.0:
+        raise ConfigError("zf_regularizer must be positive")
+    fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
+    k, nt = fdot.shape
+    if k < 1:
+        raise ConfigError("RZF needs at least one user channel")
+    cf = _c(fdot, conjugate)
+    gram = cf.T @ cf.conj() + zf_regularizer * np.eye(nt)
+    raw = np.linalg.solve(gram, cf.T).T  # (K, Nt)
+    norms = np.linalg.norm(raw, axis=1)
+    if np.any(norms == 0.0):
+        raise ConfigError("RZF produced a zero beam (zero user channel?)")
+    return raw / norms[:, None], 1.0 / norms
+
+
+def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
+    """Rank-revealing orthonormal basis of the column space (SVD based)."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    if s.size == 0:
+        return u[:, :0]
+    tol = max(columns.shape) * np.finfo(float).eps * s[0]
+    return u[:, s > tol]
+
+
+def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
+                    fdot: np.ndarray, conjugate: bool = True) -> np.ndarray:
+    """Unit-norm sensing precoder for the requested mode.
+
+    target_centric: beam at the target direction. comm_centric: same beam
+    projected onto the nullspace of the users' channels. repeater_null: same
+    beam projected orthogonal to the transmit-BS-to-repeater direction.
+    """
+    a = _c(np.asarray(a_tx, dtype=complex), conjugate)
+    if mode == "target_centric":
+        raw = a
+    elif mode == "comm_centric":
+        fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
+        if fdot.shape[0] == 0:
+            raw = a
+        else:
+            basis = _orthonormal_basis(_c(fdot, conjugate).T)
+            raw = a - basis @ (basis.conj().T @ a)
+    elif mode == "repeater_null":
+        b = np.asarray(b_tx, dtype=complex)
+        bn2 = np.vdot(b, b).real
+        if bn2 == 0.0:
+            raise ConfigError("repeater_null requires a nonzero b_tx")
+        raw = a - b.conj() * (b @ a) / bn2
+    else:
+        raise ConfigError(f"unknown sensing precoder mode {mode!r}")
+    norm = np.linalg.norm(raw)
+    if norm < 1e-10 * np.linalg.norm(a_tx):
+        raise DegenerateNullspaceError("sensing direction lies in nulled subspace")
+    return raw / norm
+
+
+def build_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
+    """RZF user beams plus the configured sensing beam, from one realization."""
+    fdot = effective_channels(channels, config)
+    conj = config.conjugate_convention
+    if config.n_users > 0:
+        user_p, eps = rzf_precoders(fdot, config.zf_regularizer_value, conjugate=conj)
+    else:
+        user_p = np.zeros((0, config.n_tx_antennas), dtype=complex)
+        eps = np.zeros(0)
+    if config.sensing_power_fraction > 0.0:
+        p_t = target_precoder(config.precoder_mode, channels.a_tx, channels.b_tx,
+                              fdot, conjugate=conj)
+        eps_t = 1.0
+    else:
+        p_t, eps_t = None, None
+    return PrecoderSet(user_precoders=user_p, sensing_precoder=p_t,
+                       user_normalizers=eps, sensing_normalizer=eps_t)
+
+
+def _draw_symbols(shape, alphabet: str, rng: np.random.Generator) -> np.ndarray:
+    if alphabet == "gaussian":
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+    if alphabet == "qpsk":
+        bits = rng.integers(0, 4, size=shape)
+        return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * bits))
+    raise ConfigError(f"unknown symbol alphabet {alphabet!r}")
+
+
+def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
+                         rng: np.random.Generator) -> TransmitFrame:
+    """x[tau] = sqrt(rho) (sum_n sqrt(pi_n) p_n s_n[tau] + sqrt(pi_T) p_T s_T[tau])."""
+    fractions = config.user_fractions
+    pi_t = config.sensing_power_fraction
+    if fractions.sum() + pi_t > 1.0 + 1e-12:
+        raise PowerBudgetError("power fractions sum above 1")
+    tau_l = config.slot_length
+    k = fractions.size
+    s_user = _draw_symbols((tau_l, k), config.symbol_alphabet, rng)
+    s_t = _draw_symbols(tau_l, config.symbol_alphabet, rng)
+    rho = config.tx_power_watt
+    x = np.zeros((tau_l, config.n_tx_antennas), dtype=complex)
+    if k > 0:
+        weighted = s_user * np.sqrt(fractions)[None, :]
+        x += weighted @ precoders.user_precoders
+    if pi_t > 0.0:
+        if precoders.sensing_precoder is None:
+            raise ConfigError("sensing power allocated but no sensing precoder built")
+        x += np.sqrt(pi_t) * s_t[:, None] * precoders.sensing_precoder[None, :]
+    x *= np.sqrt(rho)
+    return TransmitFrame(x=x, user_symbols=s_user, sensing_symbols=s_t,
+                         user_fractions=fractions, sensing_fraction=pi_t)

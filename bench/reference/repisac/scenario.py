@@ -1,0 +1,334 @@
+"""Scenario configuration, geometry drops, path loss and noise power.
+
+All powers are held in watts internally; dB/dBm values appear only at the
+config-file boundary (and in the repeater-gain field, which is specified in
+dB by convention).
+"""
+
+from __future__ import annotations
+
+import math
+import types
+import typing
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
+
+from .errors import ConfigError
+
+SPEED_OF_LIGHT = 299792458.0  # m/s
+
+PRECODER_MODES = ("target_centric", "comm_centric", "repeater_null")
+SYMBOL_ALPHABETS = ("gaussian", "qpsk")
+
+
+def pathloss_linear(distance_m: float, carrier_ghz: float, rx_height_m: float = 1.5) -> float:
+    """Linear power gain of the 3GPP TR 38.901 UMi street-canyon NLOS model.
+
+    PL[dB] = 22.4 + 35.3*log10(d_3D) + 21.3*log10(f_GHz) - 0.3*(h - 1.5),
+    with the 3D distance clamped to >= 1 m. Returns 10^(-PL/10).
+    """
+    if distance_m <= 0.0:
+        raise ConfigError(f"distance must be positive, got {distance_m}")
+    if carrier_ghz <= 0.0:
+        raise ConfigError(f"carrier frequency must be positive, got {carrier_ghz}")
+    d = max(distance_m, 1.0)
+    pl_db = 22.4 + 35.3 * math.log10(d) + 21.3 * math.log10(carrier_ghz) - 0.3 * (rx_height_m - 1.5)
+    return 10.0 ** (-pl_db / 10.0)
+
+
+def noise_power_watt(density_dbm_hz: float, bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Thermal noise power in watts over a bandwidth, including noise figure."""
+    if bandwidth_hz <= 0.0:
+        raise ConfigError(f"bandwidth must be positive, got {bandwidth_hz}")
+    dbm = density_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """All physical and algorithmic parameters of one simulation study."""
+
+    n_tx_antennas: int = 8
+    n_rx_antennas: int = 8
+    n_users: int = 10
+    slot_length: int = 50
+    tx_power_watt: float = 1.0
+    sensing_power_fraction: float = 0.5
+    # None -> equal split of (1 - sensing fraction) over the users
+    user_power_fractions: tuple[float, ...] | None = None
+    repeater_on: bool = True
+    repeater_gain_db: float = 20.0  # |nu|^2 = 10^(G/10), dB over repeater noise floor
+    repeater_phase_rad: float = 0.0
+    rcs_variance: float = 1.0  # sigma_T^2, linear m^2 scale
+    carrier_ghz: float = 1.9
+    bandwidth_hz: float = 20e6
+    noise_density_dbm_hz: float = -174.0
+    noise_figure_db: float = 9.0
+    ue_noise_figure_db: float = 9.0
+    # None -> derived from density/bandwidth/figure (BS) or equal to BS noise (repeater)
+    bs_noise_power_watt: float | None = None
+    ue_noise_power_watt: float | None = None
+    repeater_noise_power_watt: float | None = None
+    residual_interbs_power: float = 0.0  # zeta^2
+    clutter_suppression: float = 1e-2  # kappa, linear scaling on clutter gain
+    zf_regularizer: float | None = None  # None -> K * sigma_UE^2 / rho
+    pfa_target: float = 0.01
+    mc_trials: int = 2000
+    calibration_trials: int = 10000
+    master_seed: int = 0
+    precoder_mode: str = "target_centric"
+    conjugate_convention: bool = True
+    symbol_alphabet: str = "gaussian"
+    # cancel the direct repeater->rx-BS term nu*b_r*b_t^T from the effective clutter
+    cancel_repeater_direct: bool = True
+    # restore the literal SINR denominator (own-signal term included)
+    sinr_literal_sum: bool = False
+    # geometry anchors, meters (heights are applied separately)
+    tx_bs_xy: tuple[float, float] = (0.0, 0.0)
+    rx_bs_xy: tuple[float, float] = (300.0, 0.0)
+    hotspot_xy: tuple[float, float] = (150.0, 120.0)
+    service_radius_m: float = 200.0
+    repeater_disc_radius_m: float = 100.0
+    bs_height_m: float = 25.0
+    repeater_height_m: float = 10.0
+    user_height_m: float = 1.5
+    target_height_m: float = 1.5
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
+            raise ConfigError("antenna counts must be positive")
+        if self.n_users < 0:
+            raise ConfigError("n_users must be nonnegative")
+        if self.slot_length < 1:
+            raise ConfigError("slot_length must be >= 1")
+        if self.tx_power_watt <= 0:
+            raise ConfigError("tx_power_watt must be positive")
+        if self.rcs_variance <= 0:
+            raise ConfigError("rcs_variance must be positive")
+        if not (0.0 < self.pfa_target < 1.0):
+            raise ConfigError("pfa_target must lie in (0, 1)")
+        if self.mc_trials < 1 or self.calibration_trials < 1:
+            raise ConfigError("trial counts must be positive")
+        if self.precoder_mode not in PRECODER_MODES:
+            raise ConfigError(f"unknown precoder_mode {self.precoder_mode!r}")
+        if self.symbol_alphabet not in SYMBOL_ALPHABETS:
+            raise ConfigError(f"unknown symbol_alphabet {self.symbol_alphabet!r}")
+        if self.residual_interbs_power < 0:
+            raise ConfigError("residual_interbs_power must be nonnegative")
+        if self.clutter_suppression < 0:
+            raise ConfigError("clutter_suppression must be nonnegative")
+        if self.sensing_power_fraction < 0:
+            raise ConfigError("sensing_power_fraction must be nonnegative")
+        fractions = self.user_fractions
+        if np.any(fractions < 0):
+            raise ConfigError("user power fractions must be nonnegative")
+        if fractions.sum() + self.sensing_power_fraction > 1.0 + 1e-12:
+            raise ConfigError("power fractions must sum to at most 1")
+        for name in ("bs_noise_power_watt", "ue_noise_power_watt",
+                     "repeater_noise_power_watt", "zf_regularizer"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive when given")
+        if self.carrier_ghz <= 0 or self.bandwidth_hz <= 0:
+            raise ConfigError("carrier and bandwidth must be positive")
+        if self.service_radius_m < 0 or self.repeater_disc_radius_m < 0:
+            raise ConfigError("geometry radii must be nonnegative")
+
+    # -- derived quantities -------------------------------------------------
+
+    @property
+    def user_fractions(self) -> np.ndarray:
+        """Per-user power fractions pi_1..pi_K (equal split by default)."""
+        if self.user_power_fractions is not None:
+            arr = np.asarray(self.user_power_fractions, dtype=float)
+            if arr.shape != (self.n_users,):
+                raise ConfigError("user_power_fractions length must equal n_users")
+            return arr
+        if self.n_users == 0:
+            return np.zeros(0)
+        return np.full(self.n_users, (1.0 - self.sensing_power_fraction) / self.n_users)
+
+    @property
+    def total_power_fraction(self) -> float:
+        return float(self.user_fractions.sum() + self.sensing_power_fraction)
+
+    @property
+    def nu(self) -> complex:
+        """Repeater amplification factor (0 when the repeater is off)."""
+        if not self.repeater_on:
+            return 0.0 + 0.0j
+        mag = 10.0 ** (self.repeater_gain_db / 20.0)
+        return mag * complex(math.cos(self.repeater_phase_rad), math.sin(self.repeater_phase_rad))
+
+    @property
+    def bs_noise_watt(self) -> float:
+        if self.bs_noise_power_watt is not None:
+            return self.bs_noise_power_watt
+        return noise_power_watt(self.noise_density_dbm_hz, self.bandwidth_hz, self.noise_figure_db)
+
+    @property
+    def ue_noise_watt(self) -> float:
+        if self.ue_noise_power_watt is not None:
+            return self.ue_noise_power_watt
+        return noise_power_watt(self.noise_density_dbm_hz, self.bandwidth_hz, self.ue_noise_figure_db)
+
+    @property
+    def repeater_noise_watt(self) -> float:
+        # the repeater shares the BS noise floor unless overridden
+        if self.repeater_noise_power_watt is not None:
+            return self.repeater_noise_power_watt
+        return self.bs_noise_watt
+
+    @property
+    def zf_regularizer_value(self) -> float:
+        if self.zf_regularizer is not None:
+            return self.zf_regularizer
+        return max(self.n_users, 1) * self.ue_noise_watt / self.tx_power_watt
+
+    @property
+    def wavelength_m(self) -> float:
+        return SPEED_OF_LIGHT / (self.carrier_ghz * 1e9)
+
+    def with_updates(self, **kwargs) -> "ScenarioConfig":
+        return replace(self, **kwargs)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Positions (3-vectors, meters) of every entity in one study."""
+
+    tx_bs: np.ndarray
+    rx_bs: np.ndarray
+    repeater: np.ndarray
+    hotspot: np.ndarray
+    users: np.ndarray  # (K, 3)
+
+    def __post_init__(self):
+        for name in ("tx_bs", "rx_bs", "repeater", "hotspot"):
+            v = getattr(self, name)
+            if np.asarray(v).shape != (3,):
+                raise ConfigError(f"{name} must be a 3-vector")
+        if self.users.ndim != 2 or self.users.shape[1] != 3:
+            raise ConfigError("users must have shape (K, 3)")
+
+    @property
+    def n_users(self) -> int:
+        return self.users.shape[0]
+
+
+def distance(p: np.ndarray, q: np.ndarray) -> float:
+    return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+
+
+def azimuth(p: np.ndarray, q: np.ndarray) -> float:
+    """Azimuth angle of the direction p -> q in the horizontal plane."""
+    d = np.asarray(q, float) - np.asarray(p, float)
+    return float(math.atan2(d[1], d[0]))
+
+
+def _uniform_disc(center_xy, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    r = radius * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    out = np.empty((n, 2))
+    out[:, 0] = center_xy[0] + r * np.cos(theta)
+    out[:, 1] = center_xy[1] + r * np.sin(theta)
+    return out
+
+
+def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
+    """Place users and the repeater at random; BS/hotspot anchors are fixed.
+
+    Users fall uniformly in the service disc around the transmit BS; the
+    repeater falls uniformly in a disc around the hotspot center.
+    """
+    if config.n_users > 1 and config.service_radius_m == 0.0:
+        raise ConfigError("zero-radius service disc cannot hold multiple users")
+    user_xy = _uniform_disc(config.tx_bs_xy, config.service_radius_m, config.n_users, rng)
+    rep_xy = _uniform_disc(config.hotspot_xy, config.repeater_disc_radius_m, 1, rng)[0]
+    users = np.column_stack([user_xy, np.full(config.n_users, config.user_height_m)])
+    return Geometry(
+        tx_bs=np.array([*config.tx_bs_xy, config.bs_height_m]),
+        rx_bs=np.array([*config.rx_bs_xy, config.bs_height_m]),
+        repeater=np.array([*rep_xy, config.repeater_height_m]),
+        hotspot=np.array([*config.hotspot_xy, config.target_height_m]),
+        users=users,
+    )
+
+
+# -- flat key-value config files --------------------------------------------
+
+def _parse_value(raw: str, ftype) -> object:
+    raw = raw.strip()
+    origin = typing.get_origin(ftype)
+    if origin is typing.Union or isinstance(ftype, types.UnionType):
+        args = [a for a in typing.get_args(ftype) if a is not type(None)]
+        if raw.lower() in ("none", ""):
+            return None
+        return _parse_value(raw, args[0])
+    if ftype is bool:
+        if raw.lower() in ("true", "1", "yes", "on"):
+            return True
+        if raw.lower() in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(f"cannot parse boolean from {raw!r}")
+    if ftype is int:
+        return int(raw)
+    if ftype is float:
+        return float(raw)
+    if ftype is str:
+        return raw
+    if origin is tuple:
+        inner = typing.get_args(ftype)[0]
+        return tuple(inner(tok) for tok in raw.split(",") if tok.strip())
+    raise ConfigError(f"unsupported config field type {ftype}")
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """Read a flat ``key = value`` text file into a ScenarioConfig.
+
+    Lines starting with ``#`` and blank lines are ignored. Unknown keys are
+    rejected so typos cannot silently fall back to defaults.
+    """
+    hints = typing.get_type_hints(ScenarioConfig)
+    known = {f.name: hints[f.name] for f in fields(ScenarioConfig)}
+    kwargs = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            kwargs[key] = _parse_value(raw, known[key])
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    return ScenarioConfig(**kwargs)
+
+
+def save_config(config: ScenarioConfig, path: str) -> None:
+    """Write a config back out in the flat key-value format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in fields(ScenarioConfig):
+            value = getattr(config, f.name)
+            if value is None:
+                text = "none"
+            elif isinstance(value, bool):
+                text = "true" if value else "false"
+            elif isinstance(value, tuple):
+                text = ",".join(repr(v) for v in value)
+            else:
+                text = repr(value) if isinstance(value, float) else str(value)
+            fh.write(f"{f.name} = {text}\n")
