@@ -3,18 +3,16 @@
 from .channel import (ChannelRealization, ClutterModel, clutter_covariance,
                       draw_rcs, gen_channels, steering_vector)
 from .comm_metrics import UserMetrics, spectral_efficiency, user_sinr
-from .detector import (DetectionResult, DetectorWorkspace, assemble_statistics,
-                       calibrate_threshold, decide, glrt_statistic, map_estimate,
-                       oracle_loglike_ratio, regressor, run_detection,
-                       sensing_channel, sensing_noise_cov)
+from .detector import (DetectorWorkspace, assemble_statistics, glrt_statistic,
+                       map_estimate, oracle_loglike_ratio, regressor, sensing_noise_cov)
 from .errors import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
                      OracleFailureError, PowerBudgetError)
-from .harness import StudyResult, TrialRecord, run_pod_vs_rcs, run_se_cdf
+from .harness import StudyResult, run_pod_vs_rcs, run_se_cdf
 from .precoding import (PrecoderSet, TransmitFrame, build_precoders,
                         build_transmit_frame, effective_downlink_channel,
                         rzf_precoders, target_precoder)
 from .propagation import (NoiseDraws, SensingObservation, draw_noise,
-                          receive_bs_slot, receive_ue, repeater_io)
+                          receive_bs_slot, receive_ue)
 from .scenario import (Geometry, ScenarioConfig, drop_entities, load_config,
                        noise_power_watt, pathloss_linear, save_config)
 
@@ -22,16 +20,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelRealization", "ClutterModel", "ConfigError", "DegenerateNullspaceError",
-    "DetectionResult", "DetectorWorkspace", "Geometry", "NoiseDraws",
-    "NumericalDomainError", "OracleFailureError", "PowerBudgetError", "PrecoderSet",
-    "ScenarioConfig", "SensingObservation", "StudyResult", "TransmitFrame",
-    "TrialRecord", "UserMetrics", "assemble_statistics", "build_precoders",
-    "build_transmit_frame", "calibrate_threshold", "clutter_covariance", "decide",
-    "draw_noise", "draw_rcs", "drop_entities", "effective_downlink_channel",
-    "gen_channels", "glrt_statistic", "load_config", "map_estimate",
-    "noise_power_watt", "oracle_loglike_ratio", "pathloss_linear", "receive_bs_slot",
-    "receive_ue", "regressor", "repeater_io", "run_detection", "run_pod_vs_rcs",
-    "run_se_cdf", "rzf_precoders", "save_config", "sensing_channel",
-    "sensing_noise_cov", "spectral_efficiency", "steering_vector", "target_precoder",
-    "user_sinr",
+    "DetectorWorkspace", "Geometry", "NoiseDraws", "NumericalDomainError",
+    "OracleFailureError", "PowerBudgetError", "PrecoderSet", "ScenarioConfig",
+    "SensingObservation", "StudyResult", "TransmitFrame", "UserMetrics",
+    "assemble_statistics", "build_precoders", "build_transmit_frame",
+    "clutter_covariance", "draw_noise", "draw_rcs", "drop_entities",
+    "effective_downlink_channel", "gen_channels", "glrt_statistic", "load_config",
+    "map_estimate", "noise_power_watt", "oracle_loglike_ratio", "pathloss_linear",
+    "receive_bs_slot", "receive_ue", "regressor", "run_pod_vs_rcs", "run_se_cdf",
+    "rzf_precoders", "save_config", "sensing_noise_cov", "spectral_efficiency",
+    "steering_vector", "target_precoder", "user_sinr",
 ]

@@ -137,9 +137,7 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
                         config.target_height_m)
 
     interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)
-    clutter_var = clutter_covariance(config, geometry).entry_variance \
-        if config.clutter_suppression > 0 else 0.0
-    clutter = _cn_matrix((nr, nt), clutter_var, rng)
+    clutter = _cn_matrix((nr, nt), clutter_covariance(config, geometry).entry_variance, rng)
     rcs = draw_rcs(config.rcs_variance, rng)
 
     return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``pod`` (detection-probability sweep), ``secdf`` (downlink SE
-CDF), ``calibrate`` (GLRT threshold only), ``oracle-check`` (closed form vs
-brute-force oracle). Exit codes: 0 success, 1 configuration/usage error,
+CDF), ``calibrate`` (the GLRT threshold that ``pod`` uses at the configured
+RCS variance and repeater gain), ``oracle-check`` (closed form vs brute-force
+oracle). Exit codes: 0 success, 1 configuration/usage error,
 2 numerical-domain error.
 """
 
@@ -11,15 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .channel import clutter_covariance, gen_channels
-from .detector import oracle_check, threshold_from_null_stats, trial_rng
+from .channel import clutter_covariance
+from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import (STUDY_POD, default_workers, run_pod_vs_rcs, run_se_cdf,
-                      run_trials, suggest_rcs_grid)
+from .harness import (STUDY_POD, calibrate, default_workers, draw_drop, run_pod_vs_rcs,
+                      run_se_cdf, suggest_rcs_grid)
 from .precoding import build_precoders
-from .scenario import ScenarioConfig, drop_entities, load_config
+from .scenario import ScenarioConfig, load_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,16 +93,11 @@ def _cmd_secdf(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load(args)
-    geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
-    channels = gen_channels(geometry, config,
-                            trial_rng(config.master_seed, (STUDY_POD, 1), 0))
-    clutter_model = clutter_covariance(config, geometry)
-    precoders = build_precoders(config, channels)
-    t_null = run_trials(config, channels, clutter_model, precoders,
-                        (STUDY_POD, 2, 0, 0), config.calibration_trials,
-                        force_null=True, workers=_workers(args))
-    threshold = threshold_from_null_stats(t_null, config.pfa_target)
-    empirical_pfa = float(np.mean(t_null >= threshold))
+    geometry, channels = draw_drop(config, STUDY_POD)
+    threshold, empirical_pfa = calibrate(config, channels,
+                                         clutter_covariance(config, geometry),
+                                         build_precoders(config, channels),
+                                         workers=_workers(args))
     print(f"threshold={threshold!r} empirical_pfa={empirical_pfa!r} "
           f"trials={config.calibration_trials}")
     if args.out:

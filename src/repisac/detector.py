@@ -5,21 +5,25 @@ unknown clutter matrix into a linear parameter, the sensing-noise covariance
 whitens each observation, and the test statistic is the difference of two
 Hermitian quadratic forms. An independent brute-force least-squares oracle
 recomputes the same log-likelihood ratio for small instances.
+
+One Monte Carlo trial (:func:`run_sensing_trial`, drawing from
+:func:`trial_rng`) and the empirical threshold of a set of H0 statistics live
+here too; the study setup and the calibration runs that use them are in
+``repisac.harness``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelRealization, ClutterModel, clutter_covariance, redraw_nuisance
+from .channel import ChannelRealization, ClutterModel, redraw_nuisance
 from .errors import NumericalDomainError, OracleFailureError
-from .precoding import PrecoderSet, TransmitFrame, build_precoders, build_transmit_frame
+from .precoding import PrecoderSet, TransmitFrame, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
-from .scenario import Geometry, ScenarioConfig
+from .scenario import ScenarioConfig
 
 _HERMITICITY_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-9
@@ -33,24 +37,6 @@ class DetectorWorkspace:
     t_h0: np.ndarray      # (Nt*Nr,)
     q_h1: np.ndarray      # (Nt*Nr + 1)^2, Hermitian PD
     q_h0: np.ndarray      # (Nt*Nr)^2, Hermitian PD
-    sigma_s: np.ndarray   # (slot_length, Nr, Nr)
-    sigma_c: np.ndarray   # (Nt*Nr)^2
-    rcs_prior_variance: float
-    x: np.ndarray         # (slot_length, Nt), kept so B[tau] can be rebuilt
-
-    def regressors(self) -> np.ndarray:
-        """B[tau] = x^T[tau] kron I_Nr, shape (slot_length, Nr, Nt*Nr)."""
-        nr = self.sigma_s.shape[1]
-        return np.stack([regressor(xt, nr) for xt in self.x])
-
-
-@dataclass
-class DetectionResult:
-    decision: str  # "H0" or "H1"
-    test_statistic: float
-    threshold: float
-    rcs_estimate: complex
-    clutter_estimate: np.ndarray
 
 
 def regressor(x: np.ndarray, n_rx: int) -> np.ndarray:
@@ -64,12 +50,6 @@ def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -
     nu2 = abs(config.nu) ** 2
     diag = config.residual_interbs_power * float(np.vdot(x, x).real) + config.bs_noise_watt
     return diag * np.eye(nr) + (nu2 * config.repeater_noise_watt) * np.outer(b_rx, b_rx.conj())
-
-
-def sensing_channel(x: np.ndarray, a_tx: np.ndarray, a_rx: np.ndarray,
-                    b_rx: np.ndarray, g: complex, nu: complex) -> np.ndarray:
-    """Equivalent sensing channel r = (a_r + nu*g*b_r) (a_t^T x)."""
-    return (a_rx + nu * g * b_rx) * (a_tx @ x)
 
 
 def _sigma_s_stack(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -> np.ndarray:
@@ -143,9 +123,7 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     q_h1 = 0.5 * (q_h1 + q_h1.conj().T)
 
     t_h1 = np.concatenate([[t_top], t_h0])
-    return DetectorWorkspace(t_h1=t_h1, t_h0=t_h0, q_h1=q_h1, q_h0=q_h0,
-                             sigma_s=sigma_s, sigma_c=clutter_model.covariance,
-                             rcs_prior_variance=config.rcs_variance, x=x)
+    return DetectorWorkspace(t_h1=t_h1, t_h0=t_h0, q_h1=q_h1, q_h0=q_h0)
 
 
 def _quadratic_form(q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
@@ -172,23 +150,6 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
     """MAP estimates under H1: solve Q_H1 z = t_H1; z = [alpha, c^T]^T."""
     _, z = _quadratic_form(ws.q_h1, ws.t_h1)
     return complex(z[0]), z[1:]
-
-
-def decide(test_statistic: float, threshold: float) -> str:
-    """Decision rule: H1 iff T >= threshold (ln-domain threshold)."""
-    return "H1" if test_statistic >= threshold else "H0"
-
-
-def run_detection(observation: SensingObservation, frame: TransmitFrame,
-                  channels: ChannelRealization, config: ScenarioConfig,
-                  clutter_model: ClutterModel, threshold: float) -> DetectionResult:
-    """Full detector pass: assemble, test, estimate, decide."""
-    ws = assemble_statistics(observation, frame, channels, config, clutter_model)
-    t = glrt_statistic(ws)
-    alpha_hat, c_hat = map_estimate(ws)
-    return DetectionResult(decision=decide(t, threshold), test_statistic=t,
-                           threshold=threshold, rcs_estimate=alpha_hat,
-                           clutter_estimate=c_hat)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -272,9 +233,6 @@ def random_small_instance(rng: np.random.Generator, n_tx: int = 2, n_rx: int = 2
     observation vector is arbitrary data, not a model draw; both the closed
     form and the oracle must agree on any input.
     """
-    from .precoding import TransmitFrame as _Frame
-    from .propagation import SensingObservation as _Obs
-
     def cn(shape):
         return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
 
@@ -296,16 +254,16 @@ def random_small_instance(rng: np.random.Generator, n_tx: int = 2, n_rx: int = 2
         clutter=np.zeros((n_rx, n_tx), dtype=complex), rcs=0.0 + 0.0j,
     )
     x = cn((slot_length, n_tx))
-    frame = _Frame(x=x, user_symbols=np.zeros((slot_length, 0), dtype=complex),
-                   sensing_symbols=cn(slot_length), user_fractions=np.zeros(0),
-                   sensing_fraction=1.0)
+    frame = TransmitFrame(x=x, user_symbols=np.zeros((slot_length, 0), dtype=complex),
+                          sensing_symbols=cn(slot_length), user_fractions=np.zeros(0),
+                          sensing_fraction=1.0)
     if full_clutter_cov:
         m = cn((n_tx * n_rx, n_tx * n_rx))
         cov = m @ m.conj().T + 0.5 * np.eye(n_tx * n_rx)
         clutter_model = ClutterModel(covariance=cov)
     else:
         clutter_model = ClutterModel.iid(float(rng.uniform(0.3, 2.0)), n_tx, n_rx)
-    observation = _Obs(y_slots=cn((slot_length, n_rx)))
+    observation = SensingObservation(y_slots=cn((slot_length, n_rx)))
     return observation, frame, channels, config, clutter_model
 
 
@@ -332,7 +290,7 @@ def oracle_check(n_instances: int = 100, seed: int = 0, n_tx: int = 2, n_rx: int
     return max_err, ORACLE_REL_TOL
 
 
-# -- Monte Carlo trials and threshold calibration -----------------------------
+# -- Monte Carlo trials ---------------------------------------------------------
 
 def trial_rng(master_seed: int, key: tuple[int, ...], trial: int) -> np.random.Generator:
     """Deterministic per-trial substream; independent of scheduling order."""
@@ -365,43 +323,3 @@ def threshold_from_null_stats(t_values: np.ndarray, pfa_target: float) -> float:
     return float(np.quantile(np.asarray(t_values, float), 1.0 - pfa_target,
                              method="higher"))
 
-
-def calibrate_threshold(config: ScenarioConfig, geometry: Geometry,
-                        channels: ChannelRealization | None = None,
-                        precoders: PrecoderSet | None = None,
-                        clutter_model: ClutterModel | None = None,
-                        n_trials: int | None = None,
-                        seed_key: tuple[int, ...] = (0,)) -> tuple[float, np.ndarray]:
-    """Monte Carlo threshold for the configured PFA target.
-
-    Runs H0 trials (target absent, fresh clutter/noise/symbols each) and
-    returns (threshold, null statistics). Channels/precoders default to a
-    fresh deterministic draw from the study seed.
-    """
-    if n_trials is None:
-        n_trials = config.calibration_trials
-    if n_trials * config.pfa_target < 10:
-        warnings.warn("too few calibration trials to resolve the PFA target "
-                      f"({n_trials} trials at PFA {config.pfa_target})",
-                      stacklevel=2)
-    if channels is None:
-        channels = _study_channels(config, geometry, seed_key)
-    if clutter_model is None:
-        clutter_model = clutter_covariance(config, geometry)
-    if precoders is None:
-        precoders = build_precoders(config, channels)
-    t_values = np.array([
-        run_sensing_trial(config, channels, clutter_model, precoders,
-                          trial_rng(config.master_seed, (*seed_key, 0), i),
-                          force_null=True)
-        for i in range(n_trials)
-    ])
-    return threshold_from_null_stats(t_values, config.pfa_target), t_values
-
-
-def _study_channels(config: ScenarioConfig, geometry: Geometry,
-                    seed_key: tuple[int, ...]) -> ChannelRealization:
-    from .channel import gen_channels
-    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed,
-                                                       spawn_key=(*seed_key, 1)))
-    return gen_channels(geometry, config, rng)

@@ -1,5 +1,9 @@
-"""Experiment drivers: Monte Carlo studies, parallel trial execution, CSV output.
+"""Study harness: study setup, Monte Carlo trials, threshold calibration,
+CSV output.
 
+Every entry point (the studies, the CLI, the tests) draws its geometry and
+channels through :func:`draw_drop` and calibrates the GLRT threshold through
+:func:`calibrate`, so one config gives one threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance
 (threshold recalibrated per grid point), and the CDF of downlink per-user
 spectral efficiency across precoder choices. Per-trial random substreams are
@@ -18,9 +22,9 @@ import numpy as np
 
 from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
 from .comm_metrics import user_sinr
-from .detector import (assemble_statistics, glrt_statistic, map_estimate,
-                       run_sensing_trial, threshold_from_null_stats, trial_rng)
-from .errors import DegenerateNullspaceError
+from .detector import (assemble_statistics, run_sensing_trial, threshold_from_null_stats,
+                       trial_rng)
+from .errors import DegenerateNullspaceError, NumericalDomainError
 from .precoding import PrecoderSet, build_precoders, build_transmit_frame
 from .propagation import draw_noise, receive_bs_slot
 from .scenario import Geometry, ScenarioConfig, drop_entities
@@ -39,19 +43,6 @@ def default_workers() -> int:
         return max(1, int(value))
     except ValueError:
         return 1
-
-
-@dataclass
-class TrialRecord:
-    trial_id: int
-    hypothesis_truth: str
-    test_statistic: float
-    decision: str
-    rcs_draw: complex
-    rcs_estimate: complex
-    user_sinr: list[float]
-    user_se: list[float]
-    seed_key: tuple[int, ...]
 
 
 @dataclass
@@ -78,14 +69,35 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# -- study setup ---------------------------------------------------------------
+
+def draw_drop(config: ScenarioConfig, study: int,
+              index: int = 0) -> tuple[Geometry, ChannelRealization]:
+    """Geometry and deterministic channels of drop ``index`` of a study.
+
+    The geometry draws from key (study, 0, index) and the channels from
+    (study, 1, index). The detection study, its grid suggestion and the CLI
+    all work on drop 0 of ``STUDY_POD``.
+    """
+    geometry = drop_entities(config, trial_rng(config.master_seed, (study, 0), index))
+    channels = gen_channels(geometry, config,
+                            trial_rng(config.master_seed, (study, 1), index))
+    return geometry, channels
+
+
 # -- deterministic parallel trial execution -----------------------------------
 
 def _trial_chunk(args) -> list[float]:
     config, channels, clutter_model, precoders, key, start, stop, force_null = args
-    return [run_sensing_trial(config, channels, clutter_model, precoders,
-                              trial_rng(config.master_seed, key, i),
-                              force_null=force_null)
-            for i in range(start, stop)]
+    stats = []
+    for i in range(start, stop):
+        try:
+            stats.append(run_sensing_trial(config, channels, clutter_model, precoders,
+                                           trial_rng(config.master_seed, key, i),
+                                           force_null=force_null))
+        except NumericalDomainError as exc:
+            raise NumericalDomainError(f"trial with seed key {(*key, i)}: {exc}") from exc
+    return stats
 
 
 def run_trials(config: ScenarioConfig, channels: ChannelRealization,
@@ -103,6 +115,24 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_chunk, payloads))
     return np.concatenate([np.asarray(p) for p in parts]) if parts else np.zeros(0)
+
+
+# -- threshold calibration -----------------------------------------------------
+
+def calibrate(config: ScenarioConfig, channels: ChannelRealization,
+              clutter_model: ClutterModel, precoders: PrecoderSet,
+              workers: int = 1) -> tuple[float, float]:
+    """GLRT threshold for ``config.pfa_target`` from ``calibration_trials`` H0 trials.
+
+    Returns (threshold, in-sample false-alarm rate). The trials (target
+    absent, fresh clutter/noise/symbols each) draw from key (STUDY_POD, 2)
+    whatever the entry point, so ``repisac calibrate`` and the detection study
+    give the same threshold for the same config.
+    """
+    t_null = run_trials(config, channels, clutter_model, precoders, (STUDY_POD, 2),
+                        config.calibration_trials, force_null=True, workers=workers)
+    threshold = threshold_from_null_stats(t_null, config.pfa_target)
+    return threshold, float(np.mean(t_null >= threshold))
 
 
 # -- detection study: PoD versus RCS variance ----------------------------------
@@ -126,14 +156,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     if repeater_gains_db is None:
         repeater_gains_db = ((config.repeater_gain_db if config.repeater_on else None),
                              None)
-    geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
-    channels = gen_channels(geometry, config,
-                            trial_rng(config.master_seed, (STUDY_POD, 1), 0))
+    geometry, channels = draw_drop(config, STUDY_POD)
     clutter_model = clutter_covariance(config, geometry)
 
     rows = []
     warnings_meta = []
-    for gi, gain_db in enumerate(repeater_gains_db):
+    for gain_db in repeater_gains_db:
         if gain_db is None:
             cfg_gain = config.with_updates(repeater_on=False)
             gain_value = float("-inf")
@@ -146,11 +174,8 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
             if cfg_pt.calibration_trials * cfg_pt.pfa_target < 10:
                 warnings_meta.append(
                     f"calibration under-resolved at point {pi} (gain {gain_value})")
-            t_null = run_trials(cfg_pt, channels, clutter_model, precoders,
-                                (STUDY_POD, 2), cfg_pt.calibration_trials,
-                                force_null=True, workers=workers)
-            threshold = threshold_from_null_stats(t_null, cfg_pt.pfa_target)
-            empirical_pfa = float(np.mean(t_null >= threshold))
+            threshold, empirical_pfa = calibrate(cfg_pt, channels, clutter_model,
+                                                 precoders, workers=workers)
             t_h1 = run_trials(cfg_pt, channels, clutter_model, precoders,
                               (STUDY_POD, 3), cfg_pt.mc_trials,
                               force_null=False, workers=workers)
@@ -169,9 +194,7 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
     Scales a log grid by the per-unit-RCS sensing energy of one pilot trial,
     deterministically from the study seed.
     """
-    geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
-    channels = gen_channels(geometry, config,
-                            trial_rng(config.master_seed, (STUDY_POD, 1), 0))
+    geometry, channels = draw_drop(config, STUDY_POD)
     clutter_model = clutter_covariance(config, geometry)
     precoders = build_precoders(config, channels)
     rng = trial_rng(config.master_seed, (STUDY_POD, 9), 0)
@@ -195,9 +218,7 @@ def _secdf_chunk(args) -> tuple[dict, dict]:
     samples = {(m, r): [] for m in modes for r in repeater_settings}
     errors = {(m, r): 0 for m in modes for r in repeater_settings}
     for d in range(start, stop):
-        geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_SECDF, 0), d))
-        channels = gen_channels(geometry, config,
-                                trial_rng(config.master_seed, (STUDY_SECDF, 1), d))
+        _, channels = draw_drop(config, STUDY_SECDF, d)
         for rep in repeater_settings:
             for mode in modes:
                 cfg = config.with_updates(repeater_on=rep, precoder_mode=mode)
@@ -251,49 +272,3 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
                                  "degenerate_drops": {f"{m}|{int(r)}": errors[(m, r)]
                                                       for (m, r) in errors}})
 
-
-# -- detector debug dump --------------------------------------------------------
-
-DEBUG_HEADER = ("trial", "T", "threshold", "decision", "re_alpha", "im_alpha")
-
-
-def collect_trial_records(config: ScenarioConfig, geometry: Geometry,
-                          channels: ChannelRealization, clutter_model: ClutterModel,
-                          precoders: PrecoderSet, threshold: float, n_trials: int,
-                          key: tuple[int, ...], force_null: bool = False) -> list[TrialRecord]:
-    """Per-trial records with MAP estimates (serial; intended for debugging)."""
-    from .channel import redraw_nuisance
-
-    records = []
-    for i in range(n_trials):
-        rng = trial_rng(config.master_seed, key, i)
-        ch = redraw_nuisance(channels, config, clutter_model.entry_variance, rng,
-                             force_null=force_null)
-        frame = build_transmit_frame(precoders, config, rng)
-        noise = draw_noise(config, rng)
-        obs = receive_bs_slot(frame, ch, noise, config)
-        ws = assemble_statistics(obs, frame, ch, config, clutter_model)
-        t = glrt_statistic(ws)
-        alpha_hat, _ = map_estimate(ws)
-        metrics = [user_sinr(n, precoders, ch, config) for n in range(config.n_users)]
-        records.append(TrialRecord(
-            trial_id=i,
-            hypothesis_truth="H0" if force_null else "H1",
-            test_statistic=t,
-            decision="H1" if t >= threshold else "H0",
-            rcs_draw=ch.rcs,
-            rcs_estimate=alpha_hat,
-            user_sinr=[m.sinr for m in metrics],
-            user_se=[m.se for m in metrics],
-            seed_key=(*key, i),
-        ))
-    return records
-
-
-def dump_detector_debug(path: str, records: list[TrialRecord], threshold: float) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(DEBUG_HEADER) + "\n")
-        for rec in records:
-            fh.write(f"{rec.trial_id},{rec.test_statistic!r},{threshold!r},"
-                     f"{rec.decision},{rec.rcs_estimate.real!r},"
-                     f"{rec.rcs_estimate.imag!r}\n")

@@ -21,8 +21,6 @@ from .scenario import ScenarioConfig
 class PrecoderSet:
     user_precoders: np.ndarray  # (K, Nt), unit-norm rows
     sensing_precoder: np.ndarray | None  # (Nt,), unit norm; None when sensing is off
-    user_normalizers: np.ndarray  # (K,)
-    sensing_normalizer: float | None = None
 
 
 @dataclass
@@ -125,18 +123,14 @@ def build_precoders(config: ScenarioConfig, channels: ChannelRealization) -> Pre
     fdot = effective_channels(channels, config)
     conj = config.conjugate_convention
     if config.n_users > 0:
-        user_p, eps = rzf_precoders(fdot, config.zf_regularizer_value, conjugate=conj)
+        user_p, _ = rzf_precoders(fdot, config.zf_regularizer_value, conjugate=conj)
     else:
         user_p = np.zeros((0, config.n_tx_antennas), dtype=complex)
-        eps = np.zeros(0)
+    p_t = None
     if config.sensing_power_fraction > 0.0:
         p_t = target_precoder(config.precoder_mode, channels.a_tx, channels.b_tx,
                               fdot, conjugate=conj)
-        eps_t = 1.0
-    else:
-        p_t, eps_t = None, None
-    return PrecoderSet(user_precoders=user_p, sensing_precoder=p_t,
-                       user_normalizers=eps, sensing_normalizer=eps_t)
+    return PrecoderSet(user_precoders=user_p, sensing_precoder=p_t)
 
 
 def _draw_symbols(shape, alphabet: str, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Received-signal evaluation at the repeater, the sensing BS, and the users."""
+"""Received-signal evaluation at the sensing BS and the users."""
 
 from __future__ import annotations
 
@@ -43,14 +43,6 @@ def draw_noise(config: ScenarioConfig, rng: np.random.Generator) -> NoiseDraws:
     return NoiseDraws(w_rep=cn(tau_l, config.repeater_noise_watt),
                       w_bs=cn((tau_l, nr), config.bs_noise_watt),
                       w_ue=cn((k, tau_l), config.ue_noise_watt))
-
-
-def repeater_io(x: np.ndarray, channels: ChannelRealization, nu: complex,
-                rcs: complex, w_rep: complex) -> tuple[complex, complex]:
-    """Input/output signals at the repeater terminals for one channel use."""
-    y_in = rcs * channels.g_rep * (channels.a_tx @ x) + channels.b_tx @ x
-    y_out = nu * (y_in + w_rep)
-    return complex(y_in), complex(y_out)
 
 
 def receive_bs_slot(frame: TransmitFrame, channels: ChannelRealization,

@@ -20,6 +20,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 PRECODER_MODES = ("target_centric", "comm_centric", "repeater_null")
 SYMBOL_ALPHABETS = ("gaussian", "qpsk")
+# float fields whose NaN/inf would slip past the sign checks in validate()
+_FINITE_FIELDS = ("tx_power_watt", "sensing_power_fraction", "bs_noise_power_watt",
+                  "ue_noise_power_watt", "repeater_noise_power_watt", "rcs_variance",
+                  "repeater_gain_db", "residual_interbs_power", "clutter_suppression")
 
 
 def pathloss_linear(distance_m: float, carrier_ghz: float, rx_height_m: float = 1.5) -> float:
@@ -99,6 +103,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
             raise ConfigError("antenna counts must be positive")
         if self.n_users < 0:
@@ -119,8 +127,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown symbol_alphabet {self.symbol_alphabet!r}")
         if self.residual_interbs_power < 0:
             raise ConfigError("residual_interbs_power must be nonnegative")
-        if self.clutter_suppression < 0:
-            raise ConfigError("clutter_suppression must be nonnegative")
+        if self.clutter_suppression <= 0:
+            raise ConfigError("clutter_suppression must be positive "
+                              "(the clutter covariance has to be invertible)")
         if self.sensing_power_fraction < 0:
             raise ConfigError("sensing_power_fraction must be nonnegative")
         fractions = self.user_fractions

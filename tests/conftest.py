@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from repisac import ScenarioConfig, drop_entities, gen_channels
+from repisac import ScenarioConfig
 from repisac.channel import clutter_covariance
-from repisac.detector import trial_rng
+from repisac.harness import STUDY_POD, draw_drop
 from repisac.precoding import build_precoders
 
 
@@ -21,8 +21,7 @@ def tiny_config(**overrides) -> ScenarioConfig:
 @pytest.fixture
 def small_setup():
     config = tiny_config()
-    geometry = drop_entities(config, trial_rng(config.master_seed, (1, 0), 0))
-    channels = gen_channels(geometry, config, trial_rng(config.master_seed, (1, 1), 0))
+    geometry, channels = draw_drop(config, STUDY_POD)
     clutter_model = clutter_covariance(config, geometry)
     precoders = build_precoders(config, channels)
     return config, geometry, channels, clutter_model, precoders

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from repisac import StudyResult, run_pod_vs_rcs, run_se_cdf
+from repisac import NumericalDomainError, StudyResult, run_pod_vs_rcs, run_se_cdf
+from repisac.channel import ClutterModel
 from repisac.cli import main_cli
-from repisac.harness import (DEBUG_HEADER, POD_HEADER, SECDF_HEADER,
-                             WORKERS_ENV_VAR, collect_trial_records, default_workers,
-                             dump_detector_debug, run_trials, suggest_rcs_grid)
+from repisac.harness import (POD_HEADER, SECDF_HEADER, WORKERS_ENV_VAR, default_workers,
+                             run_trials, suggest_rcs_grid)
 from repisac.scenario import save_config
 
 from conftest import tiny_config
@@ -27,6 +29,14 @@ class TestRunTrials:
         prefix = run_trials(config, channels, clutter, precoders, (5,), 40,
                             force_null=True, workers=1)
         np.testing.assert_array_equal(full[:40], prefix)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numerical_error_names_the_trial_seed_key(self, small_setup, workers):
+        config, _, channels, _, precoders = small_setup
+        wrong_size = ClutterModel.iid(1.0, 3, 3)  # Nt*Nr is 4, not 9
+        with pytest.raises(NumericalDomainError, match=re.escape("seed key (5, 7, 0)")):
+            run_trials(config, channels, wrong_size, precoders, (5, 7), 3,
+                       force_null=True, workers=workers)
 
 
 class TestStudyResult:
@@ -102,24 +112,6 @@ class TestSeCdfStudy:
             run_se_cdf(tiny_config(n_users=0, sensing_power_fraction=1.0))
 
 
-class TestDebugDump:
-    def test_records_and_dump_format(self, small_setup, tmp_path):
-        config, geometry, channels, clutter, precoders = small_setup
-        records = collect_trial_records(config, geometry, channels, clutter, precoders,
-                                        threshold=0.0, n_trials=5, key=(6,))
-        assert len(records) == 5
-        assert all(rec.hypothesis_truth == "H1" for rec in records)
-        assert all(len(rec.user_se) == config.n_users for rec in records)
-        path = tmp_path / "debug.csv"
-        dump_detector_debug(str(path), records, threshold=0.0)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(DEBUG_HEADER)
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[4]) == records[0].rcs_estimate.real
-
-
 class TestDefaultWorkers:
     def test_env_var_controls_default(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
@@ -160,6 +152,16 @@ class TestCli:
         assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
         assert "threshold=" in capsys.readouterr().out
         assert out.read_text().startswith("threshold,empirical_pfa,trials")
+
+    def test_calibrate_reproduces_the_pod_threshold(self, tmp_path):
+        config = tiny_config()
+        cfg = self._config_path(tmp_path)
+        out = tmp_path / "thr.csv"
+        assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
+        threshold = float(out.read_text().split("\n")[1].split(",")[0])
+        pod = run_pod_vs_rcs(config, [config.rcs_variance],
+                             repeater_gains_db=(config.repeater_gain_db,))
+        assert threshold == pod.rows[0][3]
 
     def test_oracle_check_command(self, capsys):
         assert main_cli(["oracle-check", "--trials", "10", "--seed", "1"]) == 0

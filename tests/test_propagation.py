@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repisac import ConfigError, draw_noise, receive_bs_slot, receive_ue, repeater_io
+from repisac import ConfigError, draw_noise, receive_bs_slot, receive_ue
 from repisac.precoding import build_transmit_frame, effective_downlink_channel
 
 
@@ -18,20 +18,6 @@ class TestDrawNoise:
         assert np.mean(np.abs(noise.w_rep) ** 2) == pytest.approx(0.3, rel=0.1)
         assert np.mean(np.abs(noise.w_bs) ** 2) == pytest.approx(0.7, rel=0.1)
         assert np.mean(np.abs(noise.w_ue) ** 2) == pytest.approx(1.1, rel=0.1)
-
-
-class TestRepeaterIo:
-    def test_input_output_relation(self, small_setup, rng):
-        config, _, channels, _, precoders = small_setup
-        frame = build_transmit_frame(precoders, config, rng)
-        x = frame.x[0]
-        nu = config.nu
-        w = complex(rng.normal() + 1j * rng.normal())
-        y_in, y_out = repeater_io(x, channels, nu, channels.rcs, w)
-        expected_in = (channels.rcs * channels.g_rep * (channels.a_tx @ x)
-                       + channels.b_tx @ x)
-        assert y_in == pytest.approx(expected_in, rel=1e-12)
-        assert y_out == pytest.approx(nu * (expected_in + w), rel=1e-12)
 
 
 class TestReceiveBsSlot:

@@ -110,6 +110,20 @@ class TestGeometry:
         assert azimuth([0, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tx_power_watt", math.nan), ("tx_power_watt", math.inf),
+    ("sensing_power_fraction", math.nan), ("bs_noise_power_watt", math.inf),
+    ("ue_noise_power_watt", math.nan), ("repeater_noise_power_watt", math.inf),
+    ("rcs_variance", math.nan), ("rcs_variance", math.inf),
+    ("repeater_gain_db", math.nan), ("repeater_gain_db", -math.inf),
+    ("residual_interbs_power", math.inf), ("clutter_suppression", math.nan),
+    ("clutter_suppression", 0.0),
+])
+def test_non_finite_and_zero_clutter_configs_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value})
+
+
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         config = tiny_config(zf_regularizer=0.25, user_power_fractions=(0.2, 0.3),
