@@ -9,8 +9,7 @@ from .errors import (ConfigError, DegenerateNullspaceError, NumericalDomainError
                      OracleFailureError, PowerBudgetError)
 from .harness import StudyResult, run_pod_vs_rcs, run_se_cdf
 from .precoding import (PrecoderSet, TransmitFrame, build_precoders,
-                        build_transmit_frame, effective_downlink_channel,
-                        rzf_precoders, target_precoder)
+                        build_transmit_frame, rzf_precoders, target_precoder)
 from .propagation import (NoiseDraws, SensingObservation, draw_noise,
                           receive_bs_slot, receive_ue)
 from .scenario import (Geometry, ScenarioConfig, drop_entities, load_config,
@@ -25,7 +24,7 @@ __all__ = [
     "SensingObservation", "StudyResult", "TransmitFrame", "UserMetrics",
     "assemble_statistics", "build_precoders", "build_transmit_frame",
     "clutter_covariance", "draw_noise", "draw_rcs", "drop_entities",
-    "effective_downlink_channel", "gen_channels", "glrt_statistic", "load_config",
+    "gen_channels", "glrt_statistic", "load_config",
     "map_estimate", "noise_power_watt", "oracle_loglike_ratio", "pathloss_linear",
     "receive_bs_slot", "receive_ue", "regressor", "run_pod_vs_rcs", "run_se_cdf",
     "rzf_precoders", "save_config", "sensing_noise_cov", "spectral_efficiency",

@@ -15,8 +15,8 @@ import sys
 from .channel import clutter_covariance
 from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import (STUDY_POD, calibrate, default_workers, draw_drop, run_pod_vs_rcs,
-                      run_se_cdf, suggest_rcs_grid)
+from .harness import (STUDY_POD, calibrate, draw_drop, run_pod_vs_rcs, run_se_cdf,
+                      suggest_rcs_grid)
 from .precoding import build_precoders
 from .scenario import ScenarioConfig, load_config
 
@@ -26,29 +26,28 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Repeater-assisted bi-static ISAC studies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_out=False):
+    def common(p, trials_help, need_out=False):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--trials", type=int, help="override mc_trials")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default ${'{'}REPISAC_WORKERS{'}'} or 1)")
+        p.add_argument("--trials", type=int, help=trials_help)
+        p.add_argument("--workers", type=int, default=1, help="worker processes")
         p.add_argument("--out", required=need_out, help="output CSV path")
 
     p_pod = sub.add_parser("pod", help="PoD versus RCS-variance sweep")
-    common(p_pod, need_out=True)
+    common(p_pod, "override mc_trials (H1 trials per grid point)", need_out=True)
     p_pod.add_argument("--grid", help="comma-separated sigma_T^2 grid "
                                       "(default: auto-scaled 8-point log grid)")
     p_pod.add_argument("--gains", help="comma-separated repeater gains in dB; "
                                        "'none' means no repeater (default: config gain + none)")
 
     p_se = sub.add_parser("secdf", help="downlink per-user SE CDF")
-    common(p_se, need_out=True)
+    common(p_se, "override mc_trials (number of drops)", need_out=True)
 
     p_cal = sub.add_parser("calibrate", help="calibrate the GLRT threshold only")
-    common(p_cal)
+    common(p_cal, "override calibration_trials (H0 trials)")
 
     p_orc = sub.add_parser("oracle-check", help="closed form vs least-squares oracle")
-    p_orc.add_argument("--trials", type=int, default=100)
+    p_orc.add_argument("--trials", type=int, default=100, help="random instances to check")
     p_orc.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -59,12 +58,9 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        updates["mc_trials"] = args.trials
+        field = "calibration_trials" if args.command == "calibrate" else "mc_trials"
+        updates[field] = args.trials
     return config.with_updates(**updates) if updates else config
-
-
-def _workers(args) -> int:
-    return args.workers if args.workers is not None else default_workers()
 
 
 def _cmd_pod(args) -> int:
@@ -77,17 +73,23 @@ def _cmd_pod(args) -> int:
     if args.gains:
         gains = tuple(None if tok.strip().lower() == "none" else float(tok)
                       for tok in args.gains.split(","))
-    result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=_workers(args))
+    result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers)
     result.write_csv(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
+    for warning in result.metadata["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
 def _cmd_secdf(args) -> int:
     config = _load(args)
-    result = run_se_cdf(config, workers=_workers(args))
+    result = run_se_cdf(config, workers=args.workers)
     result.write_csv(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
+    for combo, count in result.metadata["degenerate_drops"].items():
+        if count:
+            print(f"warning: {count} of {result.metadata['drops']} drops degenerate "
+                  f"for {combo} (skipped)", file=sys.stderr)
     return 0
 
 
@@ -97,7 +99,7 @@ def _cmd_calibrate(args) -> int:
     threshold, empirical_pfa = calibrate(config, channels,
                                          clutter_covariance(config, geometry),
                                          build_precoders(config, channels),
-                                         workers=_workers(args))
+                                         workers=args.workers)
     print(f"threshold={threshold!r} empirical_pfa={empirical_pfa!r} "
           f"trials={config.calibration_trials}")
     if args.out:

@@ -52,15 +52,6 @@ def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -
     return diag * np.eye(nr) + (nu2 * config.repeater_noise_watt) * np.outer(b_rx, b_rx.conj())
 
 
-def _sigma_s_stack(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -> np.ndarray:
-    """Sigma_s[tau] for every channel use, shape (tau_L, Nr, Nr)."""
-    nr = b_rx.shape[0]
-    norms = np.sum(np.abs(x) ** 2, axis=1)
-    diag = config.residual_interbs_power * norms + config.bs_noise_watt
-    rank1 = (abs(config.nu) ** 2 * config.repeater_noise_watt) * np.outer(b_rx, b_rx.conj())
-    return diag[:, None, None] * np.eye(nr)[None, :, :] + rank1[None, :, :]
-
-
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
                         channels: ChannelRealization, config: ScenarioConfig,
                         clutter_model: ClutterModel) -> DetectorWorkspace:
@@ -68,41 +59,42 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
 
     The per-slot sums exploit B[tau] = x^T kron I: every B-contraction
     collapses to an outer product with x[tau], so nothing of size
-    Nr x (Nt*Nr) is ever formed here.
+    Nr x (Nt*Nr) is ever formed here. The sensing-noise covariance
+    Sigma_s[tau] = d[tau] I + m b_r b_r^H (d[tau] = zeta^2 ||x[tau]||^2 +
+    sigma_BS^2, m = |nu|^2 sigma_R^2) is a scaled identity plus a rank-one
+    term, so it is inverted in closed form (Sherman-Morrison):
+    Sigma_s[tau]^-1 = I/d[tau] - c[tau] b_r b_r^H with
+    c[tau] = m / (d[tau] (d[tau] + m ||b_r||^2)). No matrix is factorized.
     """
     x = frame.x
     y = observation.y_slots
     nu = config.nu
+    b = channels.b_rx
     nt, nr = config.n_tx_antennas, config.n_rx_antennas
     if clutter_model.size != nt * nr:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
 
-    v = channels.a_rx + nu * channels.g_rep * channels.b_rx
+    v = channels.a_rx + nu * channels.g_rep * b
     r = (x @ channels.a_tx)[:, None] * v[None, :]  # (tau_L, Nr)
 
-    sigma_s = _sigma_s_stack(x, config, channels.b_rx)
-    if np.any(np.real(np.diagonal(sigma_s, axis1=1, axis2=2)) <= 0):
+    d = config.residual_interbs_power * np.sum(np.abs(x) ** 2, axis=1) + config.bs_noise_watt
+    if np.any(d <= 0):
+        # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
         raise NumericalDomainError("sensing-noise covariance is not positive definite")
+    m = abs(nu) ** 2 * config.repeater_noise_watt
+    c = m / (d * (d + m * float(np.vdot(b, b).real)))
 
-    try:
-        if config.residual_interbs_power == 0.0:
-            # Sigma_s is the same for every channel use: one solve, one kron
-            tau_l = x.shape[0]
-            sol = np.linalg.solve(sigma_s[0],
-                                  np.concatenate([y.T, r.T, np.eye(nr)], axis=1))
-            s_y, s_r = sol[:, :tau_l].T, sol[:, tau_l:2 * tau_l].T
-            s_inv = sol[:, 2 * tau_l:]
-            q_bb = np.kron(x.conj().T @ x, s_inv)
-        else:
-            # batched solves: columns [y, r, I] against Sigma_s[tau]
-            rhs = np.concatenate([y[:, :, None], r[:, :, None],
-                                  np.broadcast_to(np.eye(nr), sigma_s.shape)], axis=2)
-            sol = np.linalg.solve(sigma_s, rhs)
-            s_y, s_r, s_inv = sol[:, :, 0], sol[:, :, 1], sol[:, :, 2:]
-            q_bb = np.einsum("ti,tj,tkl->ikjl", x.conj(), x,
-                             s_inv).reshape(nt * nr, nt * nr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("sensing-noise covariance solve failed") from exc
+    def whiten(z: np.ndarray) -> np.ndarray:
+        """Rows Sigma_s[tau]^-1 z[tau]."""
+        return z / d[:, None] - (c * (z @ b.conj()))[:, None] * b[None, :]
+
+    s_y, s_r = whiten(y), whiten(r)
+    # sum_tau B^H Sigma_s^-1 B = (X^H diag(1/d) X) kron I - (X^H diag(c) X) kron b b^H
+    x_d = x.conj().T @ (x / d[:, None])
+    x_c = x.conj().T @ (x * c[:, None])
+    q_bb = (x_d[:, None, :, None] * np.eye(nr)[None, :, None, :]
+            - x_c[:, None, :, None] * np.outer(b, b.conj())[None, :, None, :]
+            ).reshape(nt * nr, nt * nr)
 
     t_top = complex(np.einsum("ti,ti->", r.conj(), s_y))
     q_rr = float(np.einsum("ti,ti->", r.conj(), s_r).real)

@@ -14,7 +14,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,18 +30,6 @@ from .scenario import Geometry, ScenarioConfig, drop_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
-
-WORKERS_ENV_VAR = "REPISAC_WORKERS"
-
-
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 @dataclass

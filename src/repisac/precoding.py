@@ -42,12 +42,6 @@ def _c(v: np.ndarray, conjugate: bool) -> np.ndarray:
     return np.conj(v) if conjugate else v
 
 
-def effective_downlink_channel(f_n: np.ndarray, h_n: complex, nu: complex,
-                               b_tx: np.ndarray) -> np.ndarray:
-    """Composite user channel f_n + nu*h_n*b_tx seen through the repeater."""
-    return f_n + nu * h_n * b_tx
-
-
 def effective_channels(channels: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
     """Stack of effective downlink channels, shape (K, Nt)."""
     nu = config.nu

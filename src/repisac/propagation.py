@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ConfigError
-from .precoding import TransmitFrame, effective_downlink_channel
+from .precoding import TransmitFrame, effective_channels
 from .scenario import ScenarioConfig
 
 
@@ -80,7 +80,6 @@ def receive_ue(frame: TransmitFrame, channels: ChannelRealization, user_index: i
     if not (0 <= user_index < config.n_users):
         raise ConfigError(f"user index {user_index} out of range")
     nu = config.nu
-    fdot = effective_downlink_channel(channels.f_user[user_index],
-                                      channels.h_user[user_index], nu, channels.b_tx)
+    fdot = effective_channels(channels, config)[user_index]
     w_eff = nu * channels.h_user[user_index] * noise.w_rep + noise.w_ue[user_index]
     return frame.x @ fdot + w_eff

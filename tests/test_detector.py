@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,18 @@ class TestAssembledStatistics:
         np.testing.assert_array_equal(ws.t_h1[1:], ws.t_h0)
         np.testing.assert_array_equal(ws.q_h1[1:, 1:], ws.q_h0)
 
-    def test_matches_explicit_stacked_construction(self, rng):
+    @pytest.mark.parametrize("updates, zero_b_rx", [
+        ({"residual_interbs_power": 0.0}, False),  # Sigma_s equal for every channel use
+        ({}, False),                               # drawn zeta^2 > 0
+        ({"repeater_gain_db": 40.0}, False),       # rank-one term dominates Sigma_s
+        ({}, True),                                # ||b_r|| = 0
+    ], ids=["zeta0", "zeta_drawn", "gain40db", "b_rx0"])
+    def test_matches_explicit_stacked_construction(self, rng, updates, zero_b_rx):
         # reference: build everything from dense per-slot regressors
         obs, frame, channels, config, clutter = random_small_instance(rng)
+        config = config.with_updates(**updates)
+        if zero_b_rx:
+            channels = dataclasses.replace(channels, b_rx=np.zeros_like(channels.b_rx))
         ws = assemble_statistics(obs, frame, channels, config, clutter)
         nr = config.n_rx_antennas
         q_bb = np.zeros_like(ws.q_h0)

@@ -6,8 +6,7 @@ import pytest
 from repisac import NumericalDomainError, StudyResult, run_pod_vs_rcs, run_se_cdf
 from repisac.channel import ClutterModel
 from repisac.cli import main_cli
-from repisac.harness import (POD_HEADER, SECDF_HEADER, WORKERS_ENV_VAR, default_workers,
-                             run_trials, suggest_rcs_grid)
+from repisac.harness import POD_HEADER, SECDF_HEADER, run_trials, suggest_rcs_grid
 from repisac.scenario import save_config
 
 from conftest import tiny_config
@@ -112,16 +111,6 @@ class TestSeCdfStudy:
             run_se_cdf(tiny_config(n_users=0, sensing_power_fraction=1.0))
 
 
-class TestDefaultWorkers:
-    def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert default_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV_VAR, "junk")
-        assert default_workers() == 1
-
-
 class TestCli:
     def _config_path(self, tmp_path, **overrides):
         config = tiny_config(**overrides)
@@ -152,6 +141,30 @@ class TestCli:
         assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
         assert "threshold=" in capsys.readouterr().out
         assert out.read_text().startswith("threshold,empirical_pfa,trials")
+
+    def test_calibrate_trials_override_sets_calibration_trials(self, tmp_path, capsys):
+        cfg = self._config_path(tmp_path)
+        out = tmp_path / "thr.csv"
+        assert main_cli(["calibrate", "--config", cfg, "--trials", "5",
+                         "--out", str(out)]) == 0
+        assert "trials=5" in capsys.readouterr().out
+        assert out.read_text().split("\n")[1].split(",")[2] == "5"
+
+    def test_pod_reports_study_warnings_on_stderr(self, tmp_path, capsys):
+        cfg = self._config_path(tmp_path, mc_trials=5)  # 200 x PFA 0.01 is under-resolved
+        out = tmp_path / "pod.csv"
+        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--gains", "20",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: calibration under-resolved at point 0 (gain 20.0)\n")
+
+    def test_secdf_reports_degenerate_drops_on_stderr(self, tmp_path, capsys):
+        cfg = self._config_path(tmp_path, n_users=4, n_tx_antennas=2, mc_trials=6)
+        out = tmp_path / "se.csv"
+        assert main_cli(["secdf", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 6 of 6 drops degenerate for comm_centric|1 (skipped)\n"
+            "warning: 6 of 6 drops degenerate for comm_centric|0 (skipped)\n")
 
     def test_calibrate_reproduces_the_pod_threshold(self, tmp_path):
         config = tiny_config()

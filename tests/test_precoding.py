@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from repisac import (ConfigError, DegenerateNullspaceError, build_precoders,
-                     build_transmit_frame, effective_downlink_channel, rzf_precoders,
-                     target_precoder)
+                     build_transmit_frame, rzf_precoders, target_precoder)
 from repisac.errors import PowerBudgetError
 from repisac.precoding import effective_channels
 
@@ -15,21 +14,17 @@ def cn(rng, shape):
 
 
 class TestEffectiveChannel:
-    def test_composite_path(self, rng):
-        f = cn(rng, 4)
-        b = cn(rng, 4)
-        h = complex(cn(rng, ()))
-        nu = 3.0 * np.exp(1j * 0.7)
-        np.testing.assert_allclose(effective_downlink_channel(f, h, nu, b),
-                                   f + nu * h * b)
+    def test_composite_path(self, small_setup):
+        config, _, channels, _, _ = small_setup
+        fdot = effective_channels(channels, config)
+        for n in range(config.n_users):
+            np.testing.assert_allclose(
+                fdot[n], channels.f_user[n] + config.nu * channels.h_user[n] * channels.b_tx)
 
     def test_stacks_all_users(self, small_setup):
         config, _, channels, _, _ = small_setup
         fdot = effective_channels(channels, config)
         assert fdot.shape == (config.n_users, config.n_tx_antennas)
-        np.testing.assert_allclose(
-            fdot[1], effective_downlink_channel(channels.f_user[1], channels.h_user[1],
-                                                config.nu, channels.b_tx))
 
     def test_repeater_off_reduces_to_direct_path(self, small_setup):
         config, _, channels, _, _ = small_setup

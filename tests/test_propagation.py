@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repisac import ConfigError, draw_noise, receive_bs_slot, receive_ue
-from repisac.precoding import build_transmit_frame, effective_downlink_channel
+from repisac.precoding import build_transmit_frame
 
 
 class TestDrawNoise:
@@ -60,8 +60,7 @@ class TestReceiveUe:
         noise = draw_noise(config, rng)
         n = 1
         y = receive_ue(frame, channels, n, noise, config)
-        fdot = effective_downlink_channel(channels.f_user[n], channels.h_user[n],
-                                          config.nu, channels.b_tx)
+        fdot = channels.f_user[n] + config.nu * channels.h_user[n] * channels.b_tx
         expected = (frame.x @ fdot + config.nu * channels.h_user[n] * noise.w_rep
                     + noise.w_ue[n])
         np.testing.assert_allclose(y, expected, atol=1e-14)
