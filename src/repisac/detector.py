@@ -3,13 +3,20 @@
 The closed form works on per-slot statistics: regressors B[tau] turn the
 unknown clutter matrix into a linear parameter, the sensing-noise covariance
 whitens each observation, and the test statistic is the difference of two
-Hermitian quadratic forms. An independent brute-force least-squares oracle
-recomputes the same log-likelihood ratio for small instances.
+Hermitian quadratic forms (:func:`assemble_statistics`,
+:func:`glrt_statistic`). That dense form is the reference; an independent
+brute-force least-squares oracle recomputes the same log-likelihood ratio
+for small instances.
 
-One Monte Carlo trial (:func:`run_sensing_trial`, drawing from
-:func:`trial_rng`) and the empirical threshold of a set of H0 statistics live
-here too; the study setup and the calibration runs that use them are in
-``repisac.harness``.
+Monte Carlo trials use the structured form instead
+(:func:`schur_statistics`): with i.i.d. clutter, Q_H0 splits into two
+Nt x Nt blocks in the eigenbasis that the sensing-noise covariance shares
+across channel uses, and the RCS drops out through a Schur complement. The
+trial kernel :func:`trial_statistics` (drawing from :func:`trial_rng`)
+reduces a trial to (u, s, alpha_1), from which
+:func:`glrt_from_statistics` gives its statistic at any RCS variance. The
+empirical threshold of a set of H0 statistics lives here too; the study
+setup and the trial passes that use them are in ``repisac.harness``.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zposv
 
-from .channel import ChannelRealization, ClutterModel, redraw_nuisance
+from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
 from .errors import NumericalDomainError, OracleFailureError
 from .precoding import PrecoderSet, TransmitFrame, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
@@ -52,6 +60,17 @@ def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -
     return diag * np.eye(nr) + (nu2 * config.repeater_noise_watt) * np.outer(b_rx, b_rx.conj())
 
 
+def _noise_eigenvalues(x: np.ndarray, b_sq: float,
+                       config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues d[tau] and d[tau] + m ||b_r||^2 of Sigma_s[tau] on I - P and on P."""
+    d = (config.residual_interbs_power * np.einsum("ti,ti->t", x, x.conj()).real
+         + config.bs_noise_watt)
+    if np.any(d <= 0):
+        # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
+        raise NumericalDomainError("sensing-noise covariance is not positive definite")
+    return d, d + abs(config.nu) ** 2 * config.repeater_noise_watt * b_sq
+
+
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
                         channels: ChannelRealization, config: ScenarioConfig,
                         clutter_model: ClutterModel) -> DetectorWorkspace:
@@ -61,10 +80,12 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     collapses to an outer product with x[tau], so nothing of size
     Nr x (Nt*Nr) is ever formed here. The sensing-noise covariance
     Sigma_s[tau] = d[tau] I + m b_r b_r^H (d[tau] = zeta^2 ||x[tau]||^2 +
-    sigma_BS^2, m = |nu|^2 sigma_R^2) is a scaled identity plus a rank-one
-    term, so it is inverted in closed form (Sherman-Morrison):
-    Sigma_s[tau]^-1 = I/d[tau] - c[tau] b_r b_r^H with
-    c[tau] = m / (d[tau] (d[tau] + m ||b_r||^2)). No matrix is factorized.
+    sigma_BS^2, m = |nu|^2 sigma_R^2) has the eigenvalue d[tau] on I - P and
+    d[tau] + m ||b_r||^2 on P = b_r b_r^H / ||b_r||^2, the same projectors for
+    every tau, so it is inverted in closed form:
+    Sigma_s[tau]^-1 = (I - P) / d[tau] + P / (d[tau] + m ||b_r||^2).
+    No matrix is factorized, and unlike the Sherman-Morrison form
+    I/d - c b_r b_r^H no term cancels when m ||b_r||^2 >> d (high repeater gain).
     """
     x = frame.x
     y = observation.y_slots
@@ -77,27 +98,31 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     v = channels.a_rx + nu * channels.g_rep * b
     r = (x @ channels.a_tx)[:, None] * v[None, :]  # (tau_L, Nr)
 
-    d = config.residual_interbs_power * np.sum(np.abs(x) ** 2, axis=1) + config.bs_noise_watt
-    if np.any(d <= 0):
-        # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
-        raise NumericalDomainError("sensing-noise covariance is not positive definite")
-    m = abs(nu) ** 2 * config.repeater_noise_watt
-    c = m / (d * (d + m * float(np.vdot(b, b).real)))
+    b_sq = float(np.vdot(b, b).real)
+    d, d_par = _noise_eigenvalues(x, b_sq, config)
+    p = np.outer(b, b.conj()) / b_sq if b_sq > 0.0 else np.zeros((nr, nr))
 
-    def whiten(z: np.ndarray) -> np.ndarray:
-        """Rows Sigma_s[tau]^-1 z[tau]."""
-        return z / d[:, None] - (c * (z @ b.conj()))[:, None] * b[None, :]
+    def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of z split into their (I - P)- and P-components."""
+        z_par = z @ p.T
+        return z - z_par, z_par
 
-    s_y, s_r = whiten(y), whiten(r)
-    # sum_tau B^H Sigma_s^-1 B = (X^H diag(1/d) X) kron I - (X^H diag(c) X) kron b b^H
+    (y_perp, y_par), (r_perp, r_par) = split(y), split(r)
+    s_y = y_perp / d[:, None] + y_par / d_par[:, None]  # rows Sigma_s[tau]^-1 y[tau]
+    s_r = r_perp / d[:, None] + r_par / d_par[:, None]
+    # r^H Sigma_s^-1 z is summed per eigenspace: at high repeater gain r has a
+    # large P-component, and r^H s_z would multiply it by the rounding error of
+    # the small (I - P)-component of s_z
+    t_top = complex(np.sum(r_perp.conj() * y_perp / d[:, None])
+                    + np.sum(r_par.conj() * y_par / d_par[:, None]))
+    q_rr = float(np.sum(np.abs(r_perp) ** 2 / d[:, None])
+                 + np.sum(np.abs(r_par) ** 2 / d_par[:, None]))
+    # sum_tau B^H Sigma_s^-1 B
+    #   = (X^H diag(1/d) X) kron (I - P) + (X^H diag(1/d_par) X) kron P
     x_d = x.conj().T @ (x / d[:, None])
-    x_c = x.conj().T @ (x * c[:, None])
-    q_bb = (x_d[:, None, :, None] * np.eye(nr)[None, :, None, :]
-            - x_c[:, None, :, None] * np.outer(b, b.conj())[None, :, None, :]
-            ).reshape(nt * nr, nt * nr)
-
-    t_top = complex(np.einsum("ti,ti->", r.conj(), s_y))
-    q_rr = float(np.einsum("ti,ti->", r.conj(), s_r).real)
+    x_par = x.conj().T @ (x / d_par[:, None])
+    q_bb = (x_d[:, None, :, None] * (np.eye(nr) - p)[None, :, None, :]
+            + x_par[:, None, :, None] * p[None, :, None, :]).reshape(nt * nr, nt * nr)
     # B^H S^-1 y summed over tau = vec( S^-1 y x^H ), column-major vec
     t_h0 = np.einsum("ti,tj->ij", s_y, x.conj()).reshape(-1, order="F")
     cross = np.einsum("ti,tj->ij", s_r, x.conj()).reshape(-1, order="F")  # B^H S^-1 r
@@ -112,7 +137,6 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     q_h1[0, 1:] = cross.conj()
     q_h1[1:, 0] = cross
     q_h1[1:, 1:] = q_h0
-    q_h1 = 0.5 * (q_h1 + q_h1.conj().T)
 
     t_h1 = np.concatenate([[t_top], t_h0])
     return DetectorWorkspace(t_h1=t_h1, t_h0=t_h0, q_h1=q_h1, q_h0=q_h0)
@@ -142,6 +166,62 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
     """MAP estimates under H1: solve Q_H1 z = t_H1; z = [alpha, c^T]^T."""
     _, z = _quadratic_form(ws.q_h1, ws.t_h1)
     return complex(z[0]), z[1:]
+
+
+def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
+                     channels: ChannelRealization, config: ScenarioConfig,
+                     clutter_model: ClutterModel) -> tuple[complex, float]:
+    """GLRT sufficient statistics (u, s) without forming Q_H0, for i.i.d. clutter.
+
+    With c = sum B^H Sigma_s^-1 r (``cross``) and Q_H0, t_H0, t_top, q_rr as
+    :func:`assemble_statistics` builds them, the RCS row of Q_H1 drops out
+    through the Schur complement of Q_H0:
+    s = q_rr - c^H Q_H0^-1 c, u = t_top - c^H Q_H0^-1 t_H0, and
+    T = |u|^2 / (s + 1/sigma_T^2). Since u is linear in y, an observation
+    y + alpha r has statistic u + alpha s.
+
+    With Sigma_c = I / lam and P = b_r b_r^H / ||b_r||^2,
+    Q_H0 = A0 kron (I - P) + A1 kron P, A_k = X^H diag(w_k) X + lam I,
+    w_0 = 1/d, w_1 = 1/(d + m ||b_r||^2) (the eigenvalues of Sigma_s[tau]^-1).
+    The target direction v splits into e_0 = (I - P) v and e_1 = P v, and for
+    each block z_k = A_k^-1 a_tx gives, from A_k - X^H diag(w_k) X = lam I,
+    u = lam sum_k sum_tau w_k[tau] conj((X z_k)[tau]) e_k^H y[tau],
+    s = lam sum_k ||e_k||^2 sum_tau w_k[tau] conj((X z_k)[tau]) (X a_tx)[tau].
+    Neither is a difference of large terms. The cost is one Nt x Nt Cholesky
+    solve per block (one block when m ||b_r||^2 = 0), whatever Nr is.
+    """
+    x = frame.x
+    y = observation.y_slots
+    nt, nr = config.n_tx_antennas, config.n_rx_antennas
+    if clutter_model.size != nt * nr:
+        raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
+    if clutter_model.entry_variance is None:
+        raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
+    lam = 1.0 / clutter_model.entry_variance
+
+    b = channels.b_rx
+    b_sq = float(np.vdot(b, b).real)
+    d, d_par = _noise_eigenvalues(x, b_sq, config)
+    v = channels.a_rx + config.nu * channels.g_rep * b
+    if np.array_equal(d_par, d):
+        blocks = [(1.0 / d, v)]  # Sigma_s[tau] = d I
+    else:
+        v_par = b * (np.vdot(b, v) / b_sq)
+        blocks = [(1.0 / d, v - v_par), (1.0 / d_par, v_par)]
+
+    x_h = x.conj().T
+    prior = lam * np.eye(nt)
+    g = x @ channels.a_tx
+    u = 0.0j
+    s = 0.0
+    for w, e in blocks:
+        _, z, info = zposv((x_h * w) @ x + prior, channels.a_tx, lower=1)
+        if info != 0:
+            raise NumericalDomainError("clutter-block matrix is not positive definite")
+        wf = w * (x @ z).conj()
+        u += lam * complex(wf @ (y @ e.conj()))
+        s += lam * float(np.vdot(e, e).real) * float((wf @ g).real)
+    return u, s
 
 
 # -- independent oracle -------------------------------------------------------
@@ -290,28 +370,60 @@ def trial_rng(master_seed: int, key: tuple[int, ...], trial: int) -> np.random.G
                                                         spawn_key=(*key, trial)))
 
 
-def run_sensing_trial(config: ScenarioConfig, channels: ChannelRealization,
-                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                      rng: np.random.Generator, force_null: bool = False) -> float:
-    """One Monte Carlo trial: redraw nuisance randomness, simulate, test.
+def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
+                     clutter_model: ClutterModel, precoders: PrecoderSet,
+                     rng: np.random.Generator,
+                     force_null: bool = False) -> tuple[complex, float, complex]:
+    """One Monte Carlo trial reduced to its sufficient statistics (u, s, alpha_1).
 
     Deterministic channels (user/target/repeater links) stay fixed; clutter,
-    inter-BS residual, symbols, noises, and the RCS are fresh. Under
-    ``force_null`` the target is absent (alpha = 0).
+    inter-BS residual, the RCS (unless ``force_null``), symbols and noises are
+    fresh, drawn in that order. The RCS is drawn at unit variance as alpha_1
+    (0 under ``force_null``) and the observation is simulated with the target
+    path left out, so the statistic of this trial at any RCS variance is
+    :func:`glrt_from_statistics` of the triple (see :func:`schur_statistics`).
     """
     entry_var = clutter_model.entry_variance
     if entry_var is None:
         raise NumericalDomainError("per-trial clutter resampling needs an i.i.d. model")
-    ch = redraw_nuisance(channels, config, entry_var, rng, force_null=force_null)
+    ch = redraw_nuisance(channels, config, entry_var, rng, force_null=True)
+    alpha1 = 0.0j if force_null else draw_rcs(1.0, rng)
     frame = build_transmit_frame(precoders, config, rng)
     noise = draw_noise(config, rng)
     obs = receive_bs_slot(frame, ch, noise, config)
-    ws = assemble_statistics(obs, frame, ch, config, clutter_model)
-    return glrt_statistic(ws)
+    u, s = schur_statistics(obs, frame, ch, config, clutter_model)
+    return u, s, alpha1
 
 
-def threshold_from_null_stats(t_values: np.ndarray, pfa_target: float) -> float:
-    """Empirical (1 - PFA) quantile of H0 statistics, higher interpolation."""
-    return float(np.quantile(np.asarray(t_values, float), 1.0 - pfa_target,
-                             method="higher"))
+def glrt_from_statistics(u, s, alpha1, sigma_t_sq):
+    """T(sigma_T^2) = |u + sqrt(sigma_T^2) alpha_1 s|^2 / (s + 1/sigma_T^2).
 
+    Broadcasts over trials and RCS variances. Only real additions,
+    multiplications, divisions and square roots are used, each correctly
+    rounded elementwise, so a trial's T has the same bits whatever array it
+    is evaluated in.
+    """
+    scale = np.sqrt(sigma_t_sq) * s
+    z_re = np.real(u) + scale * np.real(alpha1)
+    z_im = np.imag(u) + scale * np.imag(alpha1)
+    return (z_re * z_re + z_im * z_im) / (s + 1.0 / sigma_t_sq)
+
+
+def run_sensing_trial(config: ScenarioConfig, channels: ChannelRealization,
+                      clutter_model: ClutterModel, precoders: PrecoderSet,
+                      rng: np.random.Generator, force_null: bool = False) -> float:
+    """One Monte Carlo trial: the GLRT statistic at ``config.rcs_variance``.
+
+    Under ``force_null`` the target is absent (alpha = 0).
+    """
+    u, s, alpha1 = trial_statistics(config, channels, clutter_model, precoders, rng,
+                                    force_null=force_null)
+    return float(glrt_from_statistics(u, s, alpha1, config.rcs_variance))
+
+
+def threshold_from_null_stats(t_values: np.ndarray,
+                              pfa_target: float) -> np.ndarray | float:
+    """Empirical (1 - PFA) quantile of H0 statistics along the last axis,
+    higher interpolation (so the threshold is one of the statistics)."""
+    return np.quantile(np.asarray(t_values, float), 1.0 - pfa_target, axis=-1,
+                       method="higher")

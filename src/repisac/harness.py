@@ -2,13 +2,16 @@
 CSV output.
 
 Every entry point (the studies, the CLI, the tests) draws its geometry and
-channels through :func:`draw_drop` and calibrates the GLRT threshold through
-:func:`calibrate`, so one config gives one threshold wherever it is asked for.
-Two studies are provided: probability of detection versus RCS variance
-(threshold recalibrated per grid point), and the CDF of downlink per-user
-spectral efficiency across precoder choices. Per-trial random substreams are
-keyed by (master_seed, study, ..., trial), so results are byte-identical
-regardless of worker count.
+channels through :func:`draw_drop`, and the threshold comes from one H0 pass
+on key (STUDY_POD, 2) evaluated the same way in :func:`calibrate` and in the
+detection study, so one config gives one threshold wherever it is asked for.
+Two studies are provided: probability of detection versus RCS variance (one
+H0 pass and one H1 pass per repeater gain; each trial's statistic at every
+grid point follows from its sufficient statistics, and the threshold is
+recalibrated per grid point from the H0 pass), and the CDF of downlink
+per-user spectral efficiency across precoder choices. Per-trial random
+substreams are keyed by (master_seed, study, ..., trial), so results are
+byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
 from .comm_metrics import user_sinr
-from .detector import (assemble_statistics, run_sensing_trial, threshold_from_null_stats,
-                       trial_rng)
-from .errors import DegenerateNullspaceError, NumericalDomainError
+from .detector import (assemble_statistics, glrt_from_statistics, threshold_from_null_stats,
+                       trial_rng, trial_statistics)
+from .errors import ConfigError, DegenerateNullspaceError, NumericalDomainError
 from .precoding import PrecoderSet, build_precoders, build_transmit_frame
 from .propagation import draw_noise, receive_bs_slot
 from .scenario import Geometry, ScenarioConfig, drop_entities
@@ -74,24 +77,28 @@ def draw_drop(config: ScenarioConfig, study: int,
 
 # -- deterministic parallel trial execution -----------------------------------
 
-def _trial_chunk(args) -> list[float]:
+def _trial_chunk(args) -> np.ndarray:
     config, channels, clutter_model, precoders, key, start, stop, force_null = args
-    stats = []
-    for i in range(start, stop):
+    stats = np.empty((stop - start, 3), dtype=complex)
+    for row, i in enumerate(range(start, stop)):
         try:
-            stats.append(run_sensing_trial(config, channels, clutter_model, precoders,
-                                           trial_rng(config.master_seed, key, i),
-                                           force_null=force_null))
+            stats[row] = trial_statistics(config, channels, clutter_model, precoders,
+                                          trial_rng(config.master_seed, key, i),
+                                          force_null=force_null)
         except NumericalDomainError as exc:
             raise NumericalDomainError(f"trial with seed key {(*key, i)}: {exc}") from exc
     return stats
 
 
-def run_trials(config: ScenarioConfig, channels: ChannelRealization,
-               clutter_model: ClutterModel, precoders: PrecoderSet,
-               key: tuple[int, ...], n_trials: int, force_null: bool,
-               workers: int = 1) -> np.ndarray:
-    """Test statistics of ``n_trials`` Monte Carlo trials, in trial order."""
+def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
+                clutter_model: ClutterModel, precoders: PrecoderSet,
+                key: tuple[int, ...], n_trials: int, force_null: bool,
+                workers: int) -> np.ndarray:
+    """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
+
+    A pass does not depend on ``config.rcs_variance``: the statistic of every
+    trial at any RCS variance follows from its row (``glrt_from_statistics``).
+    """
     chunk = max(64, math.ceil(n_trials / (max(workers, 1) * 8)))
     payloads = [(config, channels, clutter_model, precoders, key, s,
                  min(s + chunk, n_trials), force_null)
@@ -101,25 +108,58 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_chunk, payloads))
-    return np.concatenate([np.asarray(p) for p in parts]) if parts else np.zeros(0)
+    return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
+
+
+def _statistics(stats: np.ndarray, sigma_t_sq) -> np.ndarray:
+    """GLRT statistics of a pass at ``sigma_t_sq``; a column of RCS variances
+    gives one row per variance."""
+    return glrt_from_statistics(stats[:, 0], stats[:, 1].real, stats[:, 2], sigma_t_sq)
+
+
+def run_trials(config: ScenarioConfig, channels: ChannelRealization,
+               clutter_model: ClutterModel, precoders: PrecoderSet,
+               key: tuple[int, ...], n_trials: int, force_null: bool,
+               workers: int = 1) -> np.ndarray:
+    """Test statistics of ``n_trials`` Monte Carlo trials at ``config.rcs_variance``,
+    in trial order."""
+    return _statistics(_trial_pass(config, channels, clutter_model, precoders, key,
+                                   n_trials, force_null, workers), config.rcs_variance)
 
 
 # -- threshold calibration -----------------------------------------------------
+
+def _null_pass(config: ScenarioConfig, channels: ChannelRealization,
+               clutter_model: ClutterModel, precoders: PrecoderSet,
+               workers: int) -> np.ndarray:
+    """The ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
+    return _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
+                       config.calibration_trials, True, workers)
+
+
+def _thresholds(null_stats: np.ndarray, sigma_t_sq: np.ndarray,
+                pfa_target: float) -> tuple[np.ndarray, np.ndarray]:
+    """GLRT threshold and in-sample false-alarm rate at each RCS variance."""
+    t_null = _statistics(null_stats, sigma_t_sq[:, None])
+    thresholds = threshold_from_null_stats(t_null, pfa_target)
+    return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
+
 
 def calibrate(config: ScenarioConfig, channels: ChannelRealization,
               clutter_model: ClutterModel, precoders: PrecoderSet,
               workers: int = 1) -> tuple[float, float]:
     """GLRT threshold for ``config.pfa_target`` from ``calibration_trials`` H0 trials.
 
-    Returns (threshold, in-sample false-alarm rate). The trials (target
-    absent, fresh clutter/noise/symbols each) draw from key (STUDY_POD, 2)
-    whatever the entry point, so ``repisac calibrate`` and the detection study
-    give the same threshold for the same config.
+    Returns (threshold, in-sample false-alarm rate) at ``config.rcs_variance``.
+    The trials (target absent, fresh clutter/noise/symbols each) draw from key
+    (STUDY_POD, 2) whatever the entry point, and the detection study derives
+    its thresholds from the same pass the same way, so ``repisac calibrate``
+    and the detection study give the same threshold for the same config.
     """
-    t_null = run_trials(config, channels, clutter_model, precoders, (STUDY_POD, 2),
-                        config.calibration_trials, force_null=True, workers=workers)
-    threshold = threshold_from_null_stats(t_null, config.pfa_target)
-    return threshold, float(np.mean(t_null >= threshold))
+    null_stats = _null_pass(config, channels, clutter_model, precoders, workers)
+    thresholds, pfas = _thresholds(null_stats, np.array([config.rcs_variance]),
+                                   config.pfa_target)
+    return float(thresholds[0]), float(pfas[0])
 
 
 # -- detection study: PoD versus RCS variance ----------------------------------
@@ -134,12 +174,16 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
     Geometry and deterministic channels are fixed for the whole study; each
     trial redraws clutter, noises, symbols, the inter-BS residual, and (under
-    H1) the RCS. The GLRT threshold is recalibrated per grid point and per
-    repeater setting from ``calibration_trials`` H0 trials.
+    H1) the RCS. Per repeater setting, one pass of ``calibration_trials`` H0
+    trials and one pass of ``mc_trials`` H1 trials serve every grid point (the
+    RCS variance only scales each trial's sufficient statistics), and the GLRT
+    threshold is recalibrated per grid point from the H0 pass.
     """
-    rcs_grid = list(rcs_grid)
-    if not rcs_grid:
+    grid = np.array([float(v) for v in rcs_grid])
+    if grid.size == 0:
         raise ValueError("rcs grid must be nonempty")
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise ConfigError("rcs variance grid values must be positive and finite")
     if repeater_gains_db is None:
         repeater_gains_db = ((config.repeater_gain_db if config.repeater_on else None),
                              None)
@@ -155,20 +199,19 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         else:
             cfg_gain = config.with_updates(repeater_on=True, repeater_gain_db=float(gain_db))
             gain_value = float(gain_db)
+        if cfg_gain.calibration_trials * cfg_gain.pfa_target < 10:
+            warnings_meta += [
+                f"calibration under-resolved at point {pi} (gain {gain_value})"
+                for pi in range(grid.size)]
         precoders = build_precoders(cfg_gain, channels)
-        for pi, sigma_t_sq in enumerate(rcs_grid):
-            cfg_pt = cfg_gain.with_updates(rcs_variance=float(sigma_t_sq))
-            if cfg_pt.calibration_trials * cfg_pt.pfa_target < 10:
-                warnings_meta.append(
-                    f"calibration under-resolved at point {pi} (gain {gain_value})")
-            threshold, empirical_pfa = calibrate(cfg_pt, channels, clutter_model,
-                                                 precoders, workers=workers)
-            t_h1 = run_trials(cfg_pt, channels, clutter_model, precoders,
-                              (STUDY_POD, 3), cfg_pt.mc_trials,
-                              force_null=False, workers=workers)
-            pod = float(np.mean(t_h1 >= threshold))
-            rows.append((float(sigma_t_sq), gain_value, pod, threshold,
-                         empirical_pfa, cfg_pt.mc_trials))
+        null_stats = _null_pass(cfg_gain, channels, clutter_model, precoders, workers)
+        hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
+                                (STUDY_POD, 3), cfg_gain.mc_trials, False, workers)
+        thresholds, pfas = _thresholds(null_stats, grid, cfg_gain.pfa_target)
+        pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
+        rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
+                  cfg_gain.mc_trials)
+                 for sigma_t_sq, pod, threshold, pfa in zip(grid, pods, thresholds, pfas)]
     return StudyResult(kind="pod_vs_rcs", header=POD_HEADER, rows=rows,
                        metadata={"calibration_trials": config.calibration_trials,
                                  "pfa_target": config.pfa_target,

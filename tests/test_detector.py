@@ -2,15 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
                      map_estimate, oracle_loglike_ratio, regressor, run_pod_vs_rcs,
                      sensing_noise_cov)
 from repisac.channel import ClutterModel
-from repisac.detector import (oracle_check, random_small_instance, run_sensing_trial,
+from repisac.detector import (glrt_from_statistics, oracle_check, random_small_instance,
+                              run_sensing_trial, schur_statistics,
                               threshold_from_null_stats, trial_rng)
 from repisac.harness import calibrate
-from repisac.propagation import draw_noise, receive_bs_slot
+from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
 from conftest import tiny_config
 
@@ -50,6 +53,7 @@ class TestAssembledStatistics:
         assert ws.t_h1.shape == (d + 1,)
         assert ws.q_h1.shape == (d + 1, d + 1)
         np.testing.assert_allclose(ws.q_h1, ws.q_h1.conj().T, atol=1e-12)
+        assert np.array_equal(ws.q_h1, ws.q_h1.conj().T)
         np.testing.assert_allclose(ws.q_h0, ws.q_h0.conj().T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(ws.q_h1) > 0)
         np.testing.assert_array_equal(ws.t_h1[1:], ws.t_h0)
@@ -127,6 +131,45 @@ class TestDetector:
         boosted = type(obs)(y_slots=obs.y_slots + 20.0 * r)
         ws1 = assemble_statistics(boosted, frame, channels, config, clutter)
         assert glrt_statistic(ws1) > glrt_statistic(ws0)
+
+
+class TestStructuredStatistics:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(nt=st.integers(1, 5), nr=st.integers(1, 5), tau=st.integers(1, 6),
+           zeta_sq=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           gain_db=st.floats(-3.0, 80.0), zero_b_rx=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, nt, nr, tau, zeta_sq, gain_db, zero_b_rx, seed):
+        rng = np.random.default_rng(seed)
+        obs, frame, channels, config, clutter = random_small_instance(
+            rng, n_tx=nt, n_rx=nr, slot_length=tau)
+        config = config.with_updates(residual_interbs_power=zeta_sq,
+                                     repeater_gain_db=gain_db)
+        if zero_b_rx:
+            channels = dataclasses.replace(channels, b_rx=np.zeros_like(channels.b_rx))
+        u, s = schur_statistics(obs, frame, channels, config, clutter)
+        # target-free y, then y + alpha r, which the one-pass study evaluates as u + alpha s
+        v = channels.a_rx + config.nu * channels.g_rep * channels.b_rx
+        r = (frame.x @ channels.a_tx)[:, None] * v[None, :]
+        alpha1 = complex(cn(rng, ()))
+        alpha = np.sqrt(config.rcs_variance) * alpha1
+        for y, a1 in ((obs.y_slots, 0.0), (obs.y_slots + alpha * r, alpha1)):
+            ws = assemble_statistics(SensingObservation(y_slots=y), frame, channels, config,
+                                     clutter)
+            t_dense = glrt_statistic(ws)
+            t = glrt_from_statistics(u, s, a1, config.rcs_variance)
+            assert abs(t - t_dense) <= 1e-10 * (1.0 + abs(t_dense))
+
+    def test_failures_raise_numerical_domain_error(self, rng):
+        obs, frame, channels, config, _ = random_small_instance(rng, slot_length=1)
+        size = config.n_tx_antennas * config.n_rx_antennas
+        full = ClutterModel(covariance=np.eye(size))  # not i.i.d.
+        with pytest.raises(NumericalDomainError, match="i.i.d."):
+            schur_statistics(obs, frame, channels, config, full)
+        # a negative prior makes A0 = X^H diag(1/d) X - I indefinite (X has rank 1)
+        indefinite = ClutterModel(covariance=-np.eye(size), entry_variance=-1.0)
+        with pytest.raises(NumericalDomainError, match="not positive definite"):
+            schur_statistics(obs, frame, channels, config, indefinite)
 
 
 class TestTrials:

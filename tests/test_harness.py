@@ -3,10 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from repisac import NumericalDomainError, StudyResult, run_pod_vs_rcs, run_se_cdf
-from repisac.channel import ClutterModel
+from repisac import (ConfigError, NumericalDomainError, StudyResult, assemble_statistics,
+                     glrt_statistic, run_pod_vs_rcs, run_se_cdf)
+from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.cli import main_cli
-from repisac.harness import POD_HEADER, SECDF_HEADER, run_trials, suggest_rcs_grid
+from repisac.detector import trial_rng
+from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, draw_drop, run_trials,
+                             suggest_rcs_grid)
+from repisac.precoding import build_precoders, build_transmit_frame
+from repisac.propagation import draw_noise, receive_bs_slot
 from repisac.scenario import save_config
 
 from conftest import tiny_config
@@ -70,9 +75,56 @@ class TestPodStudy:
             assert 0.0 <= row[2] <= 1.0
             assert row[5] == config.mc_trials
 
+    def test_one_pass_matches_per_point_pipeline(self):
+        # reference: every grid point reruns its own H0 and H1 trials through the
+        # dense statistic, as the study did before it evaluated one pass per gain
+        config = tiny_config()
+        grid = [float(v) for v in suggest_rcs_grid(config, n_points=3)]
+        gains = (20.0, None)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        clutter = clutter_covariance(config, geometry)
+
+        def dense_statistics(cfg, precoders, key, n_trials, force_null):
+            values = []
+            for i in range(n_trials):
+                rng = trial_rng(cfg.master_seed, key, i)
+                ch = redraw_nuisance(channels, cfg, clutter.entry_variance, rng,
+                                     force_null=force_null)
+                frame = build_transmit_frame(precoders, cfg, rng)
+                obs = receive_bs_slot(frame, ch, draw_noise(cfg, rng), cfg)
+                values.append(glrt_statistic(assemble_statistics(obs, frame, ch, cfg,
+                                                                 clutter)))
+            return np.array(values)
+
+        expected = []
+        for gain in gains:
+            cfg_gain = (config.with_updates(repeater_on=False) if gain is None else
+                        config.with_updates(repeater_on=True, repeater_gain_db=gain))
+            precoders = build_precoders(cfg_gain, channels)
+            for sigma_t_sq in grid:
+                cfg = cfg_gain.with_updates(rcs_variance=sigma_t_sq)
+                t_null = dense_statistics(cfg, precoders, (STUDY_POD, 2),
+                                          cfg.calibration_trials, True)
+                threshold = np.quantile(t_null, 1.0 - cfg.pfa_target, method="higher")
+                t_hit = dense_statistics(cfg, precoders, (STUDY_POD, 3), cfg.mc_trials,
+                                         False)
+                expected.append((np.mean(t_hit >= threshold), threshold,
+                                 np.mean(t_null >= threshold), cfg.mc_trials))
+
+        result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains)
+        assert [row[0] for row in result.rows] == grid * 2
+        for row, (pod, threshold, empirical_pfa, trials) in zip(result.rows, expected):
+            assert (row[2], row[4], row[5]) == (pod, empirical_pfa, trials)
+            assert row[3] == pytest.approx(threshold, rel=1e-10)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_pod_vs_rcs(tiny_config(), [])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_grid_value_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            run_pod_vs_rcs(tiny_config(), [1.0, bad])
 
     def test_grid_suggestion_spans_the_transition(self):
         config = tiny_config()
