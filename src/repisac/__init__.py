@@ -10,8 +10,7 @@ from .errors import (ConfigError, DegenerateNullspaceError, NumericalDomainError
 from .harness import StudyResult, run_pod_vs_rcs, run_se_cdf
 from .precoding import (PrecoderSet, TransmitFrame, build_precoders,
                         build_transmit_frame, rzf_precoders, target_precoder)
-from .propagation import (NoiseDraws, SensingObservation, draw_noise,
-                          receive_bs_slot, receive_ue)
+from .propagation import NoiseDraws, SensingObservation, draw_noise, receive_bs_slot
 from .scenario import (Geometry, ScenarioConfig, drop_entities, load_config,
                        noise_power_watt, pathloss_linear, save_config)
 
@@ -26,7 +25,7 @@ __all__ = [
     "clutter_covariance", "draw_noise", "draw_rcs", "drop_entities",
     "gen_channels", "glrt_statistic", "load_config",
     "map_estimate", "noise_power_watt", "oracle_loglike_ratio", "pathloss_linear",
-    "receive_bs_slot", "receive_ue", "regressor", "run_pod_vs_rcs", "run_se_cdf",
+    "receive_bs_slot", "regressor", "run_pod_vs_rcs", "run_se_cdf",
     "rzf_precoders", "save_config", "sensing_noise_cov", "spectral_efficiency",
     "steering_vector", "target_precoder", "user_sinr",
 ]

@@ -156,60 +156,3 @@ def redraw_nuisance(base: ChannelRealization, config: ScenarioConfig,
     rcs = 0.0 + 0.0j if force_null else draw_rcs(config.rcs_variance, rng)
     return replace(base, clutter=clutter, interbs_error=interbs, rcs=rcs)
 
-
-# -- channel dump files ------------------------------------------------------
-
-_VECTOR_FIELDS = ("f_user", "h_user", "a_tx", "a_rx", "b_tx", "b_rx",
-                  "interbs_error", "clutter")
-
-
-def dump_channels(channels: ChannelRealization, path: str) -> None:
-    """CSV dump of a realization: one row per complex entry, ``re,im`` pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("field,row,col,re,im\n")
-        for name in _VECTOR_FIELDS:
-            arr = np.atleast_2d(getattr(channels, name))
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    z = complex(arr[i, j])
-                    fh.write(f"{name},{i},{j},{z.real!r},{z.imag!r}\n")
-        for name in ("g_rep", "rcs"):
-            z = complex(getattr(channels, name))
-            fh.write(f"{name},0,0,{z.real!r},{z.imag!r}\n")
-
-
-def load_channels(path: str) -> ChannelRealization:
-    """Rebuild a realization from a dump written by :func:`dump_channels`."""
-    entries: dict[str, dict[tuple[int, int], complex]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "field,row,col,re,im":
-            raise ConfigError(f"{path}: not a channel dump file")
-        for line in fh:
-            name, i, j, re_s, im_s = line.strip().split(",")
-            entries.setdefault(name, {})[(int(i), int(j))] = float(re_s) + 1j * float(im_s)
-
-    def as_array(name):
-        cells = entries.get(name, {})
-        if not cells:
-            return np.zeros((0, 0), dtype=complex)
-        n_rows = max(i for i, _ in cells) + 1
-        n_cols = max(j for _, j in cells) + 1
-        arr = np.zeros((n_rows, n_cols), dtype=complex)
-        for (i, j), z in cells.items():
-            arr[i, j] = z
-        return arr
-
-    def as_vector(name):
-        return as_array(name).reshape(-1)
-
-    return ChannelRealization(
-        f_user=as_array("f_user"),
-        h_user=as_vector("h_user"),
-        a_tx=as_vector("a_tx"), a_rx=as_vector("a_rx"),
-        b_tx=as_vector("b_tx"), b_rx=as_vector("b_rx"),
-        g_rep=complex(entries["g_rep"][(0, 0)]),
-        interbs_error=as_array("interbs_error"),
-        clutter=as_array("clutter"),
-        rcs=complex(entries["rcs"][(0, 0)]),
-    )

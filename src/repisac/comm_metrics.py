@@ -34,8 +34,8 @@ def user_sinr(n: int, precoders: PrecoderSet, channels: ChannelRealization,
               config: ScenarioConfig) -> UserMetrics:
     """Instantaneous SINR/SE of user n for one realization.
 
-    The own-signal term is excluded from the interference sum by default;
-    ``sinr_literal_sum`` restores the all-users sum.
+    The multiuser interference sums every other user's beam; the own-signal
+    term is not part of it.
     """
     if not (0 <= n < config.n_users):
         raise ConfigError(f"user index {n} out of range")
@@ -45,9 +45,7 @@ def user_sinr(n: int, precoders: PrecoderSet, channels: ChannelRealization,
 
     gains = np.abs(precoders.user_precoders @ fdot[n]) ** 2  # |fdot_n^T p_n'|^2
     signal = rho * fractions[n] * gains[n]
-    interference = rho * float(np.sum(fractions * gains))
-    if not config.sinr_literal_sum:
-        interference -= signal
+    interference = rho * float(np.sum(fractions * gains)) - signal
 
     pi_t = config.sensing_power_fraction
     if pi_t > 0.0 and precoders.sensing_precoder is not None:

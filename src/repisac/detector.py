@@ -4,9 +4,10 @@ The closed form works on per-slot statistics: regressors B[tau] turn the
 unknown clutter matrix into a linear parameter, the sensing-noise covariance
 whitens each observation, and the test statistic is the difference of two
 Hermitian quadratic forms (:func:`assemble_statistics`,
-:func:`glrt_statistic`). That dense form is the reference; an independent
-brute-force least-squares oracle recomputes the same log-likelihood ratio
-for small instances.
+:func:`glrt_statistic`), evaluated through the Schur complement of Q_H0 in
+Q_H1. That dense form is the reference; an independent brute-force
+least-squares oracle recomputes the same log-likelihood ratio for small
+instances.
 
 Monte Carlo trials use the structured form instead
 (:func:`schur_statistics`): with i.i.d. clutter, Q_H0 splits into two
@@ -33,7 +34,6 @@ from .precoding import PrecoderSet, TransmitFrame, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
 from .scenario import ScenarioConfig
 
-_HERMITICITY_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-9
 
 
@@ -142,30 +142,40 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     return DetectorWorkspace(t_h1=t_h1, t_h0=t_h0, q_h1=q_h1, q_h0=q_h0)
 
 
-def _quadratic_form(q: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    """t^H Q^-1 t via Cholesky; returns (real value, Q^-1 t)."""
+def _eliminate_rcs(ws: DetectorWorkspace) -> tuple[complex, float, np.ndarray]:
+    """Schur complement of Q_H0 in Q_H1, from one Cholesky of Q_H0.
+
+    With c = Q_H1[1:, 0], returns u = t_top - c^H Q_H0^-1 t_H0,
+    s = Q_H1[0, 0] - c^H Q_H0^-1 c and the solutions [Q_H0^-1 t_H0, Q_H0^-1 c].
+    """
+    cross = ws.q_h1[1:, 0]
     try:
-        cho = scipy.linalg.cho_factor(q, lower=True, check_finite=False)
+        cho = scipy.linalg.cho_factor(ws.q_h0, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        raise NumericalDomainError("quadratic-form matrix is not positive definite") from exc
-    z = scipy.linalg.cho_solve(cho, t, check_finite=False)
-    value = complex(np.vdot(t, z))
-    if abs(value.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
-        raise NumericalDomainError(f"quadratic form has imaginary residue {value.imag:g}")
-    return value.real, z
+        raise NumericalDomainError("Q_H0 is not positive definite") from exc
+    z = scipy.linalg.cho_solve(cho, np.column_stack([ws.t_h0, cross]), check_finite=False)
+    u = complex(ws.t_h1[0] - np.vdot(cross, z[:, 0]))
+    s = complex(ws.q_h1[0, 0] - np.vdot(cross, z[:, 1]))
+    if abs(s.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(s.real)):
+        raise NumericalDomainError(f"Schur complement has imaginary residue {s.imag:g}")
+    if not s.real > 0.0:
+        raise NumericalDomainError("Q_H1 is not positive definite")
+    return u, s.real, z
 
 
 def glrt_statistic(ws: DetectorWorkspace) -> float:
-    """Test statistic T = t_H1^H Q_H1^-1 t_H1 - t_H0^H Q_H0^-1 t_H0."""
-    form1, _ = _quadratic_form(ws.q_h1, ws.t_h1)
-    form0, _ = _quadratic_form(ws.q_h0, ws.t_h0)
-    return form1 - form0
+    """Test statistic T = t_H1^H Q_H1^-1 t_H1 - t_H0^H Q_H0^-1 t_H0, evaluated as
+    |u|^2 / s (:func:`_eliminate_rcs`): no two large terms cancel when T is small."""
+    u, s, _ = _eliminate_rcs(ws)
+    return (u.real * u.real + u.imag * u.imag) / s
 
 
 def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
-    """MAP estimates under H1: solve Q_H1 z = t_H1; z = [alpha, c^T]^T."""
-    _, z = _quadratic_form(ws.q_h1, ws.t_h1)
-    return complex(z[0]), z[1:]
+    """MAP estimates under H1, z = [alpha, c^T]^T solving Q_H1 z = t_H1:
+    alpha = u / s and c = Q_H0^-1 (t_H0 - alpha Q_H1[1:, 0])."""
+    u, s, z = _eliminate_rcs(ws)
+    alpha = u / s
+    return alpha, z[:, 0] - alpha * z[:, 1]
 
 
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -407,18 +417,6 @@ def glrt_from_statistics(u, s, alpha1, sigma_t_sq):
     z_re = np.real(u) + scale * np.real(alpha1)
     z_im = np.imag(u) + scale * np.imag(alpha1)
     return (z_re * z_re + z_im * z_im) / (s + 1.0 / sigma_t_sq)
-
-
-def run_sensing_trial(config: ScenarioConfig, channels: ChannelRealization,
-                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                      rng: np.random.Generator, force_null: bool = False) -> float:
-    """One Monte Carlo trial: the GLRT statistic at ``config.rcs_variance``.
-
-    Under ``force_null`` the target is absent (alpha = 0).
-    """
-    u, s, alpha1 = trial_statistics(config, channels, clutter_model, precoders, rng,
-                                    force_null=force_null)
-    return float(glrt_from_statistics(u, s, alpha1, config.rcs_variance))
 
 
 def threshold_from_null_stats(t_values: np.ndarray,

@@ -77,6 +77,14 @@ def draw_drop(config: ScenarioConfig, study: int,
 
 # -- deterministic parallel trial execution -----------------------------------
 
+def _map_chunks(fn, payloads: list, workers: int) -> list:
+    """``fn`` over ``payloads`` in order, in-process or on ``workers`` processes."""
+    if workers <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, payloads))
+
+
 def _trial_chunk(args) -> np.ndarray:
     config, channels, clutter_model, precoders, key, start, stop, force_null = args
     stats = np.empty((stop - start, 3), dtype=complex)
@@ -103,11 +111,7 @@ def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
     payloads = [(config, channels, clutter_model, precoders, key, s,
                  min(s + chunk, n_trials), force_null)
                 for s in range(0, n_trials, chunk)]
-    if workers <= 1:
-        parts = [_trial_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_chunk, payloads))
+    parts = _map_chunks(_trial_chunk, payloads, workers)
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
 
 
@@ -192,6 +196,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
     rows = []
     warnings_meta = []
+    # every grid point and gain is calibrated on an H0 pass of this size
+    expected_alarms = config.calibration_trials * config.pfa_target
+    if expected_alarms < 10:
+        warnings_meta.append(f"calibration under-resolved: {config.calibration_trials} "
+                             f"H0 trials at PFA {config.pfa_target} expect "
+                             f"{expected_alarms:g} false alarms (fewer than 10)")
     for gain_db in repeater_gains_db:
         if gain_db is None:
             cfg_gain = config.with_updates(repeater_on=False)
@@ -199,10 +209,6 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         else:
             cfg_gain = config.with_updates(repeater_on=True, repeater_gain_db=float(gain_db))
             gain_value = float(gain_db)
-        if cfg_gain.calibration_trials * cfg_gain.pfa_target < 10:
-            warnings_meta += [
-                f"calibration under-resolved at point {pi} (gain {gain_value})"
-                for pi in range(grid.size)]
         precoders = build_precoders(cfg_gain, channels)
         null_stats = _null_pass(cfg_gain, channels, clutter_model, precoders, workers)
         hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
@@ -244,21 +250,19 @@ SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
 def _secdf_chunk(args) -> tuple[dict, dict]:
-    config, modes, repeater_settings, start, stop = args
-    samples = {(m, r): [] for m in modes for r in repeater_settings}
-    errors = {(m, r): 0 for m in modes for r in repeater_settings}
+    config, configs, start, stop = args
+    samples = {combo: [] for combo in configs}
+    errors = {combo: 0 for combo in configs}
     for d in range(start, stop):
         _, channels = draw_drop(config, STUDY_SECDF, d)
-        for rep in repeater_settings:
-            for mode in modes:
-                cfg = config.with_updates(repeater_on=rep, precoder_mode=mode)
-                try:
-                    precoders = build_precoders(cfg, channels)
-                except DegenerateNullspaceError:
-                    errors[(mode, rep)] += 1
-                    continue
-                for n in range(cfg.n_users):
-                    samples[(mode, rep)].append(user_sinr(n, precoders, channels, cfg).se)
+        for combo, cfg in configs.items():
+            try:
+                precoders = build_precoders(cfg, channels)
+            except DegenerateNullspaceError:
+                errors[combo] += 1
+                continue
+            for n in range(cfg.n_users):
+                samples[combo].append(user_sinr(n, precoders, channels, cfg).se)
     return samples, errors
 
 
@@ -273,18 +277,15 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     if config.n_users < 1:
         raise ValueError("se_cdf study needs at least one user")
     n_drops = config.mc_trials
+    configs = {(m, r): config.with_updates(repeater_on=r, precoder_mode=m)
+               for m in modes for r in repeater_settings}
     chunk = max(8, math.ceil(n_drops / (max(workers, 1) * 8)))
-    payloads = [(config, tuple(modes), tuple(repeater_settings), s,
-                 min(s + chunk, n_drops))
+    payloads = [(config, configs, s, min(s + chunk, n_drops))
                 for s in range(0, n_drops, chunk)]
-    if workers <= 1:
-        parts = [_secdf_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_secdf_chunk, payloads))
+    parts = _map_chunks(_secdf_chunk, payloads, workers)
 
-    samples = {(m, r): [] for m in modes for r in repeater_settings}
-    errors = {(m, r): 0 for m in modes for r in repeater_settings}
+    samples = {combo: [] for combo in configs}
+    errors = {combo: 0 for combo in configs}
     for part_samples, part_errors in parts:
         for key in samples:
             samples[key].extend(part_samples[key])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import ConfigError, DegenerateNullspaceError, PowerBudgetError
+from .errors import ConfigError, DegenerateNullspaceError
 from .scenario import ScenarioConfig
 
 
@@ -33,10 +33,6 @@ class TransmitFrame:
     user_fractions: np.ndarray  # (K,)
     sensing_fraction: float
 
-    @property
-    def slot_length(self) -> int:
-        return self.x.shape[0]
-
 
 def _c(v: np.ndarray, conjugate: bool) -> np.ndarray:
     return np.conj(v) if conjugate else v
@@ -48,13 +44,11 @@ def effective_channels(channels: ChannelRealization, config: ScenarioConfig) -> 
     return channels.f_user + nu * channels.h_user[:, None] * channels.b_tx[None, :]
 
 
-def rzf_precoders(fdot: np.ndarray, zf_regularizer: float,
-                  conjugate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
     """Regularized zero-forcing beams for the stacked channels ``fdot`` (K, Nt).
 
-    Returns (precoders, normalizers); each row of the precoder matrix has unit
-    norm. With ``conjugate`` on, beams combine coherently under the transposed
-    reception convention y = fdot^T x.
+    Each row of the returned (K, Nt) matrix has unit norm. The beams combine
+    coherently under the transposed reception convention y = fdot^T x.
     """
     if zf_regularizer <= 0.0:
         raise ConfigError("zf_regularizer must be positive")
@@ -62,20 +56,18 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float,
     k, nt = fdot.shape
     if k < 1:
         raise ConfigError("RZF needs at least one user channel")
-    cf = _c(fdot, conjugate)
+    cf = fdot.conj()
     gram = cf.T @ cf.conj() + zf_regularizer * np.eye(nt)
     raw = np.linalg.solve(gram, cf.T).T  # (K, Nt)
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms == 0.0):
         raise ConfigError("RZF produced a zero beam (zero user channel?)")
-    return raw / norms[:, None], 1.0 / norms
+    return raw / norms[:, None]
 
 
 def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
     """Rank-revealing orthonormal basis of the column space (SVD based)."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0:
-        return u[:, :0]
     tol = max(columns.shape) * np.finfo(float).eps * s[0]
     return u[:, s > tol]
 
@@ -115,25 +107,19 @@ def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
 def build_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
     """RZF user beams plus the configured sensing beam, from one realization."""
     fdot = effective_channels(channels, config)
-    conj = config.conjugate_convention
     if config.n_users > 0:
-        user_p, _ = rzf_precoders(fdot, config.zf_regularizer_value, conjugate=conj)
+        user_p = rzf_precoders(fdot, config.zf_regularizer_value)
     else:
         user_p = np.zeros((0, config.n_tx_antennas), dtype=complex)
     p_t = None
     if config.sensing_power_fraction > 0.0:
-        p_t = target_precoder(config.precoder_mode, channels.a_tx, channels.b_tx,
-                              fdot, conjugate=conj)
+        p_t = target_precoder(config.precoder_mode, channels.a_tx, channels.b_tx, fdot)
     return PrecoderSet(user_precoders=user_p, sensing_precoder=p_t)
 
 
-def _draw_symbols(shape, alphabet: str, rng: np.random.Generator) -> np.ndarray:
-    if alphabet == "gaussian":
-        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
-    if alphabet == "qpsk":
-        bits = rng.integers(0, 4, size=shape)
-        return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * bits))
-    raise ConfigError(f"unknown symbol alphabet {alphabet!r}")
+def _draw_symbols(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-power Gaussian symbols, CN(0, 1)."""
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
 
 
 def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
@@ -141,12 +127,10 @@ def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
     """x[tau] = sqrt(rho) (sum_n sqrt(pi_n) p_n s_n[tau] + sqrt(pi_T) p_T s_T[tau])."""
     fractions = config.user_fractions
     pi_t = config.sensing_power_fraction
-    if fractions.sum() + pi_t > 1.0 + 1e-12:
-        raise PowerBudgetError("power fractions sum above 1")
     tau_l = config.slot_length
     k = fractions.size
-    s_user = _draw_symbols((tau_l, k), config.symbol_alphabet, rng)
-    s_t = _draw_symbols(tau_l, config.symbol_alphabet, rng)
+    s_user = _draw_symbols((tau_l, k), rng)
+    s_t = _draw_symbols(tau_l, rng)
     rho = config.tx_power_watt
     x = np.zeros((tau_l, config.n_tx_antennas), dtype=complex)
     if k > 0:

@@ -14,16 +14,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PowerBudgetError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 PRECODER_MODES = ("target_centric", "comm_centric", "repeater_null")
-SYMBOL_ALPHABETS = ("gaussian", "qpsk")
-# float fields whose NaN/inf would slip past the sign checks in validate()
-_FINITE_FIELDS = ("tx_power_watt", "sensing_power_fraction", "bs_noise_power_watt",
-                  "ue_noise_power_watt", "repeater_noise_power_watt", "rcs_variance",
-                  "repeater_gain_db", "residual_interbs_power", "clutter_suppression")
 
 
 def pathloss_linear(distance_m: float, carrier_ghz: float, rx_height_m: float = 1.5) -> float:
@@ -82,12 +77,6 @@ class ScenarioConfig:
     calibration_trials: int = 10000
     master_seed: int = 0
     precoder_mode: str = "target_centric"
-    conjugate_convention: bool = True
-    symbol_alphabet: str = "gaussian"
-    # cancel the direct repeater->rx-BS term nu*b_r*b_t^T from the effective clutter
-    cancel_repeater_direct: bool = True
-    # restore the literal SINR denominator (own-signal term included)
-    sinr_literal_sum: bool = False
     # geometry anchors, meters (heights are applied separately)
     tx_bs_xy: tuple[float, float] = (0.0, 0.0)
     rx_bs_xy: tuple[float, float] = (300.0, 0.0)
@@ -103,9 +92,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in _FINITE_FIELDS:
+        # NaN/inf would slip past every sign check below
+        for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if value is not None and not all(map(math.isfinite, values)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
             raise ConfigError("antenna counts must be positive")
@@ -123,8 +114,6 @@ class ScenarioConfig:
             raise ConfigError("trial counts must be positive")
         if self.precoder_mode not in PRECODER_MODES:
             raise ConfigError(f"unknown precoder_mode {self.precoder_mode!r}")
-        if self.symbol_alphabet not in SYMBOL_ALPHABETS:
-            raise ConfigError(f"unknown symbol_alphabet {self.symbol_alphabet!r}")
         if self.residual_interbs_power < 0:
             raise ConfigError("residual_interbs_power must be nonnegative")
         if self.clutter_suppression <= 0:
@@ -136,7 +125,7 @@ class ScenarioConfig:
         if np.any(fractions < 0):
             raise ConfigError("user power fractions must be nonnegative")
         if fractions.sum() + self.sensing_power_fraction > 1.0 + 1e-12:
-            raise ConfigError("power fractions must sum to at most 1")
+            raise PowerBudgetError("power fractions must sum to at most 1")
         for name in ("bs_noise_power_watt", "ue_noise_power_watt",
                      "repeater_noise_power_watt", "zf_regularizer"):
             value = getattr(self, name)
@@ -160,10 +149,6 @@ class ScenarioConfig:
         if self.n_users == 0:
             return np.zeros(0)
         return np.full(self.n_users, (1.0 - self.sensing_power_fraction) / self.n_users)
-
-    @property
-    def total_power_fraction(self) -> float:
-        return float(self.user_fractions.sum() + self.sensing_power_fraction)
 
     @property
     def nu(self) -> complex:
@@ -206,6 +191,16 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
+def _holds_float(ftype) -> bool:
+    return ftype is float or any(_holds_float(arg) for arg in typing.get_args(ftype))
+
+
+# field types, as config files parse them; validate() checks every float for finiteness
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
+                      if _holds_float(_FIELD_TYPES[f.name]))
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Positions (3-vectors, meters) of every entity in one study."""
@@ -223,10 +218,6 @@ class Geometry:
                 raise ConfigError(f"{name} must be a 3-vector")
         if self.users.ndim != 2 or self.users.shape[1] != 3:
             raise ConfigError("users must have shape (K, 3)")
-
-    @property
-    def n_users(self) -> int:
-        return self.users.shape[0]
 
 
 def distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -302,8 +293,6 @@ def load_config(path: str) -> ScenarioConfig:
     Lines starting with ``#`` and blank lines are ignored. Unknown keys are
     rejected so typos cannot silently fall back to defaults.
     """
-    hints = typing.get_type_hints(ScenarioConfig)
-    known = {f.name: hints[f.name] for f in fields(ScenarioConfig)}
     kwargs = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -318,10 +307,10 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            kwargs[key] = _parse_value(raw, known[key])
+            kwargs[key] = _parse_value(raw, _FIELD_TYPES[key])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return ScenarioConfig(**kwargs)

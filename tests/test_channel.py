@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from repisac import ConfigError, draw_rcs, drop_entities, gen_channels, steering_vector
-from repisac.channel import (ClutterModel, clutter_covariance, dump_channels,
-                             load_channels, redraw_nuisance)
+from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.scenario import distance, pathloss_linear
 
 from conftest import tiny_config
@@ -119,23 +118,3 @@ class TestRedrawNuisance:
                                   force_null=True)
         assert redrawn.rcs == 0.0
 
-
-class TestChannelDump:
-    def test_round_trip(self, small_setup, tmp_path):
-        _, _, channels, _, _ = small_setup
-        path = tmp_path / "channels.csv"
-        dump_channels(channels, str(path))
-        loaded = load_channels(str(path))
-        np.testing.assert_array_equal(loaded.f_user, channels.f_user)
-        np.testing.assert_array_equal(loaded.h_user, channels.h_user)
-        np.testing.assert_array_equal(loaded.a_tx, channels.a_tx)
-        np.testing.assert_array_equal(loaded.b_rx, channels.b_rx)
-        np.testing.assert_array_equal(loaded.clutter, channels.clutter)
-        assert loaded.g_rep == channels.g_rep
-        assert loaded.rcs == channels.rcs
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError):
-            load_channels(str(path))

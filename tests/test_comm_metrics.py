@@ -42,15 +42,6 @@ class TestUserSinr:
                                              rel=1e-9)
         assert metrics.se == pytest.approx(spectral_efficiency(metrics.sinr), rel=1e-12)
 
-    def test_literal_sum_keeps_own_term_in_denominator(self, small_setup):
-        config, _, channels, _, precoders = small_setup
-        base = user_sinr(0, precoders, channels, config)
-        literal = user_sinr(0, precoders, channels,
-                            config.with_updates(sinr_literal_sum=True))
-        assert literal.multiuser_interference == pytest.approx(
-            base.multiuser_interference + base.signal_power, rel=1e-12)
-        assert literal.sinr < base.sinr
-
     def test_no_sensing_interference_without_sensing_beam(self, small_setup):
         config, _, channels, _, _ = small_setup
         cfg = config.with_updates(sensing_power_fraction=0.0,

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
                      map_estimate, oracle_loglike_ratio, regressor, run_pod_vs_rcs,
                      sensing_noise_cov)
-from repisac.channel import ClutterModel
+from repisac.channel import ClutterModel, redraw_nuisance
 from repisac.detector import (glrt_from_statistics, oracle_check, random_small_instance,
-                              run_sensing_trial, schur_statistics,
-                              threshold_from_null_stats, trial_rng)
-from repisac.harness import calibrate
+                              schur_statistics, threshold_from_null_stats, trial_rng,
+                              trial_statistics)
+from repisac.harness import STUDY_POD, calibrate, run_trials
+from repisac.precoding import build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
 from conftest import tiny_config
@@ -160,6 +161,21 @@ class TestStructuredStatistics:
             t = glrt_from_statistics(u, s, a1, config.rcs_variance)
             assert abs(t - t_dense) <= 1e-10 * (1.0 + abs(t_dense))
 
+    def test_dense_reference_matches_far_below_the_transition(self, small_setup):
+        # at rcs_variance = 1 these H0 statistics are ~1e-9 of the two quadratic
+        # forms whose difference they are: no relative slack for that cancellation
+        config, _, channels, clutter, precoders = small_setup
+        for i in range(200):
+            rng = trial_rng(config.master_seed, (STUDY_POD, 2), i)
+            ch = redraw_nuisance(channels, config, clutter.entry_variance, rng,
+                                 force_null=True)
+            frame = build_transmit_frame(precoders, config, rng)
+            obs = receive_bs_slot(frame, ch, draw_noise(config, rng), config)
+            t_dense = glrt_statistic(assemble_statistics(obs, frame, ch, config, clutter))
+            u, s = schur_statistics(obs, frame, ch, config, clutter)
+            t = glrt_from_statistics(u, s, 0.0, config.rcs_variance)
+            assert abs(t_dense - t) <= 1e-10 * t, f"H0 trial {i}"
+
     def test_failures_raise_numerical_domain_error(self, rng):
         obs, frame, channels, config, _ = random_small_instance(rng, slot_length=1)
         size = config.n_tx_antennas * config.n_rx_antennas
@@ -182,10 +198,8 @@ class TestTrials:
 
     def test_sensing_trial_is_deterministic(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
-        t1 = run_sensing_trial(config, channels, clutter, precoders,
-                               trial_rng(0, (3,), 0))
-        t2 = run_sensing_trial(config, channels, clutter, precoders,
-                               trial_rng(0, (3,), 0))
+        t1 = trial_statistics(config, channels, clutter, precoders, trial_rng(0, (3,), 0))
+        t2 = trial_statistics(config, channels, clutter, precoders, trial_rng(0, (3,), 0))
         assert t1 == t2
 
     def test_threshold_is_empirical_upper_quantile(self):
@@ -202,10 +216,11 @@ class TestTrials:
 
     def test_calibration_warns_when_underresolved(self):
         cfg = tiny_config(pfa_target=0.01, calibration_trials=50, mc_trials=5)
-        result = run_pod_vs_rcs(cfg, [1.0, 2.0], repeater_gains_db=(20.0,))
+        # one warning per study, whatever the number of grid points and gains
+        result = run_pod_vs_rcs(cfg, [1.0, 2.0], repeater_gains_db=(20.0, None))
         assert result.metadata["warnings"] == [
-            "calibration under-resolved at point 0 (gain 20.0)",
-            "calibration under-resolved at point 1 (gain 20.0)"]
+            "calibration under-resolved: 50 H0 trials at PFA 0.01 expect 0.5 false alarms "
+            "(fewer than 10)"]
         resolved = run_pod_vs_rcs(cfg.with_updates(calibration_trials=1000), [1.0],
                                   repeater_gains_db=(20.0,))
         assert resolved.metadata["warnings"] == []
@@ -215,10 +230,8 @@ class TestTrials:
         cfg = config.with_updates(pfa_target=0.05, calibration_trials=400)
         threshold, _ = calibrate(cfg, channels, clutter, precoders)
         strong = cfg.with_updates(rcs_variance=1e9)
-        hits = [run_sensing_trial(strong, channels, clutter, precoders,
-                                  trial_rng(0, (9,), i)) >= threshold
-                for i in range(100)]
-        assert np.mean(hits) > 0.8
+        t_hit = run_trials(strong, channels, clutter, precoders, (9,), 100, force_null=False)
+        assert np.mean(t_hit >= threshold) > 0.8
 
 
 class TestModelConsistency:

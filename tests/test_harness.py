@@ -208,7 +208,8 @@ class TestCli:
         assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--gains", "20",
                          "--out", str(out)]) == 0
         assert capsys.readouterr().err == (
-            "warning: calibration under-resolved at point 0 (gain 20.0)\n")
+            "warning: calibration under-resolved: 200 H0 trials at PFA 0.01 expect 2 "
+            "false alarms (fewer than 10)\n")
 
     def test_secdf_reports_degenerate_drops_on_stderr(self, tmp_path, capsys):
         cfg = self._config_path(tmp_path, n_users=4, n_tx_antennas=2, mc_trials=6)

@@ -35,20 +35,19 @@ class TestEffectiveChannel:
 class TestRzfPrecoders:
     def test_unit_norm_rows(self, rng):
         fdot = cn(rng, (3, 6))
-        p, eps = rzf_precoders(fdot, 0.1)
+        p = rzf_precoders(fdot, 0.1)
+        assert p.shape == (3, 6)
         np.testing.assert_allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-12)
-        assert eps.shape == (3,)
-        assert np.all(eps > 0)
 
     def test_high_regularization_matches_matched_filter(self, rng):
         fdot = cn(rng, (2, 5))
-        p, _ = rzf_precoders(fdot, 1e9, conjugate=True)
+        p = rzf_precoders(fdot, 1e9)
         mf = fdot.conj() / np.linalg.norm(fdot, axis=1)[:, None]
         np.testing.assert_allclose(p, mf, atol=1e-7)
 
     def test_small_regularization_suppresses_cross_talk(self, rng):
         fdot = cn(rng, (3, 8))
-        p, _ = rzf_precoders(fdot, 1e-9, conjugate=True)
+        p = rzf_precoders(fdot, 1e-9)
         cross = fdot @ p.T
         off = cross - np.diag(np.diag(cross))
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.abs(np.diag(cross)))
@@ -56,8 +55,8 @@ class TestRzfPrecoders:
     def test_direction_scale_invariance(self, rng):
         # scaling channels by s and the regularizer by s^2 keeps the beams
         fdot = cn(rng, (3, 6))
-        p1, _ = rzf_precoders(fdot, 0.2)
-        p2, _ = rzf_precoders(5.0 * fdot, 0.2 * 25.0)
+        p1 = rzf_precoders(fdot, 0.2)
+        p2 = rzf_precoders(5.0 * fdot, 0.2 * 25.0)
         np.testing.assert_allclose(p1, p2, atol=1e-10)
 
     def test_invalid_inputs(self, rng):
@@ -121,14 +120,7 @@ class TestTransmitFrame:
                     * precoders.sensing_precoder[None, :])
         np.testing.assert_allclose(frame.x, np.sqrt(rho) * rebuilt, atol=1e-14)
 
-    def test_qpsk_symbols_have_unit_modulus(self, small_setup, rng):
-        config, _, channels, _, precoders = small_setup
-        frame = build_transmit_frame(precoders, config.with_updates(symbol_alphabet="qpsk"),
-                                     rng)
-        np.testing.assert_allclose(np.abs(frame.user_symbols), 1.0, atol=1e-14)
-        np.testing.assert_allclose(np.abs(frame.sensing_symbols), 1.0, atol=1e-14)
-
     def test_overcommitted_power_rejected(self):
-        with pytest.raises((PowerBudgetError, ConfigError)):
+        with pytest.raises(PowerBudgetError):
             tiny_config(sensing_power_fraction=0.8,
                         user_power_fractions=(0.3, 0.3))

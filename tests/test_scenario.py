@@ -1,11 +1,15 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repisac import (ConfigError, Geometry, ScenarioConfig, drop_entities,
                      load_config, noise_power_watt, pathloss_linear, save_config)
-from repisac.scenario import azimuth, distance
+from repisac.scenario import PRECODER_MODES, azimuth, distance
 
 from conftest import tiny_config
 
@@ -82,7 +86,7 @@ class TestScenarioConfig:
     def test_invalid_values_rejected(self):
         for bad in (dict(n_tx_antennas=0), dict(slot_length=0), dict(rcs_variance=0.0),
                     dict(pfa_target=1.5), dict(precoder_mode="bogus"),
-                    dict(symbol_alphabet="bpsk"), dict(residual_interbs_power=-1.0),
+                    dict(residual_interbs_power=-1.0),
                     dict(tx_power_watt=0.0)):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
@@ -92,7 +96,7 @@ class TestGeometry:
     def test_drop_respects_discs_and_heights(self):
         config = tiny_config(n_users=40)
         geom = drop_entities(config, np.random.default_rng(3))
-        assert geom.n_users == 40
+        assert geom.users.shape == (40, 3)
         d_user = np.linalg.norm(geom.users[:, :2] - np.asarray(config.tx_bs_xy), axis=1)
         assert np.all(d_user <= config.service_radius_m + 1e-9)
         assert np.all(geom.users[:, 2] == config.user_height_m)
@@ -110,21 +114,86 @@ class TestGeometry:
         assert azimuth([0, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
 
 
+# every float-valued ScenarioConfig field, tuple fields included
+FLOAT_FIELDS = (
+    "tx_power_watt", "sensing_power_fraction", "user_power_fractions", "repeater_gain_db",
+    "repeater_phase_rad", "rcs_variance", "carrier_ghz", "bandwidth_hz",
+    "noise_density_dbm_hz", "noise_figure_db", "ue_noise_figure_db", "bs_noise_power_watt",
+    "ue_noise_power_watt", "repeater_noise_power_watt", "residual_interbs_power",
+    "clutter_suppression", "zf_regularizer", "pfa_target", "tx_bs_xy", "rx_bs_xy",
+    "hotspot_xy", "service_radius_m", "repeater_disc_radius_m", "bs_height_m",
+    "repeater_height_m", "user_height_m", "target_height_m",
+)
+
+
 @pytest.mark.parametrize("field, value", [
-    ("tx_power_watt", math.nan), ("tx_power_watt", math.inf),
-    ("sensing_power_fraction", math.nan), ("bs_noise_power_watt", math.inf),
-    ("ue_noise_power_watt", math.nan), ("repeater_noise_power_watt", math.inf),
-    ("rcs_variance", math.nan), ("rcs_variance", math.inf),
-    ("repeater_gain_db", math.nan), ("repeater_gain_db", -math.inf),
-    ("residual_interbs_power", math.inf), ("clutter_suppression", math.nan),
-    ("clutter_suppression", 0.0),
+    *[(name, bad) for name in FLOAT_FIELDS for bad in (math.nan, math.inf)],
+    ("repeater_gain_db", -math.inf), ("clutter_suppression", 0.0),
 ])
 def test_non_finite_and_zero_clutter_configs_rejected(field, value):
+    # a tuple field gets the bad value as its first element
+    if field == "user_power_fractions":
+        value = (value, 0.3)  # tiny_config has two users
+    elif isinstance(getattr(tiny_config(), field), tuple):
+        value = (value, *getattr(tiny_config(), field)[1:])
     with pytest.raises(ConfigError, match=field):
         tiny_config(**{field: value})
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw) -> ScenarioConfig:
+    """Any ScenarioConfig that validates, each field drawn over its valid domain."""
+    n_users = draw(st.integers(0, 6))
+    sensing = draw(st.floats(0.0, 1.0))
+    # each user gets at most an equal share of what sensing leaves
+    share = st.floats(0.0, (1.0 - sensing) / max(n_users, 1))
+    fractions = draw(st.none() | st.tuples(*[share] * n_users))
+    return ScenarioConfig(
+        n_tx_antennas=draw(st.integers(1, 64)), n_rx_antennas=draw(st.integers(1, 64)),
+        n_users=n_users, slot_length=draw(st.integers(1, 500)),
+        tx_power_watt=draw(_positive), sensing_power_fraction=sensing,
+        user_power_fractions=fractions, repeater_on=draw(st.booleans()),
+        repeater_gain_db=draw(_finite), repeater_phase_rad=draw(_finite),
+        rcs_variance=draw(_positive), carrier_ghz=draw(_positive),
+        bandwidth_hz=draw(_positive), noise_density_dbm_hz=draw(_finite),
+        noise_figure_db=draw(_finite), ue_noise_figure_db=draw(_finite),
+        bs_noise_power_watt=draw(st.none() | _positive),
+        ue_noise_power_watt=draw(st.none() | _positive),
+        repeater_noise_power_watt=draw(st.none() | _positive),
+        residual_interbs_power=draw(_nonnegative), clutter_suppression=draw(_positive),
+        zf_regularizer=draw(st.none() | _positive),
+        pfa_target=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        mc_trials=draw(st.integers(1, 10**6)),
+        calibration_trials=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**63)),
+        precoder_mode=draw(st.sampled_from(PRECODER_MODES)),
+        tx_bs_xy=draw(st.tuples(_finite, _finite)), rx_bs_xy=draw(st.tuples(_finite, _finite)),
+        hotspot_xy=draw(st.tuples(_finite, _finite)),
+        service_radius_m=draw(_nonnegative), repeater_disc_radius_m=draw(_nonnegative),
+        bs_height_m=draw(_finite), repeater_height_m=draw(_finite),
+        user_height_m=draw(_finite), target_height_m=draw(_finite),
+    )
+
+
 class TestConfigFiles:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(config=valid_configs())
+    def test_save_load_round_trip_over_valid_configs(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.cfg")
+            save_config(config, path)
+            loaded = load_config(path)
+        # with no users, user_power_fractions=() saves as an empty value, which
+        # loads as None; both mean "no user fractions"
+        if config.user_power_fractions == ():
+            config = config.with_updates(user_power_fractions=None)
+        assert loaded == config
+
     def test_round_trip(self, tmp_path):
         config = tiny_config(zf_regularizer=0.25, user_power_fractions=(0.2, 0.3),
                              repeater_on=False, bs_noise_power_watt=1e-12)
