@@ -2,9 +2,9 @@
 
 from .channel import (ChannelRealization, ClutterModel, clutter_covariance,
                       draw_rcs, gen_channels, steering_vector)
-from .comm_metrics import UserMetrics, spectral_efficiency, user_sinr
+from .comm_metrics import UserMetrics, downlink_metrics, spectral_efficiency, user_sinr
 from .detector import (DetectorWorkspace, assemble_statistics, glrt_statistic,
-                       map_estimate, oracle_loglike_ratio, regressor, sensing_noise_cov)
+                       map_estimate, oracle_loglike_ratio, sensing_noise_cov)
 from .errors import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
                      OracleFailureError, PowerBudgetError)
 from .harness import StudyResult, run_pod_vs_rcs, run_se_cdf
@@ -22,10 +22,10 @@ __all__ = [
     "OracleFailureError", "PowerBudgetError", "PrecoderSet", "ScenarioConfig",
     "SensingObservation", "StudyResult", "TransmitFrame", "UserMetrics",
     "assemble_statistics", "build_precoders", "build_transmit_frame",
-    "clutter_covariance", "draw_noise", "draw_rcs", "drop_entities",
+    "clutter_covariance", "downlink_metrics", "draw_noise", "draw_rcs", "drop_entities",
     "gen_channels", "glrt_statistic", "load_config",
     "map_estimate", "noise_power_watt", "oracle_loglike_ratio", "pathloss_linear",
-    "receive_bs_slot", "regressor", "run_pod_vs_rcs", "run_se_cdf",
+    "receive_bs_slot", "run_pod_vs_rcs", "run_se_cdf",
     "rzf_precoders", "save_config", "sensing_noise_cov", "spectral_efficiency",
     "steering_vector", "target_precoder", "user_sinr",
 ]

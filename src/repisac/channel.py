@@ -62,7 +62,6 @@ class ClutterModel:
 
     covariance: np.ndarray
     entry_variance: float | None = None  # set when the model is i.i.d. diagonal
-    _inverse: np.ndarray | None = None
 
     @classmethod
     def iid(cls, entry_variance: float, n_tx: int, n_rx: int) -> "ClutterModel":
@@ -77,15 +76,12 @@ class ClutterModel:
         return self.covariance.shape[0]
 
     def inverse_covariance(self) -> np.ndarray:
-        if self._inverse is None:
-            if self.entry_variance is not None:
-                self._inverse = np.eye(self.size) / self.entry_variance
-            else:
-                try:
-                    self._inverse = np.linalg.inv(self.covariance)
-                except np.linalg.LinAlgError as exc:
-                    raise ConfigError("clutter covariance is singular") from exc
-        return self._inverse
+        if self.entry_variance is not None:
+            return np.eye(self.size) / self.entry_variance
+        try:
+            return np.linalg.inv(self.covariance)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("clutter covariance is singular") from exc
 
 
 def clutter_covariance(config: ScenarioConfig, geometry: Geometry) -> ClutterModel:
@@ -112,17 +108,16 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
     nt, nr = config.n_tx_antennas, config.n_rx_antennas
     fc = config.carrier_ghz
 
-    # BS -> user: Rayleigh with UMi NLOS large-scale gain
-    f_user = np.zeros((config.n_users, nt), dtype=complex)
-    h_user = np.zeros(config.n_users, dtype=complex)
-    for n in range(config.n_users):
-        beta_n = pathloss_linear(distance(geometry.tx_bs, geometry.users[n]), fc,
-                                 config.user_height_m)
-        f_user[n] = np.sqrt(beta_n) * _cn_matrix(nt, 1.0, rng)
+    # BS -> user: Rayleigh with UMi NLOS large-scale gain; each user's real
+    # then imaginary parts, users in order
+    beta = np.array([pathloss_linear(distance(geometry.tx_bs, user), fc, config.user_height_m)
+                     for user in geometry.users])
+    parts = rng.normal(scale=np.sqrt(0.5), size=(config.n_users, 2, nt))
+    f_user = np.sqrt(beta)[:, None] * (parts[:, 0] + 1j * parts[:, 1])
     # repeater -> user: LOS scalar with distance-derived phase
-    for n in range(config.n_users):
-        h_user[n] = _los_scalar(distance(geometry.repeater, geometry.users[n]),
-                                config, config.user_height_m)
+    h_user = np.array([_los_scalar(distance(geometry.repeater, user), config,
+                                   config.user_height_m) for user in geometry.users],
+                      dtype=complex)
 
     # target / repeater links: LOS steering-vector channels
     def los_vector(n_ant, array_pos, point_pos, endpoint_height):

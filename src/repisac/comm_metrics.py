@@ -1,8 +1,7 @@
-"""Downlink SINR and spectral-efficiency evaluation."""
+"""Downlink SINR and spectral efficiency, every user of a realization at once."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,47 +14,57 @@ from .scenario import ScenarioConfig
 
 @dataclass
 class UserMetrics:
-    sinr: float
-    se: float
-    signal_power: float
-    multiuser_interference: float
-    sensing_interference: float
-    noise_power: float
+    """Downlink metrics; each field has one entry per user (a float for one user)."""
+
+    sinr: np.ndarray
+    se: np.ndarray
+    signal_power: np.ndarray
+    multiuser_interference: np.ndarray
+    sensing_interference: np.ndarray
+    noise_power: np.ndarray
 
 
-def spectral_efficiency(sinr: float) -> float:
-    """Shannon SE, bits/s/Hz."""
-    if sinr < 0:
+def spectral_efficiency(sinr):
+    """Shannon SE, bits/s/Hz, elementwise."""
+    sinr = np.asarray(sinr, dtype=float)
+    if np.any(sinr < 0):
         raise ConfigError("SINR must be nonnegative")
-    return math.log2(1.0 + sinr)
+    return np.log2(1.0 + sinr)
 
 
-def user_sinr(n: int, precoders: PrecoderSet, channels: ChannelRealization,
-              config: ScenarioConfig) -> UserMetrics:
-    """Instantaneous SINR/SE of user n for one realization.
+def downlink_metrics(precoders: PrecoderSet, channels: ChannelRealization,
+                     config: ScenarioConfig) -> UserMetrics:
+    """Instantaneous SINR/SE of every user for one realization.
 
-    The multiuser interference sums every other user's beam; the own-signal
-    term is not part of it.
+    The multiuser interference of user n sums every other user's beam; the
+    own-signal term is not part of it.
     """
-    if not (0 <= n < config.n_users):
-        raise ConfigError(f"user index {n} out of range")
     fdot = effective_channels(channels, config)
     rho = config.tx_power_watt
-    fractions = config.user_fractions
+    # received[n, m]: power of user m's stream at user n, rho pi_m |fdot_n^T p_m|^2
+    received = rho * config.user_fractions * np.abs(fdot @ precoders.user_precoders.T) ** 2
+    own = np.eye(config.n_users, dtype=bool)
+    signal = received[own]
+    interference = np.where(own, 0.0, received).sum(axis=1)
 
-    gains = np.abs(precoders.user_precoders @ fdot[n]) ** 2  # |fdot_n^T p_n'|^2
-    signal = rho * fractions[n] * gains[n]
-    interference = rho * float(np.sum(fractions * gains)) - signal
-
-    pi_t = config.sensing_power_fraction
-    if pi_t > 0.0 and precoders.sensing_precoder is not None:
-        sensing = rho * pi_t * abs(precoders.sensing_precoder @ fdot[n]) ** 2
+    p_t = precoders.sensing_precoder
+    if p_t is not None:
+        sensing = rho * config.sensing_power_fraction * np.abs(fdot @ p_t) ** 2
     else:
-        sensing = 0.0
+        sensing = np.zeros(config.n_users)
 
-    noise = (abs(config.nu) ** 2 * abs(channels.h_user[n]) ** 2
+    noise = (abs(config.nu) ** 2 * np.abs(channels.h_user) ** 2
              * config.repeater_noise_watt + config.ue_noise_watt)
     sinr = signal / (interference + sensing + noise)
     return UserMetrics(sinr=sinr, se=spectral_efficiency(sinr), signal_power=signal,
                        multiuser_interference=interference,
                        sensing_interference=sensing, noise_power=noise)
+
+
+def user_sinr(n: int, precoders: PrecoderSet, channels: ChannelRealization,
+              config: ScenarioConfig) -> UserMetrics:
+    """Metrics of user n alone: row n of :func:`downlink_metrics`, as floats."""
+    if not (0 <= n < config.n_users):
+        raise ConfigError(f"user index {n} out of range")
+    metrics = downlink_metrics(precoders, channels, config)
+    return UserMetrics(**{name: float(value[n]) for name, value in vars(metrics).items()})

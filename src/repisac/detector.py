@@ -47,11 +47,6 @@ class DetectorWorkspace:
     q_h0: np.ndarray      # (Nt*Nr)^2, Hermitian PD
 
 
-def regressor(x: np.ndarray, n_rx: int) -> np.ndarray:
-    """B = x^T kron I_Nr; satisfies B vec(C) = C x (column-major vec)."""
-    return np.kron(np.asarray(x, dtype=complex), np.eye(n_rx))
-
-
 def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -> np.ndarray:
     """Sigma_s = zeta^2 ||x||^2 I + |nu|^2 sigma_R^2 b_r b_r^H + sigma_BS^2 I."""
     nr = b_rx.shape[0]
@@ -69,6 +64,30 @@ def _noise_eigenvalues(x: np.ndarray, b_sq: float,
         # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
         raise NumericalDomainError("sensing-noise covariance is not positive definite")
     return d, d + abs(config.nu) ** 2 * config.repeater_noise_watt * b_sq
+
+
+def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
+                  config: ScenarioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w_k, e_k) per eigenspace of Sigma_s[tau]: the eigenvalues w_k of Sigma_s^-1
+    and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I."""
+    b = channels.b_rx
+    b_sq = float(np.vdot(b, b).real)
+    d, d_par = _noise_eigenvalues(x, b_sq, config)
+    v = channels.a_rx + config.nu * channels.g_rep * b
+    if np.array_equal(d_par, d):
+        return [(1.0 / d, v)]
+    v_par = b * (np.vdot(b, v) / b_sq)
+    return [(1.0 / d, v - v_par), (1.0 / d_par, v_par)]
+
+
+def target_energy(frame: TransmitFrame, channels: ChannelRealization,
+                  config: ScenarioConfig) -> float:
+    """Target energy per unit RCS, q_rr = sum_tau r[tau]^H Sigma_s[tau]^-1 r[tau]
+    with r[tau] = (a_tx^T x[tau]) v: the RCS entry of Q_H1 less the prior
+    1/sigma_T^2, as sum_k ||e_k||^2 sum_tau w_k[tau] |a_tx^T x[tau]|^2."""
+    g_sq = np.abs(frame.x @ channels.a_tx) ** 2
+    return float(sum(np.vdot(e, e).real * np.sum(w * g_sq)
+                     for w, e in _noise_blocks(frame.x, channels, config)))
 
 
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -209,22 +228,12 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
         raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
     lam = 1.0 / clutter_model.entry_variance
 
-    b = channels.b_rx
-    b_sq = float(np.vdot(b, b).real)
-    d, d_par = _noise_eigenvalues(x, b_sq, config)
-    v = channels.a_rx + config.nu * channels.g_rep * b
-    if np.array_equal(d_par, d):
-        blocks = [(1.0 / d, v)]  # Sigma_s[tau] = d I
-    else:
-        v_par = b * (np.vdot(b, v) / b_sq)
-        blocks = [(1.0 / d, v - v_par), (1.0 / d_par, v_par)]
-
     x_h = x.conj().T
     prior = lam * np.eye(nt)
     g = x @ channels.a_tx
     u = 0.0j
     s = 0.0
-    for w, e in blocks:
+    for w, e in _noise_blocks(x, channels, config):
         _, z, info = zposv((x_h * w) @ x + prior, channels.a_tx, lower=1)
         if info != 0:
             raise NumericalDomainError("clutter-block matrix is not positive definite")

@@ -9,9 +9,10 @@ Two studies are provided: probability of detection versus RCS variance (one
 H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics, and the threshold is
 recalibrated per grid point from the H0 pass), and the CDF of downlink
-per-user spectral efficiency across precoder choices. Per-trial random
-substreams are keyed by (master_seed, study, ..., trial), so results are
-byte-identical regardless of worker count.
+per-user spectral efficiency across precoder choices (every user of a drop
+evaluated at once, per precoder config). Per-trial random substreams are
+keyed by (master_seed, study, ..., trial), so results are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
-from .comm_metrics import user_sinr
-from .detector import (assemble_statistics, glrt_from_statistics, threshold_from_null_stats,
+from .comm_metrics import downlink_metrics
+from .detector import (glrt_from_statistics, target_energy, threshold_from_null_stats,
                        trial_rng, trial_statistics)
 from .errors import ConfigError, DegenerateNullspaceError, NumericalDomainError
 from .precoding import PrecoderSet, build_precoders, build_transmit_frame
-from .propagation import draw_noise, receive_bs_slot
 from .scenario import Geometry, ScenarioConfig, drop_entities
 
 STUDY_POD = 1
@@ -45,18 +45,12 @@ class StudyResult:
     def to_csv_bytes(self) -> bytes:
         lines = [",".join(self.header)]
         for row in self.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join(str(v) for v in row))  # str(float) is its repr
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def write_csv(self, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(self.to_csv_bytes())
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # -- study setup ---------------------------------------------------------------
@@ -227,18 +221,13 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
     """RCS-variance grid spanning the detector's transition region.
 
-    Scales a log grid by the per-unit-RCS sensing energy of one pilot trial,
-    deterministically from the study seed.
+    Scales a log grid by the target energy per unit RCS (``target_energy``)
+    of one pilot transmit frame, deterministically from the study seed.
     """
-    geometry, channels = draw_drop(config, STUDY_POD)
-    clutter_model = clutter_covariance(config, geometry)
-    precoders = build_precoders(config, channels)
-    rng = trial_rng(config.master_seed, (STUDY_POD, 9), 0)
-    frame = build_transmit_frame(precoders, config, rng)
-    noise = draw_noise(config, rng)
-    obs = receive_bs_slot(frame, channels, noise, config)
-    ws = assemble_statistics(obs, frame, channels, config, clutter_model)
-    energy = float(ws.q_h1[0, 0].real - 1.0 / config.rcs_variance)
+    _, channels = draw_drop(config, STUDY_POD)
+    frame = build_transmit_frame(build_precoders(config, channels), config,
+                                 trial_rng(config.master_seed, (STUDY_POD, 9), 0))
+    energy = target_energy(frame, channels, config)
     if energy <= 0.0:
         raise ValueError("pilot trial produced no sensing energy")
     return np.geomspace(0.05 / energy, 2000.0 / energy, n_points)
@@ -249,57 +238,48 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
 SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
-def _secdf_chunk(args) -> tuple[dict, dict]:
+def _secdf_chunk(args) -> np.ndarray:
+    """SE of every user on drops ``start`` to ``stop`` under each config, shape
+    (drops, configs, users); NaN marks a degenerate (drop, config)."""
     config, configs, start, stop = args
-    samples = {combo: [] for combo in configs}
-    errors = {combo: 0 for combo in configs}
-    for d in range(start, stop):
+    se = np.full((stop - start, len(configs), config.n_users), np.nan)
+    for row, d in enumerate(range(start, stop)):
         _, channels = draw_drop(config, STUDY_SECDF, d)
-        for combo, cfg in configs.items():
+        for col, cfg in enumerate(configs):
             try:
                 precoders = build_precoders(cfg, channels)
             except DegenerateNullspaceError:
-                errors[combo] += 1
                 continue
-            for n in range(cfg.n_users):
-                samples[combo].append(user_sinr(n, precoders, channels, cfg).se)
-    return samples, errors
+            se[row, col] = downlink_metrics(precoders, channels, cfg).se
+    return se
 
 
 def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
                repeater_settings=(True, False), workers: int = 1) -> StudyResult:
     """Per-user SE samples over independent drops, as an empirical CDF.
 
-    Every (mode, repeater) combination is evaluated on the same drops. A
-    degenerate comm-centric drop (sensing direction fully nulled) is counted
-    and skipped, never fatal.
+    Every (mode, repeater) combination is evaluated on the same drops, all
+    users of a drop at once. A config that cannot run raises ``ConfigError``
+    before any drop is drawn; a degenerate drop (sensing direction fully
+    nulled) is counted and skipped, never fatal.
     """
     if config.n_users < 1:
         raise ValueError("se_cdf study needs at least one user")
     n_drops = config.mc_trials
-    configs = {(m, r): config.with_updates(repeater_on=r, precoder_mode=m)
-               for m in modes for r in repeater_settings}
+    combos = [(m, r) for m in modes for r in repeater_settings]
+    configs = [config.with_updates(repeater_on=r, precoder_mode=m) for m, r in combos]
     chunk = max(8, math.ceil(n_drops / (max(workers, 1) * 8)))
     payloads = [(config, configs, s, min(s + chunk, n_drops))
                 for s in range(0, n_drops, chunk)]
-    parts = _map_chunks(_secdf_chunk, payloads, workers)
-
-    samples = {combo: [] for combo in configs}
-    errors = {combo: 0 for combo in configs}
-    for part_samples, part_errors in parts:
-        for key in samples:
-            samples[key].extend(part_samples[key])
-            errors[key] += part_errors[key]
+    se = np.concatenate(_map_chunks(_secdf_chunk, payloads, workers))
 
     rows = []
-    for mode in modes:
-        for rep in repeater_settings:
-            values = np.sort(np.asarray(samples[(mode, rep)]))
-            n = values.size
-            for i, se in enumerate(values):
-                rows.append((mode, int(rep), float(se), float((i + 1) / n)))
+    degenerate = {}
+    for col, (mode, rep) in enumerate(combos):
+        skipped = np.isnan(se[:, col, 0])
+        degenerate[f"{mode}|{int(rep)}"] = int(skipped.sum())
+        values = np.sort(se[~skipped, col].ravel())
+        n = values.size
+        rows += [(mode, int(rep), float(v), float((i + 1) / n)) for i, v in enumerate(values)]
     return StudyResult(kind="se_cdf", header=SECDF_HEADER, rows=rows,
-                       metadata={"drops": n_drops,
-                                 "degenerate_drops": {f"{m}|{int(r)}": errors[(m, r)]
-                                                      for (m, r) in errors}})
-
+                       metadata={"drops": n_drops, "degenerate_drops": degenerate})

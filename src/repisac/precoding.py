@@ -68,7 +68,7 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
 def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
     """Rank-revealing orthonormal basis of the column space (SVD based)."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    tol = max(columns.shape) * np.finfo(float).eps * s[0]
+    tol = max(columns.shape) * np.finfo(float).eps * s.max(initial=0.0)
     return u[:, s > tol]
 
 
@@ -85,11 +85,8 @@ def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
         raw = a
     elif mode == "comm_centric":
         fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
-        if fdot.shape[0] == 0:
-            raw = a
-        else:
-            basis = _orthonormal_basis(_c(fdot, conjugate).T)
-            raw = a - basis @ (basis.conj().T @ a)
+        basis = _orthonormal_basis(_c(fdot, conjugate).T)
+        raw = a - basis @ (basis.conj().T @ a)
     elif mode == "repeater_null":
         b = np.asarray(b_tx, dtype=complex)
         bn2 = np.vdot(b, b).real

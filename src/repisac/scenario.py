@@ -89,6 +89,9 @@ class ScenarioConfig:
     target_height_m: float = 1.5
 
     def __post_init__(self):
+        # with no users, () and None both mean "no fractions": keep one, for save/load
+        if self.n_users == 0 and self.user_power_fractions == ():
+            object.__setattr__(self, "user_power_fractions", None)
         self.validate()
 
     def validate(self) -> None:
@@ -114,6 +117,11 @@ class ScenarioConfig:
             raise ConfigError("trial counts must be positive")
         if self.precoder_mode not in PRECODER_MODES:
             raise ConfigError(f"unknown precoder_mode {self.precoder_mode!r}")
+        if self.precoder_mode == "comm_centric" and self.n_users >= self.n_tx_antennas:
+            raise ConfigError("comm_centric needs n_users < n_tx_antennas (the users' "
+                              "channels would span every transmit direction)")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be nonnegative")
         if self.residual_interbs_power < 0:
             raise ConfigError("residual_interbs_power must be nonnegative")
         if self.clutter_suppression <= 0:

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
-                     map_estimate, oracle_loglike_ratio, regressor, run_pod_vs_rcs,
-                     sensing_noise_cov)
-from repisac.channel import ClutterModel, redraw_nuisance
+                     map_estimate, oracle_loglike_ratio, run_pod_vs_rcs, sensing_noise_cov)
+from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.detector import (glrt_from_statistics, oracle_check, random_small_instance,
-                              schur_statistics, threshold_from_null_stats, trial_rng,
-                              trial_statistics)
-from repisac.harness import STUDY_POD, calibrate, run_trials
-from repisac.precoding import build_transmit_frame
+                              schur_statistics, target_energy, threshold_from_null_stats,
+                              trial_rng, trial_statistics)
+from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
+from repisac.precoding import build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
 from conftest import tiny_config
@@ -21,6 +20,11 @@ from conftest import tiny_config
 
 def cn(rng, shape):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+
+
+def regressor(x: np.ndarray, n_rx: int) -> np.ndarray:
+    """B = x^T kron I_Nr; satisfies B vec(C) = C x (column-major vec)."""
+    return np.kron(np.asarray(x, dtype=complex), np.eye(n_rx))
 
 
 class TestRegressor:
@@ -94,8 +98,25 @@ class TestAssembledStatistics:
         np.testing.assert_allclose(ws.t_h0, t_h0, rtol=1e-10)
         np.testing.assert_allclose(ws.q_h1[0, 0].real,
                                    q_rr + 1.0 / config.rcs_variance, rtol=1e-10)
+        np.testing.assert_allclose(target_energy(frame, channels, config), q_rr, rtol=1e-10)
         np.testing.assert_allclose(ws.t_h1[0], t_top, rtol=1e-10)
         np.testing.assert_allclose(ws.q_h1[1:, 0], cross, rtol=1e-10)
+
+    @pytest.mark.parametrize("updates", [
+        {}, {"repeater_gain_db": 100.0, "residual_interbs_power": 1e-13},
+    ], ids=["default_gain", "gain100db_zeta"])
+    def test_target_energy_is_the_rcs_entry_of_q_h1(self, updates):
+        # on the grid's pilot frame; at sigma_T^2 = 1e30 the prior 1/sigma_T^2 in
+        # Q_H1[0, 0] lies far below its rounding
+        config = tiny_config(rcs_variance=1e30, **updates)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        rng = trial_rng(config.master_seed, (STUDY_POD, 9), 0)
+        frame = build_transmit_frame(build_precoders(config, channels), config, rng)
+        obs = receive_bs_slot(frame, channels, draw_noise(config, rng), config)
+        ws = assemble_statistics(obs, frame, channels, config,
+                                 clutter_covariance(config, geometry))
+        assert target_energy(frame, channels, config) == pytest.approx(ws.q_h1[0, 0].real,
+                                                                       rel=1e-12, abs=0.0)
 
     def test_clutter_size_mismatch_rejected(self, rng):
         obs, frame, channels, config, _ = random_small_instance(rng)

@@ -2,14 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repisac import (ConfigError, NumericalDomainError, StudyResult, assemble_statistics,
-                     glrt_statistic, run_pod_vs_rcs, run_se_cdf)
+from repisac import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
+                     StudyResult, assemble_statistics, glrt_statistic, harness,
+                     run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.cli import main_cli
 from repisac.detector import trial_rng
-from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, draw_drop, run_trials,
-                             suggest_rcs_grid)
+from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF, draw_drop,
+                             run_trials, suggest_rcs_grid)
 from repisac.precoding import build_precoders, build_transmit_frame
 from repisac.propagation import draw_noise, receive_bs_slot
 from repisac.scenario import save_config
@@ -17,14 +20,45 @@ from repisac.scenario import save_config
 from conftest import tiny_config
 
 
+@pytest.fixture
+def forced_degenerate(monkeypatch):
+    """A 6-drop SE-CDF config whose comm-centric precoders fail on drops 1 and 4.
+
+    ``build_precoders``, as the study calls it, raises ``DegenerateNullspaceError``
+    there; valid configs hit a degenerate drop too rarely to test on a real one.
+    """
+    config = tiny_config(n_users=2, n_tx_antennas=3, mc_trials=6)
+    doomed = [draw_drop(config, STUDY_SECDF, d)[1].f_user for d in (1, 4)]
+
+    def build(cfg, channels):
+        if cfg.precoder_mode == "comm_centric" and any(
+                np.array_equal(channels.f_user, f_user) for f_user in doomed):
+            raise DegenerateNullspaceError("sensing direction lies in nulled subspace")
+        return build_precoders(cfg, channels)
+
+    monkeypatch.setattr(harness, "build_precoders", build)
+    return config
+
+
 class TestRunTrials:
-    def test_worker_count_does_not_change_results(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
-        serial = run_trials(config, channels, clutter, precoders, (5,), 130,
-                            force_null=True, workers=1)
-        parallel = run_trials(config, channels, clutter, precoders, (5,), 130,
-                              force_null=True, workers=2)
-        np.testing.assert_array_equal(serial, parallel)
+    # every example starts process pools, so examples are few
+    @settings(deadline=None, derandomize=True, database=None, max_examples=8)
+    @given(workers=st.integers(1, 3),
+           n_trials=st.integers(1, 300).filter(lambda n: n % 64),  # chunks hold 64
+           n_drops=st.integers(1, 40).filter(lambda n: n % 8))     # chunks hold 8
+    @example(workers=2, n_trials=130, n_drops=20)  # several chunks per worker
+    @example(workers=3, n_trials=200, n_drops=30)
+    def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
+        config = tiny_config()
+        geometry, channels = draw_drop(config, STUDY_POD)
+        clutter = clutter_covariance(config, geometry)
+        precoders = build_precoders(config, channels)
+        runs = [run_trials(config, channels, clutter, precoders, (5,), n_trials,
+                           force_null=False, workers=w) for w in (1, workers)]
+        np.testing.assert_array_equal(*runs)
+        se_config = tiny_config(n_users=1, n_tx_antennas=3, mc_trials=n_drops)
+        assert (run_se_cdf(se_config, workers=1).to_csv_bytes()
+                == run_se_cdf(se_config, workers=workers).to_csv_bytes())
 
     def test_trial_order_is_by_index(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
@@ -150,13 +184,25 @@ class TestSeCdfStudy:
                 assert se == sorted(se)
                 assert cdf[-1] == pytest.approx(1.0)
 
-    def test_degenerate_drops_are_counted_not_fatal(self):
-        # more users than antennas: the comm-centric nullspace is empty
-        config = tiny_config(n_users=4, n_tx_antennas=2, mc_trials=6)
+    def test_degenerate_drops_are_counted_not_fatal(self, forced_degenerate):
+        config = forced_degenerate
         result = run_se_cdf(config, workers=1)
-        assert result.metadata["degenerate_drops"]["comm_centric|1"] == 6
-        assert not any(row[0] == "comm_centric" for row in result.rows)
-        assert any(row[0] == "target_centric" for row in result.rows)
+        assert result.metadata["degenerate_drops"] == {
+            "target_centric|1": 0, "target_centric|0": 0,
+            "comm_centric|1": 2, "comm_centric|0": 2}
+        for mode, drops in (("target_centric", range(6)), ("comm_centric", (0, 2, 3, 5))):
+            for rep in (True, False):
+                # reference: every kept drop's users one at a time
+                cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
+                expected = []
+                for d in drops:
+                    _, channels = draw_drop(config, STUDY_SECDF, d)
+                    precoders = build_precoders(cfg, channels)
+                    expected += [user_sinr(n, precoders, channels, cfg).se
+                                 for n in range(cfg.n_users)]
+                rows = [row for row in result.rows if row[:2] == (mode, int(rep))]
+                assert [row[2] for row in rows] == sorted(expected)
+                assert rows[-1][3] == 1.0
 
     def test_needs_users(self):
         with pytest.raises(ValueError):
@@ -211,13 +257,40 @@ class TestCli:
             "warning: calibration under-resolved: 200 H0 trials at PFA 0.01 expect 2 "
             "false alarms (fewer than 10)\n")
 
-    def test_secdf_reports_degenerate_drops_on_stderr(self, tmp_path, capsys):
-        cfg = self._config_path(tmp_path, n_users=4, n_tx_antennas=2, mc_trials=6)
+    def test_secdf_reports_degenerate_drops_on_stderr(self, tmp_path, capsys,
+                                                      forced_degenerate):
+        cfg = str(tmp_path / "scenario.cfg")
+        save_config(forced_degenerate, cfg)
         out = tmp_path / "se.csv"
         assert main_cli(["secdf", "--config", cfg, "--out", str(out)]) == 0
         assert capsys.readouterr().err == (
-            "warning: 6 of 6 drops degenerate for comm_centric|1 (skipped)\n"
-            "warning: 6 of 6 drops degenerate for comm_centric|0 (skipped)\n")
+            "warning: 2 of 6 drops degenerate for comm_centric|1 (skipped)\n"
+            "warning: 2 of 6 drops degenerate for comm_centric|0 (skipped)\n")
+
+    def test_comm_centric_without_nullspace_is_rejected_before_the_study(
+            self, tmp_path, capsys, monkeypatch):
+        # as many users as transmit antennas: the comm-centric nullspace is empty
+        config = tiny_config(n_users=2, n_tx_antennas=2, mc_trials=6)
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError, match="n_users < n_tx_antennas"):
+            run_se_cdf(config, modes=("comm_centric",))
+        assert drawn == []
+
+        cfg = self._config_path(tmp_path, n_users=2, n_tx_antennas=2, mc_trials=6)
+        out = str(tmp_path / "out.csv")
+        assert main_cli(["secdf", "--config", cfg, "--out", out]) == 1
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("precoder_mode = comm_centric\n")
+        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("configuration error: comm_centric needs n_users < "
+                         "n_tx_antennas") == 2
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        cfg = self._config_path(tmp_path)
+        assert main_cli(["calibrate", "--config", cfg, "--seed", "-1"]) == 1
+        assert "master_seed must be nonnegative" in capsys.readouterr().err
 
     def test_calibrate_reproduces_the_pod_threshold(self, tmp_path):
         config = tiny_config()

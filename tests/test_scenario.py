@@ -62,6 +62,8 @@ class TestScenarioConfig:
                            sensing_power_fraction=0.4)
         with pytest.raises(ConfigError):
             ScenarioConfig(n_users=2, user_power_fractions=(0.4,))
+        with pytest.raises(ConfigError):
+            ScenarioConfig(n_users=2, user_power_fractions=())
 
     def test_repeater_amplification(self):
         config = ScenarioConfig(repeater_gain_db=20.0, repeater_phase_rad=0.0)
@@ -87,7 +89,9 @@ class TestScenarioConfig:
         for bad in (dict(n_tx_antennas=0), dict(slot_length=0), dict(rcs_variance=0.0),
                     dict(pfa_target=1.5), dict(precoder_mode="bogus"),
                     dict(residual_interbs_power=-1.0),
-                    dict(tx_power_watt=0.0)):
+                    dict(tx_power_watt=0.0), dict(master_seed=-1),
+                    # the users' channels span all 8 transmit directions
+                    dict(precoder_mode="comm_centric", n_users=8, n_tx_antennas=8)):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
@@ -148,13 +152,17 @@ _nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 @st.composite
 def valid_configs(draw) -> ScenarioConfig:
     """Any ScenarioConfig that validates, each field drawn over its valid domain."""
-    n_users = draw(st.integers(0, 6))
+    n_tx_antennas = draw(st.integers(1, 64))
+    precoder_mode = draw(st.sampled_from(PRECODER_MODES))
+    # comm-centric needs fewer users than transmit antennas
+    n_users = draw(st.integers(0, 6 if precoder_mode != "comm_centric"
+                               else min(6, n_tx_antennas - 1)))
     sensing = draw(st.floats(0.0, 1.0))
     # each user gets at most an equal share of what sensing leaves
     share = st.floats(0.0, (1.0 - sensing) / max(n_users, 1))
     fractions = draw(st.none() | st.tuples(*[share] * n_users))
     return ScenarioConfig(
-        n_tx_antennas=draw(st.integers(1, 64)), n_rx_antennas=draw(st.integers(1, 64)),
+        n_tx_antennas=n_tx_antennas, n_rx_antennas=draw(st.integers(1, 64)),
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
         tx_power_watt=draw(_positive), sensing_power_fraction=sensing,
         user_power_fractions=fractions, repeater_on=draw(st.booleans()),
@@ -171,7 +179,7 @@ def valid_configs(draw) -> ScenarioConfig:
         mc_trials=draw(st.integers(1, 10**6)),
         calibration_trials=draw(st.integers(1, 10**6)),
         master_seed=draw(st.integers(0, 2**63)),
-        precoder_mode=draw(st.sampled_from(PRECODER_MODES)),
+        precoder_mode=precoder_mode,
         tx_bs_xy=draw(st.tuples(_finite, _finite)), rx_bs_xy=draw(st.tuples(_finite, _finite)),
         hotspot_xy=draw(st.tuples(_finite, _finite)),
         service_radius_m=draw(_nonnegative), repeater_disc_radius_m=draw(_nonnegative),
@@ -188,10 +196,6 @@ class TestConfigFiles:
             path = os.path.join(tmp, "scenario.cfg")
             save_config(config, path)
             loaded = load_config(path)
-        # with no users, user_power_fractions=() saves as an empty value, which
-        # loads as None; both mean "no user fractions"
-        if config.user_power_fractions == ():
-            config = config.with_updates(user_power_fractions=None)
         assert loaded == config
 
     def test_round_trip(self, tmp_path):
