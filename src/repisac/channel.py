@@ -84,18 +84,22 @@ class ClutterModel:
             raise ConfigError("clutter covariance is singular") from exc
 
 
+def clutter_entry_variance(config: ScenarioConfig, geometry: Geometry) -> float:
+    """Per-entry clutter variance kappa * beta_clutter (the BS-to-BS path gain)."""
+    return float(config.clutter_suppression
+                 * pathloss_linear(distance(geometry.tx_bs, geometry.rx_bs),
+                                   config.carrier_ghz, config.bs_height_m))
+
+
 def clutter_covariance(config: ScenarioConfig, geometry: Geometry) -> ClutterModel:
     """Sigma_c = kappa * beta_clutter * I for the default i.i.d. model."""
-    beta = pathloss_linear(distance(geometry.tx_bs, geometry.rx_bs),
-                           config.carrier_ghz, config.bs_height_m)
-    return ClutterModel.iid(config.clutter_suppression * beta, config.n_tx_antennas,
+    return ClutterModel.iid(clutter_entry_variance(config, geometry), config.n_tx_antennas,
                             config.n_rx_antennas)
 
 
-def _los_scalar(d: float, config: ScenarioConfig, endpoint_height: float) -> complex:
-    beta = pathloss_linear(d, config.carrier_ghz, endpoint_height)
-    phase = -2.0 * np.pi * d / config.wavelength_m
-    return complex(np.sqrt(beta) * np.exp(1j * phase))
+def _los_gain(d, beta, config: ScenarioConfig):
+    """LOS gain sqrt(beta) exp(-2 pi i d / lambda), elementwise over distances."""
+    return np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
 
 
 def gen_channels(geometry: Geometry, config: ScenarioConfig,
@@ -108,16 +112,17 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
     nt, nr = config.n_tx_antennas, config.n_rx_antennas
     fc = config.carrier_ghz
 
+    # distances and path gains from the transmit BS (row 0) and from the
+    # repeater (row 1) to every user
+    d_user = np.linalg.norm(
+        geometry.users - np.stack([geometry.tx_bs, geometry.repeater])[:, None], axis=-1)
+    beta_user = pathloss_linear(d_user, fc, config.user_height_m)
     # BS -> user: Rayleigh with UMi NLOS large-scale gain; each user's real
     # then imaginary parts, users in order
-    beta = np.array([pathloss_linear(distance(geometry.tx_bs, user), fc, config.user_height_m)
-                     for user in geometry.users])
     parts = rng.normal(scale=np.sqrt(0.5), size=(config.n_users, 2, nt))
-    f_user = np.sqrt(beta)[:, None] * (parts[:, 0] + 1j * parts[:, 1])
-    # repeater -> user: LOS scalar with distance-derived phase
-    h_user = np.array([_los_scalar(distance(geometry.repeater, user), config,
-                                   config.user_height_m) for user in geometry.users],
-                      dtype=complex)
+    f_user = np.sqrt(beta_user[0])[:, None] * (parts[:, 0] + 1j * parts[:, 1])
+    # repeater -> user: LOS gain with distance-derived phase
+    h_user = _los_gain(d_user[1], beta_user[1], config)
 
     # target / repeater links: LOS steering-vector channels
     def los_vector(n_ant, array_pos, point_pos, endpoint_height):
@@ -128,11 +133,12 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
     a_rx = los_vector(nr, geometry.rx_bs, geometry.hotspot, config.target_height_m)
     b_tx = los_vector(nt, geometry.tx_bs, geometry.repeater, config.repeater_height_m)
     b_rx = los_vector(nr, geometry.rx_bs, geometry.repeater, config.repeater_height_m)
-    g_rep = _los_scalar(distance(geometry.hotspot, geometry.repeater), config,
-                        config.target_height_m)
+    d_rep = distance(geometry.hotspot, geometry.repeater)
+    g_rep = complex(_los_gain(d_rep, pathloss_linear(d_rep, fc, config.target_height_m),
+                              config))
 
     interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)
-    clutter = _cn_matrix((nr, nt), clutter_covariance(config, geometry).entry_variance, rng)
+    clutter = _cn_matrix((nr, nt), clutter_entry_variance(config, geometry), rng)
     rcs = draw_rcs(config.rcs_variance, rng)
 
     return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,

@@ -9,13 +9,20 @@ Q_H1. That dense form is the reference; an independent brute-force
 least-squares oracle recomputes the same log-likelihood ratio for small
 instances.
 
-Monte Carlo trials use the structured form instead
-(:func:`schur_statistics`): with i.i.d. clutter, Q_H0 splits into two
-Nt x Nt blocks in the eigenbasis that the sensing-noise covariance shares
-across channel uses, and the RCS drops out through a Schur complement. The
-trial kernel :func:`trial_statistics` (drawing from :func:`trial_rng`)
-reduces a trial to (u, s, alpha_1), from which
-:func:`glrt_from_statistics` gives its statistic at any RCS variance. The
+The structured form (:func:`schur_statistics`) is checked against it: with
+i.i.d. clutter, Q_H0 splits into two Nt x Nt blocks in the eigenbasis that
+the sensing-noise covariance shares across channel uses, and the RCS drops
+out through a Schur complement. A trial reduces to (u, s, alpha_1), from
+which :func:`glrt_from_statistics` gives its statistic at any RCS variance.
+:func:`trial_statistics` simulates one trial in full (clutter, residual,
+noises, the received slot) and is the reference simulation.
+
+Monte Carlo passes use the block kernel :func:`block_statistics` instead:
+given the transmit frame X every nuisance term is zero-mean Gaussian, so
+under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
+A block of ``TRIALS_PER_BLOCK`` trials draws only its symbols, one unit
+normal and alpha_1 per trial from one generator (:func:`trial_rng`, keyed
+per block), and gets every (u, s) from stacked Nt x Nt Cholesky solves. The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
 """
@@ -30,7 +37,7 @@ from scipy.linalg.lapack import zposv
 
 from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
 from .errors import NumericalDomainError, OracleFailureError
-from .precoding import PrecoderSet, TransmitFrame, build_transmit_frame
+from .precoding import PrecoderSet, TransmitFrame, beam_matrix, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
 from .scenario import ScenarioConfig
 
@@ -58,7 +65,7 @@ def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -
 def _noise_eigenvalues(x: np.ndarray, b_sq: float,
                        config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues d[tau] and d[tau] + m ||b_r||^2 of Sigma_s[tau] on I - P and on P."""
-    d = (config.residual_interbs_power * np.einsum("ti,ti->t", x, x.conj()).real
+    d = (config.residual_interbs_power * np.einsum("...i,...i->...", x, x.conj()).real
          + config.bs_noise_watt)
     if np.any(d <= 0):
         # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
@@ -69,7 +76,8 @@ def _noise_eigenvalues(x: np.ndarray, b_sq: float,
 def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
                   config: ScenarioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_k, e_k) per eigenspace of Sigma_s[tau]: the eigenvalues w_k of Sigma_s^-1
-    and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I."""
+    and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I.
+    A stack of frames x (..., tau, Nt) gives w_k of shape (..., tau)."""
     b = channels.b_rx
     b_sq = float(np.vdot(b, b).real)
     d, d_par = _noise_eigenvalues(x, b_sq, config)
@@ -197,6 +205,15 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
     return alpha, z[:, 0] - alpha * z[:, 1]
 
 
+def _clutter_precision(clutter_model: ClutterModel, config: ScenarioConfig) -> float:
+    """lam = 1 / sigma_c^2 of an i.i.d. clutter model of size Nt * Nr."""
+    if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
+        raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
+    if clutter_model.entry_variance is None:
+        raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
+    return 1.0 / clutter_model.entry_variance
+
+
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
                      channels: ChannelRealization, config: ScenarioConfig,
                      clutter_model: ClutterModel) -> tuple[complex, float]:
@@ -221,15 +238,9 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     """
     x = frame.x
     y = observation.y_slots
-    nt, nr = config.n_tx_antennas, config.n_rx_antennas
-    if clutter_model.size != nt * nr:
-        raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
-    if clutter_model.entry_variance is None:
-        raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
-    lam = 1.0 / clutter_model.entry_variance
-
+    lam = _clutter_precision(clutter_model, config)
     x_h = x.conj().T
-    prior = lam * np.eye(nt)
+    prior = lam * np.eye(config.n_tx_antennas)
     g = x @ channels.a_tx
     u = 0.0j
     s = 0.0
@@ -241,6 +252,50 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
         u += lam * complex(wf @ (y @ e.conj()))
         s += lam * float(np.vdot(e, e).real) * float((wf @ g).real)
     return u, s
+
+
+def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
+                           config: ScenarioConfig,
+                           clutter_model: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
+    """s and the H0 variance v of u given the transmit frame, for a stack of
+    frames x (B, tau, Nt): per eigenspace, one stacked (B, Nt, Nt) Cholesky
+    factorization (the positive-definiteness check) and one stacked solve.
+
+    With c_k = w_k * (X z_k) (the weights of :func:`schur_statistics`),
+    u = lam sum_k c_k^H Y conj(e_k) is linear in the observation Y. Given X,
+    every term of Y under H0 is zero-mean Gaussian: clutter C and inter-BS
+    residual E (i.i.d. entries of variance sigma_c^2 = 1/lam and zeta^2, fixed
+    over the slot) enter as X (C + E)^T, repeater noise as nu w_R b_r^T, BS
+    noise as W. Since e_0 is orthogonal to e_1, u | X ~ CN(0, v) with
+    v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||X^T conj(c_k)||^2
+                     + (sigma_BS^2 ||e_k||^2 + |nu|^2 sigma_R^2 |b_r^H e_k|^2) ||c_k||^2]
+    (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
+    At zeta^2 = 0 the detector's noise model is exact and v = s.
+    """
+    lam = _clutter_precision(clutter_model, config)
+    b = channels.b_rx
+    m = abs(config.nu) ** 2 * config.repeater_noise_watt
+    x_h = np.conj(np.swapaxes(x, -1, -2))
+    g = x @ channels.a_tx
+    prior = lam * np.eye(config.n_tx_antennas)
+    s = np.zeros(x.shape[0])
+    v = np.zeros(x.shape[0])
+    for w, e in _noise_blocks(x, channels, config):
+        a = (x_h * w[:, None, :]) @ x + prior
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDomainError("clutter-block matrix is not positive definite") from exc
+        z = np.linalg.solve(a, channels.a_tx[:, None])
+        c = w * (x @ z)[..., 0]
+        e_sq = float(np.vdot(e, e).real)
+        s += lam * e_sq * np.einsum("bt,bt->b", c.conj(), g).real
+        xc = x_h @ c[..., None]
+        v += lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq
+                         * np.sum(np.abs(xc[..., 0]) ** 2, axis=-1)
+                         + (config.bs_noise_watt * e_sq + m * abs(np.vdot(b, e)) ** 2)
+                         * np.sum(np.abs(c) ** 2, axis=-1))
+    return s, v
 
 
 # -- independent oracle -------------------------------------------------------
@@ -383,17 +438,19 @@ def oracle_check(n_instances: int = 100, seed: int = 0, n_tx: int = 2, n_rx: int
 
 # -- Monte Carlo trials ---------------------------------------------------------
 
-def trial_rng(master_seed: int, key: tuple[int, ...], trial: int) -> np.random.Generator:
-    """Deterministic per-trial substream; independent of scheduling order."""
+def trial_rng(master_seed: int, key: tuple[int, ...], index: int) -> np.random.Generator:
+    """Deterministic substream keyed (*key, index), e.g. one block of trials;
+    independent of scheduling order."""
     return np.random.default_rng(np.random.SeedSequence(master_seed,
-                                                        spawn_key=(*key, trial)))
+                                                        spawn_key=(*key, index)))
 
 
 def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
                      rng: np.random.Generator,
                      force_null: bool = False) -> tuple[complex, float, complex]:
-    """One Monte Carlo trial reduced to its sufficient statistics (u, s, alpha_1).
+    """One fully simulated trial reduced to its sufficient statistics (u, s, alpha_1):
+    the reference simulation for :func:`block_statistics`.
 
     Deterministic channels (user/target/repeater links) stay fixed; clutter,
     inter-BS residual, the RCS (unless ``force_null``), symbols and noises are
@@ -412,6 +469,32 @@ def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
     obs = receive_bs_slot(frame, ch, noise, config)
     u, s = schur_statistics(obs, frame, ch, config, clutter_model)
     return u, s, alpha1
+
+
+TRIALS_PER_BLOCK = 16  # trials drawn from one generator; independent of the worker count
+
+
+def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
+                     clutter_model: ClutterModel, precoders: PrecoderSet,
+                     rng: np.random.Generator, n_trials: int,
+                     force_null: bool = False) -> np.ndarray:
+    """Rows (u, s, alpha_1) of a block of ``n_trials`` trials, shape (n_trials, 3).
+
+    Per trial, only the symbols S (tau x (K+1)), one unit complex normal xi
+    and alpha_1 (0 under ``force_null``) are drawn, trial-major from one
+    standard-normal array, so the first m rows of a block do not depend on
+    ``n_trials``. The frame is X = S M (:func:`~repisac.precoding.beam_matrix`),
+    and u = sqrt(v) xi has the law of :func:`trial_statistics`' u given X
+    (:func:`conditional_statistics`): no clutter, residual or noise is drawn
+    and no observation is simulated.
+    """
+    beams = beam_matrix(precoders, config)
+    n_sym = config.slot_length * beams.shape[0]
+    draws = rng.standard_normal((n_trials, 2 * (n_sym + 2))).view(complex) * np.sqrt(0.5)
+    x = draws[:, :n_sym].reshape(n_trials, config.slot_length, beams.shape[0]) @ beams
+    s, v = conditional_statistics(x, channels, config, clutter_model)
+    alpha1 = np.zeros(n_trials) if force_null else draws[:, -1]
+    return np.column_stack([np.sqrt(v) * draws[:, -2], s, alpha1])
 
 
 def glrt_from_statistics(u, s, alpha1, sigma_t_sq):

@@ -10,9 +10,10 @@ H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics, and the threshold is
 recalibrated per grid point from the H0 pass), and the CDF of downlink
 per-user spectral efficiency across precoder choices (every user of a drop
-evaluated at once, per precoder config). Per-trial random substreams are
-keyed by (master_seed, study, ..., trial), so results are byte-identical
-regardless of worker count.
+evaluated at once, per precoder config). Random substreams are keyed by
+(master_seed, study, ..., index): one per drop, and one per block of
+``TRIALS_PER_BLOCK`` Monte Carlo trials. Workers get whole blocks, so
+results are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
 from .comm_metrics import downlink_metrics
-from .detector import (glrt_from_statistics, target_energy, threshold_from_null_stats,
-                       trial_rng, trial_statistics)
+from .detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
+                       target_energy, threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, DegenerateNullspaceError, NumericalDomainError
 from .precoding import PrecoderSet, build_precoders, build_transmit_frame
 from .scenario import Geometry, ScenarioConfig, drop_entities
@@ -80,16 +81,19 @@ def _map_chunks(fn, payloads: list, workers: int) -> list:
 
 
 def _trial_chunk(args) -> np.ndarray:
-    config, channels, clutter_model, precoders, key, start, stop, force_null = args
-    stats = np.empty((stop - start, 3), dtype=complex)
-    for row, i in enumerate(range(start, stop)):
+    """Rows of blocks ``first`` to ``last`` of a pass of ``n_trials`` trials."""
+    config, channels, clutter_model, precoders, key, first, last, n_trials, force_null = args
+    parts = []
+    for block in range(first, last):
+        size = min(TRIALS_PER_BLOCK, n_trials - block * TRIALS_PER_BLOCK)
         try:
-            stats[row] = trial_statistics(config, channels, clutter_model, precoders,
-                                          trial_rng(config.master_seed, key, i),
-                                          force_null=force_null)
+            parts.append(block_statistics(config, channels, clutter_model, precoders,
+                                          trial_rng(config.master_seed, key, block), size,
+                                          force_null=force_null))
         except NumericalDomainError as exc:
-            raise NumericalDomainError(f"trial with seed key {(*key, i)}: {exc}") from exc
-    return stats
+            raise NumericalDomainError(
+                f"trial block with seed key {(*key, block)}: {exc}") from exc
+    return np.concatenate(parts)
 
 
 def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
@@ -98,13 +102,16 @@ def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
                 workers: int) -> np.ndarray:
     """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
 
+    Block b holds trials b * TRIALS_PER_BLOCK onwards and draws from key
+    (*key, b); chunks are whole blocks, so no row depends on ``workers``.
     A pass does not depend on ``config.rcs_variance``: the statistic of every
     trial at any RCS variance follows from its row (``glrt_from_statistics``).
     """
-    chunk = max(64, math.ceil(n_trials / (max(workers, 1) * 8)))
-    payloads = [(config, channels, clutter_model, precoders, key, s,
-                 min(s + chunk, n_trials), force_null)
-                for s in range(0, n_trials, chunk)]
+    n_blocks = math.ceil(n_trials / TRIALS_PER_BLOCK)
+    per_chunk = max(4, math.ceil(n_blocks / (max(workers, 1) * 8)))
+    payloads = [(config, channels, clutter_model, precoders, key, b,
+                 min(b + per_chunk, n_blocks), n_trials, force_null)
+                for b in range(0, n_blocks, per_chunk)]
     parts = _map_chunks(_trial_chunk, payloads, workers)
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
 
@@ -176,6 +183,10 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     trials and one pass of ``mc_trials`` H1 trials serve every grid point (the
     RCS variance only scales each trial's sufficient statistics), and the GLRT
     threshold is recalibrated per grid point from the H0 pass.
+
+    ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
+    mean over its H1 pass of s, the target energy per unit RCS left after the
+    clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
     grid = np.array([float(v) for v in rcs_grid])
     if grid.size == 0:
@@ -189,6 +200,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     clutter_model = clutter_covariance(config, geometry)
 
     rows = []
+    mean_scnr = {}
     warnings_meta = []
     # every grid point and gain is calibrated on an H0 pass of this size
     expected_alarms = config.calibration_trials * config.pfa_target
@@ -207,6 +219,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         null_stats = _null_pass(cfg_gain, channels, clutter_model, precoders, workers)
         hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
                                 (STUDY_POD, 3), cfg_gain.mc_trials, False, workers)
+        mean_scnr[gain_value] = float(np.mean(hit_stats[:, 1].real))
         thresholds, pfas = _thresholds(null_stats, grid, cfg_gain.pfa_target)
         pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
         rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
@@ -215,6 +228,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     return StudyResult(kind="pod_vs_rcs", header=POD_HEADER, rows=rows,
                        metadata={"calibration_trials": config.calibration_trials,
                                  "pfa_target": config.pfa_target,
+                                 "mean_scnr": mean_scnr,
                                  "warnings": warnings_meta})
 
 

@@ -119,24 +119,28 @@ def _draw_symbols(shape, rng: np.random.Generator) -> np.ndarray:
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
 
 
-def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
-                         rng: np.random.Generator) -> TransmitFrame:
-    """x[tau] = sqrt(rho) (sum_n sqrt(pi_n) p_n s_n[tau] + sqrt(pi_T) p_T s_T[tau])."""
+def beam_matrix(precoders: PrecoderSet, config: ScenarioConfig) -> np.ndarray:
+    """M = sqrt(rho) [sqrt(pi_n) p_n; sqrt(pi_T) p_T], shape (K + 1, Nt), so that
+    x[tau] = s[tau] M for the symbol row s[tau] = (s_1, ..., s_K, s_T)[tau].
+    The sensing row is zero when no power goes to sensing."""
     fractions = config.user_fractions
     pi_t = config.sensing_power_fraction
-    tau_l = config.slot_length
-    k = fractions.size
-    s_user = _draw_symbols((tau_l, k), rng)
-    s_t = _draw_symbols(tau_l, rng)
-    rho = config.tx_power_watt
-    x = np.zeros((tau_l, config.n_tx_antennas), dtype=complex)
-    if k > 0:
-        weighted = s_user * np.sqrt(fractions)[None, :]
-        x += weighted @ precoders.user_precoders
+    beams = np.zeros((fractions.size + 1, config.n_tx_antennas), dtype=complex)
+    beams[:-1] = np.sqrt(fractions)[:, None] * precoders.user_precoders
     if pi_t > 0.0:
         if precoders.sensing_precoder is None:
             raise ConfigError("sensing power allocated but no sensing precoder built")
-        x += np.sqrt(pi_t) * s_t[:, None] * precoders.sensing_precoder[None, :]
-    x *= np.sqrt(rho)
+        beams[-1] = np.sqrt(pi_t) * precoders.sensing_precoder
+    return np.sqrt(config.tx_power_watt) * beams
+
+
+def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
+                         rng: np.random.Generator) -> TransmitFrame:
+    """x[tau] = sqrt(rho) (sum_n sqrt(pi_n) p_n s_n[tau] + sqrt(pi_T) p_T s_T[tau])."""
+    tau_l = config.slot_length
+    s_user = _draw_symbols((tau_l, config.user_fractions.size), rng)
+    s_t = _draw_symbols(tau_l, rng)
+    x = np.column_stack([s_user, s_t]) @ beam_matrix(precoders, config)
     return TransmitFrame(x=x, user_symbols=s_user, sensing_symbols=s_t,
-                         user_fractions=fractions, sensing_fraction=pi_t)
+                         user_fractions=config.user_fractions,
+                         sensing_fraction=config.sensing_power_fraction)

@@ -21,19 +21,19 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 PRECODER_MODES = ("target_centric", "comm_centric", "repeater_null")
 
 
-def pathloss_linear(distance_m: float, carrier_ghz: float, rx_height_m: float = 1.5) -> float:
+def pathloss_linear(distance_m, carrier_ghz: float, rx_height_m: float = 1.5):
     """Linear power gain of the 3GPP TR 38.901 UMi street-canyon NLOS model.
 
     PL[dB] = 22.4 + 35.3*log10(d_3D) + 21.3*log10(f_GHz) - 0.3*(h - 1.5),
-    with the 3D distance clamped to >= 1 m. Returns 10^(-PL/10).
+    with the 3D distance clamped to >= 1 m. Returns 10^(-PL/10), evaluated as
+    10^(-PL(1 m)/10) * d^-3.53, elementwise for an array of distances.
     """
-    if distance_m <= 0.0:
+    if np.less_equal(distance_m, 0.0).any():
         raise ConfigError(f"distance must be positive, got {distance_m}")
     if carrier_ghz <= 0.0:
         raise ConfigError(f"carrier frequency must be positive, got {carrier_ghz}")
-    d = max(distance_m, 1.0)
-    pl_db = 22.4 + 35.3 * math.log10(d) + 21.3 * math.log10(carrier_ghz) - 0.3 * (rx_height_m - 1.5)
-    return 10.0 ** (-pl_db / 10.0)
+    pl_1m_db = 22.4 + 21.3 * math.log10(carrier_ghz) - 0.3 * (rx_height_m - 1.5)
+    return 10.0 ** (-pl_1m_db / 10.0) * np.maximum(distance_m, 1.0) ** -3.53
 
 
 def noise_power_watt(density_dbm_hz: float, bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from repisac import ConfigError, draw_rcs, drop_entities, gen_channels, steering_vector
-from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
+from repisac.channel import (ClutterModel, clutter_covariance, clutter_entry_variance,
+                             redraw_nuisance)
 from repisac.scenario import distance, pathloss_linear
 
 from conftest import tiny_config
@@ -63,6 +64,7 @@ class TestClutterModel:
         beta = pathloss_linear(distance(geom.tx_bs, geom.rx_bs), config.carrier_ghz,
                                config.bs_height_m)
         assert model.entry_variance == pytest.approx(1e-2 * beta, rel=1e-12)
+        assert clutter_entry_variance(config, geom) == model.entry_variance
 
 
 class TestGenChannels:
@@ -85,6 +87,23 @@ class TestGenChannels:
         beta_b = pathloss_linear(distance(geom.rx_bs, geom.repeater), config.carrier_ghz,
                                  config.repeater_height_m)
         np.testing.assert_allclose(np.abs(ch.b_rx), np.sqrt(beta_b), rtol=1e-12)
+
+    def test_user_links_follow_geometry(self):
+        config = tiny_config(n_users=3, n_tx_antennas=4)
+        geom = drop_entities(config, np.random.default_rng(1))
+        ch = gen_channels(geom, config, np.random.default_rng(2))
+        # the Rayleigh draws, users in order, real then imaginary parts
+        parts = np.random.default_rng(2).normal(scale=np.sqrt(0.5), size=(3, 2, 4))
+        for n, user in enumerate(geom.users):
+            beta = pathloss_linear(distance(geom.tx_bs, user), config.carrier_ghz,
+                                   config.user_height_m)
+            np.testing.assert_allclose(ch.f_user[n],
+                                       np.sqrt(beta) * (parts[n, 0] + 1j * parts[n, 1]),
+                                       rtol=1e-13)
+            d = distance(geom.repeater, user)
+            beta = pathloss_linear(d, config.carrier_ghz, config.user_height_m)
+            los = np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
+            assert ch.h_user[n] == pytest.approx(los, rel=1e-12)
 
     def test_interbs_error_power(self):
         config = tiny_config(n_tx_antennas=6, n_rx_antennas=6,

@@ -1,14 +1,17 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
                      map_estimate, oracle_loglike_ratio, run_pod_vs_rcs, sensing_noise_cov)
 from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
-from repisac.detector import (glrt_from_statistics, oracle_check, random_small_instance,
+from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, conditional_statistics,
+                              glrt_from_statistics, oracle_check, random_small_instance,
                               schur_statistics, target_energy, threshold_from_null_stats,
                               trial_rng, trial_statistics)
 from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
@@ -207,6 +210,115 @@ class TestStructuredStatistics:
         indefinite = ClutterModel(covariance=-np.eye(size), entry_variance=-1.0)
         with pytest.raises(NumericalDomainError, match="not positive definite"):
             schur_statistics(obs, frame, channels, config, indefinite)
+
+
+class TestConditionalStatistics:
+    """s and v(X), the H0 variance of u given the frame, that the block kernel uses."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @given(nt=st.integers(1, 4), nr=st.integers(1, 4), tau=st.integers(1, 5),
+           zeta_sq=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           gain_db=st.floats(-3.0, 60.0), zero_b_rx=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_v_is_the_variance_of_u_rebuilt_from_unit_impulses(
+            self, nt, nr, tau, zeta_sq, gain_db, zero_b_rx, seed):
+        rng = np.random.default_rng(seed)
+        _, frame, channels, config, clutter = random_small_instance(
+            rng, n_tx=nt, n_rx=nr, slot_length=tau)
+        config = config.with_updates(residual_interbs_power=zeta_sq,
+                                     repeater_gain_db=gain_db)
+        if zero_b_rx:
+            channels = dataclasses.replace(channels, b_rx=np.zeros_like(channels.b_rx))
+        frames = np.stack([frame.x, cn(rng, (tau, nt)), cn(rng, (tau, nt))])
+        s, v = conditional_statistics(frames, channels, config, clutter)
+        for x, s_b, v_b in zip(frames, s, v):
+            one = dataclasses.replace(frame, x=x)
+            # u = sum h[tau, i] y[tau, i]: h from the unit impulses at every (tau, i)
+            h = np.empty((tau, nr), dtype=complex)
+            for t in range(tau):
+                for i in range(nr):
+                    y = np.zeros((tau, nr), dtype=complex)
+                    y[t, i] = 1.0
+                    h[t, i], s_ref = schur_statistics(SensingObservation(y_slots=y), one,
+                                                      channels, config, clutter)
+            # y = X (C + E)^T + nu w_R b_r^T + W under H0
+            var = ((clutter.entry_variance + zeta_sq) * np.sum(np.abs(h.T @ x) ** 2)
+                   + abs(config.nu) ** 2 * config.repeater_noise_watt
+                   * np.sum(np.abs(h @ channels.b_rx) ** 2)
+                   + config.bs_noise_watt * np.sum(np.abs(h) ** 2))
+            assert s_b == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+            # h carries the rounding of e_0 = v - P v, which the repeater noise
+            # (power ~ |nu|^2) picks up to first order; the closed form only to second
+            assert v_b == pytest.approx(var, rel=1e-13 * (1.0 + abs(config.nu) ** 2),
+                                        abs=0.0)
+            if zeta_sq == 0.0:  # the detector's noise model is exact
+                assert v_b == pytest.approx(s_b, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["zeta0", "zeta1e-12"])
+    def test_reference_simulation_is_exponential_given_the_frame(self, zeta_sq):
+        # |u|^2 / v(X) of full-simulation H0 trials against Exp(1): one-sample KS
+        # statistic below 1.63 / sqrt(n), its 1% critical value
+        n = 2000
+        config = tiny_config(residual_interbs_power=zeta_sq)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        clutter = clutter_covariance(config, geometry)
+        precoders = build_precoders(config, channels)
+        u, s, v = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
+        for i in range(n):
+            rng = trial_rng(config.master_seed, (STUDY_POD, 8), i)
+            replay = copy.deepcopy(rng)  # the trial's frame: its draws after the nuisance
+            u[i], s[i], _ = trial_statistics(config, channels, clutter, precoders, rng,
+                                             force_null=True)
+            redraw_nuisance(channels, config, clutter.entry_variance, replay,
+                            force_null=True)
+            x = build_transmit_frame(precoders, config, replay).x
+            s_x, v_x = conditional_statistics(x[None], channels, config, clutter)
+            assert s_x[0] == pytest.approx(s[i], rel=1e-12, abs=0.0)
+            v[i] = v_x[0]
+        bound = 1.63 / np.sqrt(n)
+        assert scipy.stats.kstest(np.abs(u) ** 2 / v, "expon").statistic < bound
+        if zeta_sq > 0.0:
+            # the slot-constant residual is not the white noise the detector assumes:
+            # u is not CN(0, s), and the same test tells the two apart
+            assert np.median(v / s) > 1.5
+            assert scipy.stats.kstest(np.abs(u) ** 2 / s, "expon").statistic > bound
+
+
+class TestBlockStatistics:
+    def test_rows_follow_the_per_trial_kernel_on_the_same_draws(self, small_setup):
+        config, _, channels, clutter, precoders = small_setup
+        n = TRIALS_PER_BLOCK
+        rows = block_statistics(config, channels, clutter, precoders,
+                                np.random.default_rng(3), n)
+        # the block's draws, trial-major: tau x (K + 1) symbols, then xi and alpha_1
+        tau, k = config.slot_length, config.n_users
+        draws = np.random.default_rng(3).standard_normal((n, 2 * (tau * (k + 1) + 2)))
+        z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
+        symbols = z[:, :-2].reshape(n, tau, k + 1)
+        rho, fractions = config.tx_power_watt, config.user_fractions
+        zero_obs = SensingObservation(y_slots=np.zeros((tau, config.n_rx_antennas)))
+        for row, sym, xi, alpha1 in zip(rows, symbols, z[:, -2], z[:, -1]):
+            x = np.sqrt(rho) * (sym[:, :k] @ (np.sqrt(fractions)[:, None]
+                                              * precoders.user_precoders)
+                                + np.sqrt(config.sensing_power_fraction) * sym[:, k:]
+                                * precoders.sensing_precoder)
+            frame = dataclasses.replace(build_transmit_frame(precoders, config,
+                                                             np.random.default_rng(0)), x=x)
+            _, s = schur_statistics(zero_obs, frame, channels, config, clutter)
+            assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
+            # zeta^2 = 0: v = s, so u = sqrt(s) xi
+            assert row[0] == pytest.approx(np.sqrt(s) * xi, rel=1e-12, abs=0.0)
+            assert row[2] == alpha1
+
+    def test_prefix_and_null_rows(self, small_setup):
+        config, _, channels, clutter, precoders = small_setup
+        args = (config, channels, clutter, precoders)
+        full = block_statistics(*args, np.random.default_rng(4), TRIALS_PER_BLOCK)
+        head = block_statistics(*args, np.random.default_rng(4), 5)
+        np.testing.assert_array_equal(full[:5], head)
+        null = block_statistics(*args, np.random.default_rng(4), 5, force_null=True)
+        np.testing.assert_array_equal(null[:, :2], head[:, :2])
+        assert np.all(null[:, 2] == 0.0)
 
 
 class TestTrials:

@@ -6,15 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repisac import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
-                     StudyResult, assemble_statistics, glrt_statistic, harness,
-                     run_pod_vs_rcs, run_se_cdf, user_sinr)
-from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
+                     ScenarioConfig, StudyResult, harness, run_pod_vs_rcs, run_se_cdf,
+                     user_sinr)
+from repisac.channel import ClutterModel, clutter_covariance
 from repisac.cli import main_cli
-from repisac.detector import trial_rng
+from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
+                              trial_rng)
 from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF, draw_drop,
                              run_trials, suggest_rcs_grid)
-from repisac.precoding import build_precoders, build_transmit_frame
-from repisac.propagation import draw_noise, receive_bs_slot
+from repisac.precoding import build_precoders
 from repisac.scenario import save_config
 
 from conftest import tiny_config
@@ -44,7 +44,7 @@ class TestRunTrials:
     # every example starts process pools, so examples are few
     @settings(deadline=None, derandomize=True, database=None, max_examples=8)
     @given(workers=st.integers(1, 3),
-           n_trials=st.integers(1, 300).filter(lambda n: n % 64),  # chunks hold 64
+           n_trials=st.integers(1, 300).filter(lambda n: n % TRIALS_PER_BLOCK),  # a partial block
            n_drops=st.integers(1, 40).filter(lambda n: n % 8))     # chunks hold 8
     @example(workers=2, n_trials=130, n_drops=20)  # several chunks per worker
     @example(workers=3, n_trials=200, n_drops=30)
@@ -62,11 +62,19 @@ class TestRunTrials:
 
     def test_trial_order_is_by_index(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
-        full = run_trials(config, channels, clutter, precoders, (5,), 100,
-                          force_null=True, workers=1)
-        prefix = run_trials(config, channels, clutter, precoders, (5,), 40,
-                            force_null=True, workers=1)
-        np.testing.assert_array_equal(full[:40], prefix)
+        n_full, n_prefix = 100, 40  # both end inside a block
+        assert n_full % TRIALS_PER_BLOCK and n_prefix % TRIALS_PER_BLOCK
+        full = run_trials(config, channels, clutter, precoders, (5,), n_full,
+                          force_null=False, workers=1)
+        prefix = run_trials(config, channels, clutter, precoders, (5,), n_prefix,
+                            force_null=False, workers=1)
+        np.testing.assert_array_equal(full[:n_prefix], prefix)
+        # trials 80 to 95 are block 5, drawn from key (5, 5) whatever chunk holds it
+        rows = block_statistics(config, channels, clutter, precoders,
+                                trial_rng(config.master_seed, (5,), 5), TRIALS_PER_BLOCK)
+        np.testing.assert_array_equal(
+            full[5 * TRIALS_PER_BLOCK:6 * TRIALS_PER_BLOCK],
+            glrt_from_statistics(rows[:, 0], rows[:, 1].real, rows[:, 2], config.rcs_variance))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_numerical_error_names_the_trial_seed_key(self, small_setup, workers):
@@ -75,6 +83,21 @@ class TestRunTrials:
         with pytest.raises(NumericalDomainError, match=re.escape("seed key (5, 7, 0)")):
             run_trials(config, channels, wrong_size, precoders, (5, 7), 3,
                        force_null=True, workers=workers)
+
+    def test_numerical_error_names_the_failing_block(self, small_setup, monkeypatch):
+        # a failure in the third block names that block's key, (*key, 2)
+        config, _, channels, clutter, precoders = small_setup
+
+        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials, force_null):
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
+                raise NumericalDomainError("clutter-block matrix is not positive definite")
+            return block_statistics(cfg, ch, cm, pr, rng, n_trials, force_null)
+
+        monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
+        with pytest.raises(NumericalDomainError,
+                           match=re.escape("seed key (5, 7, 2): clutter-block")):
+            run_trials(config, channels, clutter, precoders, (5, 7),
+                       3 * TRIALS_PER_BLOCK + 1, force_null=True)
 
 
 class TestStudyResult:
@@ -110,25 +133,26 @@ class TestPodStudy:
             assert row[5] == config.mc_trials
 
     def test_one_pass_matches_per_point_pipeline(self):
-        # reference: every grid point reruns its own H0 and H1 trials through the
-        # dense statistic, as the study did before it evaluated one pass per gain
-        config = tiny_config()
+        # reference: every grid point reruns its own H0 and H1 trials, block by
+        # block, and evaluates T = |u + alpha s|^2 / (s + 1/sigma_T^2) in complex
+        # arithmetic, as a study that drew each point's trials itself would
+        config = tiny_config()  # 200 H0 and 50 H1 trials: both end inside a block
         grid = [float(v) for v in suggest_rcs_grid(config, n_points=3)]
         gains = (20.0, None)
         geometry, channels = draw_drop(config, STUDY_POD)
         clutter = clutter_covariance(config, geometry)
 
-        def dense_statistics(cfg, precoders, key, n_trials, force_null):
-            values = []
-            for i in range(n_trials):
-                rng = trial_rng(cfg.master_seed, key, i)
-                ch = redraw_nuisance(channels, cfg, clutter.entry_variance, rng,
-                                     force_null=force_null)
-                frame = build_transmit_frame(precoders, cfg, rng)
-                obs = receive_bs_slot(frame, ch, draw_noise(cfg, rng), cfg)
-                values.append(glrt_statistic(assemble_statistics(obs, frame, ch, cfg,
-                                                                 clutter)))
-            return np.array(values)
+        def statistics(cfg, precoders, key, n_trials, force_null):
+            rows = np.concatenate([
+                block_statistics(cfg, channels, clutter, precoders,
+                                 trial_rng(cfg.master_seed, key, b),
+                                 min(TRIALS_PER_BLOCK, n_trials - b * TRIALS_PER_BLOCK),
+                                 force_null)
+                for b in range(-(-n_trials // TRIALS_PER_BLOCK))])
+            assert rows.shape == (n_trials, 3)
+            u, s, alpha1 = rows.T
+            alpha = np.sqrt(cfg.rcs_variance) * alpha1
+            return np.abs(u + alpha * s.real) ** 2 / (s.real + 1.0 / cfg.rcs_variance)
 
         expected = []
         for gain in gains:
@@ -137,19 +161,29 @@ class TestPodStudy:
             precoders = build_precoders(cfg_gain, channels)
             for sigma_t_sq in grid:
                 cfg = cfg_gain.with_updates(rcs_variance=sigma_t_sq)
-                t_null = dense_statistics(cfg, precoders, (STUDY_POD, 2),
-                                          cfg.calibration_trials, True)
+                t_null = statistics(cfg, precoders, (STUDY_POD, 2), cfg.calibration_trials,
+                                    True)
                 threshold = np.quantile(t_null, 1.0 - cfg.pfa_target, method="higher")
-                t_hit = dense_statistics(cfg, precoders, (STUDY_POD, 3), cfg.mc_trials,
-                                         False)
+                t_hit = statistics(cfg, precoders, (STUDY_POD, 3), cfg.mc_trials, False)
                 expected.append((np.mean(t_hit >= threshold), threshold,
                                  np.mean(t_null >= threshold), cfg.mc_trials))
 
         result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains)
         assert [row[0] for row in result.rows] == grid * 2
+        assert 0.0 < result.rows[0][2] < result.rows[2][2]  # the curve is not flat
         for row, (pod, threshold, empirical_pfa, trials) in zip(result.rows, expected):
             assert (row[2], row[4], row[5]) == (pod, empirical_pfa, trials)
             assert row[3] == pytest.approx(threshold, rel=1e-10)
+
+    def test_mean_scnr_shows_where_the_repeater_matters(self):
+        # on the default drop the repeater path is ~5.5e-5 of the direct one at
+        # 20 dB; at 100 dB it carries the target energy
+        config = ScenarioConfig(mc_trials=100, calibration_trials=100)
+        result = run_pod_vs_rcs(config, [1e8], repeater_gains_db=(100.0, 20.0, None))
+        scnr = result.metadata["mean_scnr"]
+        assert list(scnr) == [100.0, 20.0, float("-inf")]
+        assert scnr[100.0] > 5.0 * scnr[float("-inf")]
+        assert scnr[20.0] == pytest.approx(scnr[float("-inf")], rel=1e-2)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from repisac import (ConfigError, DegenerateNullspaceError, build_precoders,
                      build_transmit_frame, rzf_precoders, target_precoder)
 from repisac.errors import PowerBudgetError
-from repisac.precoding import effective_channels
+from repisac.precoding import beam_matrix, effective_channels
 
 from conftest import tiny_config
 
@@ -119,6 +119,16 @@ class TestTransmitFrame:
         rebuilt += (np.sqrt(frame.sensing_fraction) * frame.sensing_symbols[:, None]
                     * precoders.sensing_precoder[None, :])
         np.testing.assert_allclose(frame.x, np.sqrt(rho) * rebuilt, atol=1e-14)
+
+    def test_beam_matrix_rows(self, small_setup):
+        config, _, _, _, precoders = small_setup
+        beams = beam_matrix(precoders, config)
+        assert beams.shape == (config.n_users + 1, config.n_tx_antennas)
+        powers = config.tx_power_watt * np.append(config.user_fractions,
+                                                  config.sensing_power_fraction)
+        np.testing.assert_allclose(np.linalg.norm(beams, axis=1) ** 2, powers, rtol=1e-14)
+        no_sensing = config.with_updates(sensing_power_fraction=0.0)
+        assert np.all(beam_matrix(precoders, no_sensing)[-1] == 0.0)
 
     def test_overcommitted_power_rejected(self):
         with pytest.raises(PowerBudgetError):

@@ -28,6 +28,13 @@ class TestPathloss:
     def test_short_distances_clamped_to_one_meter(self):
         assert pathloss_linear(0.2, 1.9) == pathloss_linear(1.0, 1.9)
 
+    def test_arrays_are_evaluated_elementwise(self):
+        d = np.array([0.2, 50.0, 100.0, 350.0])
+        expected = [pathloss_linear(float(v), 1.9, 10.0) for v in d]
+        np.testing.assert_allclose(pathloss_linear(d, 1.9, 10.0), expected, rtol=1e-14)
+        with pytest.raises(ConfigError):
+            pathloss_linear(np.array([10.0, 0.0]), 1.9)
+
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
             pathloss_linear(-1.0, 1.9)
