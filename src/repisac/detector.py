@@ -22,7 +22,7 @@ given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
 A block of ``TRIALS_PER_BLOCK`` trials draws only its symbols, one unit
 normal and alpha_1 per trial from one generator (:func:`trial_rng`, keyed
-per block), and gets every (u, s) from stacked Nt x Nt Cholesky solves. The
+per block), and gets every (u, s) from stacked Nt x Nt linear solves. The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
 """
@@ -211,6 +211,8 @@ def _clutter_precision(clutter_model: ClutterModel, config: ScenarioConfig) -> f
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
     if clutter_model.entry_variance is None:
         raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
+    if not clutter_model.entry_variance > 0.0:
+        raise NumericalDomainError("clutter covariance is not positive definite")
     return 1.0 / clutter_model.entry_variance
 
 
@@ -258,8 +260,9 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
                            config: ScenarioConfig,
                            clutter_model: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
     """s and the H0 variance v of u given the transmit frame, for a stack of
-    frames x (B, tau, Nt): per eigenspace, one stacked (B, Nt, Nt) Cholesky
-    factorization (the positive-definiteness check) and one stacked solve.
+    frames x (B, tau, Nt): one stacked (B, Nt, Nt) solve per eigenspace. No
+    factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`) and
+    lam > 0 (:func:`_clutter_precision`), A_k is positive definite.
 
     With c_k = w_k * (X z_k) (the weights of :func:`schur_statistics`),
     u = lam sum_k c_k^H Y conj(e_k) is linear in the observation Y. Given X,
@@ -281,12 +284,10 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     s = np.zeros(x.shape[0])
     v = np.zeros(x.shape[0])
     for w, e in _noise_blocks(x, channels, config):
-        a = (x_h * w[:, None, :]) @ x + prior
-        try:
-            np.linalg.cholesky(a)
+        try:  # b of shape (1, Nt, 1) is a stack of matrices under every numpy version
+            z = np.linalg.solve((x_h * w[:, None, :]) @ x + prior, channels.a_tx[None, :, None])
         except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError("clutter-block matrix is not positive definite") from exc
-        z = np.linalg.solve(a, channels.a_tx[:, None])
+            raise NumericalDomainError("clutter-block matrix is singular") from exc
         c = w * (x @ z)[..., 0]
         e_sq = float(np.vdot(e, e).real)
         s += lam * e_sq * np.einsum("bt,bt->b", c.conj(), g).real
@@ -295,6 +296,8 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
                          * np.sum(np.abs(xc[..., 0]) ** 2, axis=-1)
                          + (config.bs_noise_watt * e_sq + m * abs(np.vdot(b, e)) ** 2)
                          * np.sum(np.abs(c) ** 2, axis=-1))
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+        raise NumericalDomainError("conditional statistics are not finite")
     return s, v
 
 

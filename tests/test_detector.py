@@ -283,6 +283,18 @@ class TestConditionalStatistics:
             assert np.median(v / s) > 1.5
             assert scipy.stats.kstest(np.abs(u) ** 2 / s, "expon").statistic > bound
 
+    def test_failures_raise_numerical_domain_error(self, rng):
+        _, frame, channels, config, _ = random_small_instance(rng, slot_length=3)
+        size = config.n_tx_antennas * config.n_rx_antennas
+        frames = np.stack([frame.x, frame.x])
+        indefinite = ClutterModel(covariance=-np.eye(size), entry_variance=-1.0)
+        with pytest.raises(NumericalDomainError, match="not positive definite"):
+            conditional_statistics(frames, channels, config, indefinite)
+        clutter = ClutterModel.iid(1.0, config.n_tx_antennas, config.n_rx_antennas)
+        frames[1, 0, 0] = np.nan
+        with pytest.raises(NumericalDomainError, match="not finite"):
+            conditional_statistics(frames, channels, config, clutter)
+
 
 class TestBlockStatistics:
     def test_rows_follow_the_per_trial_kernel_on_the_same_draws(self, small_setup):
