@@ -56,24 +56,28 @@ class ChannelRealization:
     rcs: complex
 
 
-@dataclass
 class ClutterModel:
-    """Covariance of vec(C) (column-major vec), i.i.d. diagonal by default."""
+    """Covariance of vec(C) (column-major vec): a dense ``covariance``, or i.i.d.
+    entries of ``entry_variance`` (:meth:`iid`), which store no matrix; their
+    ``covariance`` is built when read (by the least-squares oracle)."""
 
-    covariance: np.ndarray
-    entry_variance: float | None = None  # set when the model is i.i.d. diagonal
+    def __init__(self, covariance: np.ndarray | None = None,
+                 entry_variance: float | None = None, size: int | None = None):
+        self._covariance, self.entry_variance = covariance, entry_variance
+        self.size = covariance.shape[0] if size is None else size
 
     @classmethod
     def iid(cls, entry_variance: float, n_tx: int, n_rx: int) -> "ClutterModel":
         if entry_variance <= 0.0:
             raise ConfigError("clutter entry variance must be positive "
                               "(the covariance has to be invertible)")
-        size = n_tx * n_rx
-        return cls(covariance=entry_variance * np.eye(size), entry_variance=entry_variance)
+        return cls(entry_variance=entry_variance, size=n_tx * n_rx)
 
     @property
-    def size(self) -> int:
-        return self.covariance.shape[0]
+    def covariance(self) -> np.ndarray:
+        if self._covariance is None:
+            return self.entry_variance * np.eye(self.size)
+        return self._covariance
 
     def inverse_covariance(self) -> np.ndarray:
         if self.entry_variance is not None:

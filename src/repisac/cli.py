@@ -12,12 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import clutter_covariance
 from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import (STUDY_POD, calibrate, draw_drop, run_pod_vs_rcs, run_se_cdf,
-                      suggest_rcs_grid)
-from .precoding import build_precoders
+from .harness import calibrate, run_pod_vs_rcs, run_se_cdf, suggest_rcs_grid
 from .scenario import ScenarioConfig, load_config
 
 
@@ -37,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_pod, "override mc_trials (H1 trials per grid point)", need_out=True)
     p_pod.add_argument("--grid", help="comma-separated sigma_T^2 grid "
                                       "(default: auto-scaled 8-point log grid)")
-    p_pod.add_argument("--gains", help="comma-separated repeater gains in dB; "
-                                       "'none' means no repeater (default: config gain + none)")
+    p_pod.add_argument("--gains", help="comma-separated repeater gains in dB; 'none' means "
+                                       "no repeater (default: config gain, if on, + none)")
 
     p_se = sub.add_parser("secdf", help="downlink per-user SE CDF")
     common(p_se, "override mc_trials (number of drops)", need_out=True)
@@ -63,15 +60,22 @@ def _load(args) -> ScenarioConfig:
     return config.with_updates(**updates) if updates else config
 
 
+def _number(token: str, option: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from exc
+
+
 def _cmd_pod(args) -> int:
     config = _load(args)
     if args.grid:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+        grid = [_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip()]
     else:
         grid = suggest_rcs_grid(config)
     gains = None
     if args.gains:
-        gains = tuple(None if tok.strip().lower() == "none" else float(tok)
+        gains = tuple(None if tok.strip().lower() == "none" else _number(tok, "--gains")
                       for tok in args.gains.split(","))
     result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers)
     result.write_csv(args.out)
@@ -95,11 +99,7 @@ def _cmd_secdf(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load(args)
-    geometry, channels = draw_drop(config, STUDY_POD)
-    threshold, empirical_pfa = calibrate(config, channels,
-                                         clutter_covariance(config, geometry),
-                                         build_precoders(config, channels),
-                                         workers=args.workers)
+    threshold, empirical_pfa = calibrate(config, workers=args.workers)
     print(f"threshold={threshold!r} empirical_pfa={empirical_pfa!r} "
           f"trials={config.calibration_trials}")
     if args.out:

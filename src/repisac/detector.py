@@ -22,7 +22,8 @@ given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
 A block of ``TRIALS_PER_BLOCK`` trials draws only its symbols, one unit
 normal and alpha_1 per trial from one generator (:func:`trial_rng`, keyed
-per block), and gets every (u, s) from stacked Nt x Nt linear solves. The
+per block). Both forms solve the clutter blocks A_k z_k = a_tx in one place
+(:func:`_clutter_weights`, one stacked solve for a stack of frames). The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
 """
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zposv
 
 from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
 from .errors import NumericalDomainError, OracleFailureError
@@ -77,7 +77,9 @@ def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
                   config: ScenarioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_k, e_k) per eigenspace of Sigma_s[tau]: the eigenvalues w_k of Sigma_s^-1
     and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I.
-    A stack of frames x (..., tau, Nt) gives w_k of shape (..., tau)."""
+    A stack of frames x (..., tau, Nt) gives w_k of shape (..., tau). The
+    residue of v - P v along b_r (~eps ||v||, which lets the amplified repeater
+    noise into u at high gain) is projected out once more."""
     b = channels.b_rx
     b_sq = float(np.vdot(b, b).real)
     d, d_par = _noise_eigenvalues(x, b_sq, config)
@@ -85,7 +87,8 @@ def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
     if np.array_equal(d_par, d):
         return [(1.0 / d, v)]
     v_par = b * (np.vdot(b, v) / b_sq)
-    return [(1.0 / d, v - v_par), (1.0 / d_par, v_par)]
+    e_0 = v - v_par
+    return [(1.0 / d, e_0 - b * (np.vdot(b, e_0) / b_sq)), (1.0 / d_par, v_par)]
 
 
 def target_energy(frame: TransmitFrame, channels: ChannelRealization,
@@ -205,15 +208,36 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
     return alpha, z[:, 0] - alpha * z[:, 1]
 
 
-def _clutter_precision(clutter_model: ClutterModel, config: ScenarioConfig) -> float:
-    """lam = 1 / sigma_c^2 of an i.i.d. clutter model of size Nt * Nr."""
+def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: ScenarioConfig,
+                     clutter_model: ClutterModel) -> tuple[float, list, np.ndarray]:
+    """lam = 1 / sigma_c^2, (c_k, e_k) per eigenspace of Sigma_s[tau] and s, for a
+    stack of frames x (B, tau, Nt) and an i.i.d. clutter model of size Nt * Nr.
+
+    c_k = w_k * (X z_k) of shape (B, tau), z_k = A_k^-1 a_tx,
+    A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx)
+    (:func:`schur_statistics`); every z_k of every frame comes from one stacked
+    solve. No factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`)
+    and lam > 0 (checked here), A_k is positive definite.
+    """
     if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
     if clutter_model.entry_variance is None:
         raise NumericalDomainError("the structured statistic needs an i.i.d. clutter model")
     if not clutter_model.entry_variance > 0.0:
         raise NumericalDomainError("clutter covariance is not positive definite")
-    return 1.0 / clutter_model.entry_variance
+    lam = 1.0 / clutter_model.entry_variance
+    blocks = _noise_blocks(x, channels, config)
+    w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
+    a = (np.conj(np.swapaxes(x, -1, -2)) * w) @ x + lam * np.eye(config.n_tx_antennas)
+    try:  # b of the same rank as a is a stack of matrices under every numpy version
+        z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError("clutter-block matrix is singular") from exc
+    weights = [(c_k, e) for c_k, (_, e) in zip(w[..., 0, :] * (x @ z)[..., 0], blocks)]
+    g = x @ channels.a_tx
+    s = sum(lam * float(np.vdot(e, e).real) * np.einsum("bt,bt->b", c.conj(), g).real
+            for c, e in weights)
+    return lam, weights, s
 
 
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -232,65 +256,43 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     Q_H0 = A0 kron (I - P) + A1 kron P, A_k = X^H diag(w_k) X + lam I,
     w_0 = 1/d, w_1 = 1/(d + m ||b_r||^2) (the eigenvalues of Sigma_s[tau]^-1).
     The target direction v splits into e_0 = (I - P) v and e_1 = P v, and for
-    each block z_k = A_k^-1 a_tx gives, from A_k - X^H diag(w_k) X = lam I,
-    u = lam sum_k sum_tau w_k[tau] conj((X z_k)[tau]) e_k^H y[tau],
-    s = lam sum_k ||e_k||^2 sum_tau w_k[tau] conj((X z_k)[tau]) (X a_tx)[tau].
-    Neither is a difference of large terms. The cost is one Nt x Nt Cholesky
-    solve per block (one block when m ||b_r||^2 = 0), whatever Nr is.
+    each block z_k = A_k^-1 a_tx and c_k = w_k * (X z_k) give, from
+    A_k - X^H diag(w_k) X = lam I,
+    u = lam sum_k c_k^H Y conj(e_k),
+    s = lam sum_k ||e_k||^2 c_k^H (X a_tx).
+    Neither is a difference of large terms. This is the one-frame case of
+    :func:`_clutter_weights`: one Nt x Nt solve per block (one block when
+    m ||b_r||^2 = 0), whatever Nr is.
     """
-    x = frame.x
-    y = observation.y_slots
-    lam = _clutter_precision(clutter_model, config)
-    x_h = x.conj().T
-    prior = lam * np.eye(config.n_tx_antennas)
-    g = x @ channels.a_tx
-    u = 0.0j
-    s = 0.0
-    for w, e in _noise_blocks(x, channels, config):
-        _, z, info = zposv((x_h * w) @ x + prior, channels.a_tx, lower=1)
-        if info != 0:
-            raise NumericalDomainError("clutter-block matrix is not positive definite")
-        wf = w * (x @ z).conj()
-        u += lam * complex(wf @ (y @ e.conj()))
-        s += lam * float(np.vdot(e, e).real) * float((wf @ g).real)
-    return u, s
+    lam, weights, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
+    u = sum(lam * complex(np.vdot(c[0], observation.y_slots @ e.conj())) for c, e in weights)
+    return u, float(s[0])
 
 
 def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
                            config: ScenarioConfig,
                            clutter_model: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
     """s and the H0 variance v of u given the transmit frame, for a stack of
-    frames x (B, tau, Nt): one stacked (B, Nt, Nt) solve per eigenspace. No
-    factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`) and
-    lam > 0 (:func:`_clutter_precision`), A_k is positive definite.
+    frames x (B, tau, Nt), from the weights c_k of :func:`_clutter_weights`.
 
-    With c_k = w_k * (X z_k) (the weights of :func:`schur_statistics`),
-    u = lam sum_k c_k^H Y conj(e_k) is linear in the observation Y. Given X,
-    every term of Y under H0 is zero-mean Gaussian: clutter C and inter-BS
-    residual E (i.i.d. entries of variance sigma_c^2 = 1/lam and zeta^2, fixed
-    over the slot) enter as X (C + E)^T, repeater noise as nu w_R b_r^T, BS
-    noise as W. Since e_0 is orthogonal to e_1, u | X ~ CN(0, v) with
+    u = lam sum_k c_k^H Y conj(e_k) (:func:`schur_statistics`) is linear in the
+    observation Y. Given X, every term of Y under H0 is zero-mean Gaussian:
+    clutter C and inter-BS residual E (i.i.d. entries of variance
+    sigma_c^2 = 1/lam and zeta^2, fixed over the slot) enter as X (C + E)^T,
+    repeater noise as nu w_R b_r^T, BS noise as W. Since e_0 is orthogonal to
+    e_1, u | X ~ CN(0, v) with
     v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||X^T conj(c_k)||^2
                      + (sigma_BS^2 ||e_k||^2 + |nu|^2 sigma_R^2 |b_r^H e_k|^2) ||c_k||^2]
     (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
     At zeta^2 = 0 the detector's noise model is exact and v = s.
     """
-    lam = _clutter_precision(clutter_model, config)
+    lam, weights, s = _clutter_weights(x, channels, config, clutter_model)
     b = channels.b_rx
     m = abs(config.nu) ** 2 * config.repeater_noise_watt
     x_h = np.conj(np.swapaxes(x, -1, -2))
-    g = x @ channels.a_tx
-    prior = lam * np.eye(config.n_tx_antennas)
-    s = np.zeros(x.shape[0])
     v = np.zeros(x.shape[0])
-    for w, e in _noise_blocks(x, channels, config):
-        try:  # b of shape (1, Nt, 1) is a stack of matrices under every numpy version
-            z = np.linalg.solve((x_h * w[:, None, :]) @ x + prior, channels.a_tx[None, :, None])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError("clutter-block matrix is singular") from exc
-        c = w * (x @ z)[..., 0]
+    for c, e in weights:
         e_sq = float(np.vdot(e, e).real)
-        s += lam * e_sq * np.einsum("bt,bt->b", c.conj(), g).real
         xc = x_h @ c[..., None]
         v += lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq
                          * np.sum(np.abs(xc[..., 0]) ** 2, axis=-1)

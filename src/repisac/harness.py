@@ -2,9 +2,9 @@
 CSV output.
 
 Every entry point (the studies, the CLI, the tests) draws its geometry and
-channels through :func:`draw_drop`, and the threshold comes from one H0 pass
-on key (STUDY_POD, 2) evaluated the same way in :func:`calibrate` and in the
-detection study, so one config gives one threshold wherever it is asked for.
+channels through :func:`draw_drop`; :func:`calibrate` and the detection study
+share one setup and take the threshold from one H0 pass on key
+(STUDY_POD, 2), so one config gives one threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance (one
 H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics, and the threshold is
@@ -12,8 +12,9 @@ recalibrated per grid point from the H0 pass), and the CDF of downlink
 per-user spectral efficiency across precoder choices (every user of a drop
 evaluated at once, per precoder config). Random substreams are keyed by
 (master_seed, study, ..., index): one per drop, and one per block of
-``TRIALS_PER_BLOCK`` Monte Carlo trials. Workers get whole blocks, so
-results are byte-identical regardless of worker count.
+``TRIALS_PER_BLOCK`` Monte Carlo trials. Drops and blocks are the units that
+:func:`_map` hands to worker processes, so results are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,8 +63,8 @@ def draw_drop(config: ScenarioConfig, study: int,
     """Geometry and deterministic channels of drop ``index`` of a study.
 
     The geometry draws from key (study, 0, index) and the channels from
-    (study, 1, index). The detection study, its grid suggestion and the CLI
-    all work on drop 0 of ``STUDY_POD``.
+    (study, 1, index). The detection study, its grid suggestion and
+    :func:`calibrate` all work on drop 0 of ``STUDY_POD``.
     """
     geometry = drop_entities(config, trial_rng(config.master_seed, (study, 0), index))
     channels = gen_channels(geometry, config,
@@ -70,30 +72,35 @@ def draw_drop(config: ScenarioConfig, study: int,
     return geometry, channels
 
 
-# -- deterministic parallel trial execution -----------------------------------
+def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
+    """Channels and clutter model of the detection study: drop 0 of ``STUDY_POD``."""
+    geometry, channels = draw_drop(config, STUDY_POD)
+    return channels, clutter_covariance(config, geometry)
 
-def _map_chunks(fn, payloads: list, workers: int) -> list:
-    """``fn`` over ``payloads`` in order, in-process or on ``workers`` processes."""
+
+# -- deterministic parallel execution ------------------------------------------
+
+def _map(fn, units, workers: int) -> list:
+    """``fn`` over the sequence ``units`` in order, in-process or on ``workers``
+    processes; the pool sends batches of len(units) // (8 workers) units or one."""
     if workers <= 1:
-        return [fn(p) for p in payloads]
+        return [fn(unit) for unit in units]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+        return list(pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
 
 
-def _trial_chunk(args) -> np.ndarray:
-    """Rows of blocks ``first`` to ``last`` of a pass of ``n_trials`` trials."""
-    config, channels, clutter_model, precoders, key, first, last, n_trials, force_null = args
-    parts = []
-    for block in range(first, last):
-        size = min(TRIALS_PER_BLOCK, n_trials - block * TRIALS_PER_BLOCK)
-        try:
-            parts.append(block_statistics(config, channels, clutter_model, precoders,
-                                          trial_rng(config.master_seed, key, block), size,
-                                          force_null=force_null))
-        except NumericalDomainError as exc:
-            raise NumericalDomainError(
-                f"trial block with seed key {(*key, block)}: {exc}") from exc
-    return np.concatenate(parts)
+def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
+                 clutter_model: ClutterModel, precoders: PrecoderSet, key: tuple[int, ...],
+                 n_trials: int, force_null: bool, block: int) -> np.ndarray:
+    """Rows of block ``block`` of a pass of ``n_trials`` trials, drawn from key
+    (*key, block)."""
+    size = min(TRIALS_PER_BLOCK, n_trials - block * TRIALS_PER_BLOCK)
+    try:
+        return block_statistics(config, channels, clutter_model, precoders,
+                                trial_rng(config.master_seed, key, block), size,
+                                force_null=force_null)
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(f"trial block with seed key {(*key, block)}: {exc}") from exc
 
 
 def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
@@ -103,16 +110,14 @@ def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
     """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
 
     Block b holds trials b * TRIALS_PER_BLOCK onwards and draws from key
-    (*key, b); chunks are whole blocks, so no row depends on ``workers``.
-    A pass does not depend on ``config.rcs_variance``: the statistic of every
-    trial at any RCS variance follows from its row (``glrt_from_statistics``).
+    (*key, b); a block is the unit handed to workers, so no row depends on
+    ``workers``. A pass does not depend on ``config.rcs_variance``: the
+    statistic of every trial at any RCS variance follows from its row
+    (``glrt_from_statistics``).
     """
-    n_blocks = math.ceil(n_trials / TRIALS_PER_BLOCK)
-    per_chunk = max(4, math.ceil(n_blocks / (max(workers, 1) * 8)))
-    payloads = [(config, channels, clutter_model, precoders, key, b,
-                 min(b + per_chunk, n_blocks), n_trials, force_null)
-                for b in range(0, n_blocks, per_chunk)]
-    parts = _map_chunks(_trial_chunk, payloads, workers)
+    parts = _map(partial(_trial_block, config, channels, clutter_model, precoders, key,
+                         n_trials, force_null),
+                 range(math.ceil(n_trials / TRIALS_PER_BLOCK)), workers)
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
 
 
@@ -134,36 +139,31 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
 
 # -- threshold calibration -----------------------------------------------------
 
-def _null_pass(config: ScenarioConfig, channels: ChannelRealization,
-               clutter_model: ClutterModel, precoders: PrecoderSet,
-               workers: int) -> np.ndarray:
-    """The ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
-    return _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
-                       config.calibration_trials, True, workers)
-
-
-def _thresholds(null_stats: np.ndarray, sigma_t_sq: np.ndarray,
-                pfa_target: float) -> tuple[np.ndarray, np.ndarray]:
-    """GLRT threshold and in-sample false-alarm rate at each RCS variance."""
+def _thresholds(config: ScenarioConfig, channels: ChannelRealization,
+                clutter_model: ClutterModel, precoders: PrecoderSet,
+                sigma_t_sq: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """GLRT threshold and in-sample false-alarm rate at each RCS variance, from
+    the ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
+    null_stats = _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
+                             config.calibration_trials, True, workers)
     t_null = _statistics(null_stats, sigma_t_sq[:, None])
-    thresholds = threshold_from_null_stats(t_null, pfa_target)
+    thresholds = threshold_from_null_stats(t_null, config.pfa_target)
     return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
 
 
-def calibrate(config: ScenarioConfig, channels: ChannelRealization,
-              clutter_model: ClutterModel, precoders: PrecoderSet,
-              workers: int = 1) -> tuple[float, float]:
+def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     """GLRT threshold for ``config.pfa_target`` from ``calibration_trials`` H0 trials.
 
     Returns (threshold, in-sample false-alarm rate) at ``config.rcs_variance``.
-    The trials (target absent, fresh clutter/noise/symbols each) draw from key
-    (STUDY_POD, 2) whatever the entry point, and the detection study derives
-    its thresholds from the same pass the same way, so ``repisac calibrate``
-    and the detection study give the same threshold for the same config.
+    The setup is the detection study's (:func:`_pod_drop`, precoders at the
+    configured repeater setting), the H0 trials draw from key (STUDY_POD, 2),
+    and the study derives its thresholds from the same pass the same way, so
+    ``repisac calibrate`` and ``repisac pod`` give the same threshold.
     """
-    null_stats = _null_pass(config, channels, clutter_model, precoders, workers)
-    thresholds, pfas = _thresholds(null_stats, np.array([config.rcs_variance]),
-                                   config.pfa_target)
+    channels, clutter_model = _pod_drop(config)
+    thresholds, pfas = _thresholds(config, channels, clutter_model,
+                                   build_precoders(config, channels),
+                                   np.array([config.rcs_variance]), workers)
     return float(thresholds[0]), float(pfas[0])
 
 
@@ -182,7 +182,9 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     H1) the RCS. Per repeater setting, one pass of ``calibration_trials`` H0
     trials and one pass of ``mc_trials`` H1 trials serve every grid point (the
     RCS variance only scales each trial's sufficient statistics), and the GLRT
-    threshold is recalibrated per grid point from the H0 pass.
+    threshold is recalibrated per grid point from the H0 pass. The default
+    gains are the configured one and repeater-off, or repeater-off alone when
+    the config has the repeater off.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
@@ -190,14 +192,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     """
     grid = np.array([float(v) for v in rcs_grid])
     if grid.size == 0:
-        raise ValueError("rcs grid must be nonempty")
+        raise ConfigError("rcs grid must be nonempty")
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise ConfigError("rcs variance grid values must be positive and finite")
     if repeater_gains_db is None:
-        repeater_gains_db = ((config.repeater_gain_db if config.repeater_on else None),
-                             None)
-    geometry, channels = draw_drop(config, STUDY_POD)
-    clutter_model = clutter_covariance(config, geometry)
+        repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
+    channels, clutter_model = _pod_drop(config)
 
     rows = []
     mean_scnr = {}
@@ -209,18 +209,15 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
                              f"H0 trials at PFA {config.pfa_target} expect "
                              f"{expected_alarms:g} false alarms (fewer than 10)")
     for gain_db in repeater_gains_db:
-        if gain_db is None:
-            cfg_gain = config.with_updates(repeater_on=False)
-            gain_value = float("-inf")
-        else:
-            cfg_gain = config.with_updates(repeater_on=True, repeater_gain_db=float(gain_db))
-            gain_value = float(gain_db)
+        gain_value = float("-inf") if gain_db is None else float(gain_db)
+        cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
+                    config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
         precoders = build_precoders(cfg_gain, channels)
-        null_stats = _null_pass(cfg_gain, channels, clutter_model, precoders, workers)
+        thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
+                                       workers)
         hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
                                 (STUDY_POD, 3), cfg_gain.mc_trials, False, workers)
         mean_scnr[gain_value] = float(np.mean(hit_stats[:, 1].real))
-        thresholds, pfas = _thresholds(null_stats, grid, cfg_gain.pfa_target)
         pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
         rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
                   cfg_gain.mc_trials)
@@ -252,19 +249,17 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
 SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
-def _secdf_chunk(args) -> np.ndarray:
-    """SE of every user on drops ``start`` to ``stop`` under each config, shape
-    (drops, configs, users); NaN marks a degenerate (drop, config)."""
-    config, configs, start, stop = args
-    se = np.full((stop - start, len(configs), config.n_users), np.nan)
-    for row, d in enumerate(range(start, stop)):
-        _, channels = draw_drop(config, STUDY_SECDF, d)
-        for col, cfg in enumerate(configs):
-            try:
-                precoders = build_precoders(cfg, channels)
-            except DegenerateNullspaceError:
-                continue
-            se[row, col] = downlink_metrics(precoders, channels, cfg).se
+def _secdf_drop(config: ScenarioConfig, configs: list[ScenarioConfig], drop: int) -> np.ndarray:
+    """SE of every user on drop ``drop`` under each config, shape (configs, users);
+    NaN marks a degenerate config."""
+    se = np.full((len(configs), config.n_users), np.nan)
+    _, channels = draw_drop(config, STUDY_SECDF, drop)
+    for col, cfg in enumerate(configs):
+        try:
+            precoders = build_precoders(cfg, channels)
+        except DegenerateNullspaceError:
+            continue
+        se[col] = downlink_metrics(precoders, channels, cfg).se
     return se
 
 
@@ -278,14 +273,11 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     nulled) is counted and skipped, never fatal.
     """
     if config.n_users < 1:
-        raise ValueError("se_cdf study needs at least one user")
+        raise ConfigError("se_cdf study needs at least one user")
     n_drops = config.mc_trials
     combos = [(m, r) for m in modes for r in repeater_settings]
     configs = [config.with_updates(repeater_on=r, precoder_mode=m) for m, r in combos]
-    chunk = max(8, math.ceil(n_drops / (max(workers, 1) * 8)))
-    payloads = [(config, configs, s, min(s + chunk, n_drops))
-                for s in range(0, n_drops, chunk)]
-    se = np.concatenate(_map_chunks(_secdf_chunk, payloads, workers))
+    se = np.stack(_map(partial(_secdf_drop, config, configs), range(n_drops), workers))
 
     rows = []
     degenerate = {}

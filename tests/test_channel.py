@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ class TestClutterModel:
                                config.bs_height_m)
         assert model.entry_variance == pytest.approx(1e-2 * beta, rel=1e-12)
         assert clutter_entry_variance(config, geom) == model.entry_variance
+
+    def test_iid_model_stores_no_dense_matrix(self):
+        # at 48 x 48 the dense (Nt Nr)^2 identity would take 42.5 MB
+        config = tiny_config(n_tx_antennas=48, n_rx_antennas=48)
+        geom = drop_entities(config, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            model = clutter_covariance(config, geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.size == 48 * 48
+        assert peak < 1e6
 
 
 class TestGenChannels:

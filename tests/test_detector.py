@@ -218,7 +218,7 @@ class TestConditionalStatistics:
     @settings(deadline=None, derandomize=True, database=None, max_examples=100)
     @given(nt=st.integers(1, 4), nr=st.integers(1, 4), tau=st.integers(1, 5),
            zeta_sq=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
-           gain_db=st.floats(-3.0, 60.0), zero_b_rx=st.booleans(),
+           gain_db=st.floats(-3.0, 120.0), zero_b_rx=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_v_is_the_variance_of_u_rebuilt_from_unit_impulses(
             self, nt, nr, tau, zeta_sq, gain_db, zero_b_rx, seed):
@@ -247,10 +247,9 @@ class TestConditionalStatistics:
                    * np.sum(np.abs(h @ channels.b_rx) ** 2)
                    + config.bs_noise_watt * np.sum(np.abs(h) ** 2))
             assert s_b == pytest.approx(s_ref, rel=1e-12, abs=0.0)
-            # h carries the rounding of e_0 = v - P v, which the repeater noise
-            # (power ~ |nu|^2) picks up to first order; the closed form only to second
-            assert v_b == pytest.approx(var, rel=1e-13 * (1.0 + abs(config.nu) ** 2),
-                                        abs=0.0)
+            # e_0 is orthogonal to b_r up to rounding, so the repeater noise
+            # (amplitude ~ |nu|) reaches the impulse responses h at first order in |nu|
+            assert v_b == pytest.approx(var, rel=1e-13 * (1.0 + abs(config.nu)), abs=0.0)
             if zeta_sq == 0.0:  # the detector's noise model is exact
                 assert v_b == pytest.approx(s_b, rel=1e-12, abs=0.0)
 
@@ -353,10 +352,9 @@ class TestTrials:
         assert np.mean(values >= thr) <= 0.01
         assert np.mean(values >= thr) >= 0.005
 
-    def test_calibration_controls_false_alarms(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
-        cfg = config.with_updates(pfa_target=0.05, calibration_trials=400)
-        _, empirical_pfa = calibrate(cfg, channels, clutter, precoders)
+    def test_calibration_controls_false_alarms(self):
+        cfg = tiny_config(pfa_target=0.05, calibration_trials=400)
+        _, empirical_pfa = calibrate(cfg)
         assert 0.0 < empirical_pfa <= 0.05
 
     def test_calibration_warns_when_underresolved(self):
@@ -373,7 +371,7 @@ class TestTrials:
     def test_detection_probability_rises_with_strong_target(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
         cfg = config.with_updates(pfa_target=0.05, calibration_trials=400)
-        threshold, _ = calibrate(cfg, channels, clutter, precoders)
+        threshold, _ = calibrate(cfg)  # on the drop of small_setup
         strong = cfg.with_updates(rcs_variance=1e9)
         t_hit = run_trials(strong, channels, clutter, precoders, (9,), 100, force_null=False)
         assert np.mean(t_hit >= threshold) > 0.8

@@ -41,13 +41,16 @@ def forced_degenerate(monkeypatch):
 
 
 class TestRunTrials:
-    # every example starts process pools, so examples are few
+    # every example starts process pools, so examples are few. The pool sends
+    # len(units) // (8 workers) units a batch, at least one, so every example
+    # below puts several batches on each worker
     @settings(deadline=None, derandomize=True, database=None, max_examples=8)
     @given(workers=st.integers(1, 3),
-           n_trials=st.integers(1, 300).filter(lambda n: n % TRIALS_PER_BLOCK),  # a partial block
-           n_drops=st.integers(1, 40).filter(lambda n: n % 8))     # chunks hold 8
-    @example(workers=2, n_trials=130, n_drops=20)  # several chunks per worker
-    @example(workers=3, n_trials=200, n_drops=30)
+           n_trials=st.integers(1, 600).filter(lambda n: n % TRIALS_PER_BLOCK),  # a partial block
+           n_drops=st.integers(1, 40))
+    @example(workers=2, n_trials=130, n_drops=20)   # batches of 1 block, 1 drop
+    @example(workers=2, n_trials=600, n_drops=40)   # batches of 2 blocks, 2 drops
+    @example(workers=3, n_trials=600, n_drops=30)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
         config = tiny_config()
         geometry, channels = draw_drop(config, STUDY_POD)
@@ -131,6 +134,18 @@ class TestPodStudy:
         for row in r1.rows:
             assert 0.0 <= row[2] <= 1.0
             assert row[5] == config.mc_trials
+
+    def test_repeater_off_default_study_runs_once(self, tmp_path):
+        # with the repeater off the default gains are repeater-off alone
+        config = tiny_config(repeater_on=False)
+        result = run_pod_vs_rcs(config, [1e6, 1e8])
+        assert [row[:2] for row in result.rows] == [(1e6, float("-inf")), (1e8, float("-inf"))]
+        cfg = str(tmp_path / "scenario.cfg")
+        save_config(config, cfg)
+        out = tmp_path / "pod.csv"
+        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", str(out)]) == 0
+        assert out.read_bytes() == run_pod_vs_rcs(config, [1e6]).to_csv_bytes()
+        assert len(out.read_text().strip().split("\n")) == 1 + 1
 
     def test_one_pass_matches_per_point_pipeline(self):
         # reference: every grid point reruns its own H0 and H1 trials, block by
@@ -327,14 +342,14 @@ class TestCli:
         assert "master_seed must be nonnegative" in capsys.readouterr().err
 
     def test_calibrate_reproduces_the_pod_threshold(self, tmp_path):
-        config = tiny_config()
-        cfg = self._config_path(tmp_path)
-        out = tmp_path / "thr.csv"
-        assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
-        threshold = float(out.read_text().split("\n")[1].split(",")[0])
-        pod = run_pod_vs_rcs(config, [config.rcs_variance],
-                             repeater_gains_db=(config.repeater_gain_db,))
-        assert threshold == pod.rows[0][3]
+        for repeater_on in (True, False):
+            config = tiny_config(repeater_on=repeater_on)
+            cfg = self._config_path(tmp_path, repeater_on=repeater_on)
+            out = tmp_path / "thr.csv"
+            assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
+            threshold, empirical_pfa = map(float, out.read_text().split("\n")[1].split(",")[:2])
+            pod = run_pod_vs_rcs(config, [config.rcs_variance])  # the configured gain first
+            assert (threshold, empirical_pfa) == (pod.rows[0][3], pod.rows[0][4])
 
     def test_oracle_check_command(self, capsys):
         assert main_cli(["oracle-check", "--trials", "10", "--seed", "1"]) == 0
@@ -360,3 +375,17 @@ class TestCli:
 
     def test_usage_error_exit_code(self):
         assert main_cli(["pod"]) == 1  # missing required --out
+
+    @pytest.mark.parametrize("args, overrides, message", [
+        (["pod", "--grid", "abc"], {}, "--grid: could not convert string to float: 'abc'"),
+        (["pod", "--grid", ","], {}, "rcs grid must be nonempty"),
+        (["pod", "--grid", "1e6", "--gains", "20,abc"], {},
+         "--gains: could not convert string to float: 'abc'"),
+        (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0},
+         "se_cdf study needs at least one user"),
+    ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users"])
+    def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
+                                                message):
+        cfg = self._config_path(tmp_path, **overrides)
+        assert main_cli(args + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
