@@ -14,7 +14,7 @@ import sys
 
 from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import calibrate, run_pod_vs_rcs, run_se_cdf, suggest_rcs_grid
+from .harness import StudyResult, calibrate, run_pod_vs_rcs, run_se_cdf, suggest_rcs_grid
 from .scenario import ScenarioConfig, load_config
 
 
@@ -67,6 +67,14 @@ def _number(token: str, option: str) -> float:
         raise ConfigError(f"{option}: {exc}") from exc
 
 
+def _write(result, out: str) -> int:
+    result.write_csv(out)
+    print(f"wrote {len(result.rows)} rows to {out}")
+    for warning in result.metadata["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
+    return 0
+
+
 def _cmd_pod(args) -> int:
     config = _load(args)
     if args.grid:
@@ -77,35 +85,21 @@ def _cmd_pod(args) -> int:
     if args.gains:
         gains = tuple(None if tok.strip().lower() == "none" else _number(tok, "--gains")
                       for tok in args.gains.split(","))
-    result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers)
-    result.write_csv(args.out)
-    print(f"wrote {len(result.rows)} rows to {args.out}")
-    for warning in result.metadata["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
-    return 0
+    return _write(run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers),
+                  args.out)
 
 
 def _cmd_secdf(args) -> int:
-    config = _load(args)
-    result = run_se_cdf(config, workers=args.workers)
-    result.write_csv(args.out)
-    print(f"wrote {len(result.rows)} rows to {args.out}")
-    for combo, count in result.metadata["degenerate_drops"].items():
-        if count:
-            print(f"warning: {count} of {result.metadata['drops']} drops degenerate "
-                  f"for {combo} (skipped)", file=sys.stderr)
-    return 0
+    return _write(run_se_cdf(_load(args), workers=args.workers), args.out)
 
 
 def _cmd_calibrate(args) -> int:
     config = _load(args)
-    threshold, empirical_pfa = calibrate(config, workers=args.workers)
-    print(f"threshold={threshold!r} empirical_pfa={empirical_pfa!r} "
-          f"trials={config.calibration_trials}")
+    result = StudyResult("calibration", ("threshold", "empirical_pfa", "trials"),
+                         [(*calibrate(config, workers=args.workers), config.calibration_trials)])
+    print(" ".join(f"{k}={v!r}" for k, v in zip(result.header, result.rows[0])))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("threshold,empirical_pfa,trials\n")
-            fh.write(f"{threshold!r},{empirical_pfa!r},{config.calibration_trials}\n")
+        result.write_csv(args.out)
     return 0
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
 from .errors import NumericalDomainError, OracleFailureError
@@ -180,10 +179,10 @@ def _eliminate_rcs(ws: DetectorWorkspace) -> tuple[complex, float, np.ndarray]:
     """
     cross = ws.q_h1[1:, 0]
     try:
-        cho = scipy.linalg.cho_factor(ws.q_h0, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(ws.q_h0)
+    except np.linalg.LinAlgError as exc:
         raise NumericalDomainError("Q_H0 is not positive definite") from exc
-    z = scipy.linalg.cho_solve(cho, np.column_stack([ws.t_h0, cross]), check_finite=False)
+    z = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, np.column_stack([ws.t_h0, cross])))
     u = complex(ws.t_h1[0] - np.vdot(cross, z[:, 0]))
     s = complex(ws.q_h1[0, 0] - np.vdot(cross, z[:, 1]))
     if abs(s.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(s.real)):
@@ -228,7 +227,8 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     lam = 1.0 / clutter_model.entry_variance
     blocks = _noise_blocks(x, channels, config)
     w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
-    a = (np.conj(np.swapaxes(x, -1, -2)) * w) @ x + lam * np.eye(config.n_tx_antennas)
+    x_h = np.conj(np.swapaxes(x, -1, -2))  # A_k one at a time: see block_statistics
+    a = np.stack([(x_h * w_k) @ x for w_k in w]) + lam * np.eye(config.n_tx_antennas)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
     except np.linalg.LinAlgError as exc:
@@ -497,9 +497,10 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     n_sym = config.slot_length * beams.shape[0]
     draws = rng.standard_normal((n_trials, 2 * (n_sym + 2))).view(complex) * np.sqrt(0.5)
     x = draws[:, :n_sym].reshape(n_trials, config.slot_length, beams.shape[0]) @ beams
+    xi, alpha1 = draws[:, -2:].T.copy()
+    del draws  # keeps a block's memory under glibc's heap-trim threshold (no refaults)
     s, v = conditional_statistics(x, channels, config, clutter_model)
-    alpha1 = np.zeros(n_trials) if force_null else draws[:, -1]
-    return np.column_stack([np.sqrt(v) * draws[:, -2], s, alpha1])
+    return np.column_stack([np.sqrt(v) * xi, s, np.zeros(n_trials) if force_null else alpha1])
 
 
 def glrt_from_statistics(u, s, alpha1, sigma_t_sq):

@@ -13,14 +13,16 @@ per-user spectral efficiency across precoder choices (every user of a drop
 evaluated at once, per precoder config). Random substreams are keyed by
 (master_seed, study, ..., index): one per drop, and one per block of
 ``TRIALS_PER_BLOCK`` Monte Carlo trials. Drops and blocks are the units that
-:func:`_map` hands to worker processes, so results are byte-identical
-regardless of worker count.
+a study's one mapper (:func:`_mapper`) hands to worker processes, so results
+are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -80,13 +82,18 @@ def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]
 
 # -- deterministic parallel execution ------------------------------------------
 
-def _map(fn, units, workers: int) -> list:
-    """``fn`` over the sequence ``units`` in order, in-process or on ``workers``
-    processes; the pool sends batches of len(units) // (8 workers) units or one."""
-    if workers <= 1:
-        return [fn(unit) for unit in units]
+@contextmanager
+def _mapper(workers: int):
+    """In-order ``map(fn, units)`` of a study: a loop, or one pool of <= cpu_count processes."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers == 1:
+        yield lambda fn, units: [fn(unit) for unit in units]
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
+        yield lambda fn, units: list(
+            pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
 
 
 def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
@@ -106,18 +113,18 @@ def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
 def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
                 key: tuple[int, ...], n_trials: int, force_null: bool,
-                workers: int) -> np.ndarray:
+                run) -> np.ndarray:
     """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
 
     Block b holds trials b * TRIALS_PER_BLOCK onwards and draws from key
-    (*key, b); a block is the unit handed to workers, so no row depends on
-    ``workers``. A pass does not depend on ``config.rcs_variance``: the
-    statistic of every trial at any RCS variance follows from its row
-    (``glrt_from_statistics``).
+    (*key, b); a block is the unit that ``run`` (:func:`_mapper`) hands to
+    workers, so no row depends on the worker count. A pass does not depend on
+    ``config.rcs_variance``: the statistic of every trial at any RCS variance
+    follows from its row (``glrt_from_statistics``).
     """
-    parts = _map(partial(_trial_block, config, channels, clutter_model, precoders, key,
-                         n_trials, force_null),
-                 range(math.ceil(n_trials / TRIALS_PER_BLOCK)), workers)
+    parts = run(partial(_trial_block, config, channels, clutter_model, precoders, key,
+                        n_trials, force_null),
+                range(math.ceil(n_trials / TRIALS_PER_BLOCK)))
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
 
 
@@ -133,19 +140,20 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
                workers: int = 1) -> np.ndarray:
     """Test statistics of ``n_trials`` Monte Carlo trials at ``config.rcs_variance``,
     in trial order."""
-    return _statistics(_trial_pass(config, channels, clutter_model, precoders, key,
-                                   n_trials, force_null, workers), config.rcs_variance)
+    with _mapper(workers) as run:
+        return _statistics(_trial_pass(config, channels, clutter_model, precoders, key,
+                                       n_trials, force_null, run), config.rcs_variance)
 
 
 # -- threshold calibration -----------------------------------------------------
 
 def _thresholds(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
-                sigma_t_sq: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
+                sigma_t_sq: np.ndarray, run) -> tuple[np.ndarray, np.ndarray]:
     """GLRT threshold and in-sample false-alarm rate at each RCS variance, from
     the ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
     null_stats = _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
-                             config.calibration_trials, True, workers)
+                             config.calibration_trials, True, run)
     t_null = _statistics(null_stats, sigma_t_sq[:, None])
     thresholds = threshold_from_null_stats(t_null, config.pfa_target)
     return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
@@ -160,10 +168,11 @@ def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     and the study derives its thresholds from the same pass the same way, so
     ``repisac calibrate`` and ``repisac pod`` give the same threshold.
     """
-    channels, clutter_model = _pod_drop(config)
-    thresholds, pfas = _thresholds(config, channels, clutter_model,
-                                   build_precoders(config, channels),
-                                   np.array([config.rcs_variance]), workers)
+    with _mapper(workers) as run:
+        channels, clutter_model = _pod_drop(config)
+        thresholds, pfas = _thresholds(config, channels, clutter_model,
+                                       build_precoders(config, channels),
+                                       np.array([config.rcs_variance]), run)
     return float(thresholds[0]), float(pfas[0])
 
 
@@ -208,20 +217,21 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         warnings_meta.append(f"calibration under-resolved: {config.calibration_trials} "
                              f"H0 trials at PFA {config.pfa_target} expect "
                              f"{expected_alarms:g} false alarms (fewer than 10)")
-    for gain_db in repeater_gains_db:
-        gain_value = float("-inf") if gain_db is None else float(gain_db)
-        cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
-                    config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
-        precoders = build_precoders(cfg_gain, channels)
-        thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
-                                       workers)
-        hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
-                                (STUDY_POD, 3), cfg_gain.mc_trials, False, workers)
-        mean_scnr[gain_value] = float(np.mean(hit_stats[:, 1].real))
-        pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
-        rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
-                  cfg_gain.mc_trials)
-                 for sigma_t_sq, pod, threshold, pfa in zip(grid, pods, thresholds, pfas)]
+    with _mapper(workers) as run:
+        for gain_db in repeater_gains_db:
+            gain_value = float("-inf") if gain_db is None else float(gain_db)
+            cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
+                        config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
+            precoders = build_precoders(cfg_gain, channels)
+            thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
+                                           run)
+            hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
+                                    (STUDY_POD, 3), cfg_gain.mc_trials, False, run)
+            mean_scnr[gain_value] = float(np.mean(hit_stats[:, 1].real))
+            pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
+            rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
+                      cfg_gain.mc_trials)
+                     for sigma_t_sq, pod, threshold, pfa in zip(grid, pods, thresholds, pfas)]
     return StudyResult(kind="pod_vs_rcs", header=POD_HEADER, rows=rows,
                        metadata={"calibration_trials": config.calibration_trials,
                                  "pfa_target": config.pfa_target,
@@ -270,14 +280,15 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     Every (mode, repeater) combination is evaluated on the same drops, all
     users of a drop at once. A config that cannot run raises ``ConfigError``
     before any drop is drawn; a degenerate drop (sensing direction fully
-    nulled) is counted and skipped, never fatal.
+    nulled) is counted (``degenerate_drops``, ``warnings``) and skipped, never fatal.
     """
     if config.n_users < 1:
         raise ConfigError("se_cdf study needs at least one user")
     n_drops = config.mc_trials
     combos = [(m, r) for m in modes for r in repeater_settings]
     configs = [config.with_updates(repeater_on=r, precoder_mode=m) for m, r in combos]
-    se = np.stack(_map(partial(_secdf_drop, config, configs), range(n_drops), workers))
+    with _mapper(workers) as run:
+        se = np.stack(run(partial(_secdf_drop, config, configs), range(n_drops)))
 
     rows = []
     degenerate = {}
@@ -288,4 +299,6 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
         n = values.size
         rows += [(mode, int(rep), float(v), float((i + 1) / n)) for i, v in enumerate(values)]
     return StudyResult(kind="se_cdf", header=SECDF_HEADER, rows=rows,
-                       metadata={"drops": n_drops, "degenerate_drops": degenerate})
+                       metadata={"drops": n_drops, "degenerate_drops": degenerate, "warnings": [
+                           f"{n} of {n_drops} drops degenerate for {combo} (skipped)"
+                           for combo, n in degenerate.items() if n]})

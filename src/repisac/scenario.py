@@ -134,6 +134,8 @@ class ScenarioConfig:
             raise ConfigError("user power fractions must be nonnegative")
         if fractions.sum() + self.sensing_power_fraction > 1.0 + 1e-12:
             raise PowerBudgetError("power fractions must sum to at most 1")
+        if not fractions.sum() + self.sensing_power_fraction > 0.0:
+            raise ConfigError("the config transmits nothing: all power fractions are zero")
         for name in ("bs_noise_power_watt", "ue_noise_power_watt",
                      "repeater_noise_power_watt", "zf_regularizer"):
             value = getattr(self, name)

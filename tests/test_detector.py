@@ -1,5 +1,9 @@
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +11,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repisac
 from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
                      map_estimate, oracle_loglike_ratio, run_pod_vs_rcs, sensing_noise_cov)
 from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
-from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, conditional_statistics,
-                              glrt_from_statistics, oracle_check, random_small_instance,
-                              schur_statistics, target_energy, threshold_from_null_stats,
-                              trial_rng, trial_statistics)
+from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
+                              conditional_statistics, glrt_from_statistics, oracle_check,
+                              random_small_instance, schur_statistics, target_energy,
+                              threshold_from_null_stats, trial_rng, trial_statistics)
 from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
 from repisac.precoding import build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
@@ -127,7 +132,29 @@ class TestAssembledStatistics:
             assemble_statistics(obs, frame, channels, config, ClutterModel.iid(1.0, 3, 3))
 
 
+def test_import_loads_no_scipy():
+    # numpy is the package's only runtime dependency
+    src = os.path.dirname(os.path.dirname(repisac.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, repisac, repisac.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 class TestDetector:
+    @pytest.mark.parametrize("estimate", [glrt_statistic, map_estimate])
+    def test_indefinite_q_h0_is_a_numerical_domain_error(self, estimate):
+        q_h0 = np.diag([1.0, -1.0]).astype(complex)
+        q_h1 = np.eye(3, dtype=complex)
+        q_h1[1:, 1:] = q_h0
+        ws = DetectorWorkspace(t_h1=np.ones(3, dtype=complex), t_h0=np.ones(2, dtype=complex),
+                               q_h1=q_h1, q_h0=q_h0)
+        with pytest.raises(NumericalDomainError, match="Q_H0 is not positive definite"):
+            estimate(ws)
+
     def test_oracle_agreement_on_random_instances(self):
         max_err, tol = oracle_check(n_instances=30, seed=11)
         assert max_err <= tol
@@ -330,6 +357,24 @@ class TestBlockStatistics:
         null = block_statistics(*args, np.random.default_rng(4), 5, force_null=True)
         np.testing.assert_array_equal(null[:, :2], head[:, :2])
         assert np.all(null[:, 2] == 0.0)
+
+    def test_peak_memory_of_a_block_stays_small(self):
+        # the draws are dropped before the solves and A_k is formed one eigenspace
+        # at a time, so that a block's temporaries stay under glibc's heap-trim
+        # threshold: above it, the heap is trimmed and page-faulted back per block
+        config = repisac.ScenarioConfig()
+        geometry, channels = draw_drop(config, STUDY_POD)
+        args = (config, channels, clutter_covariance(config, geometry),
+                build_precoders(config, channels))
+        block_statistics(*args, np.random.default_rng(0), TRIALS_PER_BLOCK)
+        frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16
+        tracemalloc.start()
+        try:
+            block_statistics(*args, np.random.default_rng(1), TRIALS_PER_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * frames_bytes
 
 
 class TestTrials:

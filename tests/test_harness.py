@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 
 import numpy as np
@@ -12,8 +13,8 @@ from repisac.channel import ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
                               trial_rng)
-from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF, draw_drop,
-                             run_trials, suggest_rcs_grid)
+from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF, calibrate,
+                             draw_drop, run_trials, suggest_rcs_grid)
 from repisac.precoding import build_precoders
 from repisac.scenario import save_config
 
@@ -101,6 +102,67 @@ class TestRunTrials:
                            match=re.escape("seed key (5, 7, 2): clutter-block")):
             run_trials(config, channels, clutter, precoders, (5, 7),
                        3 * TRIALS_PER_BLOCK + 1, force_null=True)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """``ProcessPoolExecutor`` replaced by an in-process stand-in, on a host
+    with 4 CPUs; the list records each pool's ``max_workers``. No process starts."""
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units, chunksize=1):
+            return map(fn, units)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    return made
+
+
+class TestWorkerPool:
+    def test_a_study_opens_one_pool(self, small_setup, fake_pools):
+        config, _, channels, clutter, precoders = small_setup
+        gains = (20, 60, 100, None)
+        result = run_pod_vs_rcs(config, [1e6, 1e8], repeater_gains_db=gains, workers=2)
+        assert fake_pools == [2]  # not one per pass
+        assert result.to_csv_bytes() == run_pod_vs_rcs(config, [1e6, 1e8],
+                                                       repeater_gains_db=gains).to_csv_bytes()
+        calibrate(config, workers=2)
+        run_trials(config, channels, clutter, precoders, (5,), 40, force_null=False,
+                   workers=2)
+        run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=4), workers=2)
+        assert fake_pools == [2] * 4
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_capped_at_the_cpu_count(self, fake_pools):
+        config = tiny_config(calibration_trials=40)
+        for workers in (1, 3, 4, 10**6):
+            calibrate(config, workers=workers)
+        assert fake_pools == [3, 4, 4]  # one worker maps in-process
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, small_setup, fake_pools, workers):
+        config, _, channels, clutter, precoders = small_setup
+        match = f"workers must be at least 1, got {workers}"
+        with pytest.raises(ConfigError, match=match):
+            run_pod_vs_rcs(config, [1e6], workers=workers)
+        with pytest.raises(ConfigError, match=match):
+            calibrate(config, workers=workers)
+        with pytest.raises(ConfigError, match=match):
+            run_trials(config, channels, clutter, precoders, (5,), 40, force_null=False,
+                       workers=workers)
+        with pytest.raises(ConfigError, match=match):
+            run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=4), workers=workers)
+        assert fake_pools == []
 
 
 class TestStudyResult:
@@ -239,6 +301,9 @@ class TestSeCdfStudy:
         assert result.metadata["degenerate_drops"] == {
             "target_centric|1": 0, "target_centric|0": 0,
             "comm_centric|1": 2, "comm_centric|0": 2}
+        assert result.metadata["warnings"] == [
+            "2 of 6 drops degenerate for comm_centric|1 (skipped)",
+            "2 of 6 drops degenerate for comm_centric|0 (skipped)"]
         for mode, drops in (("target_centric", range(6)), ("comm_centric", (0, 2, 3, 5))):
             for rep in (True, False):
                 # reference: every kept drop's users one at a time
@@ -336,6 +401,15 @@ class TestCli:
         assert err.count("configuration error: comm_centric needs n_users < "
                          "n_tx_antennas") == 2
 
+    def test_config_that_transmits_nothing_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "silent.cfg"
+        cfg.write_text("n_users = 0\nsensing_power_fraction = 0.0\n")
+        out = str(tmp_path / "x.csv")
+        for args in (["pod"], ["pod", "--grid", "1e6"], ["calibrate"]):
+            assert main_cli(args + ["--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err.count(
+            "configuration error: the config transmits nothing") == 3
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         cfg = self._config_path(tmp_path)
         assert main_cli(["calibrate", "--config", cfg, "--seed", "-1"]) == 1
@@ -383,7 +457,10 @@ class TestCli:
          "--gains: could not convert string to float: 'abc'"),
         (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0},
          "se_cdf study needs at least one user"),
-    ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users"])
+        (["calibrate", "--workers", "0"], {}, "workers must be at least 1, got 0"),
+        (["pod", "--grid", "1e6", "--workers", "-3"], {}, "workers must be at least 1, got -3"),
+    ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users",
+            "zero_workers", "negative_workers"])
     def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
                                                 message):
         cfg = self._config_path(tmp_path, **overrides)

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repisac import (ConfigError, Geometry, ScenarioConfig, drop_entities,
@@ -98,7 +98,10 @@ class TestScenarioConfig:
                     dict(residual_interbs_power=-1.0),
                     dict(tx_power_watt=0.0), dict(master_seed=-1),
                     # the users' channels span all 8 transmit directions
-                    dict(precoder_mode="comm_centric", n_users=8, n_tx_antennas=8)):
+                    dict(precoder_mode="comm_centric", n_users=8, n_tx_antennas=8),
+                    # nothing is transmitted
+                    dict(n_users=0, sensing_power_fraction=0.0),
+                    dict(n_users=2, sensing_power_fraction=0.0, user_power_fractions=(0.0, 0.0))):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
@@ -168,6 +171,8 @@ def valid_configs(draw) -> ScenarioConfig:
     # each user gets at most an equal share of what sensing leaves
     share = st.floats(0.0, (1.0 - sensing) / max(n_users, 1))
     fractions = draw(st.none() | st.tuples(*[share] * n_users))
+    # some power must go to the sensing beam or to a user
+    assume(sensing > 0.0 or (n_users > 0 and (fractions is None or any(fractions))))
     return ScenarioConfig(
         n_tx_antennas=n_tx_antennas, n_rx_antennas=draw(st.integers(1, 64)),
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
