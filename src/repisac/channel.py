@@ -28,8 +28,7 @@ def draw_rcs(sigma_t_sq: float, rng: np.random.Generator) -> complex:
     """Swerling-I RCS coefficient: alpha ~ CN(0, sigma_T^2), fixed per slot."""
     if sigma_t_sq <= 0.0:
         raise ConfigError("rcs variance must be positive")
-    scale = np.sqrt(sigma_t_sq / 2.0)
-    return complex(rng.normal(scale=scale) + 1j * rng.normal(scale=scale))
+    return complex(_cn_matrix((), sigma_t_sq, rng))
 
 
 def _cn_matrix(shape, variance: float, rng: np.random.Generator) -> np.ndarray:

@@ -13,9 +13,10 @@ The structured form (:func:`schur_statistics`) is checked against it: with
 i.i.d. clutter, Q_H0 splits into two Nt x Nt blocks in the eigenbasis that
 the sensing-noise covariance shares across channel uses, and the RCS drops
 out through a Schur complement. A trial reduces to (u, s, alpha_1), from
-which :func:`glrt_from_statistics` gives its statistic at any RCS variance.
-:func:`trial_statistics` simulates one trial in full (clutter, residual,
-noises, the received slot) and is the reference simulation.
+which :func:`glrt_from_statistics` gives its statistic at any RCS variance;
+under H0 the row is read with alpha_1 = 0, so no trial kernel takes the
+hypothesis. :func:`trial_statistics`, the reference simulation, draws
+clutter, residual, symbols and noises, then alpha_1.
 
 Monte Carlo passes use the block kernel :func:`block_statistics` instead:
 given the transmit frame X every nuisance term is zero-mean Gaussian, so
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
-from .errors import NumericalDomainError, OracleFailureError
+from .errors import ConfigError, NumericalDomainError, OracleFailureError
 from .precoding import PrecoderSet, TransmitFrame, beam_matrix, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
 from .scenario import ScenarioConfig
@@ -428,6 +429,8 @@ def oracle_check(n_instances: int = 100, seed: int = 0, n_tx: int = 2, n_rx: int
     Returns (max relative error, tolerance); the check passes when
     max_err <= tol with tol = ORACLE_REL_TOL (relative to 1 + |T|).
     """
+    if n_instances < 1:
+        raise ConfigError(f"oracle check needs at least one instance, got {n_instances}")
     rng = np.random.default_rng(seed)
     max_err = 0.0
     for i in range(n_instances):
@@ -452,28 +455,26 @@ def trial_rng(master_seed: int, key: tuple[int, ...], index: int) -> np.random.G
 
 def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng: np.random.Generator,
-                     force_null: bool = False) -> tuple[complex, float, complex]:
+                     rng: np.random.Generator) -> tuple[complex, float, complex]:
     """One fully simulated trial reduced to its sufficient statistics (u, s, alpha_1):
     the reference simulation for :func:`block_statistics`.
 
     Deterministic channels (user/target/repeater links) stay fixed; clutter,
-    inter-BS residual, the RCS (unless ``force_null``), symbols and noises are
-    fresh, drawn in that order. The RCS is drawn at unit variance as alpha_1
-    (0 under ``force_null``) and the observation is simulated with the target
-    path left out, so the statistic of this trial at any RCS variance is
-    :func:`glrt_from_statistics` of the triple (see :func:`schur_statistics`).
+    inter-BS residual, symbols and noises are fresh, drawn in that order, and
+    the observation is simulated with the target path left out. The RCS is
+    drawn last, at unit variance, as alpha_1, so the statistic of this trial at
+    any RCS variance is :func:`glrt_from_statistics` of the triple (see
+    :func:`schur_statistics`), and its H0 statistic that of (u, s, 0).
     """
     entry_var = clutter_model.entry_variance
     if entry_var is None:
         raise NumericalDomainError("per-trial clutter resampling needs an i.i.d. model")
     ch = redraw_nuisance(channels, config, entry_var, rng, force_null=True)
-    alpha1 = 0.0j if force_null else draw_rcs(1.0, rng)
     frame = build_transmit_frame(precoders, config, rng)
     noise = draw_noise(config, rng)
     obs = receive_bs_slot(frame, ch, noise, config)
     u, s = schur_statistics(obs, frame, ch, config, clutter_model)
-    return u, s, alpha1
+    return u, s, draw_rcs(1.0, rng)
 
 
 TRIALS_PER_BLOCK = 16  # trials drawn from one generator; independent of the worker count
@@ -481,17 +482,16 @@ TRIALS_PER_BLOCK = 16  # trials drawn from one generator; independent of the wor
 
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng: np.random.Generator, n_trials: int,
-                     force_null: bool = False) -> np.ndarray:
+                     rng: np.random.Generator, n_trials: int) -> np.ndarray:
     """Rows (u, s, alpha_1) of a block of ``n_trials`` trials, shape (n_trials, 3).
 
     Per trial, only the symbols S (tau x (K+1)), one unit complex normal xi
-    and alpha_1 (0 under ``force_null``) are drawn, trial-major from one
-    standard-normal array, so the first m rows of a block do not depend on
-    ``n_trials``. The frame is X = S M (:func:`~repisac.precoding.beam_matrix`),
-    and u = sqrt(v) xi has the law of :func:`trial_statistics`' u given X
-    (:func:`conditional_statistics`): no clutter, residual or noise is drawn
-    and no observation is simulated.
+    and alpha_1 are drawn, trial-major from one standard-normal array, so the
+    first m rows of a block do not depend on ``n_trials``. The frame is
+    X = S M (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has
+    the law of :func:`trial_statistics`' u given X (:func:`conditional_statistics`):
+    no clutter, residual or noise is drawn and no observation is simulated.
+    Under H0 the rows are read with alpha_1 = 0.
     """
     beams = beam_matrix(precoders, config)
     n_sym = config.slot_length * beams.shape[0]
@@ -500,7 +500,7 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     xi, alpha1 = draws[:, -2:].T.copy()
     del draws  # keeps a block's memory under glibc's heap-trim threshold (no refaults)
     s, v = conditional_statistics(x, channels, config, clutter_model)
-    return np.column_stack([np.sqrt(v) * xi, s, np.zeros(n_trials) if force_null else alpha1])
+    return np.column_stack([np.sqrt(v) * xi, s, alpha1])
 
 
 def glrt_from_statistics(u, s, alpha1, sigma_t_sq):

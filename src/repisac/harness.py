@@ -7,14 +7,15 @@ share one setup and take the threshold from one H0 pass on key
 (STUDY_POD, 2), so one config gives one threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance (one
 H0 pass and one H1 pass per repeater gain; each trial's statistic at every
-grid point follows from its sufficient statistics, and the threshold is
-recalibrated per grid point from the H0 pass), and the CDF of downlink
-per-user spectral efficiency across precoder choices (every user of a drop
-evaluated at once, per precoder config). Random substreams are keyed by
-(master_seed, study, ..., index): one per drop, and one per block of
-``TRIALS_PER_BLOCK`` Monte Carlo trials. Drops and blocks are the units that
-a study's one mapper (:func:`_mapper`) hands to worker processes, so results
-are byte-identical regardless of worker count.
+grid point follows from its sufficient statistics (u, s, alpha_1), read with
+alpha_1 = 0 in the H0 pass, and the threshold is recalibrated per grid point
+from the H0 pass), and the CDF of downlink per-user spectral efficiency
+across precoder choices (every user of a drop evaluated at once, per
+precoder config). Random substreams are keyed by (master_seed, study, ...,
+index): one per drop, and one per block of ``TRIALS_PER_BLOCK`` Monte Carlo
+trials. Drops and blocks are the units that a study's one mapper
+(:func:`_mapper`) hands to worker processes, so results are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -98,40 +99,32 @@ def _mapper(workers: int):
 
 def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
                  clutter_model: ClutterModel, precoders: PrecoderSet, key: tuple[int, ...],
-                 n_trials: int, force_null: bool, block: int) -> np.ndarray:
+                 n_trials: int, block: int) -> np.ndarray:
     """Rows of block ``block`` of a pass of ``n_trials`` trials, drawn from key
     (*key, block)."""
     size = min(TRIALS_PER_BLOCK, n_trials - block * TRIALS_PER_BLOCK)
     try:
         return block_statistics(config, channels, clutter_model, precoders,
-                                trial_rng(config.master_seed, key, block), size,
-                                force_null=force_null)
+                                trial_rng(config.master_seed, key, block), size)
     except NumericalDomainError as exc:
         raise NumericalDomainError(f"trial block with seed key {(*key, block)}: {exc}") from exc
 
 
 def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
-                key: tuple[int, ...], n_trials: int, force_null: bool,
-                run) -> np.ndarray:
+                key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
     """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
 
     Block b holds trials b * TRIALS_PER_BLOCK onwards and draws from key
     (*key, b); a block is the unit that ``run`` (:func:`_mapper`) hands to
-    workers, so no row depends on the worker count. A pass does not depend on
-    ``config.rcs_variance``: the statistic of every trial at any RCS variance
-    follows from its row (``glrt_from_statistics``).
+    workers, so no row depends on the worker count. A pass depends on neither
+    the hypothesis nor ``config.rcs_variance``: every trial's statistic follows
+    from its row (``glrt_from_statistics``, with alpha_1 = 0 under H0).
     """
     parts = run(partial(_trial_block, config, channels, clutter_model, precoders, key,
-                        n_trials, force_null),
+                        n_trials),
                 range(math.ceil(n_trials / TRIALS_PER_BLOCK)))
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
-
-
-def _statistics(stats: np.ndarray, sigma_t_sq) -> np.ndarray:
-    """GLRT statistics of a pass at ``sigma_t_sq``; a column of RCS variances
-    gives one row per variance."""
-    return glrt_from_statistics(stats[:, 0], stats[:, 1].real, stats[:, 2], sigma_t_sq)
 
 
 def run_trials(config: ScenarioConfig, channels: ChannelRealization,
@@ -139,10 +132,11 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
                key: tuple[int, ...], n_trials: int, force_null: bool,
                workers: int = 1) -> np.ndarray:
     """Test statistics of ``n_trials`` Monte Carlo trials at ``config.rcs_variance``,
-    in trial order."""
+    in trial order; under ``force_null`` (H0) the target echo is left out."""
     with _mapper(workers) as run:
-        return _statistics(_trial_pass(config, channels, clutter_model, precoders, key,
-                                       n_trials, force_null, run), config.rcs_variance)
+        u, s, alpha1 = _trial_pass(config, channels, clutter_model, precoders, key,
+                                   n_trials, run).T
+    return glrt_from_statistics(u, s.real, 0.0 if force_null else alpha1, config.rcs_variance)
 
 
 # -- threshold calibration -----------------------------------------------------
@@ -152,9 +146,9 @@ def _thresholds(config: ScenarioConfig, channels: ChannelRealization,
                 sigma_t_sq: np.ndarray, run) -> tuple[np.ndarray, np.ndarray]:
     """GLRT threshold and in-sample false-alarm rate at each RCS variance, from
     the ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
-    null_stats = _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
-                             config.calibration_trials, True, run)
-    t_null = _statistics(null_stats, sigma_t_sq[:, None])
+    u, s, _ = _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
+                          config.calibration_trials, run).T
+    t_null = glrt_from_statistics(u, s.real, 0.0, sigma_t_sq[:, None])
     thresholds = threshold_from_null_stats(t_null, config.pfa_target)
     return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
 
@@ -193,7 +187,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     RCS variance only scales each trial's sufficient statistics), and the GLRT
     threshold is recalibrated per grid point from the H0 pass. The default
     gains are the configured one and repeater-off, or repeater-off alone when
-    the config has the repeater off.
+    the config has the repeater off; equal gains (20, 20.0) are a ``ConfigError``.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
@@ -206,6 +200,9 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         raise ConfigError("rcs variance grid values must be positive and finite")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
+    gain_values = [float("-inf") if g is None else float(g) for g in repeater_gains_db]
+    if len(set(gain_values)) < len(gain_values):
+        raise ConfigError(f"repeater gains must be distinct, got {tuple(repeater_gains_db)}")
     channels, clutter_model = _pod_drop(config)
 
     rows = []
@@ -218,17 +215,17 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
                              f"H0 trials at PFA {config.pfa_target} expect "
                              f"{expected_alarms:g} false alarms (fewer than 10)")
     with _mapper(workers) as run:
-        for gain_db in repeater_gains_db:
-            gain_value = float("-inf") if gain_db is None else float(gain_db)
+        for gain_db, gain_value in zip(repeater_gains_db, gain_values):
             cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
                         config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
             precoders = build_precoders(cfg_gain, channels)
             thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
                                            run)
-            hit_stats = _trial_pass(cfg_gain, channels, clutter_model, precoders,
-                                    (STUDY_POD, 3), cfg_gain.mc_trials, False, run)
-            mean_scnr[gain_value] = float(np.mean(hit_stats[:, 1].real))
-            pods = np.mean(_statistics(hit_stats, grid[:, None]) >= thresholds[:, None], axis=1)
+            u, s, alpha1 = _trial_pass(cfg_gain, channels, clutter_model, precoders,
+                                       (STUDY_POD, 3), cfg_gain.mc_trials, run).T
+            mean_scnr[gain_value] = float(np.mean(s.real))
+            t_hit = glrt_from_statistics(u, s.real, alpha1, grid[:, None])
+            pods = np.mean(t_hit >= thresholds[:, None], axis=1)
             rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
                       cfg_gain.mc_trials)
                      for sigma_t_sq, pod, threshold, pfa in zip(grid, pods, thresholds, pfas)]

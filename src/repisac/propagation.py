@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _cn_matrix
 from .precoding import TransmitFrame
 from .scenario import ScenarioConfig
 
@@ -28,13 +28,8 @@ class SensingObservation:
 
 def draw_noise(config: ScenarioConfig, rng: np.random.Generator) -> NoiseDraws:
     tau_l, nr = config.slot_length, config.n_rx_antennas
-
-    def cn(shape, var):
-        s = np.sqrt(var / 2.0)
-        return rng.normal(scale=s, size=shape) + 1j * rng.normal(scale=s, size=shape)
-
-    return NoiseDraws(w_rep=cn(tau_l, config.repeater_noise_watt),
-                      w_bs=cn((tau_l, nr), config.bs_noise_watt))
+    return NoiseDraws(w_rep=_cn_matrix(tau_l, config.repeater_noise_watt, rng),
+                      w_bs=_cn_matrix((tau_l, nr), config.bs_noise_watt, rng))
 
 
 def receive_bs_slot(frame: TransmitFrame, channels: ChannelRealization,

@@ -145,6 +145,11 @@ class ScenarioConfig:
             raise ConfigError("carrier and bandwidth must be positive")
         if self.service_radius_m < 0 or self.repeater_disc_radius_m < 0:
             raise ConfigError("geometry radii must be nonnegative")
+        if self.n_users > 1 and self.service_radius_m == 0.0:
+            raise ConfigError("zero-radius service disc cannot hold multiple users")
+        for name in ("tx_bs_xy", "rx_bs_xy", "hotspot_xy"):
+            if np.shape(value := getattr(self, name)) != (2,):
+                raise ConfigError(f"{name} must hold exactly 2 numbers, got {value!r}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -255,8 +260,6 @@ def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
     Users fall uniformly in the service disc around the transmit BS; the
     repeater falls uniformly in a disc around the hotspot center.
     """
-    if config.n_users > 1 and config.service_radius_m == 0.0:
-        raise ConfigError("zero-radius service disc cannot hold multiple users")
     user_xy = _uniform_disc(config.tx_bs_xy, config.service_radius_m, config.n_users, rng)
     rep_xy = _uniform_disc(config.hotspot_xy, config.repeater_disc_radius_m, 1, rng)[0]
     users = np.column_stack([user_xy, np.full(config.n_users, config.user_height_m)])

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repisac
-from repisac import (NumericalDomainError, assemble_statistics, glrt_statistic,
-                     map_estimate, oracle_loglike_ratio, run_pod_vs_rcs, sensing_noise_cov)
-from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
+from repisac import (ConfigError, NumericalDomainError, assemble_statistics,
+                     glrt_statistic, map_estimate, oracle_loglike_ratio, run_pod_vs_rcs,
+                     sensing_noise_cov)
+from repisac.channel import ClutterModel, clutter_covariance, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
                               conditional_statistics, glrt_from_statistics, oracle_check,
                               random_small_instance, schur_statistics, target_energy,
@@ -159,6 +160,12 @@ class TestDetector:
         max_err, tol = oracle_check(n_instances=30, seed=11)
         assert max_err <= tol
 
+    @pytest.mark.parametrize("n_instances", [0, -5])
+    def test_oracle_check_of_no_instances_is_a_config_error(self, n_instances):
+        # no instance checked is no evidence: it must not report max_err = 0 <= tol
+        with pytest.raises(ConfigError, match=f"at least one instance, got {n_instances}"):
+            oracle_check(n_instances=n_instances)
+
     def test_oracle_agreement_with_full_clutter_covariance(self, rng):
         inst = random_small_instance(rng, full_clutter_cov=True)
         obs, frame, channels, config, clutter = inst
@@ -293,8 +300,7 @@ class TestConditionalStatistics:
         for i in range(n):
             rng = trial_rng(config.master_seed, (STUDY_POD, 8), i)
             replay = copy.deepcopy(rng)  # the trial's frame: its draws after the nuisance
-            u[i], s[i], _ = trial_statistics(config, channels, clutter, precoders, rng,
-                                             force_null=True)
+            u[i], s[i], _ = trial_statistics(config, channels, clutter, precoders, rng)
             redraw_nuisance(channels, config, clutter.entry_variance, replay,
                             force_null=True)
             x = build_transmit_frame(precoders, config, replay).x
@@ -354,9 +360,19 @@ class TestBlockStatistics:
         full = block_statistics(*args, np.random.default_rng(4), TRIALS_PER_BLOCK)
         head = block_statistics(*args, np.random.default_rng(4), 5)
         np.testing.assert_array_equal(full[:5], head)
-        null = block_statistics(*args, np.random.default_rng(4), 5, force_null=True)
-        np.testing.assert_array_equal(null[:, :2], head[:, :2])
-        assert np.all(null[:, 2] == 0.0)
+        # one pass of rows serves both hypotheses: H0 reads it with alpha_1 = 0
+        n = 2 * TRIALS_PER_BLOCK + 3
+        rows = np.concatenate([
+            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
+                             min(TRIALS_PER_BLOCK, n - b * TRIALS_PER_BLOCK))
+            for b in range(3)])
+        u, s, alpha1 = rows[:, 0], rows[:, 1].real, rows[:, 2]
+        np.testing.assert_array_equal(
+            run_trials(*args, (5,), n, force_null=True),
+            glrt_from_statistics(u, s, 0.0, config.rcs_variance))
+        np.testing.assert_array_equal(
+            run_trials(*args, (5,), n, force_null=False),
+            glrt_from_statistics(u, s, alpha1, config.rcs_variance))
 
     def test_peak_memory_of_a_block_stays_small(self):
         # the draws are dropped before the solves and A_k is formed one eigenspace
@@ -384,6 +400,20 @@ class TestTrials:
         c = trial_rng(0, (1, 2), 6).normal(size=3)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_reference_trial_draws_alpha1_last(self, small_setup):
+        # its (u, s) are those of the target-free slot, and alpha_1 is the next draw
+        config, _, channels, clutter, precoders = small_setup
+        for i in range(5):
+            rng = trial_rng(config.master_seed, (STUDY_POD, 8), i)
+            replay = copy.deepcopy(rng)
+            u, s, alpha1 = trial_statistics(config, channels, clutter, precoders, rng)
+            ch = redraw_nuisance(channels, config, clutter.entry_variance, replay,
+                                 force_null=True)
+            frame = build_transmit_frame(precoders, config, replay)
+            obs = receive_bs_slot(frame, ch, draw_noise(config, replay), config)
+            assert (u, s) == schur_statistics(obs, frame, ch, config, clutter)
+            assert alpha1 == draw_rcs(1.0, replay)
 
     def test_sensing_trial_is_deterministic(self, small_setup):
         config, _, channels, clutter, precoders = small_setup

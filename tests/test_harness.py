@@ -92,10 +92,10 @@ class TestRunTrials:
         # a failure in the third block names that block's key, (*key, 2)
         config, _, channels, clutter, precoders = small_setup
 
-        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials, force_null):
+        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials):
             if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
                 raise NumericalDomainError("clutter-block matrix is not positive definite")
-            return block_statistics(cfg, ch, cm, pr, rng, n_trials, force_null)
+            return block_statistics(cfg, ch, cm, pr, rng, n_trials)
 
         monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
         with pytest.raises(NumericalDomainError,
@@ -219,16 +219,15 @@ class TestPodStudy:
         geometry, channels = draw_drop(config, STUDY_POD)
         clutter = clutter_covariance(config, geometry)
 
-        def statistics(cfg, precoders, key, n_trials, force_null):
+        def statistics(cfg, precoders, key, n_trials, null):
             rows = np.concatenate([
                 block_statistics(cfg, channels, clutter, precoders,
                                  trial_rng(cfg.master_seed, key, b),
-                                 min(TRIALS_PER_BLOCK, n_trials - b * TRIALS_PER_BLOCK),
-                                 force_null)
+                                 min(TRIALS_PER_BLOCK, n_trials - b * TRIALS_PER_BLOCK))
                 for b in range(-(-n_trials // TRIALS_PER_BLOCK))])
             assert rows.shape == (n_trials, 3)
             u, s, alpha1 = rows.T
-            alpha = np.sqrt(cfg.rcs_variance) * alpha1
+            alpha = 0.0 if null else np.sqrt(cfg.rcs_variance) * alpha1  # H0: no echo
             return np.abs(u + alpha * s.real) ** 2 / (s.real + 1.0 / cfg.rcs_variance)
 
         expected = []
@@ -270,6 +269,15 @@ class TestPodStudy:
     def test_invalid_grid_value_rejected(self, bad):
         with pytest.raises(ConfigError):
             run_pod_vs_rcs(tiny_config(), [1.0, bad])
+
+    @pytest.mark.parametrize("gains", [(20, 20.0), (None, 60.0, None)], ids=["20", "none"])
+    def test_duplicate_gains_rejected_before_the_study(self, monkeypatch, gains):
+        # two equal gains would run the same passes twice and write duplicate rows
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError, match="repeater gains must be distinct"):
+            run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
+        assert drawn == []
 
     def test_grid_suggestion_spans_the_transition(self):
         config = tiny_config()
@@ -429,6 +437,14 @@ class TestCli:
         assert main_cli(["oracle-check", "--trials", "10", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_oracle_check_of_no_instances_exits_one(self, capsys, trials):
+        assert main_cli(["oracle-check", "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("configuration error: oracle check needs at least one instance, "
+                       f"got {trials}\n")
+
     def test_bad_config_returns_one(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mystery_knob = 5\n")
@@ -450,19 +466,33 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main_cli(["pod"]) == 1  # missing required --out
 
-    @pytest.mark.parametrize("args, overrides, message", [
-        (["pod", "--grid", "abc"], {}, "--grid: could not convert string to float: 'abc'"),
-        (["pod", "--grid", ","], {}, "rcs grid must be nonempty"),
-        (["pod", "--grid", "1e6", "--gains", "20,abc"], {},
+    @pytest.mark.parametrize("args, overrides, lines, message", [
+        (["pod", "--grid", "abc"], {}, "", "--grid: could not convert string to float: 'abc'"),
+        (["pod", "--grid", ","], {}, "", "rcs grid must be nonempty"),
+        (["pod", "--grid", "1e6", "--gains", "20,abc"], {}, "",
          "--gains: could not convert string to float: 'abc'"),
-        (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0},
+        (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0}, "",
          "se_cdf study needs at least one user"),
-        (["calibrate", "--workers", "0"], {}, "workers must be at least 1, got 0"),
-        (["pod", "--grid", "1e6", "--workers", "-3"], {}, "workers must be at least 1, got -3"),
+        (["calibrate", "--workers", "0"], {}, "", "workers must be at least 1, got 0"),
+        (["pod", "--grid", "1e6", "--workers", "-3"], {}, "",
+         "workers must be at least 1, got -3"),
+        # config-file lines after the saved config override it
+        (["pod"], {}, "tx_bs_xy = 5\n", "tx_bs_xy must hold exactly 2 numbers, got (5.0,)"),
+        (["pod", "--grid", "1e6"], {}, "hotspot_xy = 1,2,3\n",
+         "hotspot_xy must hold exactly 2 numbers, got (1.0, 2.0, 3.0)"),
+        (["secdf"], {}, "service_radius_m = 0\n",
+         "zero-radius service disc cannot hold multiple users"),
+        (["pod", "--grid", "1e8", "--gains", "20,20.0"], {}, "",
+         "repeater gains must be distinct, got (20.0, 20.0)"),
+        (["pod", "--grid", "1e8", "--gains", "none,none"], {}, "",
+         "repeater gains must be distinct, got (None, None)"),
     ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users",
-            "zero_workers", "negative_workers"])
+            "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
+            "zero_service_disc", "duplicate_gains", "duplicate_repeater_off"])
     def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
-                                                message):
+                                                lines, message):
         cfg = self._config_path(tmp_path, **overrides)
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(lines)
         assert main_cli(args + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"

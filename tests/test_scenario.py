@@ -101,7 +101,12 @@ class TestScenarioConfig:
                     dict(precoder_mode="comm_centric", n_users=8, n_tx_antennas=8),
                     # nothing is transmitted
                     dict(n_users=0, sensing_power_fraction=0.0),
-                    dict(n_users=2, sensing_power_fraction=0.0, user_power_fractions=(0.0, 0.0))):
+                    dict(n_users=2, sensing_power_fraction=0.0, user_power_fractions=(0.0, 0.0)),
+                    # geometry anchors are 2-vectors
+                    dict(tx_bs_xy=(5.0,)), dict(tx_bs_xy=5.0), dict(rx_bs_xy=()),
+                    dict(hotspot_xy=(1.0, 2.0, 3.0)),
+                    # a zero-radius service disc holds at most one user
+                    dict(service_radius_m=0.0, n_users=3)):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
@@ -173,6 +178,9 @@ def valid_configs(draw) -> ScenarioConfig:
     fractions = draw(st.none() | st.tuples(*[share] * n_users))
     # some power must go to the sensing beam or to a user
     assume(sensing > 0.0 or (n_users > 0 and (fractions is None or any(fractions))))
+    service_radius_m = draw(_nonnegative)
+    # a zero-radius service disc holds at most one user
+    assume(service_radius_m > 0.0 or n_users <= 1)
     return ScenarioConfig(
         n_tx_antennas=n_tx_antennas, n_rx_antennas=draw(st.integers(1, 64)),
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
@@ -194,7 +202,7 @@ def valid_configs(draw) -> ScenarioConfig:
         precoder_mode=precoder_mode,
         tx_bs_xy=draw(st.tuples(_finite, _finite)), rx_bs_xy=draw(st.tuples(_finite, _finite)),
         hotspot_xy=draw(st.tuples(_finite, _finite)),
-        service_radius_m=draw(_nonnegative), repeater_disc_radius_m=draw(_nonnegative),
+        service_radius_m=service_radius_m, repeater_disc_radius_m=draw(_nonnegative),
         bs_height_m=draw(_finite), repeater_height_m=draw(_finite),
         user_height_m=draw(_finite), target_height_m=draw(_finite),
     )
