@@ -41,7 +41,7 @@ def _cn_matrix(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ChannelRealization:
-    """One draw of all propagation channels plus the target RCS."""
+    """One draw of every channel plus the target RCS; a block of drops stacks each field."""
 
     f_user: np.ndarray  # (K, Nt) transmit BS -> user n
     h_user: np.ndarray  # (K,)    repeater -> user n

@@ -34,24 +34,24 @@ def spectral_efficiency(sinr):
 
 def downlink_metrics(precoders: PrecoderSet, channels: ChannelRealization,
                      config: ScenarioConfig) -> UserMetrics:
-    """Instantaneous SINR/SE of every user for one realization.
+    """Instantaneous SINR/SE of every user for one realization, or for a stack.
 
     The multiuser interference of user n sums every other user's beam; the
-    own-signal term is not part of it.
+    own-signal term is not part of it. Fields are (..., K) over the stack's
+    axes; a stack of sensing beams (one per mode, say) broadcasts against them.
     """
     fdot = effective_channels(channels, config)
     rho = config.tx_power_watt
-    # received[n, m]: power of user m's stream at user n, rho pi_m |fdot_n^T p_m|^2
-    received = rho * config.user_fractions * np.abs(fdot @ precoders.user_precoders.T) ** 2
+    # received[..., n, m]: power of user m's stream at user n, rho pi_m |fdot_n^T p_m|^2
+    received = rho * config.user_fractions * np.abs(
+        fdot @ np.swapaxes(precoders.user_precoders, -1, -2)) ** 2
     own = np.eye(config.n_users, dtype=bool)
-    signal = received[own]
-    interference = np.where(own, 0.0, received).sum(axis=1)
+    signal = received[..., own]
+    interference = np.where(own, 0.0, received).sum(axis=-1)
 
     p_t = precoders.sensing_precoder
-    if p_t is not None:
-        sensing = rho * config.sensing_power_fraction * np.abs(fdot @ p_t) ** 2
-    else:
-        sensing = np.zeros(config.n_users)
+    sensing = np.zeros_like(signal) if p_t is None else (
+        rho * config.sensing_power_fraction * np.abs(fdot @ p_t[..., None])[..., 0] ** 2)
 
     noise = (abs(config.nu) ** 2 * np.abs(channels.h_user) ** 2
              * config.repeater_noise_watt + config.ue_noise_watt)

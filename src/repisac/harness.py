@@ -10,12 +10,12 @@ H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics (u, s, alpha_1), read with
 alpha_1 = 0 in the H0 pass, and the threshold is recalibrated per grid point
 from the H0 pass), and the CDF of downlink per-user spectral efficiency
-across precoder choices (every user of a drop evaluated at once, per
-precoder config). Random substreams are keyed by (master_seed, study, ...,
-index): one per drop, and one per block of ``TRIALS_PER_BLOCK`` Monte Carlo
-trials. Drops and blocks are the units that a study's one mapper
-(:func:`_mapper`) hands to worker processes, so results are byte-identical
-regardless of worker count.
+across precoder choices (one stacked RZF solve per repeater setting and block
+of ``DROPS_PER_BLOCK`` drops). Random substreams are keyed by (master_seed,
+study, ..., index): two per drop, and one per block of ``TRIALS_PER_BLOCK``
+Monte Carlo trials. Blocks of drops and of trials are the units that a
+study's one mapper (:func:`_mapper`) hands to worker processes, so results
+are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_c
 from .comm_metrics import downlink_metrics
 from .detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
                        target_energy, threshold_from_null_stats, trial_rng)
-from .errors import ConfigError, DegenerateNullspaceError, NumericalDomainError
-from .precoding import PrecoderSet, build_precoders, build_transmit_frame
+from .errors import ConfigError, NumericalDomainError
+from .precoding import (PrecoderSet, build_precoders, build_transmit_frame, effective_channels,
+                        rzf_precoders, target_precoder)
 from .scenario import Geometry, ScenarioConfig, drop_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
+DROPS_PER_BLOCK = 16
 
 
 @dataclass
@@ -256,17 +258,23 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
 SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
-def _secdf_drop(config: ScenarioConfig, configs: list[ScenarioConfig], drop: int) -> np.ndarray:
-    """SE of every user on drop ``drop`` under each config, shape (configs, users);
-    NaN marks a degenerate config."""
-    se = np.full((len(configs), config.n_users), np.nan)
-    _, channels = draw_drop(config, STUDY_SECDF, drop)
-    for col, cfg in enumerate(configs):
-        try:
-            precoders = build_precoders(cfg, channels)
-        except DegenerateNullspaceError:
-            continue
-        se[col] = downlink_metrics(precoders, channels, cfg).se
+def _secdf_block(config: ScenarioConfig, modes, rep_configs, drops: range) -> np.ndarray:
+    """SE of every user on a block of drops (each from its own keys), shape (modes,
+    rep_configs, drops, users), NaN on a degenerate drop. The RZF beams and the SINR
+    terms no sensing beam changes are computed once per repeater setting's config."""
+    se = np.empty((len(modes), len(rep_configs), len(drops), config.n_users))
+    try:
+        channels = ChannelRealization(*map(np.array, zip(*(  # each field stacked over drops
+            vars(draw_drop(config, STUDY_SECDF, d)[1]).values() for d in drops))))
+        for r, cfg in enumerate(rep_configs):
+            fdot = effective_channels(channels, cfg)
+            p_t = None if cfg.sensing_power_fraction == 0.0 else np.stack(
+                [target_precoder(mode, channels.a_tx, channels.b_tx, fdot) for mode in modes])
+            precoders = PrecoderSet(rzf_precoders(fdot, cfg.zf_regularizer_value), p_t)
+            se[:, r] = downlink_metrics(precoders, channels, cfg).se
+    except (np.linalg.LinAlgError, NumericalDomainError) as exc:
+        raise NumericalDomainError(f"SE-CDF drops with seed keys ({STUDY_SECDF}, 0|1, "
+                                   f"{drops[0]}..{drops[-1]}): {exc}") from exc
     return se
 
 
@@ -274,27 +282,31 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
                repeater_settings=(True, False), workers: int = 1) -> StudyResult:
     """Per-user SE samples over independent drops, as an empirical CDF.
 
-    Every (mode, repeater) combination is evaluated on the same drops, all
-    users of a drop at once. A config that cannot run raises ``ConfigError``
-    before any drop is drawn; a degenerate drop (sensing direction fully
-    nulled) is counted (``degenerate_drops``, ``warnings``) and skipped, never fatal.
+    Every (mode, repeater) combination is evaluated on the same drops, in blocks of
+    ``DROPS_PER_BLOCK``. A config that cannot run raises ``ConfigError`` before any
+    drop is drawn; a degenerate drop (sensing direction fully nulled) is counted
+    (``degenerate_drops``, ``warnings``) and skipped, never fatal.
     """
     if config.n_users < 1:
         raise ConfigError("se_cdf study needs at least one user")
     n_drops = config.mc_trials
     combos = [(m, r) for m in modes for r in repeater_settings]
-    configs = [config.with_updates(repeater_on=r, precoder_mode=m) for m, r in combos]
+    for mode in modes:  # a mode the config cannot run fails here
+        config.with_updates(precoder_mode=mode)
+    rep_configs = tuple(config.with_updates(repeater_on=r) for r in repeater_settings)
     with _mapper(workers) as run:
-        se = np.stack(run(partial(_secdf_drop, config, configs), range(n_drops)))
+        blocks = run(partial(_secdf_block, config, modes, rep_configs),
+                     [range(d, min(d + DROPS_PER_BLOCK, n_drops))
+                      for d in range(0, n_drops, DROPS_PER_BLOCK)])
+    se = np.concatenate(blocks, axis=2).reshape(len(combos), n_drops, config.n_users)
 
     rows = []
     degenerate = {}
     for col, (mode, rep) in enumerate(combos):
-        skipped = np.isnan(se[:, col, 0])
+        skipped = np.isnan(se[col, :, 0])
         degenerate[f"{mode}|{int(rep)}"] = int(skipped.sum())
-        values = np.sort(se[~skipped, col].ravel())
-        n = values.size
-        rows += [(mode, int(rep), float(v), float((i + 1) / n)) for i, v in enumerate(values)]
+        values = np.sort(se[col, ~skipped].ravel())
+        rows += [(mode, int(rep), float(v), (i + 1) / values.size) for i, v in enumerate(values)]
     return StudyResult(kind="se_cdf", header=SECDF_HEADER, rows=rows,
                        metadata={"drops": n_drops, "degenerate_drops": degenerate, "warnings": [
                            f"{n} of {n_drops} drops degenerate for {combo} (skipped)"

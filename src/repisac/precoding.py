@@ -19,8 +19,8 @@ from .scenario import ScenarioConfig
 
 @dataclass
 class PrecoderSet:
-    user_precoders: np.ndarray  # (K, Nt), unit-norm rows
-    sensing_precoder: np.ndarray | None  # (Nt,), unit norm; None when sensing is off
+    user_precoders: np.ndarray  # (..., K, Nt), unit-norm rows
+    sensing_precoder: np.ndarray | None  # (..., Nt), unit norm; None when sensing is off
 
 
 @dataclass
@@ -39,37 +39,33 @@ def _c(v: np.ndarray, conjugate: bool) -> np.ndarray:
 
 
 def effective_channels(channels: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
-    """Stack of effective downlink channels, shape (K, Nt)."""
-    nu = config.nu
-    return channels.f_user + nu * channels.h_user[:, None] * channels.b_tx[None, :]
+    """Effective downlink channels, shape (..., K, Nt) over the realization's batch axes."""
+    return channels.f_user + config.nu * channels.h_user[..., :, None] * channels.b_tx[..., None, :]
 
 
 def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
-    """Regularized zero-forcing beams for the stacked channels ``fdot`` (K, Nt).
+    """Regularized zero-forcing beams for the stacked channels ``fdot`` (..., K, Nt).
 
-    Each row of the returned (K, Nt) matrix has unit norm. The beams combine
-    coherently under the transposed reception convention y = fdot^T x.
+    Each row of the returned (..., K, Nt) array has unit norm. The beams
+    combine coherently under the transposed reception convention y = fdot^T x.
     """
     if zf_regularizer <= 0.0:
         raise ConfigError("zf_regularizer must be positive")
     fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
-    k, nt = fdot.shape
-    if k < 1:
-        raise ConfigError("RZF needs at least one user channel")
-    cf = fdot.conj()
-    gram = cf.T @ cf.conj() + zf_regularizer * np.eye(nt)
-    raw = np.linalg.solve(gram, cf.T).T  # (K, Nt)
-    norms = np.linalg.norm(raw, axis=1)
+    cf_t = np.swapaxes(fdot.conj(), -1, -2)  # (..., Nt, K)
+    gram = cf_t @ fdot + zf_regularizer * np.eye(fdot.shape[-1])
+    raw = np.swapaxes(np.linalg.solve(gram, cf_t), -1, -2)  # (..., K, Nt)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ConfigError("RZF produced a zero beam (zero user channel?)")
-    return raw / norms[:, None]
+    return raw / norms
 
 
 def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
-    """Rank-revealing orthonormal basis of the column space (SVD based)."""
+    """Orthonormal basis of each column space (SVD based); columns past the rank are 0."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    tol = max(columns.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    return u[:, s > tol]
+    tol = max(columns.shape[-2:]) * np.finfo(float).eps * s[..., :1]  # s descends
+    return np.where((s > tol)[..., None, :], u, 0.0)
 
 
 def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
@@ -79,35 +75,35 @@ def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
     target_centric: beam at the target direction. comm_centric: same beam
     projected onto the nullspace of the users' channels. repeater_null: same
     beam projected orthogonal to the transmit-BS-to-repeater direction.
+
+    Inputs with leading batch axes give a stack of beams, with a NaN beam where
+    a single beam raises ``DegenerateNullspaceError`` (direction nulled).
     """
     a = _c(np.asarray(a_tx, dtype=complex), conjugate)
     if mode == "target_centric":
         raw = a
     elif mode == "comm_centric":
-        fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
-        basis = _orthonormal_basis(_c(fdot, conjugate).T)
-        raw = a - basis @ (basis.conj().T @ a)
+        basis = _orthonormal_basis(np.swapaxes(_c(np.atleast_2d(fdot), conjugate), -1, -2))
+        raw = a - (basis @ (np.swapaxes(basis.conj(), -1, -2) @ a[..., None]))[..., 0]
     elif mode == "repeater_null":
         b = np.asarray(b_tx, dtype=complex)
-        bn2 = np.vdot(b, b).real
-        if bn2 == 0.0:
+        bn2 = np.sum(np.abs(b) ** 2, axis=-1, keepdims=True)
+        if np.any(bn2 == 0.0):
             raise ConfigError("repeater_null requires a nonzero b_tx")
-        raw = a - b.conj() * (b @ a) / bn2
+        raw = a - b.conj() * np.sum(b * a, axis=-1, keepdims=True) / bn2
     else:
         raise ConfigError(f"unknown sensing precoder mode {mode!r}")
-    norm = np.linalg.norm(raw)
-    if norm < 1e-10 * np.linalg.norm(a_tx):
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    degenerate = norm < 1e-10 * np.linalg.norm(a_tx, axis=-1, keepdims=True)
+    if raw.ndim == 1 and degenerate:
         raise DegenerateNullspaceError("sensing direction lies in nulled subspace")
-    return raw / norm
+    return np.divide(raw, norm, out=np.full_like(raw, np.nan), where=~degenerate)
 
 
 def build_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
     """RZF user beams plus the configured sensing beam, from one realization."""
     fdot = effective_channels(channels, config)
-    if config.n_users > 0:
-        user_p = rzf_precoders(fdot, config.zf_regularizer_value)
-    else:
-        user_p = np.zeros((0, config.n_tx_antennas), dtype=complex)
+    user_p = rzf_precoders(fdot, config.zf_regularizer_value)  # (0, Nt) with no users
     p_t = None
     if config.sensing_power_fraction > 0.0:
         p_t = target_precoder(config.precoder_mode, channels.a_tx, channels.b_tx, fdot)

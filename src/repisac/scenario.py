@@ -29,7 +29,7 @@ def pathloss_linear(distance_m, carrier_ghz: float, rx_height_m: float = 1.5):
     10^(-PL(1 m)/10) * d^-3.53, elementwise for an array of distances.
     """
     if np.less_equal(distance_m, 0.0).any():
-        raise ConfigError(f"distance must be positive, got {distance_m}")
+        raise ConfigError(f"distance must be positive, got {float(np.min(distance_m))} m")
     if carrier_ghz <= 0.0:
         raise ConfigError(f"carrier frequency must be positive, got {carrier_ghz}")
     pl_1m_db = 22.4 + 21.3 * math.log10(carrier_ghz) - 0.3 * (rx_height_m - 1.5)
@@ -150,6 +150,19 @@ class ScenarioConfig:
         for name in ("tx_bs_xy", "rx_bs_xy", "hotspot_xy"):
             if np.shape(value := getattr(self, name)) != (2,):
                 raise ConfigError(f"{name} must hold exactly 2 numbers, got {value!r}")
+        # every position that no disc of positive radius spreads, and the links
+        # between them that take a path loss: none of those may have length 0
+        points = {"transmit BS": (*self.tx_bs_xy, self.bs_height_m),
+                  "receive BS": (*self.rx_bs_xy, self.bs_height_m),
+                  "target": (*self.hotspot_xy, self.target_height_m)}
+        if self.service_radius_m == 0.0 and self.n_users > 0:
+            points["users"] = (*self.tx_bs_xy, self.user_height_m)
+        if self.repeater_disc_radius_m == 0.0:
+            points["repeater"] = (*self.hotspot_xy, self.repeater_height_m)
+        for a, b in _PATHLOSS_LINKS:
+            if a in points and b in points and math.dist(points[a], points[b]) == 0.0:
+                raise ConfigError(f"the {a} and the {b} coincide at {points[a]}: "
+                                  "their path loss needs a positive 3-D distance")
 
     # -- derived quantities -------------------------------------------------
 
@@ -209,6 +222,12 @@ class ScenarioConfig:
 def _holds_float(ftype) -> bool:
     return ftype is float or any(_holds_float(arg) for arg in typing.get_args(ftype))
 
+
+# pairs of entities whose 3-D distance sets a path loss (gen_channels, clutter)
+_PATHLOSS_LINKS = (("transmit BS", "receive BS"), ("transmit BS", "users"),
+                   ("repeater", "users"), ("transmit BS", "target"), ("receive BS", "target"),
+                   ("transmit BS", "repeater"), ("receive BS", "repeater"),
+                   ("target", "repeater"))
 
 # field types, as config files parse them; validate() checks every float for finiteness
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repisac import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
-                     ScenarioConfig, StudyResult, harness, run_pod_vs_rcs, run_se_cdf,
-                     user_sinr)
+from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult, harness,
+                     run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ClutterModel, clutter_covariance
 from repisac.cli import main_cli
+from repisac.comm_metrics import downlink_metrics
 from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
                               trial_rng)
-from repisac.harness import (POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF, calibrate,
-                             draw_drop, run_trials, suggest_rcs_grid)
-from repisac.precoding import build_precoders
+from repisac.harness import (DROPS_PER_BLOCK, POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF,
+                             calibrate, draw_drop, run_trials, suggest_rcs_grid)
+from repisac.precoding import build_precoders, rzf_precoders, target_precoder
 from repisac.scenario import save_config
 
 from conftest import tiny_config
@@ -23,21 +23,23 @@ from conftest import tiny_config
 
 @pytest.fixture
 def forced_degenerate(monkeypatch):
-    """A 6-drop SE-CDF config whose comm-centric precoders fail on drops 1 and 4.
+    """A 6-drop SE-CDF config whose comm-centric sensing beams are nulled on drops 1 and 4.
 
-    ``build_precoders``, as the study calls it, raises ``DegenerateNullspaceError``
-    there; valid configs hit a degenerate drop too rarely to test on a real one.
+    ``target_precoder``, as the study calls it on a block of drops, gives those
+    drops a NaN beam, as it does for a drop whose sensing direction is nulled;
+    valid configs hit a degenerate drop too rarely to test on a real one.
     """
     config = tiny_config(n_users=2, n_tx_antennas=3, mc_trials=6)
-    doomed = [draw_drop(config, STUDY_SECDF, d)[1].f_user for d in (1, 4)]
+    doomed = [draw_drop(config, STUDY_SECDF, d)[1].b_tx for d in (1, 4)]  # drop-specific
 
-    def build(cfg, channels):
-        if cfg.precoder_mode == "comm_centric" and any(
-                np.array_equal(channels.f_user, f_user) for f_user in doomed):
-            raise DegenerateNullspaceError("sensing direction lies in nulled subspace")
-        return build_precoders(cfg, channels)
+    def sensing_beams(mode, a_tx, b_tx, fdot):
+        beams = target_precoder(mode, a_tx, b_tx, fdot)
+        if mode == "comm_centric":
+            for drop_b_tx in doomed:
+                beams[np.all(b_tx == drop_b_tx, axis=-1)] = np.nan
+        return beams
 
-    monkeypatch.setattr(harness, "build_precoders", build)
+    monkeypatch.setattr(harness, "target_precoder", sensing_beams)
     return config
 
 
@@ -48,10 +50,10 @@ class TestRunTrials:
     @settings(deadline=None, derandomize=True, database=None, max_examples=8)
     @given(workers=st.integers(1, 3),
            n_trials=st.integers(1, 600).filter(lambda n: n % TRIALS_PER_BLOCK),  # a partial block
-           n_drops=st.integers(1, 40))
-    @example(workers=2, n_trials=130, n_drops=20)   # batches of 1 block, 1 drop
-    @example(workers=2, n_trials=600, n_drops=40)   # batches of 2 blocks, 2 drops
-    @example(workers=3, n_trials=600, n_drops=30)
+           n_drops=st.integers(DROPS_PER_BLOCK + 1, 200).filter(lambda n: n % DROPS_PER_BLOCK))
+    @example(workers=2, n_trials=130, n_drops=20)   # batches of 1 block
+    @example(workers=2, n_trials=600, n_drops=600)  # batches of 2 blocks
+    @example(workers=3, n_trials=600, n_drops=90)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
         config = tiny_config()
         geometry, channels = draw_drop(config, STUDY_POD)
@@ -326,6 +328,57 @@ class TestSeCdfStudy:
                 assert [row[2] for row in rows] == sorted(expected)
                 assert rows[-1][3] == 1.0
 
+    @staticmethod
+    def se_by_drop(config, modes, settings=(True, False)):
+        """SE from the study's blocks of drops, shape (modes, settings, drops, users)."""
+        rep_configs = tuple(config.with_updates(repeater_on=r) for r in settings)
+        n_drops, size = config.mc_trials, harness.DROPS_PER_BLOCK
+        return np.concatenate([harness._secdf_block(config, modes, rep_configs,
+                                                    range(d, min(d + size, n_drops)))
+                               for d in range(0, n_drops, size)], axis=2)
+
+    @pytest.mark.parametrize("overrides, modes", [
+        ({}, ("target_centric", "comm_centric", "repeater_null")),
+        ({"sensing_power_fraction": 0.0}, ("target_centric", "comm_centric")),
+        ({"user_power_fractions": (0.05, 0.3, 0.2)}, ("comm_centric", "repeater_null")),
+        ({"n_users": 1}, ("target_centric", "comm_centric", "repeater_null")),
+    ], ids=["three_modes", "no_sensing_beam", "unequal_user_fractions", "one_user"])
+    def test_each_drop_matches_the_single_drop_calls(self, overrides, modes):
+        # 37 drops: two full blocks and a partial one
+        config = tiny_config(**{"n_tx_antennas": 4, "n_users": 3, "mc_trials": 37, **overrides})
+        se = self.se_by_drop(config, modes)
+        assert se.shape == (len(modes), 2, 37, config.n_users)
+        for drop in range(37):
+            _, channels = draw_drop(config, STUDY_SECDF, drop)
+            for m, mode in enumerate(modes):
+                for r, rep in enumerate((True, False)):
+                    cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
+                    expected = downlink_metrics(build_precoders(cfg, channels), channels, cfg)
+                    np.testing.assert_array_equal(se[m, r, drop], expected.se)
+
+    @pytest.mark.parametrize("drops_per_block", [1, 5, 40])
+    def test_block_size_does_not_change_results(self, monkeypatch, drops_per_block):
+        # a drop moves to another position in another block, or into a partial one
+        config = tiny_config(n_tx_antennas=4, n_users=3, mc_trials=37)
+        modes = ("target_centric", "comm_centric", "repeater_null")
+        se, csv = self.se_by_drop(config, modes), run_se_cdf(config, modes).to_csv_bytes()
+        monkeypatch.setattr(harness, "DROPS_PER_BLOCK", drops_per_block)
+        np.testing.assert_array_equal(self.se_by_drop(config, modes), se)
+        assert run_se_cdf(config, modes).to_csv_bytes() == csv
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalDomainError])
+    def test_numerical_error_names_the_drops_and_their_seed_keys(self, monkeypatch, error):
+        # a failure in the partial last block, drops 32 to 36, names their keys
+        def fail_in_the_last_block(fdot, zf_regularizer):
+            if fdot.shape[0] < DROPS_PER_BLOCK:
+                raise error("Singular matrix")
+            return rzf_precoders(fdot, zf_regularizer)
+
+        monkeypatch.setattr(harness, "rzf_precoders", fail_in_the_last_block)
+        with pytest.raises(NumericalDomainError, match=re.escape(
+                f"SE-CDF drops with seed keys ({STUDY_SECDF}, 0|1, 32..36): Singular matrix")):
+            run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=37))
+
     def test_needs_users(self):
         with pytest.raises(ValueError):
             run_se_cdf(tiny_config(n_users=0, sensing_power_fraction=1.0))
@@ -486,9 +539,16 @@ class TestCli:
          "repeater gains must be distinct, got (20.0, 20.0)"),
         (["pod", "--grid", "1e8", "--gains", "none,none"], {}, "",
          "repeater gains must be distinct, got (None, None)"),
+        (["pod", "--grid", "1e6"], {}, "rx_bs_xy = 0,0\n",
+         "the transmit BS and the receive BS coincide at (0.0, 0.0, 25.0): their path loss "
+         "needs a positive 3-D distance"),
+        (["secdf"], {}, "bs_height_m = 1.5\nn_users = 1\nservice_radius_m = 0\n",
+         "the transmit BS and the users coincide at (0.0, 0.0, 1.5): their path loss "
+         "needs a positive 3-D distance"),
     ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users",
             "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
-            "zero_service_disc", "duplicate_gains", "duplicate_repeater_off"])
+            "zero_service_disc", "duplicate_gains", "duplicate_repeater_off",
+            "receive_bs_on_transmit_bs", "user_on_transmit_bs"])
     def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
                                                 lines, message):
         cfg = self._config_path(tmp_path, **overrides)

@@ -59,6 +59,12 @@ class TestRzfPrecoders:
         p2 = rzf_precoders(5.0 * fdot, 0.2 * 25.0)
         np.testing.assert_allclose(p1, p2, atol=1e-10)
 
+    def test_a_stack_matches_one_call_per_matrix(self, rng):
+        fdot = cn(rng, (3, 2, 5))
+        stack = rzf_precoders(fdot, 0.1)
+        for i in range(3):
+            np.testing.assert_array_equal(stack[i], rzf_precoders(fdot[i], 0.1))
+
     def test_invalid_inputs(self, rng):
         with pytest.raises(ConfigError):
             rzf_precoders(cn(rng, (2, 4)), 0.0)
@@ -87,6 +93,20 @@ class TestTargetPrecoder:
         fdot = cn(rng, (6, 4))  # K > Nt: nullspace is empty
         with pytest.raises(DegenerateNullspaceError):
             target_precoder("comm_centric", cn(rng, 4), cn(rng, 4), fdot)
+
+    def test_a_stack_of_beams_is_nan_where_one_beam_raises(self, rng):
+        a, b, fdot = cn(rng, (3, 4)), cn(rng, (3, 4)), cn(rng, (3, 2, 4))
+        fdot[1, 0] = a[1]  # in drop 1, user 0 sits in the target direction
+        with pytest.raises(DegenerateNullspaceError):
+            target_precoder("comm_centric", a[1], b[1], fdot[1])
+        for mode in ("target_centric", "comm_centric", "repeater_null"):
+            beams = target_precoder(mode, a, b, fdot)
+            for i in range(3):
+                if mode == "comm_centric" and i == 1:
+                    assert np.all(np.isnan(beams[i]))
+                else:
+                    np.testing.assert_array_equal(beams[i],
+                                                  target_precoder(mode, a[i], b[i], fdot[i]))
 
     def test_unknown_mode(self, rng):
         with pytest.raises(ConfigError):

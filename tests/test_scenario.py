@@ -32,8 +32,9 @@ class TestPathloss:
         d = np.array([0.2, 50.0, 100.0, 350.0])
         expected = [pathloss_linear(float(v), 1.9, 10.0) for v in d]
         np.testing.assert_allclose(pathloss_linear(d, 1.9, 10.0), expected, rtol=1e-14)
-        with pytest.raises(ConfigError):
-            pathloss_linear(np.array([10.0, 0.0]), 1.9)
+        # the message names the offending distance, not the array
+        with pytest.raises(ConfigError, match=r"^distance must be positive, got 0\.0 m$"):
+            pathloss_linear(np.array([[0.0], [248.39593336]]), 1.9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
@@ -106,7 +107,12 @@ class TestScenarioConfig:
                     dict(tx_bs_xy=(5.0,)), dict(tx_bs_xy=5.0), dict(rx_bs_xy=()),
                     dict(hotspot_xy=(1.0, 2.0, 3.0)),
                     # a zero-radius service disc holds at most one user
-                    dict(service_radius_m=0.0, n_users=3)):
+                    dict(service_radius_m=0.0, n_users=3),
+                    # entities a path loss joins must not coincide
+                    dict(rx_bs_xy=(0.0, 0.0)),
+                    dict(service_radius_m=0.0, n_users=1, bs_height_m=1.5),
+                    dict(repeater_disc_radius_m=0.0, repeater_height_m=1.5),
+                    dict(hotspot_xy=(300.0, 0.0), target_height_m=25.0)):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
@@ -181,6 +187,14 @@ def valid_configs(draw) -> ScenarioConfig:
     service_radius_m = draw(_nonnegative)
     # a zero-radius service disc holds at most one user
     assume(service_radius_m > 0.0 or n_users <= 1)
+    # no two fixed entities coincide: distinct anchors, and a zero-radius disc
+    # puts its users or its repeater at another height than its center's entity
+    anchors = [draw(st.tuples(_finite, _finite)) for _ in range(3)]
+    assume(len(set(anchors)) == 3)
+    repeater_disc_radius_m = draw(_nonnegative)
+    heights = [draw(_finite) for _ in range(4)]  # BS, repeater, user, target
+    assume(service_radius_m > 0.0 or n_users == 0 or heights[2] != heights[0])
+    assume(repeater_disc_radius_m > 0.0 or heights[1] != heights[3])
     return ScenarioConfig(
         n_tx_antennas=n_tx_antennas, n_rx_antennas=draw(st.integers(1, 64)),
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
@@ -200,11 +214,10 @@ def valid_configs(draw) -> ScenarioConfig:
         calibration_trials=draw(st.integers(1, 10**6)),
         master_seed=draw(st.integers(0, 2**63)),
         precoder_mode=precoder_mode,
-        tx_bs_xy=draw(st.tuples(_finite, _finite)), rx_bs_xy=draw(st.tuples(_finite, _finite)),
-        hotspot_xy=draw(st.tuples(_finite, _finite)),
-        service_radius_m=service_radius_m, repeater_disc_radius_m=draw(_nonnegative),
-        bs_height_m=draw(_finite), repeater_height_m=draw(_finite),
-        user_height_m=draw(_finite), target_height_m=draw(_finite),
+        tx_bs_xy=anchors[0], rx_bs_xy=anchors[1], hotspot_xy=anchors[2],
+        service_radius_m=service_radius_m, repeater_disc_radius_m=repeater_disc_radius_m,
+        bs_height_m=heights[0], repeater_height_m=heights[1],
+        user_height_m=heights[2], target_height_m=heights[3],
     )
 
 
