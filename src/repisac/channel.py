@@ -8,20 +8,22 @@ BS-to-BS path gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Geometry, ScenarioConfig, azimuth, distance, pathloss_linear
+from .scenario import Geometry, ScenarioConfig, distance, link_geometry, pathloss_linear
 
 
-def steering_vector(n_antennas: int, angle_rad: float) -> np.ndarray:
-    """Half-wavelength ULA response: element m = exp(i*pi*m*sin(angle))."""
+def steering_vector(n_antennas: int, angle_rad) -> np.ndarray:
+    """Half-wavelength ULA response (..., n_antennas): element m =
+    exp(i*pi*m*sin(angle)), for each angle of the leading axes of ``angle_rad``."""
     if n_antennas < 1:
         raise ConfigError("n_antennas must be >= 1")
     m = np.arange(n_antennas)
-    return np.exp(1j * np.pi * m * np.sin(angle_rad))
+    return np.exp(1j * np.pi * m * np.sin(np.asarray(angle_rad)[..., None]))
 
 
 def draw_rcs(sigma_t_sq: float, rng: np.random.Generator) -> complex:
@@ -31,17 +33,29 @@ def draw_rcs(sigma_t_sq: float, rng: np.random.Generator) -> complex:
     return complex(_cn_matrix((), sigma_t_sq, rng))
 
 
-def _cn_matrix(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
+def _cn_matrix(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, variance) entries (exact zeros when variance == 0)."""
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(variance / 2.0)
-    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale, size=shape)
+    return _cn_from(rng.standard_normal(2 * math.prod(shape)), variance, shape)
+
+
+def _cn_from(normals: np.ndarray, variance: float, shape: tuple) -> np.ndarray:
+    """CN(0, variance) entries of ``shape`` from standard normals (..., 2 * size):
+    the real parts of all entries, then their imaginary parts."""
+    scaled = np.sqrt(variance / 2.0) * normals
+    half = scaled.shape[-1] // 2
+    return (scaled[..., :half] + 1j * scaled[..., half:]).reshape(normals.shape[:-1] + shape)
 
 
 @dataclass
 class ChannelRealization:
-    """One draw of every channel plus the target RCS; a block of drops stacks each field."""
+    """One draw of every channel plus the target RCS.
+
+    A block of drops gives every field the same leading batch axes (one drop
+    axis); the shapes below are those of one drop, where ``g_rep`` and ``rcs``
+    are Python complex numbers.
+    """
 
     f_user: np.ndarray  # (K, Nt) transmit BS -> user n
     h_user: np.ndarray  # (K,)    repeater -> user n
@@ -105,48 +119,85 @@ def _los_gain(d, beta, config: ScenarioConfig):
     return np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
 
 
-def gen_channels(geometry: Geometry, config: ScenarioConfig,
-                 rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full channel realization for the given geometry.
+def channel_draws(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """The standard normals of one channel realization, in draw order.
 
-    The draw order is fixed, so identical (geometry, config, seed) give an
-    identical realization.
+    They are the users' Rayleigh parts (K, 2, Nt: each user's real then
+    imaginary parts), then the real and the imaginary parts of the inter-BS
+    residual (only when zeta^2 > 0), of the clutter, and of the RCS.
     """
-    nt, nr = config.n_tx_antennas, config.n_rx_antennas
+    n_matrices = 2 if config.residual_interbs_power > 0.0 else 1
+    return rng.standard_normal(2 * config.n_tx_antennas * (
+        config.n_users + n_matrices * config.n_rx_antennas) + 2)
+
+
+def realize_channels(geometry: Geometry, config: ScenarioConfig,
+                     normals: np.ndarray) -> ChannelRealization:
+    """Channels of drops from their geometry and their :func:`channel_draws`.
+
+    Every field takes the leading batch axes of ``normals`` (..., n), which are
+    those of the drawn positions in ``geometry``. The links are evaluated as
+    arrays over all drops at once; ``a_tx`` and ``a_rx``, which depend only on
+    the fixed anchors, are evaluated once and repeated.
+    """
+    nt, nr, k = config.n_tx_antennas, config.n_rx_antennas, config.n_users
     fc = config.carrier_ghz
+    batch = normals.shape[:-1]
 
     # distances and path gains from the transmit BS (row 0) and from the
     # repeater (row 1) to every user
-    d_user = np.linalg.norm(
-        geometry.users - np.stack([geometry.tx_bs, geometry.repeater])[:, None], axis=-1)
+    ends = np.empty(batch + (2, 3))
+    ends[..., 0, :], ends[..., 1, :] = geometry.tx_bs, geometry.repeater
+    d_user, _ = link_geometry(ends[..., :, None, :], geometry.users[..., None, :, :])
     beta_user = pathloss_linear(d_user, fc, config.user_height_m)
-    # BS -> user: Rayleigh with UMi NLOS large-scale gain; each user's real
-    # then imaginary parts, users in order
-    parts = rng.normal(scale=np.sqrt(0.5), size=(config.n_users, 2, nt))
-    f_user = np.sqrt(beta_user[0])[:, None] * (parts[:, 0] + 1j * parts[:, 1])
+    # BS -> user: Rayleigh with UMi NLOS large-scale gain
+    parts = np.sqrt(0.5) * normals[..., :2 * k * nt].reshape(batch + (k, 2, nt))
+    f_user = np.sqrt(beta_user[..., 0, :])[..., None] * (parts[..., 0, :] + 1j * parts[..., 1, :])
     # repeater -> user: LOS gain with distance-derived phase
-    h_user = _los_gain(d_user[1], beta_user[1], config)
+    h_user = _los_gain(d_user[..., 1, :], beta_user[..., 1, :], config)
 
-    # target / repeater links: LOS steering-vector channels
-    def los_vector(n_ant, array_pos, point_pos, endpoint_height):
-        beta = pathloss_linear(distance(array_pos, point_pos), fc, endpoint_height)
-        return np.sqrt(beta) * steering_vector(n_ant, azimuth(array_pos, point_pos))
+    # target / repeater links: LOS steering-vector channels. The links from the
+    # two BSs to the target join fixed anchors, so they are evaluated once; the
+    # links from the two BSs and from the target to the repeater, once per drop
+    anchors = np.stack([geometry.tx_bs, geometry.rx_bs, geometry.hotspot])
+    d_hot, az_hot = link_geometry(anchors[:2], geometry.hotspot)
+    gain_hot = np.sqrt(pathloss_linear(d_hot, fc, config.target_height_m))
+    a_tx, a_rx = np.empty(batch + (nt,), complex), np.empty(batch + (nr,), complex)
+    a_tx[...] = gain_hot[0] * steering_vector(nt, az_hot[0])
+    a_rx[...] = gain_hot[1] * steering_vector(nr, az_hot[1])
+    d_rep, az_rep = link_geometry(anchors, geometry.repeater[..., None, :])
+    gain_rep = np.sqrt(pathloss_linear(d_rep[..., :2], fc, config.repeater_height_m))
+    b_tx = gain_rep[..., 0, None] * steering_vector(nt, az_rep[..., 0])
+    b_rx = gain_rep[..., 1, None] * steering_vector(nr, az_rep[..., 1])
+    d_target = d_rep[..., 2:]  # keeps an axis, so that one drop takes the array paths too
+    g_rep = _los_gain(d_target, pathloss_linear(d_target, fc, config.target_height_m),
+                      config)[..., 0]
 
-    a_tx = los_vector(nt, geometry.tx_bs, geometry.hotspot, config.target_height_m)
-    a_rx = los_vector(nr, geometry.rx_bs, geometry.hotspot, config.target_height_m)
-    b_tx = los_vector(nt, geometry.tx_bs, geometry.repeater, config.repeater_height_m)
-    b_rx = los_vector(nr, geometry.rx_bs, geometry.repeater, config.repeater_height_m)
-    d_rep = distance(geometry.hotspot, geometry.repeater)
-    g_rep = complex(_los_gain(d_rep, pathloss_linear(d_rep, fc, config.target_height_m),
-                              config))
-
-    interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)
-    clutter = _cn_matrix((nr, nt), clutter_entry_variance(config, geometry), rng)
-    rcs = draw_rcs(config.rcs_variance, rng)
+    # nuisance: the inter-BS residual (drawn only when zeta^2 > 0), clutter, RCS
+    nuisance = normals[..., 2 * k * nt:-2]
+    if config.residual_interbs_power > 0.0:
+        interbs = _cn_from(nuisance[..., :2 * nr * nt], config.residual_interbs_power, (nr, nt))
+    else:
+        interbs = np.zeros(batch + (nr, nt), dtype=complex)
+    clutter = _cn_from(nuisance[..., -2 * nr * nt:], clutter_entry_variance(config, geometry),
+                       (nr, nt))
+    rcs = _cn_from(normals[..., -2:], config.rcs_variance, ())
 
     return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,
                               b_tx=b_tx, b_rx=b_rx, g_rep=g_rep, interbs_error=interbs,
                               clutter=clutter, rcs=rcs)
+
+
+def gen_channels(geometry: Geometry, config: ScenarioConfig,
+                 rng: np.random.Generator) -> ChannelRealization:
+    """Draw one full channel realization for the geometry of one drop.
+
+    The draw order is fixed (:func:`channel_draws`), so identical (geometry,
+    config, seed) give an identical realization, and the same one as the drop
+    gets in a block of drops (:func:`realize_channels`).
+    """
+    channels = realize_channels(geometry, config, channel_draws(config, rng))
+    return replace(channels, g_rep=complex(channels.g_rep), rcs=complex(channels.rcs))
 
 
 def redraw_nuisance(base: ChannelRealization, config: ScenarioConfig,

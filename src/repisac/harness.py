@@ -10,12 +10,15 @@ H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics (u, s, alpha_1), read with
 alpha_1 = 0 in the H0 pass, and the threshold is recalibrated per grid point
 from the H0 pass), and the CDF of downlink per-user spectral efficiency
-across precoder choices (one stacked RZF solve per repeater setting and block
-of ``DROPS_PER_BLOCK`` drops). Random substreams are keyed by (master_seed,
-study, ..., index): two per drop, and one per block of ``TRIALS_PER_BLOCK``
-Monte Carlo trials. Blocks of drops and of trials are the units that a
-study's one mapper (:func:`_mapper`) hands to worker processes, so results
-are byte-identical regardless of worker count.
+across precoder choices, in blocks of ``DROPS_PER_BLOCK`` drops. A block of
+drops is drawn in one pass: each drop draws its numbers from its own two
+keys, and the geometry and links of all its drops are evaluated as arrays
+with a leading drop axis; it then takes one stacked RZF solve per repeater
+setting. Random substreams are keyed by (master_seed, study, ..., index): two
+per drop, and one per block of ``TRIALS_PER_BLOCK`` Monte Carlo trials.
+Blocks of drops and of trials are the units that a study's one mapper
+(:func:`_mapper`) hands to worker processes, so results are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ from functools import partial
 
 import numpy as np
 
-from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
+from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_covariance,
+                      gen_channels, realize_channels)
 from .comm_metrics import downlink_metrics
 from .detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
                        target_energy, threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, build_transmit_frame, effective_channels,
                         rzf_precoders, target_precoder)
-from .scenario import Geometry, ScenarioConfig, drop_entities
+from .scenario import Geometry, ScenarioConfig, drop_entities, entity_draws, place_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
@@ -64,17 +68,25 @@ class StudyResult:
 # -- study setup ---------------------------------------------------------------
 
 def draw_drop(config: ScenarioConfig, study: int,
-              index: int = 0) -> tuple[Geometry, ChannelRealization]:
-    """Geometry and deterministic channels of drop ``index`` of a study.
+              index=0) -> tuple[Geometry, ChannelRealization]:
+    """Geometry and deterministic channels of drop ``index`` of a study, or of
+    each drop of a sequence ``index`` of drop indices (a block of drops).
 
-    The geometry draws from key (study, 0, index) and the channels from
-    (study, 1, index). The detection study, its grid suggestion and
-    :func:`calibrate` all work on drop 0 of ``STUDY_POD``.
+    Drop d draws its geometry from key (study, 0, d) and its channels from
+    (study, 1, d). A block draws each drop's numbers from its own keys and
+    evaluates the geometry and the links of all its drops in one pass, with a
+    leading drop axis on the drawn positions and on every channel field; a drop
+    is bit for bit the same wherever it falls. The detection study, its grid
+    suggestion and :func:`calibrate` all work on drop 0 of ``STUDY_POD``.
     """
-    geometry = drop_entities(config, trial_rng(config.master_seed, (study, 0), index))
-    channels = gen_channels(geometry, config,
-                            trial_rng(config.master_seed, (study, 1), index))
-    return geometry, channels
+    seed = config.master_seed
+    if np.ndim(index) == 0:
+        geometry = drop_entities(config, trial_rng(seed, (study, 0), index))
+        return geometry, gen_channels(geometry, config, trial_rng(seed, (study, 1), index))
+    geometry = place_entities(config, np.array(
+        [entity_draws(config, trial_rng(seed, (study, 0), d)) for d in index]))
+    return geometry, realize_channels(geometry, config, np.array(
+        [channel_draws(config, trial_rng(seed, (study, 1), d)) for d in index]))
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
@@ -259,13 +271,12 @@ SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
 def _secdf_block(config: ScenarioConfig, modes, rep_configs, drops: range) -> np.ndarray:
-    """SE of every user on a block of drops (each from its own keys), shape (modes,
+    """SE of every user on a block of drops (drawn in one pass), shape (modes,
     rep_configs, drops, users), NaN on a degenerate drop. The RZF beams and the SINR
     terms no sensing beam changes are computed once per repeater setting's config."""
     se = np.empty((len(modes), len(rep_configs), len(drops), config.n_users))
     try:
-        channels = ChannelRealization(*map(np.array, zip(*(  # each field stacked over drops
-            vars(draw_drop(config, STUDY_SECDF, d)[1]).values() for d in drops))))
+        _, channels = draw_drop(config, STUDY_SECDF, drops)
         for r, cfg in enumerate(rep_configs):
             fdot = effective_channels(channels, cfg)
             p_t = None if cfg.sensing_power_fraction == 0.0 else np.stack(
@@ -283,12 +294,20 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     """Per-user SE samples over independent drops, as an empirical CDF.
 
     Every (mode, repeater) combination is evaluated on the same drops, in blocks of
-    ``DROPS_PER_BLOCK``. A config that cannot run raises ``ConfigError`` before any
-    drop is drawn; a degenerate drop (sensing direction fully nulled) is counted
-    (``degenerate_drops``, ``warnings``) and skipped, never fatal.
+    ``DROPS_PER_BLOCK``, each drawn in one pass (:func:`draw_drop`). A config that
+    cannot run, and an empty or repeated list of modes or of repeater settings,
+    raise ``ConfigError`` before any drop is drawn; a degenerate drop (sensing
+    direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
+    skipped, never fatal.
     """
     if config.n_users < 1:
         raise ConfigError("se_cdf study needs at least one user")
+    modes, repeater_settings = tuple(modes), tuple(repeater_settings)
+    for name, values in (("precoder mode", modes), ("repeater setting", repeater_settings)):
+        if not values:
+            raise ConfigError(f"se_cdf study needs at least one {name}")
+        if len(set(values)) < len(values):  # would count each sample twice
+            raise ConfigError(f"{name}s must be distinct, got {values}")
     n_drops = config.mc_trials
     combos = [(m, r) for m in modes for r in repeater_settings]
     for mode in modes:  # a mode the config cannot run fails here

@@ -28,7 +28,7 @@ class SensingObservation:
 
 def draw_noise(config: ScenarioConfig, rng: np.random.Generator) -> NoiseDraws:
     tau_l, nr = config.slot_length, config.n_rx_antennas
-    return NoiseDraws(w_rep=_cn_matrix(tau_l, config.repeater_noise_watt, rng),
+    return NoiseDraws(w_rep=_cn_matrix((tau_l,), config.repeater_noise_watt, rng),
                       w_bs=_cn_matrix((tau_l, nr), config.bs_noise_watt, rng))
 
 

@@ -237,58 +237,82 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
 
 @dataclass(frozen=True)
 class Geometry:
-    """Positions (3-vectors, meters) of every entity in one study."""
+    """Positions (meters) of every entity in a drop, or in a block of drops.
+
+    The fixed anchors are 3-vectors. The drawn ``repeater`` (..., 3) and
+    ``users`` (..., K, 3) carry the same leading batch axes: none for one drop,
+    one drop axis for a block.
+    """
 
     tx_bs: np.ndarray
     rx_bs: np.ndarray
     repeater: np.ndarray
     hotspot: np.ndarray
-    users: np.ndarray  # (K, 3)
+    users: np.ndarray  # (..., K, 3)
 
     def __post_init__(self):
-        for name in ("tx_bs", "rx_bs", "repeater", "hotspot"):
-            v = getattr(self, name)
-            if np.asarray(v).shape != (3,):
+        for name in ("tx_bs", "rx_bs", "hotspot"):
+            if np.shape(getattr(self, name)) != (3,):
                 raise ConfigError(f"{name} must be a 3-vector")
-        if self.users.ndim != 2 or self.users.shape[1] != 3:
-            raise ConfigError("users must have shape (K, 3)")
+        if np.shape(self.repeater)[-1:] != (3,):
+            raise ConfigError("repeater must hold 3-vectors")
+        if (self.users.ndim != np.ndim(self.repeater) + 1
+                or self.users.shape[:-2] + self.users.shape[-1:] != np.shape(self.repeater)):
+            raise ConfigError("users must have shape (..., K, 3), with the repeater's batch axes")
 
 
 def distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
 
 
-def azimuth(p: np.ndarray, q: np.ndarray) -> float:
-    """Azimuth angle of the direction p -> q in the horizontal plane."""
+def link_geometry(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """3-D distance and horizontal azimuth of the direction p -> q, elementwise
+    over the leading axes of the points."""
     d = np.asarray(q, float) - np.asarray(p, float)
-    return float(math.atan2(d[1], d[0]))
+    return np.sqrt(np.sum(d * d, axis=-1)), np.arctan2(d[..., 1], d[..., 0])
 
 
-def _uniform_disc(center_xy, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * np.pi * rng.random(n)
-    out = np.empty((n, 2))
-    out[:, 0] = center_xy[0] + r * np.cos(theta)
-    out[:, 1] = center_xy[1] + r * np.sin(theta)
-    return out
+def _uniform_disc(center_xy, radius: float, height: float, u_radius, u_angle) -> np.ndarray:
+    """Points (..., n, 3) uniform in a disc, from uniform draws (..., n) of radius and angle."""
+    r = radius * np.sqrt(u_radius)
+    theta = 2.0 * np.pi * u_angle
+    x = center_xy[0] + r * np.cos(theta)
+    y = center_xy[1] + r * np.sin(theta)
+    return np.stack([x, y, np.full_like(x, height)], axis=-1)
 
 
-def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
-    """Place users and the repeater at random; BS/hotspot anchors are fixed.
+def place_entities(config: ScenarioConfig, uniforms: np.ndarray) -> Geometry:
+    """Geometry of the drops whose uniform draws are ``uniforms`` (..., 2K + 2).
 
-    Users fall uniformly in the service disc around the transmit BS; the
-    repeater falls uniformly in a disc around the hotspot center.
+    A drop's draws are, in order, its users' radii, its users' angles, then the
+    repeater's radius and angle. Users fall uniformly in the service disc
+    around the transmit BS; the repeater falls uniformly in a disc around the
+    hotspot center.
     """
-    user_xy = _uniform_disc(config.tx_bs_xy, config.service_radius_m, config.n_users, rng)
-    rep_xy = _uniform_disc(config.hotspot_xy, config.repeater_disc_radius_m, 1, rng)[0]
-    users = np.column_stack([user_xy, np.full(config.n_users, config.user_height_m)])
+    k = config.n_users
+    users = _uniform_disc(config.tx_bs_xy, config.service_radius_m, config.user_height_m,
+                          uniforms[..., :k], uniforms[..., k:2 * k])
+    repeater = _uniform_disc(config.hotspot_xy, config.repeater_disc_radius_m,
+                             config.repeater_height_m, uniforms[..., 2 * k:2 * k + 1],
+                             uniforms[..., 2 * k + 1:])
     return Geometry(
         tx_bs=np.array([*config.tx_bs_xy, config.bs_height_m]),
         rx_bs=np.array([*config.rx_bs_xy, config.bs_height_m]),
-        repeater=np.array([*rep_xy, config.repeater_height_m]),
+        repeater=repeater[..., 0, :],
         hotspot=np.array([*config.hotspot_xy, config.target_height_m]),
         users=users,
     )
+
+
+def entity_draws(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """The uniform draws that place one drop's users and repeater (:func:`place_entities`)."""
+    return rng.random(2 * config.n_users + 2)
+
+
+def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
+    """Place the users and the repeater of one drop at random (:func:`place_entities`);
+    BS/hotspot anchors are fixed."""
+    return place_entities(config, entity_draws(config, rng))
 
 
 # -- flat key-value config files --------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from repisac import ConfigError, draw_rcs, drop_entities, gen_channels, steering_vector
 from repisac.channel import (ClutterModel, clutter_covariance, clutter_entry_variance,
                              redraw_nuisance)
+from repisac.detector import trial_rng
+from repisac.harness import STUDY_SECDF, draw_drop
 from repisac.scenario import distance, pathloss_linear
 
 from conftest import tiny_config
@@ -82,6 +85,20 @@ class TestClutterModel:
         assert peak < 1e6
 
 
+def one_drop_and_a_block():
+    """(config, geometry, channels, Rayleigh parts) of one drop from ``gen_channels``,
+    and of a block of 16 drops stacked on a leading axis (``draw_drop``)."""
+    config = tiny_config(n_users=3, n_tx_antennas=4, n_rx_antennas=3)
+    geom = drop_entities(config, np.random.default_rng(1))
+    one = (geom, gen_channels(geom, config, np.random.default_rng(2)), [np.random.default_rng(2)])
+    block = (*draw_drop(config, STUDY_SECDF, range(16)),
+             [trial_rng(config.master_seed, (STUDY_SECDF, 1), d) for d in range(16)])
+    for geom, ch, rngs in (one, block):
+        # the Rayleigh draws, users in order, real then imaginary parts
+        parts = np.stack([rng.normal(scale=np.sqrt(0.5), size=(3, 2, 4)) for rng in rngs])
+        yield config, geom, ch, parts
+
+
 class TestGenChannels:
     def test_deterministic_given_seed(self):
         config = tiny_config()
@@ -93,32 +110,52 @@ class TestGenChannels:
         assert ch1.rcs == ch2.rcs
 
     def test_los_links_follow_geometry(self):
-        config = tiny_config()
-        geom = drop_entities(config, np.random.default_rng(1))
-        ch = gen_channels(geom, config, np.random.default_rng(2))
-        beta_a = pathloss_linear(distance(geom.tx_bs, geom.hotspot), config.carrier_ghz,
-                                 config.target_height_m)
-        np.testing.assert_allclose(np.abs(ch.a_tx), np.sqrt(beta_a), rtol=1e-12)
-        beta_b = pathloss_linear(distance(geom.rx_bs, geom.repeater), config.carrier_ghz,
-                                 config.repeater_height_m)
-        np.testing.assert_allclose(np.abs(ch.b_rx), np.sqrt(beta_b), rtol=1e-12)
+        for config, geom, ch, _ in one_drop_and_a_block():
+            self.check_los_links(config, geom, ch)
+
+    @staticmethod
+    def check_los_links(config, geom, ch):
+        links = ((ch.a_tx, geom.tx_bs, geom.hotspot, config.target_height_m),
+                 (ch.a_rx, geom.rx_bs, geom.hotspot, config.target_height_m),
+                 (ch.b_tx, geom.tx_bs, geom.repeater, config.repeater_height_m),
+                 (ch.b_rx, geom.rx_bs, geom.repeater, config.repeater_height_m))
+        n_drops = np.size(ch.rcs)
+        for channel, array_pos, point_pos, height in links:
+            offsets = np.broadcast_to(point_pos - array_pos, (n_drops, 3))
+            for row, offset in zip(channel.reshape(n_drops, -1), offsets):
+                # path gain of the 3-D distance
+                beta = pathloss_linear(float(np.linalg.norm(offset)), config.carrier_ghz, height)
+                np.testing.assert_allclose(np.abs(row), math.sqrt(beta), rtol=1e-12)
+                # phase slope pi sin(azimuth) from one element to the next
+                slope = np.exp(1j * np.pi * math.sin(math.atan2(offset[1], offset[0])))
+                np.testing.assert_allclose(row[1:] / row[:-1], slope, rtol=1e-12)
+        d = np.linalg.norm(geom.repeater - geom.hotspot, axis=-1)
+        beta = pathloss_linear(d, config.carrier_ghz, config.target_height_m)
+        np.testing.assert_allclose(ch.g_rep,
+                                   np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m),
+                                   rtol=1e-10)
 
     def test_user_links_follow_geometry(self):
-        config = tiny_config(n_users=3, n_tx_antennas=4)
-        geom = drop_entities(config, np.random.default_rng(1))
-        ch = gen_channels(geom, config, np.random.default_rng(2))
-        # the Rayleigh draws, users in order, real then imaginary parts
-        parts = np.random.default_rng(2).normal(scale=np.sqrt(0.5), size=(3, 2, 4))
-        for n, user in enumerate(geom.users):
-            beta = pathloss_linear(distance(geom.tx_bs, user), config.carrier_ghz,
-                                   config.user_height_m)
-            np.testing.assert_allclose(ch.f_user[n],
-                                       np.sqrt(beta) * (parts[n, 0] + 1j * parts[n, 1]),
-                                       rtol=1e-13)
-            d = distance(geom.repeater, user)
-            beta = pathloss_linear(d, config.carrier_ghz, config.user_height_m)
-            los = np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
-            assert ch.h_user[n] == pytest.approx(los, rel=1e-12)
+        for config, geom, ch, parts in one_drop_and_a_block():
+            self.check_user_links(config, geom, ch, parts)
+
+    @staticmethod
+    def check_user_links(config, geom, ch, parts):
+        users = geom.users.reshape(-1, config.n_users, 3)
+        repeaters = geom.repeater.reshape(-1, 3)
+        f_user = ch.f_user.reshape(-1, config.n_users, config.n_tx_antennas)
+        h_user = ch.h_user.reshape(-1, config.n_users)
+        for i in range(len(users)):
+            for n, user in enumerate(users[i]):
+                beta = pathloss_linear(distance(geom.tx_bs, user), config.carrier_ghz,
+                                       config.user_height_m)
+                np.testing.assert_allclose(f_user[i, n],
+                                           np.sqrt(beta) * (parts[i, n, 0] + 1j * parts[i, n, 1]),
+                                           rtol=1e-13)
+                d = distance(repeaters[i], user)
+                beta = pathloss_linear(d, config.carrier_ghz, config.user_height_m)
+                los = np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
+                assert h_user[i, n] == pytest.approx(los, rel=1e-12)
 
     def test_interbs_error_power(self):
         config = tiny_config(n_tx_antennas=6, n_rx_antennas=6,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult, harness,
-                     run_pod_vs_rcs, run_se_cdf, user_sinr)
+from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult,
+                     drop_entities, gen_channels, harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.comm_metrics import downlink_metrics
@@ -382,6 +382,75 @@ class TestSeCdfStudy:
     def test_needs_users(self):
         with pytest.raises(ValueError):
             run_se_cdf(tiny_config(n_users=0, sensing_power_fraction=1.0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"modes": ()}, "se_cdf study needs at least one precoder mode"),
+        ({"repeater_settings": ()}, "se_cdf study needs at least one repeater setting"),
+        ({"modes": ("comm_centric", "comm_centric")},
+         r"precoder modes must be distinct, got \('comm_centric', 'comm_centric'\)"),
+        ({"repeater_settings": (True, True)},
+         r"repeater settings must be distinct, got \(True, True\)"),
+    ], ids=["no_modes", "no_repeater_settings", "repeated_mode", "repeated_setting"])
+    def test_bad_modes_and_settings_rejected_before_any_drop(self, monkeypatch, kwargs,
+                                                              message):
+        # no modes used to fail inside the first block, no settings gave 0 rows, and a
+        # repeated one wrote every sample twice
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_se_cdf(tiny_config(n_tx_antennas=4, n_users=2, mc_trials=20), **kwargs)
+        assert drawn == []
+
+
+class TestDrawDrop:
+    @staticmethod
+    def assert_same_drop(block, i, drop):
+        """Drop ``i`` of a block equals a drop drawn alone, bit for bit."""
+        (block_geo, block_ch), (geo, ch) = block, drop
+        for name in ("tx_bs", "rx_bs", "hotspot"):
+            np.testing.assert_array_equal(getattr(block_geo, name), getattr(geo, name))
+        np.testing.assert_array_equal(block_geo.repeater[i], geo.repeater)
+        np.testing.assert_array_equal(block_geo.users[i], geo.users)
+        for name, value in vars(ch).items():
+            np.testing.assert_array_equal(getattr(block_ch, name)[i], value, err_msg=name)
+
+    @pytest.mark.parametrize("study, overrides", [
+        (STUDY_SECDF, {}),
+        (STUDY_SECDF, {"residual_interbs_power": 1e-12}),
+        (STUDY_SECDF, {"n_users": 1}),
+        (STUDY_SECDF, {"repeater_disc_radius_m": 0.0}),
+        (STUDY_POD, {"n_users": 0}),
+    ], ids=["default", "interbs_residual", "one_user", "fixed_repeater", "no_users_pod"])
+    def test_a_drop_draws_the_same_wherever_it_falls(self, study, overrides):
+        config = ScenarioConfig(master_seed=11, **overrides)
+        drops = [draw_drop(config, study, d) for d in range(40)]
+        assert isinstance(drops[0][1].g_rep, complex) and isinstance(drops[0][1].rcs, complex)
+        for size in (1, 5, 16, 40):
+            for start in range(0, 40, size):
+                block = draw_drop(config, study, range(start, min(start + size, 40)))
+                assert block[1].b_tx.shape == (min(size, 40 - start), config.n_tx_antennas)
+                for i, drop in enumerate(drops[start:start + size]):
+                    self.assert_same_drop(block, i, drop)
+        # a block draws its positions and every channel field per drop
+        geometry, channels = block
+        assert geometry.users.shape == (40, config.n_users, 3)
+        assert channels.f_user.shape == (40, config.n_users, config.n_tx_antennas)
+        assert channels.clutter.shape == (40, config.n_rx_antennas, config.n_tx_antennas)
+        assert channels.rcs.shape == channels.g_rep.shape == (40,)
+        if overrides.get("residual_interbs_power"):
+            assert np.all(channels.interbs_error != 0.0)
+        else:
+            assert np.all(channels.interbs_error == 0.0)
+
+    def test_one_drop_is_drop_entities_then_gen_channels_on_its_keys(self):
+        config = ScenarioConfig(master_seed=3, residual_interbs_power=1e-12)
+        for d in (0, 7):
+            geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_SECDF, 0), d))
+            channels = gen_channels(geometry, config,
+                                    trial_rng(config.master_seed, (STUDY_SECDF, 1), d))
+            block = draw_drop(config, STUDY_SECDF, range(d, d + 1))
+            self.assert_same_drop(block, 0, (geometry, channels))
+            self.assert_same_drop(block, 0, draw_drop(config, STUDY_SECDF, d))
 
 
 class TestCli:

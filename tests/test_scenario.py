@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repisac import (ConfigError, Geometry, ScenarioConfig, drop_entities,
                      load_config, noise_power_watt, pathloss_linear, save_config)
-from repisac.scenario import PRECODER_MODES, azimuth, distance
+from repisac.scenario import PRECODER_MODES, distance, link_geometry
 
 from conftest import tiny_config
 
@@ -133,10 +133,26 @@ class TestGeometry:
         with pytest.raises(ConfigError):
             Geometry(tx_bs=np.zeros(2), rx_bs=np.zeros(3), repeater=np.zeros(3),
                      hotspot=np.zeros(3), users=np.zeros((2, 3)))
+        # a block of drops: users and repeater share their leading drop axis
+        anchors = dict(tx_bs=np.zeros(3), rx_bs=np.zeros(3), hotspot=np.zeros(3))
+        Geometry(repeater=np.zeros((5, 3)), users=np.zeros((5, 2, 3)), **anchors)
+        for repeater, users in ((np.zeros((5, 3)), np.zeros((4, 2, 3))),
+                                (np.zeros((5, 3)), np.zeros((2, 3))),
+                                (np.zeros(3), np.zeros(3)),
+                                (np.zeros((5, 2)), np.zeros((5, 2, 2)))):
+            with pytest.raises(ConfigError):
+                Geometry(repeater=repeater, users=users, **anchors)
 
     def test_distance_and_azimuth(self):
         assert distance([0, 0, 0], [3, 4, 0]) == pytest.approx(5.0)
-        assert azimuth([0, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
+        d, angle = link_geometry([0, 0, 0], [0, 1, 0])
+        assert d == pytest.approx(1.0)
+        assert angle == pytest.approx(math.pi / 2)
+        # elementwise over leading axes: one point to several
+        d, angle = link_geometry([1, 1, 2], [[4, 5, 2], [1, 1, 0], [0, 0, 2]])
+        np.testing.assert_allclose(d, [5.0, 2.0, math.sqrt(2.0)], rtol=1e-15)
+        np.testing.assert_allclose(angle, [math.atan2(4, 3), 0.0, -3 * math.pi / 4],
+                                   rtol=1e-15)
 
 
 # every float-valued ScenarioConfig field, tuple fields included
