@@ -1,9 +1,10 @@
-"""One random realization of every channel in the system, plus the RCS.
+"""The channels of a drop, and the nuisance drawn fresh for each slot.
 
-Small-scale models: Rayleigh fading for BS->user links, pure LOS
-steering-vector channels for the target- and repeater-related links, and an
-i.i.d. Gaussian clutter matrix whose per-entry variance is the (suppressed)
-BS-to-BS path gain.
+A drop holds the deterministic links: Rayleigh fading for the BS->user links,
+and pure LOS steering-vector channels for the target- and repeater-related
+links. The nuisance is drawn only by :func:`redraw_nuisance`: an i.i.d.
+Gaussian clutter matrix whose per-entry variance is the (suppressed) BS-to-BS
+path gain, the inter-BS residual, and the Swerling-I RCS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Geometry, ScenarioConfig, distance, link_geometry, pathloss_linear
+from .scenario import Geometry, ScenarioConfig, link_geometry, pathloss_linear
 
 
 def steering_vector(n_antennas: int, angle_rad) -> np.ndarray:
@@ -34,23 +35,19 @@ def draw_rcs(sigma_t_sq: float, rng: np.random.Generator) -> complex:
 
 
 def _cn_matrix(shape: tuple, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, variance) entries (exact zeros when variance == 0)."""
+    """i.i.d. CN(0, variance) entries, drawn as the real parts of all entries, then
+    their imaginary parts (exact zeros, and no draw, when variance == 0)."""
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    return _cn_from(rng.standard_normal(2 * math.prod(shape)), variance, shape)
-
-
-def _cn_from(normals: np.ndarray, variance: float, shape: tuple) -> np.ndarray:
-    """CN(0, variance) entries of ``shape`` from standard normals (..., 2 * size):
-    the real parts of all entries, then their imaginary parts."""
-    scaled = np.sqrt(variance / 2.0) * normals
-    half = scaled.shape[-1] // 2
-    return (scaled[..., :half] + 1j * scaled[..., half:]).reshape(normals.shape[:-1] + shape)
+    size = math.prod(shape)
+    scaled = np.sqrt(variance / 2.0) * rng.standard_normal(2 * size)
+    return (scaled[:size] + 1j * scaled[size:]).reshape(shape)
 
 
 @dataclass
 class ChannelRealization:
-    """One draw of every channel plus the target RCS.
+    """A drop's deterministic links, and a slot's nuisance: ``interbs_error``,
+    ``clutter`` and ``rcs`` are exact zeros until :func:`redraw_nuisance` draws them.
 
     A block of drops gives every field the same leading batch axes (one drop
     axis); the shapes below are those of one drop, where ``g_rep`` and ``rcs``
@@ -101,16 +98,12 @@ class ClutterModel:
             raise ConfigError("clutter covariance is singular") from exc
 
 
-def clutter_entry_variance(config: ScenarioConfig, geometry: Geometry) -> float:
-    """Per-entry clutter variance kappa * beta_clutter (the BS-to-BS path gain)."""
-    return float(config.clutter_suppression
-                 * pathloss_linear(distance(geometry.tx_bs, geometry.rx_bs),
-                                   config.carrier_ghz, config.bs_height_m))
-
-
 def clutter_covariance(config: ScenarioConfig, geometry: Geometry) -> ClutterModel:
-    """Sigma_c = kappa * beta_clutter * I for the default i.i.d. model."""
-    return ClutterModel.iid(clutter_entry_variance(config, geometry), config.n_tx_antennas,
+    """Sigma_c = kappa * beta_clutter * I for the default i.i.d. model, with
+    beta_clutter the BS-to-BS path gain."""
+    beta = pathloss_linear(np.linalg.norm(geometry.tx_bs - geometry.rx_bs), config.carrier_ghz,
+                           config.bs_height_m)
+    return ClutterModel.iid(float(config.clutter_suppression * beta), config.n_tx_antennas,
                             config.n_rx_antennas)
 
 
@@ -120,25 +113,20 @@ def _los_gain(d, beta, config: ScenarioConfig):
 
 
 def channel_draws(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """The standard normals of one channel realization, in draw order.
-
-    They are the users' Rayleigh parts (K, 2, Nt: each user's real then
-    imaginary parts), then the real and the imaginary parts of the inter-BS
-    residual (only when zeta^2 > 0), of the clutter, and of the RCS.
-    """
-    n_matrices = 2 if config.residual_interbs_power > 0.0 else 1
-    return rng.standard_normal(2 * config.n_tx_antennas * (
-        config.n_users + n_matrices * config.n_rx_antennas) + 2)
+    """The standard normals of one drop's channels: the users' Rayleigh parts
+    (K, 2, Nt: each user's real then imaginary parts), 2 K Nt in all."""
+    return rng.standard_normal(2 * config.n_users * config.n_tx_antennas)
 
 
 def realize_channels(geometry: Geometry, config: ScenarioConfig,
                      normals: np.ndarray) -> ChannelRealization:
     """Channels of drops from their geometry and their :func:`channel_draws`.
 
-    Every field takes the leading batch axes of ``normals`` (..., n), which are
-    those of the drawn positions in ``geometry``. The links are evaluated as
+    Every field takes the leading batch axes of ``normals`` (..., 2 K Nt), which
+    are those of the drawn positions in ``geometry``. The links are evaluated as
     arrays over all drops at once; ``a_tx`` and ``a_rx``, which depend only on
-    the fixed anchors, are evaluated once and repeated.
+    the fixed anchors, are evaluated once and repeated. ``interbs_error``,
+    ``clutter`` and ``rcs`` are exact zeros: :func:`redraw_nuisance` draws them.
     """
     nt, nr, k = config.n_tx_antennas, config.n_rx_antennas, config.n_users
     fc = config.carrier_ghz
@@ -151,7 +139,7 @@ def realize_channels(geometry: Geometry, config: ScenarioConfig,
     d_user, _ = link_geometry(ends[..., :, None, :], geometry.users[..., None, :, :])
     beta_user = pathloss_linear(d_user, fc, config.user_height_m)
     # BS -> user: Rayleigh with UMi NLOS large-scale gain
-    parts = np.sqrt(0.5) * normals[..., :2 * k * nt].reshape(batch + (k, 2, nt))
+    parts = np.sqrt(0.5) * normals.reshape(batch + (k, 2, nt))
     f_user = np.sqrt(beta_user[..., 0, :])[..., None] * (parts[..., 0, :] + 1j * parts[..., 1, :])
     # repeater -> user: LOS gain with distance-derived phase
     h_user = _los_gain(d_user[..., 1, :], beta_user[..., 1, :], config)
@@ -173,28 +161,18 @@ def realize_channels(geometry: Geometry, config: ScenarioConfig,
     g_rep = _los_gain(d_target, pathloss_linear(d_target, fc, config.target_height_m),
                       config)[..., 0]
 
-    # nuisance: the inter-BS residual (drawn only when zeta^2 > 0), clutter, RCS
-    nuisance = normals[..., 2 * k * nt:-2]
-    if config.residual_interbs_power > 0.0:
-        interbs = _cn_from(nuisance[..., :2 * nr * nt], config.residual_interbs_power, (nr, nt))
-    else:
-        interbs = np.zeros(batch + (nr, nt), dtype=complex)
-    clutter = _cn_from(nuisance[..., -2 * nr * nt:], clutter_entry_variance(config, geometry),
-                       (nr, nt))
-    rcs = _cn_from(normals[..., -2:], config.rcs_variance, ())
-
+    zeros = np.zeros(batch + (nr, nt), dtype=complex)
     return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,
-                              b_tx=b_tx, b_rx=b_rx, g_rep=g_rep, interbs_error=interbs,
-                              clutter=clutter, rcs=rcs)
+                              b_tx=b_tx, b_rx=b_rx, g_rep=g_rep, interbs_error=zeros,
+                              clutter=zeros.copy(), rcs=np.zeros(batch, dtype=complex))
 
 
 def gen_channels(geometry: Geometry, config: ScenarioConfig,
                  rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full channel realization for the geometry of one drop.
+    """Draw the channels of one drop for its geometry (:func:`realize_channels`).
 
-    The draw order is fixed (:func:`channel_draws`), so identical (geometry,
-    config, seed) give an identical realization, and the same one as the drop
-    gets in a block of drops (:func:`realize_channels`).
+    Identical (geometry, config, seed) give identical channels, and the same
+    ones as the drop gets in a block of drops.
     """
     channels = realize_channels(geometry, config, channel_draws(config, rng))
     return replace(channels, g_rep=complex(channels.g_rep), rcs=complex(channels.rcs))
@@ -203,8 +181,9 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
 def redraw_nuisance(base: ChannelRealization, config: ScenarioConfig,
                     clutter_entry_variance: float, rng: np.random.Generator,
                     force_null: bool = False) -> ChannelRealization:
-    """Fresh clutter, inter-BS residual and RCS on top of fixed deterministic
-    channels; used by the per-trial Monte Carlo resampling policy."""
+    """Fresh clutter, inter-BS residual (none drawn when zeta^2 = 0) and RCS (0
+    under ``force_null``), in that order, on top of a drop's deterministic
+    channels: the one place a slot's nuisance is drawn."""
     nr, nt = base.interbs_error.shape
     clutter = _cn_matrix((nr, nt), clutter_entry_variance, rng)
     interbs = _cn_matrix((nr, nt), config.residual_interbs_power, rng)

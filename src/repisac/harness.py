@@ -2,9 +2,12 @@
 CSV output.
 
 Every entry point (the studies, the CLI, the tests) draws its geometry and
-channels through :func:`draw_drop`; :func:`calibrate` and the detection study
-share one setup and take the threshold from one H0 pass on key
-(STUDY_POD, 2), so one config gives one threshold wherever it is asked for.
+channels through :func:`draw_drop`. A drop holds only its deterministic
+links: a slot's clutter, inter-BS residual and RCS are nuisance, fresh in each
+trial (``redraw_nuisance`` draws them in the reference trial).
+:func:`calibrate` and the detection study share one setup and take the
+threshold from one H0 pass on key (STUDY_POD, 2), so one config gives one
+threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance (one
 H0 pass and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics (u, s, alpha_1), read with
@@ -29,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -194,14 +198,16 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
                    repeater_gains_db=None, workers: int = 1) -> StudyResult:
     """Probability of detection over an RCS-variance grid.
 
-    Geometry and deterministic channels are fixed for the whole study; each
-    trial redraws clutter, noises, symbols, the inter-BS residual, and (under
-    H1) the RCS. Per repeater setting, one pass of ``calibration_trials`` H0
-    trials and one pass of ``mc_trials`` H1 trials serve every grid point (the
-    RCS variance only scales each trial's sufficient statistics), and the GLRT
-    threshold is recalibrated per grid point from the H0 pass. The default
-    gains are the configured one and repeater-off, or repeater-off alone when
-    the config has the repeater off; equal gains (20, 20.0) are a ``ConfigError``.
+    Geometry and deterministic channels (drop 0) are fixed for the whole study;
+    each trial draws its symbols, its clutter, residual and noise term given
+    the frame, and (under H1) the RCS. Per repeater setting, one pass of
+    ``calibration_trials`` H0 trials and one pass of ``mc_trials`` H1 trials
+    serve every grid point (the RCS variance only scales each trial's
+    sufficient statistics), and the GLRT threshold is recalibrated per grid
+    point from the H0 pass. The default gains are the configured one and
+    repeater-off, or repeater-off alone when the config has the repeater off;
+    no gains, or equal gains (20, 20.0), are a ``ConfigError`` raised before
+    the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
@@ -215,6 +221,8 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
     gain_values = [float("-inf") if g is None else float(g) for g in repeater_gains_db]
+    if not gain_values:
+        raise ConfigError("pod study needs at least one repeater gain")
     if len(set(gain_values)) < len(gain_values):
         raise ConfigError(f"repeater gains must be distinct, got {tuple(repeater_gains_db)}")
     channels, clutter_model = _pod_drop(config)
@@ -256,6 +264,8 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
     Scales a log grid by the target energy per unit RCS (``target_energy``)
     of one pilot transmit frame, deterministically from the study seed.
     """
+    if n_points < 1:
+        raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
     _, channels = draw_drop(config, STUDY_POD)
     frame = build_transmit_frame(build_precoders(config, channels), config,
                                  trial_rng(config.master_seed, (STUDY_POD, 9), 0))
@@ -325,7 +335,8 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
         skipped = np.isnan(se[col, :, 0])
         degenerate[f"{mode}|{int(rep)}"] = int(skipped.sum())
         values = np.sort(se[col, ~skipped].ravel())
-        rows += [(mode, int(rep), float(v), (i + 1) / values.size) for i, v in enumerate(values)]
+        cdf = np.arange(1, values.size + 1) / values.size
+        rows += zip(repeat(mode), repeat(int(rep)), values.tolist(), cdf.tolist())
     return StudyResult(kind="se_cdf", header=SECDF_HEADER, rows=rows,
                        metadata={"drops": n_drops, "degenerate_drops": degenerate, "warnings": [
                            f"{n} of {n_drops} drops degenerate for {combo} (skipped)"

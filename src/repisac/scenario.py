@@ -95,6 +95,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        # a float count (4.0) would fail only mid-study; numpy integers are integers
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # NaN/inf would slip past every sign check below
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
@@ -229,8 +234,10 @@ _PATHLOSS_LINKS = (("transmit BS", "receive BS"), ("transmit BS", "users"),
                    ("transmit BS", "repeater"), ("receive BS", "repeater"),
                    ("target", "repeater"))
 
-# field types, as config files parse them; validate() checks every float for finiteness
+# field types, as config files parse them; validate() checks every int field's
+# type and every float for finiteness
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_INT_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if _FIELD_TYPES[f.name] is int)
 _FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
                       if _holds_float(_FIELD_TYPES[f.name]))
 
@@ -259,10 +266,6 @@ class Geometry:
         if (self.users.ndim != np.ndim(self.repeater) + 1
                 or self.users.shape[:-2] + self.users.shape[-1:] != np.shape(self.repeater)):
             raise ConfigError("users must have shape (..., K, 3), with the repeater's batch axes")
-
-
-def distance(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
 
 
 def link_geometry(p, q) -> tuple[np.ndarray, np.ndarray]:

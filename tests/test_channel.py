@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from repisac import ConfigError, draw_rcs, drop_entities, gen_channels, steering_vector
-from repisac.channel import (ClutterModel, clutter_covariance, clutter_entry_variance,
-                             redraw_nuisance)
+from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.detector import trial_rng
 from repisac.harness import STUDY_SECDF, draw_drop
-from repisac.scenario import distance, pathloss_linear
+from repisac.scenario import pathloss_linear
 
 from conftest import tiny_config
 
@@ -66,10 +65,9 @@ class TestClutterModel:
         config = tiny_config(clutter_suppression=1e-2)
         geom = drop_entities(config, np.random.default_rng(0))
         model = clutter_covariance(config, geom)
-        beta = pathloss_linear(distance(geom.tx_bs, geom.rx_bs), config.carrier_ghz,
-                               config.bs_height_m)
+        beta = pathloss_linear(float(np.linalg.norm(geom.tx_bs - geom.rx_bs)),
+                               config.carrier_ghz, config.bs_height_m)
         assert model.entry_variance == pytest.approx(1e-2 * beta, rel=1e-12)
-        assert clutter_entry_variance(config, geom) == model.entry_variance
 
     def test_iid_model_stores_no_dense_matrix(self):
         # at 48 x 48 the dense (Nt Nr)^2 identity would take 42.5 MB
@@ -105,9 +103,16 @@ class TestGenChannels:
         geom = drop_entities(config, np.random.default_rng(1))
         ch1 = gen_channels(geom, config, np.random.default_rng(42))
         ch2 = gen_channels(geom, config, np.random.default_rng(42))
-        np.testing.assert_array_equal(ch1.f_user, ch2.f_user)
-        np.testing.assert_array_equal(ch1.clutter, ch2.clutter)
-        assert ch1.rcs == ch2.rcs
+        for name, value in vars(ch1).items():
+            np.testing.assert_array_equal(getattr(ch2, name), value, err_msg=name)
+
+    def test_draws_only_the_users_rayleigh_normals(self):
+        config = tiny_config(n_users=3, n_tx_antennas=4, residual_interbs_power=0.3)
+        geom = drop_entities(config, np.random.default_rng(1))
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        gen_channels(geom, config, rng)
+        replay.standard_normal(2 * 3 * 4)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_los_links_follow_geometry(self):
         for config, geom, ch, _ in one_drop_and_a_block():
@@ -147,33 +152,38 @@ class TestGenChannels:
         h_user = ch.h_user.reshape(-1, config.n_users)
         for i in range(len(users)):
             for n, user in enumerate(users[i]):
-                beta = pathloss_linear(distance(geom.tx_bs, user), config.carrier_ghz,
-                                       config.user_height_m)
+                beta = pathloss_linear(float(np.linalg.norm(user - geom.tx_bs)),
+                                       config.carrier_ghz, config.user_height_m)
                 np.testing.assert_allclose(f_user[i, n],
                                            np.sqrt(beta) * (parts[i, n, 0] + 1j * parts[i, n, 1]),
                                            rtol=1e-13)
-                d = distance(repeaters[i], user)
+                d = float(np.linalg.norm(user - repeaters[i]))
                 beta = pathloss_linear(d, config.carrier_ghz, config.user_height_m)
                 los = np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
                 assert h_user[i, n] == pytest.approx(los, rel=1e-12)
 
+
+class TestRedrawNuisance:
     def test_interbs_error_power(self):
         config = tiny_config(n_tx_antennas=6, n_rx_antennas=6,
                              residual_interbs_power=0.3)
-        geom = drop_entities(config, np.random.default_rng(1))
-        samples = [gen_channels(geom, config, np.random.default_rng(s)).interbs_error
-                   for s in range(400)]
-        power = np.mean(np.abs(np.stack(samples)) ** 2)
+        geom, channels = draw_drop(config, STUDY_SECDF)
+        entry_variance = clutter_covariance(config, geom).entry_variance
+        rng = np.random.default_rng(1)
+        samples = [redraw_nuisance(channels, config, entry_variance, rng) for _ in range(400)]
+        power = np.mean(np.abs(np.stack([ch.interbs_error for ch in samples])) ** 2)
         assert power == pytest.approx(0.3, rel=0.05)
+        power = np.mean(np.abs(np.stack([ch.clutter for ch in samples])) ** 2)
+        assert power == pytest.approx(entry_variance, rel=0.05)
 
     def test_zero_residual_gives_exact_zeros(self):
         config = tiny_config(residual_interbs_power=0.0)
-        geom = drop_entities(config, np.random.default_rng(1))
-        ch = gen_channels(geom, config, np.random.default_rng(2))
+        geom, channels = draw_drop(config, STUDY_SECDF)
+        ch = redraw_nuisance(channels, config, clutter_covariance(config, geom).entry_variance,
+                             np.random.default_rng(2))
         assert np.all(ch.interbs_error == 0.0)
+        assert np.all(ch.clutter != 0.0)
 
-
-class TestRedrawNuisance:
     def test_deterministic_links_fixed_nuisance_fresh(self, small_setup, rng):
         config, _, channels, clutter_model, _ = small_setup
         redrawn = redraw_nuisance(channels, config, clutter_model.entry_variance, rng)

@@ -287,6 +287,24 @@ class TestPodStudy:
         assert grid.shape == (5,)
         assert grid[-1] / grid[0] == pytest.approx(2000.0 / 0.05, rel=1e-9)
 
+    def test_no_gains_rejected_before_the_study(self, monkeypatch):
+        # no gains used to give a study of no rows
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError, match="^pod study needs at least one repeater gain$"):
+            run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=())
+        assert drawn == []
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_grid_of_no_points_rejected_before_the_drop(self, monkeypatch, n_points):
+        # 0 points used to give an empty grid, and -3 numpy's raw ValueError
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError,
+                           match=f"^rcs grid needs at least one point, got {n_points}$"):
+            suggest_rcs_grid(tiny_config(), n_points)
+        assert drawn == []
+
 
 class TestSeCdfStudy:
     def test_structure_and_determinism_across_workers(self):
@@ -431,16 +449,16 @@ class TestDrawDrop:
                 assert block[1].b_tx.shape == (min(size, 40 - start), config.n_tx_antennas)
                 for i, drop in enumerate(drops[start:start + size]):
                     self.assert_same_drop(block, i, drop)
-        # a block draws its positions and every channel field per drop
+        # a block draws its positions and every link per drop; the nuisance is
+        # exact zeros (redraw_nuisance draws it), at zeta^2 > 0 too
         geometry, channels = block
         assert geometry.users.shape == (40, config.n_users, 3)
         assert channels.f_user.shape == (40, config.n_users, config.n_tx_antennas)
-        assert channels.clutter.shape == (40, config.n_rx_antennas, config.n_tx_antennas)
+        for nuisance in (channels.clutter, channels.interbs_error):
+            assert nuisance.shape == (40, config.n_rx_antennas, config.n_tx_antennas)
+            assert np.all(nuisance == 0.0)
         assert channels.rcs.shape == channels.g_rep.shape == (40,)
-        if overrides.get("residual_interbs_power"):
-            assert np.all(channels.interbs_error != 0.0)
-        else:
-            assert np.all(channels.interbs_error == 0.0)
+        assert np.all(channels.rcs == 0.0) and drops[0][1].rcs == 0.0
 
     def test_one_drop_is_drop_entities_then_gen_channels_on_its_keys(self):
         config = ScenarioConfig(master_seed=3, residual_interbs_power=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repisac import draw_noise, receive_bs_slot
+from repisac.channel import redraw_nuisance
 from repisac.precoding import build_transmit_frame
 
 
@@ -19,7 +20,12 @@ class TestDrawNoise:
 
 class TestReceiveBsSlot:
     def test_matches_per_slot_reference(self, small_setup, rng):
-        config, _, channels, _, precoders = small_setup
+        config, _, drop, clutter_model, precoders = small_setup
+        # a slot's nuisance at zeta^2 > 0, so that every term below is nonzero
+        config = config.with_updates(residual_interbs_power=1e-12)
+        channels = redraw_nuisance(drop, config, clutter_model.entry_variance, rng)
+        assert channels.rcs != 0.0
+        assert np.all(channels.clutter != 0.0) and np.all(channels.interbs_error != 0.0)
         frame = build_transmit_frame(precoders, config, rng)
         noise = draw_noise(config, rng)
         obs = receive_bs_slot(frame, channels, noise, config)

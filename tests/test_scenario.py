@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repisac import (ConfigError, Geometry, ScenarioConfig, drop_entities,
                      load_config, noise_power_watt, pathloss_linear, save_config)
-from repisac.scenario import PRECODER_MODES, distance, link_geometry
+from repisac.scenario import PRECODER_MODES, link_geometry
 
 from conftest import tiny_config
 
@@ -112,9 +112,19 @@ class TestScenarioConfig:
                     dict(rx_bs_xy=(0.0, 0.0)),
                     dict(service_radius_m=0.0, n_users=1, bs_height_m=1.5),
                     dict(repeater_disc_radius_m=0.0, repeater_height_m=1.5),
-                    dict(hotspot_xy=(300.0, 0.0), target_height_m=25.0)):
+                    dict(hotspot_xy=(300.0, 0.0), target_height_m=25.0),
+                    # integer fields take integers, not floats, strings or bools
+                    dict(slot_length=2.5), dict(mc_trials=40.5), dict(n_tx_antennas=4.0),
+                    dict(master_seed=1.5), dict(n_rx_antennas="3"), dict(n_users=True)):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
+
+    def test_numpy_integers_are_integers(self, tmp_path):
+        config = ScenarioConfig(n_tx_antennas=np.int64(4), calibration_trials=np.int32(300),
+                                master_seed=np.uint8(3))
+        path = str(tmp_path / "scenario.cfg")
+        save_config(config, path)
+        assert load_config(path) == config
 
 
 class TestGeometry:
@@ -144,7 +154,8 @@ class TestGeometry:
                 Geometry(repeater=repeater, users=users, **anchors)
 
     def test_distance_and_azimuth(self):
-        assert distance([0, 0, 0], [3, 4, 0]) == pytest.approx(5.0)
+        d, _ = link_geometry([0, 0, 0], [3, 4, 0])
+        assert d == pytest.approx(5.0)
         d, angle = link_geometry([0, 0, 0], [0, 1, 0])
         assert d == pytest.approx(1.0)
         assert angle == pytest.approx(math.pi / 2)
