@@ -10,6 +10,7 @@ oracle). Exit codes: 0 success, 1 configuration/usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .detector import oracle_check
@@ -50,7 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
+    """The study's config; an --out in no directory fails here, before the study."""
     config = load_config(args.config) if args.config else ScenarioConfig()
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ConfigError(f"--out {args.out}: no such directory")
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed

@@ -91,16 +91,6 @@ def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
     return [(1.0 / d, e_0 - b * (np.vdot(b, e_0) / b_sq)), (1.0 / d_par, v_par)]
 
 
-def target_energy(frame: TransmitFrame, channels: ChannelRealization,
-                  config: ScenarioConfig) -> float:
-    """Target energy per unit RCS, q_rr = sum_tau r[tau]^H Sigma_s[tau]^-1 r[tau]
-    with r[tau] = (a_tx^T x[tau]) v: the RCS entry of Q_H1 less the prior
-    1/sigma_T^2, as sum_k ||e_k||^2 sum_tau w_k[tau] |a_tx^T x[tau]|^2."""
-    g_sq = np.abs(frame.x @ channels.a_tx) ** 2
-    return float(sum(np.vdot(e, e).real * np.sum(w * g_sq)
-                     for w, e in _noise_blocks(frame.x, channels, config)))
-
-
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
                         channels: ChannelRealization, config: ScenarioConfig,
                         clutter_model: ClutterModel) -> DetectorWorkspace:

@@ -5,8 +5,9 @@ Every entry point (the studies, the CLI, the tests) draws its geometry and
 channels through :func:`draw_drop`. A drop holds only its deterministic
 links: a slot's clutter, inter-BS residual and RCS are nuisance, fresh in each
 trial (``redraw_nuisance`` draws them in the reference trial).
-:func:`calibrate` and the detection study share one setup and take the
-threshold from one H0 pass on key (STUDY_POD, 2), so one config gives one
+:func:`calibrate`, the detection study and its grid suggestion share one
+setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_block`), and take
+the threshold from one H0 pass on key (STUDY_POD, 2), so one config gives one
 threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance (one
 H0 pass and one H1 pass per repeater gain; each trial's statistic at every
@@ -40,10 +41,10 @@ from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_c
                       gen_channels, realize_channels)
 from .comm_metrics import downlink_metrics
 from .detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
-                       target_energy, threshold_from_null_stats, trial_rng)
+                       threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
-from .precoding import (PrecoderSet, build_precoders, build_transmit_frame, effective_channels,
-                        rzf_precoders, target_precoder)
+from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
+                        target_precoder)
 from .scenario import Geometry, ScenarioConfig, drop_entities, entity_draws, place_entities
 
 STUDY_POD = 1
@@ -65,8 +66,11 @@ class StudyResult:
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def write_csv(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_csv_bytes())
+        try:
+            with open(path, "wb") as fh:
+                fh.write(self.to_csv_bytes())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # -- study setup ---------------------------------------------------------------
@@ -94,7 +98,7 @@ def draw_drop(config: ScenarioConfig, study: int,
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
-    """Channels and clutter model of the detection study: drop 0 of ``STUDY_POD``."""
+    """Channels and clutter model of drop 0 of ``STUDY_POD``: every PoD entry point's setup."""
     geometry, channels = draw_drop(config, STUDY_POD)
     return channels, clutter_covariance(config, geometry)
 
@@ -259,20 +263,20 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
 
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
-    """RCS-variance grid spanning the detector's transition region.
-
-    Scales a log grid by the target energy per unit RCS (``target_energy``)
-    of one pilot transmit frame, deterministically from the study seed.
-    """
+    """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
+    mean s (``mean_scnr``) of one pilot block of trials on the study's setup, key
+    (STUDY_POD, 9, 0). For a Swerling-I target at zeta^2 = 0,
+    PoD = PFA^(1 / (1 + sigma_T^2 s)): the grid spans the detector's transition."""
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
-    _, channels = draw_drop(config, STUDY_POD)
-    frame = build_transmit_frame(build_precoders(config, channels), config,
-                                 trial_rng(config.master_seed, (STUDY_POD, 9), 0))
-    energy = target_energy(frame, channels, config)
-    if energy <= 0.0:
-        raise ValueError("pilot trial produced no sensing energy")
-    return np.geomspace(0.05 / energy, 2000.0 / energy, n_points)
+    channels, clutter_model = _pod_drop(config)
+    rows = _trial_block(config, channels, clutter_model, build_precoders(config, channels),
+                        (STUDY_POD, 9), TRIALS_PER_BLOCK, 0)
+    s_bar = float(np.mean(rows[:, 1].real))
+    if not s_bar > 0.0:
+        raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "
+                                   "no target energy")
+    return np.geomspace(0.05 / s_bar, 2000.0 / s_bar, n_points)
 
 
 # -- downlink study: SE CDF across precoders -----------------------------------

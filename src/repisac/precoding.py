@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _cn_matrix
 from .errors import ConfigError, DegenerateNullspaceError
 from .scenario import ScenarioConfig
 
@@ -110,11 +110,6 @@ def build_precoders(config: ScenarioConfig, channels: ChannelRealization) -> Pre
     return PrecoderSet(user_precoders=user_p, sensing_precoder=p_t)
 
 
-def _draw_symbols(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-power Gaussian symbols, CN(0, 1)."""
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
-
-
 def beam_matrix(precoders: PrecoderSet, config: ScenarioConfig) -> np.ndarray:
     """M = sqrt(rho) [sqrt(pi_n) p_n; sqrt(pi_T) p_T], shape (K + 1, Nt), so that
     x[tau] = s[tau] M for the symbol row s[tau] = (s_1, ..., s_K, s_T)[tau].
@@ -134,8 +129,8 @@ def build_transmit_frame(precoders: PrecoderSet, config: ScenarioConfig,
                          rng: np.random.Generator) -> TransmitFrame:
     """x[tau] = sqrt(rho) (sum_n sqrt(pi_n) p_n s_n[tau] + sqrt(pi_T) p_T s_T[tau])."""
     tau_l = config.slot_length
-    s_user = _draw_symbols((tau_l, config.user_fractions.size), rng)
-    s_t = _draw_symbols(tau_l, rng)
+    s_user = _cn_matrix((tau_l, config.user_fractions.size), 1.0, rng)
+    s_t = _cn_matrix((tau_l,), 1.0, rng)
     x = np.column_stack([s_user, s_t]) @ beam_matrix(precoders, config)
     return TransmitFrame(x=x, user_symbols=s_user, sensing_symbols=s_t,
                          user_fractions=config.user_fractions,

@@ -8,6 +8,7 @@ dB by convention).
 from __future__ import annotations
 
 import math
+import numbers
 import types
 import typing
 from dataclasses import dataclass, fields, replace
@@ -89,23 +90,15 @@ class ScenarioConfig:
     target_height_m: float = 1.5
 
     def __post_init__(self):
+        self.validate()
         # with no users, () and None both mean "no fractions": keep one, for save/load
         if self.n_users == 0 and self.user_power_fractions == ():
             object.__setattr__(self, "user_power_fractions", None)
-        self.validate()
 
     def validate(self) -> None:
-        # a float count (4.0) would fail only mid-study; numpy integers are integers
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # NaN/inf would slip past every sign check below
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            values = value if isinstance(value, (tuple, list)) else (value,)
-            if value is not None and not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        # first: 4.0 would fail only mid-study, NaN pass every sign check, 'no' count as on
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
         if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
             raise ConfigError("antenna counts must be positive")
         if self.n_users < 0:
@@ -152,9 +145,6 @@ class ScenarioConfig:
             raise ConfigError("geometry radii must be nonnegative")
         if self.n_users > 1 and self.service_radius_m == 0.0:
             raise ConfigError("zero-radius service disc cannot hold multiple users")
-        for name in ("tx_bs_xy", "rx_bs_xy", "hotspot_xy"):
-            if np.shape(value := getattr(self, name)) != (2,):
-                raise ConfigError(f"{name} must hold exactly 2 numbers, got {value!r}")
         # every position that no disc of positive radius spreads, and the links
         # between them that take a path loss: none of those may have length 0
         points = {"transmit BS": (*self.tx_bs_xy, self.bs_height_m),
@@ -224,8 +214,28 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
-def _holds_float(ftype) -> bool:
-    return ftype is float or any(_holds_float(arg) for arg in typing.get_args(ftype))
+def _check_type(name: str, value, ftype) -> None:
+    """Raise ``ConfigError`` unless ``value`` has the field type ``ftype``: tuples are
+    tuples, an int (numpy's too, a bool not) is a number, and numbers are finite."""
+    args = typing.get_args(ftype)
+    if typing.get_origin(ftype) is tuple:
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{name} must be a tuple, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{name} must hold exactly {len(args)} numbers, got {value!r}")
+        for v in value:
+            _check_type(name, v, args[0])
+    elif args:  # X | None
+        if value is not None:
+            _check_type(name, value, args[0])
+    elif ftype is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    elif ftype is float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    elif not isinstance(value, ftype):
+        raise ConfigError(f"{name} must be a {ftype.__name__}, got {value!r}")
 
 
 # pairs of entities whose 3-D distance sets a path loss (gen_channels, clutter)
@@ -234,12 +244,8 @@ _PATHLOSS_LINKS = (("transmit BS", "receive BS"), ("transmit BS", "users"),
                    ("transmit BS", "repeater"), ("receive BS", "repeater"),
                    ("target", "repeater"))
 
-# field types, as config files parse them; validate() checks every int field's
-# type and every float for finiteness
+# field types, as config files parse them and validate() checks them
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
-_INT_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if _FIELD_TYPES[f.name] is int)
-_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
-                      if _holds_float(_FIELD_TYPES[f.name]))
 
 
 @dataclass(frozen=True)
@@ -384,8 +390,8 @@ def save_config(config: ScenarioConfig, path: str) -> None:
                 text = "none"
             elif isinstance(value, bool):
                 text = "true" if value else "false"
-            elif isinstance(value, tuple):
-                text = ",".join(repr(v) for v in value)
-            else:
-                text = repr(value) if isinstance(value, float) else str(value)
+            elif isinstance(value, str):
+                text = value
+            else:  # numbers and tuples of them, numpy ones as Python ones (repr round-trips)
+                text = ",".join(map(repr, np.atleast_1d(value).tolist()))
             fh.write(f"{f.name} = {text}\n")

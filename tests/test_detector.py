@@ -18,8 +18,8 @@ from repisac import (ConfigError, NumericalDomainError, assemble_statistics,
 from repisac.channel import ClutterModel, clutter_covariance, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
                               conditional_statistics, glrt_from_statistics, oracle_check,
-                              random_small_instance, schur_statistics, target_energy,
-                              threshold_from_null_stats, trial_rng, trial_statistics)
+                              random_small_instance, schur_statistics, threshold_from_null_stats,
+                              trial_rng, trial_statistics)
 from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
 from repisac.precoding import build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
@@ -107,25 +107,8 @@ class TestAssembledStatistics:
         np.testing.assert_allclose(ws.t_h0, t_h0, rtol=1e-10)
         np.testing.assert_allclose(ws.q_h1[0, 0].real,
                                    q_rr + 1.0 / config.rcs_variance, rtol=1e-10)
-        np.testing.assert_allclose(target_energy(frame, channels, config), q_rr, rtol=1e-10)
         np.testing.assert_allclose(ws.t_h1[0], t_top, rtol=1e-10)
         np.testing.assert_allclose(ws.q_h1[1:, 0], cross, rtol=1e-10)
-
-    @pytest.mark.parametrize("updates", [
-        {}, {"repeater_gain_db": 100.0, "residual_interbs_power": 1e-13},
-    ], ids=["default_gain", "gain100db_zeta"])
-    def test_target_energy_is_the_rcs_entry_of_q_h1(self, updates):
-        # on the grid's pilot frame; at sigma_T^2 = 1e30 the prior 1/sigma_T^2 in
-        # Q_H1[0, 0] lies far below its rounding
-        config = tiny_config(rcs_variance=1e30, **updates)
-        geometry, channels = draw_drop(config, STUDY_POD)
-        rng = trial_rng(config.master_seed, (STUDY_POD, 9), 0)
-        frame = build_transmit_frame(build_precoders(config, channels), config, rng)
-        obs = receive_bs_slot(frame, channels, draw_noise(config, rng), config)
-        ws = assemble_statistics(obs, frame, channels, config,
-                                 clutter_covariance(config, geometry))
-        assert target_energy(frame, channels, config) == pytest.approx(ws.q_h1[0, 0].real,
-                                                                       rel=1e-12, abs=0.0)
 
     def test_clutter_size_mismatch_rejected(self, rng):
         obs, frame, channels, config, _ = random_small_instance(rng)

@@ -281,11 +281,6 @@ class TestPodStudy:
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
         assert drawn == []
 
-    def test_grid_suggestion_spans_the_transition(self):
-        config = tiny_config()
-        grid = suggest_rcs_grid(config, n_points=5)
-        assert grid.shape == (5,)
-        assert grid[-1] / grid[0] == pytest.approx(2000.0 / 0.05, rel=1e-9)
 
     def test_no_gains_rejected_before_the_study(self, monkeypatch):
         # no gains used to give a study of no rows
@@ -294,6 +289,33 @@ class TestPodStudy:
         with pytest.raises(ConfigError, match="^pod study needs at least one repeater gain$"):
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=())
         assert drawn == []
+
+    def test_grid_suggestion_spans_the_transition(self):
+        # scaled by s_bar, the mean s of one block of the study's own kernel and setup
+        config = tiny_config()
+        geometry, channels = draw_drop(config, STUDY_POD)
+        rows = block_statistics(config, channels, clutter_covariance(config, geometry),
+                                build_precoders(config, channels),
+                                trial_rng(config.master_seed, (STUDY_POD, 9), 0),
+                                TRIALS_PER_BLOCK)
+        s_bar = float(np.mean(rows[:, 1].real))
+        np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
+                                      np.geomspace(0.05 / s_bar, 2000.0 / s_bar, 5))
+
+    def test_pilot_failure_names_its_seed_key(self, monkeypatch):
+        def fail(*args):
+            raise NumericalDomainError("Q_H0 is not positive definite")
+        monkeypatch.setattr(harness, "block_statistics", fail)
+        with pytest.raises(NumericalDomainError, match=re.escape("seed key (1, 9, 0)")):
+            suggest_rcs_grid(tiny_config())
+
+    def test_auto_grid_spans_the_swerling_transition(self):
+        # at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): 0.0125 at the first point
+        # and 0.998 at the last
+        config = ScenarioConfig(mc_trials=800, calibration_trials=800)
+        grid = suggest_rcs_grid(config)
+        pods = [row[2] for row in run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,)).rows]
+        assert pods[0] <= 0.05 and pods[-1] >= 0.99
 
     @pytest.mark.parametrize("n_points", [0, -3])
     def test_grid_of_no_points_rejected_before_the_drop(self, monkeypatch, n_points):
@@ -494,6 +516,25 @@ class TestCli:
         out = tmp_path / "se.csv"
         assert main_cli(["secdf", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith(",".join(SECDF_HEADER))
+
+    @pytest.mark.parametrize("command", [["pod"], ["secdf"], ["calibrate"]])
+    def test_out_in_no_directory_fails_before_the_study(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        out = str(tmp_path / "no" / "such" / "out.csv")
+        cfg = self._config_path(tmp_path, n_users=1, n_tx_antennas=3)
+        assert main_cli(command + ["--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"configuration error: --out {out}: no such directory\n"
+        assert drawn == []
+
+    def test_failed_write_is_a_configuration_error(self, tmp_path, capsys):
+        # the directory exists, but the path is a directory: the write fails after the study
+        cfg = self._config_path(tmp_path)
+        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {tmp_path}: [Errno")
+        assert err.count("\n") == 1
 
     def test_calibrate_command(self, tmp_path, capsys):
         cfg = self._config_path(tmp_path, calibration_trials=250, pfa_target=0.05)

@@ -115,16 +115,27 @@ class TestScenarioConfig:
                     dict(hotspot_xy=(300.0, 0.0), target_height_m=25.0),
                     # integer fields take integers, not floats, strings or bools
                     dict(slot_length=2.5), dict(mc_trials=40.5), dict(n_tx_antennas=4.0),
-                    dict(master_seed=1.5), dict(n_rx_antennas="3"), dict(n_users=True)):
+                    dict(master_seed=1.5), dict(n_rx_antennas="3"), dict(n_users=True),
+                    # every field holds its declared type: 'no' is not False, and
+                    # save_config could not write a list or an array that load_config reads
+                    dict(repeater_on="no"), dict(tx_power_watt="1"),
+                    dict(tx_bs_xy=np.array([0.0, 5.0])), dict(tx_bs_xy=[0.0, 5.0]),
+                    dict(user_power_fractions=np.full(10, 0.05)),
+                    dict(user_power_fractions=[0.05] * 10),
+                    dict(n_users=0, user_power_fractions=np.zeros(0))):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
 
     def test_numpy_integers_are_integers(self, tmp_path):
-        config = ScenarioConfig(n_tx_antennas=np.int64(4), calibration_trials=np.int32(300),
-                                master_seed=np.uint8(3))
+        # ints are numbers too, and numpy floats are written as Python floats
         path = str(tmp_path / "scenario.cfg")
-        save_config(config, path)
-        assert load_config(path) == config
+        for config in (ScenarioConfig(n_tx_antennas=np.int64(4), calibration_trials=np.int32(300),
+                                      master_seed=np.uint8(3)),
+                       ScenarioConfig(tx_power_watt=1, tx_bs_xy=(0, 5)),
+                       ScenarioConfig(tx_power_watt=np.float64(1.5)),
+                       ScenarioConfig(hotspot_xy=(np.float64(150.0), 120.0))):
+            save_config(config, path)
+            assert load_config(path) == config
 
 
 class TestGeometry:
