@@ -15,7 +15,8 @@ import sys
 
 from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import StudyResult, calibrate, run_pod_vs_rcs, run_se_cdf, suggest_rcs_grid
+from .harness import (StudyResult, calibrate, calibration_warnings, run_pod_vs_rcs, run_se_cdf,
+                      suggest_rcs_grid)
 from .scenario import ScenarioConfig, load_config
 
 
@@ -71,11 +72,15 @@ def _number(token: str, option: str) -> float:
         raise ConfigError(f"{option}: {exc}") from exc
 
 
+def _warn(result) -> None:
+    for warning in result.metadata["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _write(result, out: str) -> int:
     result.write_csv(out)
     print(f"wrote {len(result.rows)} rows to {out}")
-    for warning in result.metadata["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(result)
     return 0
 
 
@@ -100,10 +105,12 @@ def _cmd_secdf(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load(args)
     result = StudyResult("calibration", ("threshold", "empirical_pfa", "trials"),
-                         [(*calibrate(config, workers=args.workers), config.calibration_trials)])
+                         [(*calibrate(config, workers=args.workers), config.calibration_trials)],
+                         {"warnings": calibration_warnings(config)})
     print(" ".join(f"{k}={v!r}" for k, v in zip(result.header, result.rows[0])))
     if args.out:
         result.write_csv(args.out)
+    _warn(result)
     return 0
 
 

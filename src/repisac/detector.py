@@ -21,9 +21,12 @@ clutter, residual, symbols and noises, then alpha_1.
 Monte Carlo passes use the block kernel :func:`block_statistics` instead:
 given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
-A block of ``TRIALS_PER_BLOCK`` trials draws only its symbols, one unit
-normal and alpha_1 per trial from one generator (:func:`trial_rng`, keyed
-per block). Both forms solve the clutter blocks A_k z_k = a_tx in one place
+A block of ``TRIALS_PER_BLOCK`` trials draws only a frame, one unit normal and
+alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block). The
+frame is the slot's symbols, or at zeta^2 = 0, where (s, v) see the frame only
+through X^H X, the Bartlett factor of their Gram matrix: min(tau, K + 1) rows
+in place of tau (:func:`frame_rows`). A run of consecutive blocks is evaluated
+in one call. Both forms solve the clutter blocks A_k z_k = a_tx in one place
 (:func:`_clutter_weights`, one stacked solve for a stack of frames). The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
@@ -219,7 +222,8 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     blocks = _noise_blocks(x, channels, config)
     w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
     x_h = np.conj(np.swapaxes(x, -1, -2))  # A_k one at a time: see block_statistics
-    a = np.stack([(x_h * w_k) @ x for w_k in w]) + lam * np.eye(config.n_tx_antennas)
+    a = np.stack([(x_h * w_k) @ x for w_k in w])
+    a += lam * np.eye(config.n_tx_antennas)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
     except np.linalg.LinAlgError as exc:
@@ -470,25 +474,71 @@ def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
 TRIALS_PER_BLOCK = 16  # trials drawn from one generator; independent of the worker count
 
 
+def frame_rows(config: ScenarioConfig) -> int:
+    """Rows of the frame that :func:`block_statistics` evaluates per trial: the
+    slot's tau symbol rows, or at zeta^2 = 0 the min(tau, K + 1) rows of their
+    Bartlett factor."""
+    if config.residual_interbs_power == 0.0:
+        return min(config.slot_length, config.user_fractions.size + 1)
+    return config.slot_length
+
+
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng: np.random.Generator, n_trials: int) -> np.ndarray:
-    """Rows (u, s, alpha_1) of a block of ``n_trials`` trials, shape (n_trials, 3).
+                     rng, n_trials: int) -> np.ndarray:
+    """Rows (u, s, alpha_1) of the first ``n_trials`` trials of a run of blocks,
+    shape (n_trials, 3), from one kernel call.
 
-    Per trial, only the symbols S (tau x (K+1)), one unit complex normal xi
-    and alpha_1 are drawn, trial-major from one standard-normal array, so the
-    first m rows of a block do not depend on ``n_trials``. The frame is
-    X = S M (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has
-    the law of :func:`trial_statistics`' u given X (:func:`conditional_statistics`):
+    ``rng`` is a sequence of generators, one per block of ``TRIALS_PER_BLOCK``
+    trials (the b-th holds trials b * TRIALS_PER_BLOCK onwards), or one
+    generator: a run of one block. Per trial, a tau x p symbol matrix S
+    (p = K + 1), one unit complex normal xi and alpha_1 enter; the frame is
+    X = S M (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has the
+    law of :func:`trial_statistics`' u given X (:func:`conditional_statistics`):
     no clutter, residual or noise is drawn and no observation is simulated.
     Under H0 the rows are read with alpha_1 = 0.
+
+    At zeta^2 = 0 every row of the slot has the same noise weights, so (s, v)
+    depend on X only through X^H X = M^H (S^H S) M, and with S = QR the frame
+    R M gives the same (s, v) as S M. A trial then draws, instead of S, the
+    m x p upper-trapezoidal Bartlett factor R (m = :func:`frame_rows`), which
+    has the law of QR's R: |R_ii|^2 ~ Gamma(tau - i, 1) and R_ij ~ CN(0, 1) for
+    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). A block draws its R_ij,
+    xi and alpha_1 trial-major from one standard-normal array, then the R_ii,
+    always for ``TRIALS_PER_BLOCK`` trials. At zeta^2 > 0 a block draws S, xi
+    and alpha_1 trial-major from one standard-normal array, for the trials it
+    keeps. Either way a short block is a prefix of the full one, and no row
+    depends on the run its block falls in.
     """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if not (len(rngs) - 1) * TRIALS_PER_BLOCK < n_trials <= len(rngs) * TRIALS_PER_BLOCK:
+        raise ValueError(f"{n_trials} trials do not end in the last of {len(rngs)} blocks")
     beams = beam_matrix(precoders, config)
-    n_sym = config.slot_length * beams.shape[0]
-    draws = rng.standard_normal((n_trials, 2 * (n_sym + 2))).view(complex) * np.sqrt(0.5)
-    x = draws[:, :n_sym].reshape(n_trials, config.slot_length, beams.shape[0]) @ beams
-    xi, alpha1 = draws[:, -2:].T.copy()
-    del draws  # keeps a block's memory under glibc's heap-trim threshold (no refaults)
+    tau, p = config.slot_length, beams.shape[0]
+    m = frame_rows(config)
+    bartlett = config.residual_interbs_power == 0.0
+    # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
+    n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
+    normals = np.empty((len(rngs) * TRIALS_PER_BLOCK, 2 * n_cn))
+    gammas = np.empty((normals.shape[0], m))
+    for b, block_rng in enumerate(rngs):
+        start = b * TRIALS_PER_BLOCK
+        stop = start + TRIALS_PER_BLOCK if bartlett else min(start + TRIALS_PER_BLOCK, n_trials)
+        block_rng.standard_normal(out=normals[start:stop])
+        if bartlett:
+            block_rng.standard_gamma(tau - np.arange(m), out=gammas[start:stop])
+    z = normals[:n_trials].view(complex)
+    z *= np.sqrt(0.5)
+    if bartlett:
+        factor = np.zeros((n_trials, m, p), dtype=complex)
+        upper = np.triu_indices(m, 1, p)
+        factor[:, upper[0], upper[1]] = z[:, :-2]
+        factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas[:n_trials])
+    else:
+        factor = z[:, :-2].reshape(n_trials, tau, p)
+    x = factor @ beams
+    xi, alpha1 = z[:, -2:].T.copy()
+    del normals, z, factor  # keeps a run's memory under glibc's heap-trim threshold
     s, v = conditional_statistics(x, channels, config, clutter_model)
     return np.column_stack([np.sqrt(v) * xi, s, alpha1])
 

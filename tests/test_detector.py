@@ -17,11 +17,11 @@ from repisac import (ConfigError, NumericalDomainError, assemble_statistics,
                      sensing_noise_cov)
 from repisac.channel import ClutterModel, clutter_covariance, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
-                              conditional_statistics, glrt_from_statistics, oracle_check,
-                              random_small_instance, schur_statistics, threshold_from_null_stats,
-                              trial_rng, trial_statistics)
+                              conditional_statistics, frame_rows, glrt_from_statistics,
+                              oracle_check, random_small_instance, schur_statistics,
+                              threshold_from_null_stats, trial_rng, trial_statistics)
 from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
-from repisac.precoding import build_precoders, build_transmit_frame
+from repisac.precoding import beam_matrix, build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
 from conftest import tiny_config
@@ -270,10 +270,33 @@ class TestConditionalStatistics:
             if zeta_sq == 0.0:  # the detector's noise model is exact
                 assert v_b == pytest.approx(s_b, rel=1e-12, abs=0.0)
 
+    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @given(nt=st.integers(1, 4), nr=st.integers(1, 4), tau=st.integers(1, 6),
+           p=st.integers(1, 5), gain_db=st.floats(-3.0, 120.0), zero_b_rx=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_frame_and_its_bartlett_frame_give_the_same_statistics(
+            self, nt, nr, tau, p, gain_db, zero_b_rx, seed):
+        # at zeta^2 = 0, (s, v) depend on X = S M only through X^H X, and
+        # S = QR gives S^H S = R^H R: the R M frame has min(tau, p) rows
+        rng = np.random.default_rng(seed)
+        _, _, channels, config, clutter = random_small_instance(rng, n_tx=nt, n_rx=nr)
+        config = config.with_updates(residual_interbs_power=0.0, repeater_gain_db=gain_db)
+        if zero_b_rx:
+            channels = dataclasses.replace(channels, b_rx=np.zeros_like(channels.b_rx))
+        beams = cn(rng, (p, nt))
+        symbols = cn(rng, (3, tau, p))
+        factors = np.linalg.qr(symbols, mode="r")
+        assert factors.shape == (3, min(tau, p), p)
+        s, v = conditional_statistics(symbols @ beams, channels, config, clutter)
+        s_r, v_r = conditional_statistics(factors @ beams, channels, config, clutter)
+        np.testing.assert_allclose(s_r, s, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v_r, v, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["zeta0", "zeta1e-12"])
     def test_reference_simulation_is_exponential_given_the_frame(self, zeta_sq):
         # |u|^2 / v(X) of full-simulation H0 trials against Exp(1): one-sample KS
-        # statistic below 1.63 / sqrt(n), its 1% critical value
+        # statistic below 1.63 / sqrt(n), its 1% critical value; at zeta^2 = 0, v is
+        # taken from the trial's Bartlett frame, as the block kernel takes it
         n = 2000
         config = tiny_config(residual_interbs_power=zeta_sq)
         geometry, channels = draw_drop(config, STUDY_POD)
@@ -286,10 +309,15 @@ class TestConditionalStatistics:
             u[i], s[i], _ = trial_statistics(config, channels, clutter, precoders, rng)
             redraw_nuisance(channels, config, clutter.entry_variance, replay,
                             force_null=True)
-            x = build_transmit_frame(precoders, config, replay).x
-            s_x, v_x = conditional_statistics(x[None], channels, config, clutter)
+            frame = build_transmit_frame(precoders, config, replay)
+            s_x, v_x = conditional_statistics(frame.x[None], channels, config, clutter)
             assert s_x[0] == pytest.approx(s[i], rel=1e-12, abs=0.0)
             v[i] = v_x[0]
+            if zeta_sq == 0.0:  # the frame R M of the block kernel, R from S = QR
+                symbols = np.column_stack([frame.user_symbols, frame.sensing_symbols])
+                x_r = np.linalg.qr(symbols, mode="r") @ beam_matrix(precoders, config)
+                v[i] = conditional_statistics(x_r[None], channels, config, clutter)[1][0]
+                assert v[i] == pytest.approx(v_x[0], rel=1e-12, abs=0.0)
         bound = 1.63 / np.sqrt(n)
         assert scipy.stats.kstest(np.abs(u) ** 2 / v, "expon").statistic < bound
         if zeta_sq > 0.0:
@@ -312,30 +340,125 @@ class TestConditionalStatistics:
 
 
 class TestBlockStatistics:
+    @staticmethod
+    def frame_statistics(config, channels, clutter, precoders, symbols):
+        """s and v of one trial from the schur_statistics reference on the frame
+        rebuilt from its symbols (the rows of S, or of the Bartlett factor R)."""
+        k = config.n_users
+        x = np.sqrt(config.tx_power_watt) * (
+            symbols[:, :k] @ (np.sqrt(config.user_fractions)[:, None]
+                              * precoders.user_precoders)
+            + np.sqrt(config.sensing_power_fraction) * symbols[:, k:]
+            * precoders.sensing_precoder)
+        frame = dataclasses.replace(build_transmit_frame(precoders, config,
+                                                         np.random.default_rng(0)), x=x)
+        zero_obs = SensingObservation(y_slots=np.zeros((x.shape[0], config.n_rx_antennas)))
+        _, s = schur_statistics(zero_obs, frame, channels, config, clutter)
+        _, v = conditional_statistics(x[None], channels, config, clutter)
+        return s, v[0]
+
     def test_rows_follow_the_per_trial_kernel_on_the_same_draws(self, small_setup):
+        # zeta^2 > 0: the block's draws, trial-major: tau x (K + 1) symbols, then
+        # xi and alpha_1, for the trials it keeps
         config, _, channels, clutter, precoders = small_setup
-        n = TRIALS_PER_BLOCK
+        config = config.with_updates(residual_interbs_power=1e-12)
+        n = TRIALS_PER_BLOCK - 3
         rows = block_statistics(config, channels, clutter, precoders,
                                 np.random.default_rng(3), n)
-        # the block's draws, trial-major: tau x (K + 1) symbols, then xi and alpha_1
         tau, k = config.slot_length, config.n_users
         draws = np.random.default_rng(3).standard_normal((n, 2 * (tau * (k + 1) + 2)))
         z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
         symbols = z[:, :-2].reshape(n, tau, k + 1)
-        rho, fractions = config.tx_power_watt, config.user_fractions
-        zero_obs = SensingObservation(y_slots=np.zeros((tau, config.n_rx_antennas)))
         for row, sym, xi, alpha1 in zip(rows, symbols, z[:, -2], z[:, -1]):
-            x = np.sqrt(rho) * (sym[:, :k] @ (np.sqrt(fractions)[:, None]
-                                              * precoders.user_precoders)
-                                + np.sqrt(config.sensing_power_fraction) * sym[:, k:]
-                                * precoders.sensing_precoder)
-            frame = dataclasses.replace(build_transmit_frame(precoders, config,
-                                                             np.random.default_rng(0)), x=x)
-            _, s = schur_statistics(zero_obs, frame, channels, config, clutter)
+            s, v = self.frame_statistics(config, channels, clutter, precoders, sym)
+            assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
+            assert row[0] == pytest.approx(np.sqrt(v) * xi, rel=1e-12, abs=0.0)
+            assert row[2] == alpha1
+
+    def test_rows_follow_the_bartlett_factor_at_zero_residual(self, small_setup):
+        # zeta^2 = 0: the strictly upper R_ij, xi and alpha_1 trial-major, then the
+        # |R_ii|^2, both for a full block; R is m x (K + 1), m = min(tau, K + 1)
+        config, _, channels, clutter, precoders = small_setup
+        n = TRIALS_PER_BLOCK - 3
+        rows = block_statistics(config, channels, clutter, precoders,
+                                np.random.default_rng(3), n)
+        tau, p = config.slot_length, config.n_users + 1
+        m = frame_rows(config)
+        assert m == min(tau, p) == 3
+        replay = np.random.default_rng(3)
+        draws = replay.standard_normal((TRIALS_PER_BLOCK, 2 * (m * p - m * (m + 1) // 2 + 2)))
+        z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
+        gammas = replay.standard_gamma(tau - np.arange(m), (TRIALS_PER_BLOCK, m))
+        for row, upper, g in zip(rows, z, gammas):
+            factor = np.zeros((m, p), dtype=complex)
+            entries = iter(upper[:-2])
+            for i in range(m):
+                factor[i, i] = np.sqrt(g[i])
+                for j in range(i + 1, p):
+                    factor[i, j] = next(entries)
+            s, v = self.frame_statistics(config, channels, clutter, precoders, factor)
             assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
             # zeta^2 = 0: v = s, so u = sqrt(s) xi
-            assert row[0] == pytest.approx(np.sqrt(s) * xi, rel=1e-12, abs=0.0)
-            assert row[2] == alpha1
+            assert row[0] == pytest.approx(np.sqrt(s) * upper[-2], rel=1e-12, abs=0.0)
+            assert row[2] == upper[-1]
+
+    def test_the_bartlett_factor_has_its_law(self):
+        # R recovered from the frames X = R M the kernel evaluates (M has full row
+        # rank here): |R_ii|^2 ~ Gamma(tau - i), |R_ij|^2 ~ Exp(1) above the
+        # diagonal, zeros below. Six one-sample KS tests at a family-wise 1% level:
+        # each statistic below the critical value sqrt(ln(2 / alpha) / 2) / sqrt(n)
+        # of alpha = 1% / 6 (Bonferroni)
+        config = tiny_config(n_tx_antennas=4, slot_length=6)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        precoders = build_precoders(config, channels)
+        beams = beam_matrix(precoders, config)
+        m, p = frame_rows(config), beams.shape[0]
+        assert m == p == 3 and np.linalg.matrix_rank(beams) == p
+        n_blocks = 125
+        n = n_blocks * TRIALS_PER_BLOCK
+        frames = []
+
+        def capture(x, *args):
+            frames.append(x)
+            return conditional_statistics(x, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repisac.detector, "conditional_statistics", capture)
+            block_statistics(config, channels, clutter_covariance(config, geometry), precoders,
+                             [trial_rng(config.master_seed, (9,), b) for b in range(n_blocks)],
+                             n)
+        (x,) = frames
+        factors = x @ np.linalg.pinv(beams)
+        np.testing.assert_allclose(factors @ beams, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
+        assert np.abs(np.tril(factors, -1)).max() < 1e-12 * np.abs(factors).max()
+        n_tests = m + (m * p - m * (m + 1) // 2)  # diagonal and upper entries
+        bound = np.sqrt(np.log(2 / (0.01 / n_tests)) / 2) / np.sqrt(n)
+        for i in range(m):
+            assert scipy.stats.kstest(np.abs(factors[:, i, i]) ** 2, "gamma",
+                                      args=(config.slot_length - i,)).statistic < bound
+            for j in range(i + 1, p):
+                assert scipy.stats.kstest(np.abs(factors[:, i, j]) ** 2,
+                                          "expon").statistic < bound
+
+    @pytest.mark.parametrize("gain_db", [20.0, 100.0])
+    def test_s_has_the_law_it_has_on_symbol_frames(self, gain_db):
+        # two-sample KS on the default config: the kernel's s (Bartlett frames)
+        # against s of frames S M drawn symbol by symbol; statistic below the 1%
+        # critical value 1.63 sqrt(2 / n)
+        config = repisac.ScenarioConfig(repeater_gain_db=gain_db)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        clutter = clutter_covariance(config, geometry)
+        precoders = build_precoders(config, channels)
+        n_blocks = 50
+        n = n_blocks * TRIALS_PER_BLOCK
+        rows = block_statistics(config, channels, clutter, precoders,
+                                [trial_rng(config.master_seed, (9,), b) for b in range(n_blocks)],
+                                n)
+        rng = np.random.default_rng(11)
+        symbols = cn(rng, (n, config.slot_length, config.n_users + 1))
+        s_symbols, _ = conditional_statistics(symbols @ beam_matrix(precoders, config),
+                                              channels, config, clutter)
+        assert scipy.stats.ks_2samp(rows[:, 1].real, s_symbols).statistic < 1.63 * np.sqrt(2 / n)
 
     def test_prefix_and_null_rows(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
@@ -343,6 +466,12 @@ class TestBlockStatistics:
         full = block_statistics(*args, np.random.default_rng(4), TRIALS_PER_BLOCK)
         head = block_statistics(*args, np.random.default_rng(4), 5)
         np.testing.assert_array_equal(full[:5], head)
+        # every block of a run but the last is full
+        for n_blocks, n_trials in ((1, 0), (1, TRIALS_PER_BLOCK + 1), (2, TRIALS_PER_BLOCK)):
+            with pytest.raises(ValueError, match=f"^{n_trials} trials do not end in the last "
+                                                 f"of {n_blocks} blocks$"):
+                block_statistics(*args, [np.random.default_rng(b) for b in range(n_blocks)],
+                                 n_trials)
         # one pass of rows serves both hypotheses: H0 reads it with alpha_1 = 0
         n = 2 * TRIALS_PER_BLOCK + 3
         rows = np.concatenate([
@@ -359,21 +488,31 @@ class TestBlockStatistics:
 
     def test_peak_memory_of_a_block_stays_small(self):
         # the draws are dropped before the solves and A_k is formed one eigenspace
-        # at a time, so that a block's temporaries stay under glibc's heap-trim
-        # threshold: above it, the heap is trimmed and page-faulted back per block
-        config = repisac.ScenarioConfig()
-        geometry, channels = draw_drop(config, STUDY_POD)
-        args = (config, channels, clutter_covariance(config, geometry),
-                build_precoders(config, channels))
-        block_statistics(*args, np.random.default_rng(0), TRIALS_PER_BLOCK)
-        frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16
-        tracemalloc.start()
-        try:
-            block_statistics(*args, np.random.default_rng(1), TRIALS_PER_BLOCK)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * frames_bytes
+        # at a time, so that the temporaries of a block of symbol frames
+        # (zeta^2 > 0), or of a run of Bartlett frames (zeta^2 = 0, 4 blocks on the
+        # default config), stay under glibc's heap-trim threshold: above it, the
+        # heap is trimmed and page-faulted back per block
+        for zeta_sq, n_blocks in ((1e-13, 1), (0.0, 4)):
+            config = repisac.ScenarioConfig(residual_interbs_power=zeta_sq)
+            assert max(1, config.slot_length // frame_rows(config)) == n_blocks
+            geometry, channels = draw_drop(config, STUDY_POD)
+            args = (config, channels, clutter_covariance(config, geometry),
+                    build_precoders(config, channels))
+
+            def run(seed):
+                block_statistics(*args, [np.random.default_rng([seed, b])
+                                         for b in range(n_blocks)],
+                                 n_blocks * TRIALS_PER_BLOCK)
+
+            run(0)
+            frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16
+            tracemalloc.start()
+            try:
+                run(1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * frames_bytes, f"zeta^2 = {zeta_sq}"
 
 
 class TestTrials:

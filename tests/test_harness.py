@@ -91,19 +91,67 @@ class TestRunTrials:
                        force_null=True, workers=workers)
 
     def test_numerical_error_names_the_failing_block(self, small_setup, monkeypatch):
-        # a failure in the third block names that block's key, (*key, 2)
+        # a failure in the third block names that block's key, (*key, 2): on this
+        # config a run holds one block
         config, _, channels, clutter, precoders = small_setup
 
-        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials):
-            if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
+        def fail_in_block_two(cfg, ch, cm, pr, rngs, n_trials):
+            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 2 for rng in rngs):
                 raise NumericalDomainError("clutter-block matrix is not positive definite")
-            return block_statistics(cfg, ch, cm, pr, rng, n_trials)
+            return block_statistics(cfg, ch, cm, pr, rngs, n_trials)
 
         monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
         with pytest.raises(NumericalDomainError,
                            match=re.escape("seed key (5, 7, 2): clutter-block")):
             run_trials(config, channels, clutter, precoders, (5, 7),
                        3 * TRIALS_PER_BLOCK + 1, force_null=True)
+
+    def test_numerical_error_in_a_run_names_its_blocks_seed_keys(self, monkeypatch):
+        # on the default config a run holds 4 blocks, evaluated in one kernel call
+        config = ScenarioConfig(mc_trials=100)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        calls = []
+
+        def fail_in_block_five(cfg, ch, cm, pr, rngs, n_trials):
+            calls.append([rng.bit_generator.seed_seq.spawn_key for rng in rngs])
+            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 5 for rng in rngs):
+                raise NumericalDomainError("clutter-block matrix is singular")
+            return block_statistics(cfg, ch, cm, pr, rngs, n_trials)
+
+        monkeypatch.setattr(harness, "block_statistics", fail_in_block_five)
+        with pytest.raises(NumericalDomainError, match="^" + re.escape(
+                "trial blocks with seed keys (5, 7, 4), (5, 7, 5), (5, 7, 6): "
+                "clutter-block matrix is singular") + "$"):
+            run_trials(config, channels, clutter_covariance(config, geometry),
+                       build_precoders(config, channels), (5, 7), 100, force_null=True)
+        assert calls == [[(5, 7, b) for b in range(4)], [(5, 7, b) for b in range(4, 7)]]
+
+    @pytest.mark.parametrize("overrides, per_run", [
+        ({}, 4),                                   # tau = 50, 11 Bartlett rows
+        ({"slot_length": 22}, 2),                  # 22 // 11
+        ({"slot_length": 8}, 1),                   # tau < K + 1: 8 rows, as many as S
+        ({"residual_interbs_power": 1e-13}, 1),    # symbol frames of tau rows
+    ], ids=["default", "tau22", "tau8", "zeta"])
+    def test_rows_do_not_depend_on_the_grouping_of_blocks_into_runs(self, overrides,
+                                                                     per_run):
+        config = ScenarioConfig(**overrides)
+        geometry, channels = draw_drop(config, STUDY_POD)
+        args = (config, channels, clutter_covariance(config, geometry),
+                build_precoders(config, channels), (5,))
+        n_trials = 6 * TRIALS_PER_BLOCK + 5  # seven blocks, the last one short
+        units = []
+
+        def recording_run(fn, runs):
+            units.extend(runs)
+            return [fn(blocks) for blocks in runs]
+
+        rows = harness._trial_pass(*args, n_trials, recording_run)
+        assert units == [range(b, min(b + per_run, 7)) for b in range(0, 7, per_run)]
+        for size in (1, 2, 3, 7):
+            regrouped = np.concatenate([harness._trial_run(*args, n_trials,
+                                                           range(b, min(b + size, 7)))
+                                        for b in range(0, 7, size)])
+            np.testing.assert_array_equal(regrouped, rows)
 
 
 @pytest.fixture
@@ -248,7 +296,8 @@ class TestPodStudy:
 
         result = run_pod_vs_rcs(config, grid, repeater_gains_db=gains)
         assert [row[0] for row in result.rows] == grid * 2
-        assert 0.0 < result.rows[0][2] < result.rows[2][2]  # the curve is not flat
+        # the curve is not flat: the last point's PoD is ~PFA^(1 / 2001), ~1
+        assert result.rows[0][2] < result.rows[2][2]
         for row, (pod, threshold, empirical_pfa, trials) in zip(result.rows, expected):
             assert (row[2], row[4], row[5]) == (pod, empirical_pfa, trials)
             assert row[3] == pytest.approx(threshold, rel=1e-10)
@@ -540,8 +589,23 @@ class TestCli:
         cfg = self._config_path(tmp_path, calibration_trials=250, pfa_target=0.05)
         out = tmp_path / "thr.csv"
         assert main_cli(["calibrate", "--config", cfg, "--out", str(out)]) == 0
-        assert "threshold=" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "threshold=" in captured.out
+        assert captured.err == ""  # 250 x PFA 0.05 expects 12.5 false alarms
         assert out.read_text().startswith("threshold,empirical_pfa,trials")
+
+    def test_calibrate_warns_as_the_pod_study_does(self, tmp_path, capsys):
+        # 10 H0 trials at PFA 0.01: the threshold is the largest statistic
+        cfg = self._config_path(tmp_path)
+        assert main_cli(["calibrate", "--config", cfg, "--trials", "10"]) == 0
+        captured = capsys.readouterr()
+        assert "empirical_pfa=0.1 trials=10" in captured.out
+        study = run_pod_vs_rcs(tiny_config(calibration_trials=10, mc_trials=1), [1.0],
+                               repeater_gains_db=(None,))
+        assert study.metadata["warnings"] == [
+            "calibration under-resolved: 10 H0 trials at PFA 0.01 expect 0.1 false alarms "
+            "(fewer than 10)"]
+        assert captured.err == f"warning: {study.metadata['warnings'][0]}\n"
 
     def test_calibrate_trials_override_sets_calibration_trials(self, tmp_path, capsys):
         cfg = self._config_path(tmp_path)
