@@ -86,14 +86,14 @@ def _write(result, out: str) -> int:
 
 def _cmd_pod(args) -> int:
     config = _load(args)
-    if args.grid:
+    if args.grid is not None:
         grid = [_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip()]
     else:
         grid = suggest_rcs_grid(config)
     gains = None
-    if args.gains:
+    if args.gains is not None:
         gains = tuple(None if tok.strip().lower() == "none" else _number(tok, "--gains")
-                      for tok in args.gains.split(","))
+                      for tok in args.gains.split(",") if tok.strip())
     return _write(run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers),
                   args.out)
 

@@ -21,12 +21,12 @@ clutter, residual, symbols and noises, then alpha_1.
 Monte Carlo passes use the block kernel :func:`block_statistics` instead:
 given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
-A block of ``TRIALS_PER_BLOCK`` trials draws only a frame, one unit normal and
-alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block). The
-frame is the slot's symbols, or at zeta^2 = 0, where (s, v) see the frame only
-through X^H X, the Bartlett factor of their Gram matrix: min(tau, K + 1) rows
-in place of tau (:func:`frame_rows`). A run of consecutive blocks is evaluated
-in one call. Both forms solve the clutter blocks A_k z_k = a_tx in one place
+A block of :func:`block_trials` trials draws only a frame, one unit normal and
+alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block), and
+is evaluated in one call. The frame is the slot's symbols, or at zeta^2 = 0,
+where (s, v) see the frame only through X^H X, the Bartlett factor of their
+Gram matrix: min(tau, K + 1) rows in place of tau (:func:`frame_rows`). Both
+forms solve the clutter blocks A_k z_k = a_tx in one place
 (:func:`_clutter_weights`, one stacked solve for a stack of frames). The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
@@ -471,7 +471,7 @@ def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
     return u, s, draw_rcs(1.0, rng)
 
 
-TRIALS_PER_BLOCK = 16  # trials drawn from one generator; independent of the worker count
+TRIALS_PER_BLOCK = 16  # tau-row symbol frames per block; independent of the worker count
 
 
 def frame_rows(config: ScenarioConfig) -> int:
@@ -483,62 +483,60 @@ def frame_rows(config: ScenarioConfig) -> int:
     return config.slot_length
 
 
+def block_trials(config: ScenarioConfig) -> int:
+    """Trials in one block: as many as stack no more frame rows than
+    ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 64 on the default config
+    (Bartlett frames of 11 rows) and 16 at zeta^2 > 0."""
+    return TRIALS_PER_BLOCK * max(1, config.slot_length // frame_rows(config))
+
+
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng, n_trials: int) -> np.ndarray:
-    """Rows (u, s, alpha_1) of the first ``n_trials`` trials of a run of blocks,
-    shape (n_trials, 3), from one kernel call.
+                     rng: np.random.Generator, n_trials: int) -> np.ndarray:
+    """Rows (u, s, alpha_1) of the first ``n_trials`` trials of a block drawn from
+    ``rng``, shape (n_trials, 3), 1 <= n_trials <= :func:`block_trials`.
 
-    ``rng`` is a sequence of generators, one per block of ``TRIALS_PER_BLOCK``
-    trials (the b-th holds trials b * TRIALS_PER_BLOCK onwards), or one
-    generator: a run of one block. Per trial, a tau x p symbol matrix S
-    (p = K + 1), one unit complex normal xi and alpha_1 enter; the frame is
-    X = S M (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has the
-    law of :func:`trial_statistics`' u given X (:func:`conditional_statistics`):
-    no clutter, residual or noise is drawn and no observation is simulated.
-    Under H0 the rows are read with alpha_1 = 0.
+    Per trial, a tau x p symbol matrix S (p = K + 1), one unit complex normal
+    xi and alpha_1 enter; the frame is X = S M
+    (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has the law of
+    :func:`trial_statistics`' u given X (:func:`conditional_statistics`): no
+    clutter, residual or noise is drawn and no observation is simulated. Under
+    H0 the rows are read with alpha_1 = 0.
 
     At zeta^2 = 0 every row of the slot has the same noise weights, so (s, v)
     depend on X only through X^H X = M^H (S^H S) M, and with S = QR the frame
     R M gives the same (s, v) as S M. A trial then draws, instead of S, the
     m x p upper-trapezoidal Bartlett factor R (m = :func:`frame_rows`), which
     has the law of QR's R: |R_ii|^2 ~ Gamma(tau - i, 1) and R_ij ~ CN(0, 1) for
-    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). A block draws its R_ij,
+    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). The block draws its R_ij,
     xi and alpha_1 trial-major from one standard-normal array, then the R_ii,
-    always for ``TRIALS_PER_BLOCK`` trials. At zeta^2 > 0 a block draws S, xi
-    and alpha_1 trial-major from one standard-normal array, for the trials it
-    keeps. Either way a short block is a prefix of the full one, and no row
-    depends on the run its block falls in.
+    both for the whole block. At zeta^2 > 0 it draws S, xi and alpha_1
+    trial-major from one standard-normal array, for the trials it keeps. Either
+    way a short block is a prefix of the full one.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    if not (len(rngs) - 1) * TRIALS_PER_BLOCK < n_trials <= len(rngs) * TRIALS_PER_BLOCK:
-        raise ValueError(f"{n_trials} trials do not end in the last of {len(rngs)} blocks")
+    size = block_trials(config)
+    if not 1 <= n_trials <= size:
+        raise ValueError(f"a block holds 1 to {size} trials, got {n_trials}")
     beams = beam_matrix(precoders, config)
     tau, p = config.slot_length, beams.shape[0]
     m = frame_rows(config)
     bartlett = config.residual_interbs_power == 0.0
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    normals = np.empty((len(rngs) * TRIALS_PER_BLOCK, 2 * n_cn))
-    gammas = np.empty((normals.shape[0], m))
-    for b, block_rng in enumerate(rngs):
-        start = b * TRIALS_PER_BLOCK
-        stop = start + TRIALS_PER_BLOCK if bartlett else min(start + TRIALS_PER_BLOCK, n_trials)
-        block_rng.standard_normal(out=normals[start:stop])
-        if bartlett:
-            block_rng.standard_gamma(tau - np.arange(m), out=gammas[start:stop])
+    normals = rng.standard_normal((size if bartlett else n_trials, 2 * n_cn))
     z = normals[:n_trials].view(complex)
     z *= np.sqrt(0.5)
     if bartlett:
+        gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n_trials]
         factor = np.zeros((n_trials, m, p), dtype=complex)
         upper = np.triu_indices(m, 1, p)
         factor[:, upper[0], upper[1]] = z[:, :-2]
-        factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas[:n_trials])
+        factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas)
     else:
         factor = z[:, :-2].reshape(n_trials, tau, p)
     x = factor @ beams
     xi, alpha1 = z[:, -2:].T.copy()
-    del normals, z, factor  # keeps a run's memory under glibc's heap-trim threshold
+    del normals, z, factor  # keeps a block's memory under glibc's heap-trim threshold
     s, v = conditional_statistics(x, channels, config, clutter_model)
     return np.column_stack([np.sqrt(v) * xi, s, alpha1])
 

@@ -6,7 +6,7 @@ channels through :func:`draw_drop`. A drop holds only its deterministic
 links: a slot's clutter, inter-BS residual and RCS are nuisance, fresh in each
 trial (``redraw_nuisance`` draws them in the reference trial).
 :func:`calibrate`, the detection study and its grid suggestion share one
-setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_run`), and take
+setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_block`), and take
 the threshold from one H0 pass on key (STUDY_POD, 2), so one config gives one
 threshold wherever it is asked for.
 Two studies are provided: probability of detection versus RCS variance (one
@@ -19,10 +19,10 @@ drops is drawn in one pass: each drop draws its numbers from its own two
 keys, and the geometry and links of all its drops are evaluated as arrays
 with a leading drop axis; it then takes one stacked RZF solve per repeater
 setting. Random substreams are keyed by (master_seed, study, ..., index): two
-per drop, and one per block of ``TRIALS_PER_BLOCK`` Monte Carlo trials. Trials
-go to the kernel in runs of consecutive blocks, as many as keep a run's frame
-rows within those of one block of symbol frames (:func:`_trial_pass`). Blocks
-of drops and runs of blocks of trials are the units that a study's one mapper
+per drop, and one per block of Monte Carlo trials, whose size follows from the
+frame layout (``block_trials``: 64 trials on the default config, 16 at
+zeta^2 > 0). A block of trials is one generator and one kernel call. Blocks of
+drops and blocks of trials are the units that a study's one mapper
 (:func:`_mapper`) hands to worker processes, so results are byte-identical
 regardless of worker count.
 """
@@ -42,7 +42,7 @@ import numpy as np
 from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_covariance,
                       gen_channels, realize_channels)
 from .comm_metrics import downlink_metrics
-from .detector import (TRIALS_PER_BLOCK, block_statistics, frame_rows, glrt_from_statistics,
+from .detector import (block_statistics, block_trials, glrt_from_statistics,
                        threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
@@ -121,20 +121,17 @@ def _mapper(workers: int):
             pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
 
 
-def _trial_run(config: ScenarioConfig, channels: ChannelRealization,
-               clutter_model: ClutterModel, precoders: PrecoderSet, key: tuple[int, ...],
-               n_trials: int, blocks: range) -> np.ndarray:
-    """Rows of the run ``blocks`` of consecutive blocks of a pass of ``n_trials``
-    trials, block b drawn from key (*key, b), from one kernel call."""
-    size = min(len(blocks) * TRIALS_PER_BLOCK, n_trials - blocks[0] * TRIALS_PER_BLOCK)
+def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
+                 clutter_model: ClutterModel, precoders: PrecoderSet, key: tuple[int, ...],
+                 n_trials: int, b: int) -> np.ndarray:
+    """Rows of block b of a pass of ``n_trials`` trials, drawn from key (*key, b)."""
+    size = block_trials(config)
     try:
         return block_statistics(config, channels, clutter_model, precoders,
-                                [trial_rng(config.master_seed, key, b) for b in blocks], size)
+                                trial_rng(config.master_seed, key, b),
+                                min(size, n_trials - b * size))
     except NumericalDomainError as exc:
-        named = ", ".join(str((*key, b)) for b in blocks)
-        plural = "s" if len(blocks) > 1 else ""
-        raise NumericalDomainError(f"trial block{plural} with seed key{plural} {named}: "
-                                   f"{exc}") from exc
+        raise NumericalDomainError(f"trial block with seed key {(*key, b)}: {exc}") from exc
 
 
 def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
@@ -142,21 +139,15 @@ def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
                 key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
     """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
 
-    Block b holds trials b * TRIALS_PER_BLOCK onwards and draws from key
-    (*key, b). A run holds max(1, tau // ``frame_rows``) consecutive blocks, so
-    one kernel call stacks no more frame rows than one block of tau-row symbol
-    frames: 4 blocks at zeta^2 = 0 on the default config, 1 at zeta^2 > 0. A run
-    is the unit that ``run`` (:func:`_mapper`) hands to workers, and no row
-    depends on the worker count or on the run its block falls in. A pass
-    depends on neither the hypothesis nor ``config.rcs_variance``: every
-    trial's statistic follows from its row (``glrt_from_statistics``, with
-    alpha_1 = 0 under H0).
+    Block b holds trials b * ``block_trials`` onwards and draws from key
+    (*key, b); a block is the unit that ``run`` (:func:`_mapper`) hands to
+    workers, so no row depends on the worker count. A pass depends on neither
+    the hypothesis nor ``config.rcs_variance``: every trial's statistic follows
+    from its row (``glrt_from_statistics``, with alpha_1 = 0 under H0).
     """
-    n_blocks = math.ceil(n_trials / TRIALS_PER_BLOCK)
-    per_run = max(1, config.slot_length // frame_rows(config))
-    parts = run(partial(_trial_run, config, channels, clutter_model, precoders, key,
+    parts = run(partial(_trial_block, config, channels, clutter_model, precoders, key,
                         n_trials),
-                [range(b, min(b + per_run, n_blocks)) for b in range(0, n_blocks, per_run)])
+                range(math.ceil(n_trials / block_trials(config))))
     return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
 
 
@@ -278,14 +269,15 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
     """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
-    mean s (``mean_scnr``) of one pilot block of trials on the study's setup, key
-    (STUDY_POD, 9, 0). For a Swerling-I target at zeta^2 = 0,
-    PoD = PFA^(1 / (1 + sigma_T^2 s)): the grid spans the detector's transition."""
+    mean s (``mean_scnr``) of one whole pilot block of trials on the study's setup,
+    key (STUDY_POD, 9, 0): 64 trials on the default config, 16 at zeta^2 > 0. For
+    a Swerling-I target at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the
+    grid spans the detector's transition."""
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
     channels, clutter_model = _pod_drop(config)
-    rows = _trial_run(config, channels, clutter_model, build_precoders(config, channels),
-                      (STUDY_POD, 9), TRIALS_PER_BLOCK, range(1))
+    rows = _trial_block(config, channels, clutter_model, build_precoders(config, channels),
+                        (STUDY_POD, 9), block_trials(config), 0)
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:
         raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "

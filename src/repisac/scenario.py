@@ -355,8 +355,9 @@ def _parse_value(raw: str, ftype) -> object:
 def load_config(path: str) -> ScenarioConfig:
     """Read a flat ``key = value`` text file into a ScenarioConfig.
 
-    Lines starting with ``#`` and blank lines are ignored. Unknown keys are
-    rejected so typos cannot silently fall back to defaults.
+    Lines starting with ``#`` and blank lines are ignored. Unknown and repeated
+    keys are rejected so typos cannot silently fall back to defaults, nor one
+    setting silently override another.
     """
     kwargs = {}
     try:
@@ -374,6 +375,8 @@ def load_config(path: str) -> ScenarioConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
         try:
             kwargs[key] = _parse_value(raw, _FIELD_TYPES[key])
         except (ValueError, ConfigError) as exc:

@@ -56,6 +56,8 @@ class TestClutterModel:
         cov = m @ m.conj().T + np.eye(4)
         model = ClutterModel(covariance=cov)
         np.testing.assert_allclose(model.inverse_covariance() @ cov, np.eye(4), atol=1e-12)
+        with pytest.raises(ConfigError, match="^clutter covariance is singular$"):
+            ClutterModel(covariance=np.zeros((4, 4))).inverse_covariance()
 
     def test_zero_entry_variance_rejected(self):
         with pytest.raises(ConfigError):

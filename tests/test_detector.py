@@ -17,11 +17,12 @@ from repisac import (ConfigError, NumericalDomainError, assemble_statistics,
                      sensing_noise_cov)
 from repisac.channel import ClutterModel, clutter_covariance, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
-                              conditional_statistics, frame_rows, glrt_from_statistics,
-                              oracle_check, random_small_instance, schur_statistics,
-                              threshold_from_null_stats, trial_rng, trial_statistics)
+                              block_trials, conditional_statistics, frame_rows,
+                              glrt_from_statistics, oracle_check, random_small_instance,
+                              schur_statistics, threshold_from_null_stats, trial_rng,
+                              trial_statistics)
 from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
-from repisac.precoding import beam_matrix, build_precoders, build_transmit_frame
+from repisac.precoding import PrecoderSet, beam_matrix, build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
 from conftest import tiny_config
@@ -223,6 +224,11 @@ class TestStructuredStatistics:
         full = ClutterModel(covariance=np.eye(size))  # not i.i.d.
         with pytest.raises(NumericalDomainError, match="i.i.d."):
             schur_statistics(obs, frame, channels, config, full)
+        precoders = PrecoderSet(np.zeros((0, config.n_tx_antennas)),
+                                channels.a_tx.conj() / np.linalg.norm(channels.a_tx))
+        with pytest.raises(NumericalDomainError,
+                           match="^per-trial clutter resampling needs an i.i.d. model$"):
+            trial_statistics(config, channels, full, precoders, rng)
         # a negative prior makes A0 = X^H diag(1/d) X - I indefinite (X has rank 1)
         indefinite = ClutterModel(covariance=-np.eye(size), entry_variance=-1.0)
         with pytest.raises(NumericalDomainError, match="not positive definite"):
@@ -362,7 +368,7 @@ class TestBlockStatistics:
         # xi and alpha_1, for the trials it keeps
         config, _, channels, clutter, precoders = small_setup
         config = config.with_updates(residual_interbs_power=1e-12)
-        n = TRIALS_PER_BLOCK - 3
+        n = block_trials(config) - 3
         rows = block_statistics(config, channels, clutter, precoders,
                                 np.random.default_rng(3), n)
         tau, k = config.slot_length, config.n_users
@@ -375,32 +381,37 @@ class TestBlockStatistics:
             assert row[0] == pytest.approx(np.sqrt(v) * xi, rel=1e-12, abs=0.0)
             assert row[2] == alpha1
 
-    def test_rows_follow_the_bartlett_factor_at_zero_residual(self, small_setup):
+    def test_rows_follow_the_bartlett_factor_at_zero_residual(self):
         # zeta^2 = 0: the strictly upper R_ij, xi and alpha_1 trial-major, then the
-        # |R_ii|^2, both for a full block; R is m x (K + 1), m = min(tau, K + 1)
-        config, _, channels, clutter, precoders = small_setup
-        n = TRIALS_PER_BLOCK - 3
-        rows = block_statistics(config, channels, clutter, precoders,
-                                np.random.default_rng(3), n)
-        tau, p = config.slot_length, config.n_users + 1
-        m = frame_rows(config)
-        assert m == min(tau, p) == 3
-        replay = np.random.default_rng(3)
-        draws = replay.standard_normal((TRIALS_PER_BLOCK, 2 * (m * p - m * (m + 1) // 2 + 2)))
-        z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
-        gammas = replay.standard_gamma(tau - np.arange(m), (TRIALS_PER_BLOCK, m))
-        for row, upper, g in zip(rows, z, gammas):
-            factor = np.zeros((m, p), dtype=complex)
-            entries = iter(upper[:-2])
-            for i in range(m):
-                factor[i, i] = np.sqrt(g[i])
-                for j in range(i + 1, p):
-                    factor[i, j] = next(entries)
-            s, v = self.frame_statistics(config, channels, clutter, precoders, factor)
-            assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
-            # zeta^2 = 0: v = s, so u = sqrt(s) xi
-            assert row[0] == pytest.approx(np.sqrt(s) * upper[-2], rel=1e-12, abs=0.0)
-            assert row[2] == upper[-1]
+        # |R_ii|^2, both for the whole block; R is m x (K + 1), m = min(tau, K + 1).
+        # At tau = 8 the block holds 8 // 3 = 2 times 16 trials
+        for config, size in ((tiny_config(), 16), (tiny_config(slot_length=8), 32)):
+            geometry, channels = draw_drop(config, STUDY_POD)
+            clutter = clutter_covariance(config, geometry)
+            precoders = build_precoders(config, channels)
+            assert block_trials(config) == size
+            n = size - 3
+            rows = block_statistics(config, channels, clutter, precoders,
+                                    np.random.default_rng(3), n)
+            tau, p = config.slot_length, config.n_users + 1
+            m = frame_rows(config)
+            assert m == min(tau, p) == 3
+            replay = np.random.default_rng(3)
+            draws = replay.standard_normal((size, 2 * (m * p - m * (m + 1) // 2 + 2)))
+            z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
+            gammas = replay.standard_gamma(tau - np.arange(m), (size, m))
+            for row, upper, g in zip(rows, z, gammas):
+                factor = np.zeros((m, p), dtype=complex)
+                entries = iter(upper[:-2])
+                for i in range(m):
+                    factor[i, i] = np.sqrt(g[i])
+                    for j in range(i + 1, p):
+                        factor[i, j] = next(entries)
+                s, v = self.frame_statistics(config, channels, clutter, precoders, factor)
+                assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
+                # zeta^2 = 0: v = s, so u = sqrt(s) xi
+                assert row[0] == pytest.approx(np.sqrt(s) * upper[-2], rel=1e-12, abs=0.0)
+                assert row[2] == upper[-1]
 
     def test_the_bartlett_factor_has_its_law(self):
         # R recovered from the frames X = R M the kernel evaluates (M has full row
@@ -414,8 +425,9 @@ class TestBlockStatistics:
         beams = beam_matrix(precoders, config)
         m, p = frame_rows(config), beams.shape[0]
         assert m == p == 3 and np.linalg.matrix_rank(beams) == p
-        n_blocks = 125
-        n = n_blocks * TRIALS_PER_BLOCK
+        size = block_trials(config)  # 32: two tau-row frames' worth of rows each
+        n_blocks = 62
+        n = n_blocks * size
         frames = []
 
         def capture(x, *args):
@@ -424,10 +436,11 @@ class TestBlockStatistics:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(repisac.detector, "conditional_statistics", capture)
-            block_statistics(config, channels, clutter_covariance(config, geometry), precoders,
-                             [trial_rng(config.master_seed, (9,), b) for b in range(n_blocks)],
-                             n)
-        (x,) = frames
+            for b in range(n_blocks):
+                block_statistics(config, channels, clutter_covariance(config, geometry),
+                                 precoders, trial_rng(config.master_seed, (9,), b), size)
+        assert len(frames) == n_blocks
+        x = np.concatenate(frames)
         factors = x @ np.linalg.pinv(beams)
         np.testing.assert_allclose(factors @ beams, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
         assert np.abs(np.tril(factors, -1)).max() < 1e-12 * np.abs(factors).max()
@@ -449,11 +462,13 @@ class TestBlockStatistics:
         geometry, channels = draw_drop(config, STUDY_POD)
         clutter = clutter_covariance(config, geometry)
         precoders = build_precoders(config, channels)
-        n_blocks = 50
-        n = n_blocks * TRIALS_PER_BLOCK
-        rows = block_statistics(config, channels, clutter, precoders,
-                                [trial_rng(config.master_seed, (9,), b) for b in range(n_blocks)],
-                                n)
+        size = block_trials(config)  # 64: Bartlett frames of 11 rows
+        n_blocks = 13
+        n = n_blocks * size
+        rows = np.concatenate([
+            block_statistics(config, channels, clutter, precoders,
+                             trial_rng(config.master_seed, (9,), b), size)
+            for b in range(n_blocks)])
         rng = np.random.default_rng(11)
         symbols = cn(rng, (n, config.slot_length, config.n_users + 1))
         s_symbols, _ = conditional_statistics(symbols @ beam_matrix(precoders, config),
@@ -463,20 +478,19 @@ class TestBlockStatistics:
     def test_prefix_and_null_rows(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
         args = (config, channels, clutter, precoders)
-        full = block_statistics(*args, np.random.default_rng(4), TRIALS_PER_BLOCK)
+        size = block_trials(config)
+        full = block_statistics(*args, np.random.default_rng(4), size)
         head = block_statistics(*args, np.random.default_rng(4), 5)
         np.testing.assert_array_equal(full[:5], head)
-        # every block of a run but the last is full
-        for n_blocks, n_trials in ((1, 0), (1, TRIALS_PER_BLOCK + 1), (2, TRIALS_PER_BLOCK)):
-            with pytest.raises(ValueError, match=f"^{n_trials} trials do not end in the last "
-                                                 f"of {n_blocks} blocks$"):
-                block_statistics(*args, [np.random.default_rng(b) for b in range(n_blocks)],
-                                 n_trials)
+        for n_trials in (0, size + 1):
+            with pytest.raises(ValueError,
+                               match=f"^a block holds 1 to {size} trials, got {n_trials}$"):
+                block_statistics(*args, np.random.default_rng(4), n_trials)
         # one pass of rows serves both hypotheses: H0 reads it with alpha_1 = 0
-        n = 2 * TRIALS_PER_BLOCK + 3
+        n = 2 * size + 3
         rows = np.concatenate([
             block_statistics(*args, trial_rng(config.master_seed, (5,), b),
-                             min(TRIALS_PER_BLOCK, n - b * TRIALS_PER_BLOCK))
+                             min(size, n - b * size))
             for b in range(3)])
         u, s, alpha1 = rows[:, 0], rows[:, 1].real, rows[:, 2]
         np.testing.assert_array_equal(
@@ -489,20 +503,18 @@ class TestBlockStatistics:
     def test_peak_memory_of_a_block_stays_small(self):
         # the draws are dropped before the solves and A_k is formed one eigenspace
         # at a time, so that the temporaries of a block of symbol frames
-        # (zeta^2 > 0), or of a run of Bartlett frames (zeta^2 = 0, 4 blocks on the
-        # default config), stay under glibc's heap-trim threshold: above it, the
-        # heap is trimmed and page-faulted back per block
-        for zeta_sq, n_blocks in ((1e-13, 1), (0.0, 4)):
+        # (zeta^2 > 0, 16 trials), or of Bartlett frames (zeta^2 = 0, 64 trials on
+        # the default config), stay under glibc's heap-trim threshold: above it,
+        # the heap is trimmed and page-faulted back per block
+        for zeta_sq, size in ((1e-13, 16), (0.0, 64)):
             config = repisac.ScenarioConfig(residual_interbs_power=zeta_sq)
-            assert max(1, config.slot_length // frame_rows(config)) == n_blocks
+            assert block_trials(config) == size
             geometry, channels = draw_drop(config, STUDY_POD)
             args = (config, channels, clutter_covariance(config, geometry),
                     build_precoders(config, channels))
 
             def run(seed):
-                block_statistics(*args, [np.random.default_rng([seed, b])
-                                         for b in range(n_blocks)],
-                                 n_blocks * TRIALS_PER_BLOCK)
+                block_statistics(*args, np.random.default_rng(seed), size)
 
             run(0)
             frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16

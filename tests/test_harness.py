@@ -11,7 +11,7 @@ from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyRes
 from repisac.channel import ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.comm_metrics import downlink_metrics
-from repisac.detector import (TRIALS_PER_BLOCK, block_statistics, glrt_from_statistics,
+from repisac.detector import (block_statistics, block_trials, glrt_from_statistics,
                               trial_rng)
 from repisac.harness import (DROPS_PER_BLOCK, POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF,
                              calibrate, draw_drop, run_trials, suggest_rcs_grid)
@@ -49,7 +49,8 @@ class TestRunTrials:
     # below puts several batches on each worker
     @settings(deadline=None, derandomize=True, database=None, max_examples=8)
     @given(workers=st.integers(1, 3),
-           n_trials=st.integers(1, 600).filter(lambda n: n % TRIALS_PER_BLOCK),  # a partial block
+           n_trials=st.integers(1, 600).filter(  # a partial block
+               lambda n: n % block_trials(tiny_config())),
            n_drops=st.integers(DROPS_PER_BLOCK + 1, 200).filter(lambda n: n % DROPS_PER_BLOCK))
     @example(workers=2, n_trials=130, n_drops=20)   # batches of 1 block
     @example(workers=2, n_trials=600, n_drops=600)  # batches of 2 blocks
@@ -68,8 +69,9 @@ class TestRunTrials:
 
     def test_trial_order_is_by_index(self, small_setup):
         config, _, channels, clutter, precoders = small_setup
+        size = block_trials(config)
         n_full, n_prefix = 100, 40  # both end inside a block
-        assert n_full % TRIALS_PER_BLOCK and n_prefix % TRIALS_PER_BLOCK
+        assert size == 16 and n_full % size and n_prefix % size
         full = run_trials(config, channels, clutter, precoders, (5,), n_full,
                           force_null=False, workers=1)
         prefix = run_trials(config, channels, clutter, precoders, (5,), n_prefix,
@@ -77,9 +79,9 @@ class TestRunTrials:
         np.testing.assert_array_equal(full[:n_prefix], prefix)
         # trials 80 to 95 are block 5, drawn from key (5, 5) whatever chunk holds it
         rows = block_statistics(config, channels, clutter, precoders,
-                                trial_rng(config.master_seed, (5,), 5), TRIALS_PER_BLOCK)
+                                trial_rng(config.master_seed, (5,), 5), size)
         np.testing.assert_array_equal(
-            full[5 * TRIALS_PER_BLOCK:6 * TRIALS_PER_BLOCK],
+            full[5 * size:6 * size],
             glrt_from_statistics(rows[:, 0], rows[:, 1].real, rows[:, 2], config.rcs_variance))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -90,68 +92,54 @@ class TestRunTrials:
             run_trials(config, channels, wrong_size, precoders, (5, 7), 3,
                        force_null=True, workers=workers)
 
-    def test_numerical_error_names_the_failing_block(self, small_setup, monkeypatch):
-        # a failure in the third block names that block's key, (*key, 2): on this
-        # config a run holds one block
-        config, _, channels, clutter, precoders = small_setup
-
-        def fail_in_block_two(cfg, ch, cm, pr, rngs, n_trials):
-            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 2 for rng in rngs):
-                raise NumericalDomainError("clutter-block matrix is not positive definite")
-            return block_statistics(cfg, ch, cm, pr, rngs, n_trials)
-
-        monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
-        with pytest.raises(NumericalDomainError,
-                           match=re.escape("seed key (5, 7, 2): clutter-block")):
-            run_trials(config, channels, clutter, precoders, (5, 7),
-                       3 * TRIALS_PER_BLOCK + 1, force_null=True)
-
-    def test_numerical_error_in_a_run_names_its_blocks_seed_keys(self, monkeypatch):
-        # on the default config a run holds 4 blocks, evaluated in one kernel call
-        config = ScenarioConfig(mc_trials=100)
+    def test_numerical_error_names_the_failing_block(self, monkeypatch):
+        # on the default config a block holds 64 trials, drawn from one generator
+        # and evaluated in one kernel call; a failure in the third block names
+        # that block's one key, (*key, 2)
+        config = ScenarioConfig()
         geometry, channels = draw_drop(config, STUDY_POD)
         calls = []
 
-        def fail_in_block_five(cfg, ch, cm, pr, rngs, n_trials):
-            calls.append([rng.bit_generator.seed_seq.spawn_key for rng in rngs])
-            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 5 for rng in rngs):
+        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials):
+            calls.append((rng.bit_generator.seed_seq.spawn_key, n_trials))
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
                 raise NumericalDomainError("clutter-block matrix is singular")
-            return block_statistics(cfg, ch, cm, pr, rngs, n_trials)
+            return block_statistics(cfg, ch, cm, pr, rng, n_trials)
 
-        monkeypatch.setattr(harness, "block_statistics", fail_in_block_five)
+        monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
-                "trial blocks with seed keys (5, 7, 4), (5, 7, 5), (5, 7, 6): "
-                "clutter-block matrix is singular") + "$"):
+                "trial block with seed key (5, 7, 2): clutter-block matrix is singular")
+                + "$"):
             run_trials(config, channels, clutter_covariance(config, geometry),
-                       build_precoders(config, channels), (5, 7), 100, force_null=True)
-        assert calls == [[(5, 7, b) for b in range(4)], [(5, 7, b) for b in range(4, 7)]]
+                       build_precoders(config, channels), (5, 7), 3 * 64 + 1,
+                       force_null=True)
+        assert calls == [((5, 7, b), 64) for b in range(3)]
 
-    @pytest.mark.parametrize("overrides, per_run", [
-        ({}, 4),                                   # tau = 50, 11 Bartlett rows
-        ({"slot_length": 22}, 2),                  # 22 // 11
-        ({"slot_length": 8}, 1),                   # tau < K + 1: 8 rows, as many as S
-        ({"residual_interbs_power": 1e-13}, 1),    # symbol frames of tau rows
+    @pytest.mark.parametrize("overrides, size", [
+        ({}, 64),                                  # tau = 50, 11 Bartlett rows: 4 x 16
+        ({"slot_length": 22}, 32),                 # 22 // 11 = 2
+        ({"slot_length": 8}, 16),                  # tau < K + 1: 8 rows, as many as S
+        ({"residual_interbs_power": 1e-13}, 16),   # symbol frames of tau rows
     ], ids=["default", "tau22", "tau8", "zeta"])
-    def test_rows_do_not_depend_on_the_grouping_of_blocks_into_runs(self, overrides,
-                                                                     per_run):
+    def test_a_pass_maps_one_unit_per_block(self, overrides, size):
         config = ScenarioConfig(**overrides)
+        assert block_trials(config) == size
         geometry, channels = draw_drop(config, STUDY_POD)
         args = (config, channels, clutter_covariance(config, geometry),
-                build_precoders(config, channels), (5,))
-        n_trials = 6 * TRIALS_PER_BLOCK + 5  # seven blocks, the last one short
+                build_precoders(config, channels))
+        n_trials = 6 * size + 5  # seven blocks, the last one short
         units = []
 
-        def recording_run(fn, runs):
-            units.extend(runs)
-            return [fn(blocks) for blocks in runs]
+        def recording_run(fn, blocks):
+            units.append(blocks)
+            return [fn(b) for b in blocks]
 
-        rows = harness._trial_pass(*args, n_trials, recording_run)
-        assert units == [range(b, min(b + per_run, 7)) for b in range(0, 7, per_run)]
-        for size in (1, 2, 3, 7):
-            regrouped = np.concatenate([harness._trial_run(*args, n_trials,
-                                                           range(b, min(b + size, 7)))
-                                        for b in range(0, 7, size)])
-            np.testing.assert_array_equal(regrouped, rows)
+        rows = harness._trial_pass(*args, (5,), n_trials, recording_run)
+        assert units == [range(7)]
+        np.testing.assert_array_equal(rows, np.concatenate([
+            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
+                             min(size, n_trials - b * size))
+            for b in range(7)]))
 
 
 @pytest.fixture
@@ -270,11 +258,12 @@ class TestPodStudy:
         clutter = clutter_covariance(config, geometry)
 
         def statistics(cfg, precoders, key, n_trials, null):
+            size = block_trials(cfg)
             rows = np.concatenate([
                 block_statistics(cfg, channels, clutter, precoders,
                                  trial_rng(cfg.master_seed, key, b),
-                                 min(TRIALS_PER_BLOCK, n_trials - b * TRIALS_PER_BLOCK))
-                for b in range(-(-n_trials // TRIALS_PER_BLOCK))])
+                                 min(size, n_trials - b * size))
+                for b in range(-(-n_trials // size))])
             assert rows.shape == (n_trials, 3)
             u, s, alpha1 = rows.T
             alpha = 0.0 if null else np.sqrt(cfg.rcs_variance) * alpha1  # H0: no echo
@@ -340,16 +329,16 @@ class TestPodStudy:
         assert drawn == []
 
     def test_grid_suggestion_spans_the_transition(self):
-        # scaled by s_bar, the mean s of one block of the study's own kernel and setup
-        config = tiny_config()
-        geometry, channels = draw_drop(config, STUDY_POD)
-        rows = block_statistics(config, channels, clutter_covariance(config, geometry),
-                                build_precoders(config, channels),
-                                trial_rng(config.master_seed, (STUDY_POD, 9), 0),
-                                TRIALS_PER_BLOCK)
-        s_bar = float(np.mean(rows[:, 1].real))
-        np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
-                                      np.geomspace(0.05 / s_bar, 2000.0 / s_bar, 5))
+        # scaled by s_bar, the mean s of one whole block of the study's own kernel
+        # and setup: 16 trials on the tiny config, 64 on the default one
+        for config, size in ((tiny_config(), 16), (ScenarioConfig(), 64)):
+            geometry, channels = draw_drop(config, STUDY_POD)
+            rows = block_statistics(config, channels, clutter_covariance(config, geometry),
+                                    build_precoders(config, channels),
+                                    trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)
+            s_bar = float(np.mean(rows[:, 1].real))
+            np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
+                                          np.geomspace(0.05 / s_bar, 2000.0 / s_bar, 5))
 
     def test_pilot_failure_names_its_seed_key(self, monkeypatch):
         def fail(*args):
@@ -543,10 +532,15 @@ class TestDrawDrop:
 
 
 class TestCli:
-    def _config_path(self, tmp_path, **overrides):
-        config = tiny_config(**overrides)
+    def _config_path(self, tmp_path, lines="", **overrides):
+        """A saved tiny config whose lines for the keys that ``lines`` sets are
+        replaced by ``lines`` (a config file may set a key only once)."""
         path = tmp_path / "scenario.cfg"
-        save_config(config, str(path))
+        save_config(tiny_config(**overrides), str(path))
+        keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+        kept = [line for line in path.read_text().splitlines(keepends=True)
+                if line.partition("=")[0].strip() not in keys]
+        path.write_text("".join(kept) + lines)
         return str(path)
 
     def test_pod_command_writes_csv(self, tmp_path, capsys):
@@ -647,8 +641,8 @@ class TestCli:
         cfg = self._config_path(tmp_path, n_users=2, n_tx_antennas=2, mc_trials=6)
         out = str(tmp_path / "out.csv")
         assert main_cli(["secdf", "--config", cfg, "--out", out]) == 1
-        with open(cfg, "a", encoding="utf-8") as fh:
-            fh.write("precoder_mode = comm_centric\n")
+        cfg = self._config_path(tmp_path, "precoder_mode = comm_centric\n", n_users=2,
+                                n_tx_antennas=2, mc_trials=6)
         assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.count("configuration error: comm_centric needs n_users < "
@@ -714,6 +708,11 @@ class TestCli:
     @pytest.mark.parametrize("args, overrides, lines, message", [
         (["pod", "--grid", "abc"], {}, "", "--grid: could not convert string to float: 'abc'"),
         (["pod", "--grid", ","], {}, "", "rcs grid must be nonempty"),
+        (["pod", "--grid", ""], {}, "", "rcs grid must be nonempty"),
+        (["pod", "--grid", "1e6", "--gains", ""], {}, "",
+         "pod study needs at least one repeater gain"),
+        (["pod", "--grid", "1e6", "--gains", " , "], {}, "",
+         "pod study needs at least one repeater gain"),
         (["pod", "--grid", "1e6", "--gains", "20,abc"], {}, "",
          "--gains: could not convert string to float: 'abc'"),
         (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0}, "",
@@ -721,7 +720,7 @@ class TestCli:
         (["calibrate", "--workers", "0"], {}, "", "workers must be at least 1, got 0"),
         (["pod", "--grid", "1e6", "--workers", "-3"], {}, "",
          "workers must be at least 1, got -3"),
-        # config-file lines after the saved config override it
+        # config-file lines replace the saved config's lines for their keys
         (["pod"], {}, "tx_bs_xy = 5\n", "tx_bs_xy must hold exactly 2 numbers, got (5.0,)"),
         (["pod", "--grid", "1e6"], {}, "hotspot_xy = 1,2,3\n",
          "hotspot_xy must hold exactly 2 numbers, got (1.0, 2.0, 3.0)"),
@@ -737,14 +736,13 @@ class TestCli:
         (["secdf"], {}, "bs_height_m = 1.5\nn_users = 1\nservice_radius_m = 0\n",
          "the transmit BS and the users coincide at (0.0, 0.0, 1.5): their path loss "
          "needs a positive 3-D distance"),
-    ], ids=["grid_not_a_number", "grid_empty", "gain_not_a_number", "secdf_no_users",
+    ], ids=["grid_not_a_number", "grid_empty", "grid_empty_string", "gains_empty_string",
+            "gains_empty", "gain_not_a_number", "secdf_no_users",
             "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
             "zero_service_disc", "duplicate_gains", "duplicate_repeater_off",
             "receive_bs_on_transmit_bs", "user_on_transmit_bs"])
     def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
                                                 lines, message):
-        cfg = self._config_path(tmp_path, **overrides)
-        with open(cfg, "a", encoding="utf-8") as fh:
-            fh.write(lines)
+        cfg = self._config_path(tmp_path, lines, **overrides)
         assert main_cli(args + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"

@@ -83,6 +83,8 @@ class TestTargetPrecoder:
         p = target_precoder("repeater_null", a, b, np.zeros((0, 6)))
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
         assert abs(b @ p) <= 1e-10 * np.linalg.norm(b)
+        with pytest.raises(ConfigError, match="^repeater_null requires a nonzero b_tx$"):
+            target_precoder("repeater_null", a, np.zeros(6), np.zeros((0, 6)))
 
     def test_comm_centric_nulls_every_user(self, rng):
         fdot = cn(rng, (3, 6))
@@ -141,7 +143,7 @@ class TestTransmitFrame:
         np.testing.assert_allclose(frame.x, np.sqrt(rho) * rebuilt, atol=1e-14)
 
     def test_beam_matrix_rows(self, small_setup):
-        config, _, _, _, precoders = small_setup
+        config, _, channels, _, precoders = small_setup
         beams = beam_matrix(precoders, config)
         assert beams.shape == (config.n_users + 1, config.n_tx_antennas)
         powers = config.tx_power_watt * np.append(config.user_fractions,
@@ -149,6 +151,9 @@ class TestTransmitFrame:
         np.testing.assert_allclose(np.linalg.norm(beams, axis=1) ** 2, powers, rtol=1e-14)
         no_sensing = config.with_updates(sensing_power_fraction=0.0)
         assert np.all(beam_matrix(precoders, no_sensing)[-1] == 0.0)
+        with pytest.raises(ConfigError,
+                           match="^sensing power allocated but no sensing precoder built$"):
+            beam_matrix(build_precoders(no_sensing, channels), config)
 
     def test_overcommitted_power_rejected(self):
         with pytest.raises(PowerBudgetError):

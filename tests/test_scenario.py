@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestScenarioConfig:
                     dict(n_users=0, user_power_fractions=np.zeros(0))):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**bad)
+        for bad, message in (
+                (dict(n_users=-1), "n_users must be nonnegative"),
+                (dict(mc_trials=0), "trial counts must be positive"),
+                (dict(calibration_trials=0), "trial counts must be positive"),
+                (dict(sensing_power_fraction=-0.1), "sensing_power_fraction must be nonnegative"),
+                (dict(user_power_fractions=(-0.1, 0.3)),
+                 "user power fractions must be nonnegative"),
+                (dict(bs_noise_power_watt=0.0), "bs_noise_power_watt must be positive when given"),
+                (dict(carrier_ghz=0.0), "carrier and bandwidth must be positive"),
+                (dict(bandwidth_hz=0.0), "carrier and bandwidth must be positive"),
+                (dict(service_radius_m=-1.0), "geometry radii must be nonnegative")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                tiny_config(**bad)
 
     def test_numpy_integers_are_integers(self, tmp_path):
         # ints are numbers too, and numpy floats are written as Python floats
@@ -301,6 +315,21 @@ class TestConfigFiles:
         path = tmp_path / "bad.cfg"
         path.write_text("n_users 3\n")
         with pytest.raises(ConfigError, match="expected"):
+            load_config(str(path))
+        for line, message in (
+                ("repeater_on = maybe", "bad value for repeater_on: cannot parse boolean "
+                                        "from 'maybe'"),
+                ("n_users = x", "bad value for n_users: invalid literal for int() with "
+                                "base 10: 'x'")):
+            path.write_text(f"# comment\n{line}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+                load_config(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_users = 2\nslot_length = 5\nn_users = 1\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: repeated config "
+                                              "key 'n_users'$"):
             load_config(str(path))
 
     def test_missing_file(self):
