@@ -112,10 +112,10 @@ def _los_gain(d, beta, config: ScenarioConfig):
     return np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
 
 
-def channel_draws(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """The standard normals of one drop's channels: the users' Rayleigh parts
-    (K, 2, Nt: each user's real then imaginary parts), 2 K Nt in all."""
-    return rng.standard_normal(2 * config.n_users * config.n_tx_antennas)
+def channel_draws(config: ScenarioConfig, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """The standard normals (*shape, 2 K Nt) of ``shape`` drops' channels: per drop the
+    users' Rayleigh parts (K, 2, Nt: each user's real then imaginary parts)."""
+    return rng.standard_normal((*shape, 2 * config.n_users * config.n_tx_antennas))
 
 
 def realize_channels(geometry: Geometry, config: ScenarioConfig,
@@ -171,8 +171,8 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
                  rng: np.random.Generator) -> ChannelRealization:
     """Draw the channels of one drop for its geometry (:func:`realize_channels`).
 
-    Identical (geometry, config, seed) give identical channels, and the same
-    ones as the drop gets in a block of drops.
+    Identical (geometry, config, seed) give identical channels. A study's drop
+    draws its channels in a block of drops (``harness.draw_drop``).
     """
     channels = realize_channels(geometry, config, channel_draws(config, rng))
     return replace(channels, g_rep=complex(channels.g_rep), rcs=complex(channels.rcs))

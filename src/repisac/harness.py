@@ -2,29 +2,32 @@
 CSV output.
 
 Every entry point (the studies, the CLI, the tests) draws its geometry and
-channels through :func:`draw_drop`. A drop holds only its deterministic
-links: a slot's clutter, inter-BS residual and RCS are nuisance, fresh in each
-trial (``redraw_nuisance`` draws them in the reference trial).
-:func:`calibrate`, the detection study and its grid suggestion share one
-setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_block`), and take
-the threshold from one H0 pass on key (STUDY_POD, 2), so one config gives one
-threshold wherever it is asked for.
-Two studies are provided: probability of detection versus RCS variance (one
-H0 pass and one H1 pass per repeater gain; each trial's statistic at every
-grid point follows from its sufficient statistics (u, s, alpha_1), read with
-alpha_1 = 0 in the H0 pass, and the threshold is recalibrated per grid point
-from the H0 pass), and the CDF of downlink per-user spectral efficiency
-across precoder choices, in blocks of ``DROPS_PER_BLOCK`` drops. A block of
-drops is drawn in one pass: each drop draws its numbers from its own two
-keys, and the geometry and links of all its drops are evaluated as arrays
-with a leading drop axis; it then takes one stacked RZF solve per repeater
-setting. Random substreams are keyed by (master_seed, study, ..., index): two
-per drop, and one per block of Monte Carlo trials, whose size follows from the
-frame layout (``block_trials``: 64 trials on the default config, 16 at
-zeta^2 > 0). A block of trials is one generator and one kernel call. Blocks of
-drops and blocks of trials are the units that a study's one mapper
-(:func:`_mapper`) hands to worker processes, so results are byte-identical
-regardless of worker count.
+channels through :func:`draw_drop`, a block of drops at a time. A drop holds
+only its deterministic links: a slot's clutter, inter-BS residual and RCS are
+nuisance, fresh in each trial (``redraw_nuisance`` draws them in the reference
+trial). :func:`calibrate`, the detection study and its grid suggestion share
+one setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_block`), and
+take the threshold from one H0 pass, so one config gives one threshold
+wherever it is asked for. Two studies are provided: probability of detection
+versus RCS variance (one H0 pass and one H1 pass per repeater gain; each
+trial's statistic at every grid point follows from its sufficient statistics
+(u, s, alpha_1), read with alpha_1 = 0 in the H0 pass, and the threshold is
+recalibrated per grid point from the H0 pass), and the CDF of downlink
+per-user spectral efficiency across precoder choices (one stacked RZF solve
+per block of drops and repeater setting).
+
+A block of ``DROPS_PER_BLOCK`` drops, and a block of trials (``block_trials``:
+64 trials on the default config, 16 at zeta^2 > 0), each draw from one
+generator, keyed (master_seed, study, stream, block b):
+
+    (STUDY_POD, 0, 0)    the PoD drop (drop 0 of block 0)
+    (STUDY_POD, 2, b)    H0 pass: the calibration
+    (STUDY_POD, 3, b)    H1 pass
+    (STUDY_POD, 9, 0)    grid pilot
+    (STUDY_SECDF, 0, b)  SE-CDF drops
+
+Blocks are the units that a study's one mapper (:func:`_mapper`) hands to
+worker processes, so results are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ from itertools import repeat
 import numpy as np
 
 from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_covariance,
-                      gen_channels, realize_channels)
+                      realize_channels)
 from .comm_metrics import downlink_metrics
 from .detector import (block_statistics, block_trials, glrt_from_statistics,
                        threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
                         target_precoder)
-from .scenario import Geometry, ScenarioConfig, drop_entities, entity_draws, place_entities
+from .scenario import Geometry, ScenarioConfig, entity_draws, place_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
@@ -77,32 +80,24 @@ class StudyResult:
 
 # -- study setup ---------------------------------------------------------------
 
-def draw_drop(config: ScenarioConfig, study: int,
-              index=0) -> tuple[Geometry, ChannelRealization]:
-    """Geometry and deterministic channels of drop ``index`` of a study, or of
-    each drop of a sequence ``index`` of drop indices (a block of drops).
-
-    Drop d draws its geometry from key (study, 0, d) and its channels from
-    (study, 1, d). A block draws each drop's numbers from its own keys and
-    evaluates the geometry and the links of all its drops in one pass, with a
-    leading drop axis on the drawn positions and on every channel field; a drop
-    is bit for bit the same wherever it falls. The detection study, its grid
-    suggestion and :func:`calibrate` all work on drop 0 of ``STUDY_POD``.
-    """
-    seed = config.master_seed
-    if np.ndim(index) == 0:
-        geometry = drop_entities(config, trial_rng(seed, (study, 0), index))
-        return geometry, gen_channels(geometry, config, trial_rng(seed, (study, 1), index))
-    geometry = place_entities(config, np.array(
-        [entity_draws(config, trial_rng(seed, (study, 0), d)) for d in index]))
-    return geometry, realize_channels(geometry, config, np.array(
-        [channel_draws(config, trial_rng(seed, (study, 1), d)) for d in index]))
+def draw_drop(config: ScenarioConfig, study: int, block: int,
+              n_drops: int) -> tuple[Geometry, ChannelRealization]:
+    """Geometry and deterministic channels of the first ``n_drops`` drops of block
+    ``block`` of a study, with a leading drop axis on the drawn positions and on
+    every channel field. The block draws from one generator, key (study, 0,
+    block): the uniforms of all ``DROPS_PER_BLOCK`` drops, then the normals of
+    its first ``n_drops``, so a short block is a prefix of the full one."""
+    rng = trial_rng(config.master_seed, (study, 0), block)
+    geometry = place_entities(config, entity_draws(config, rng, (DROPS_PER_BLOCK,))[:n_drops])
+    return geometry, realize_channels(geometry, config, channel_draws(config, rng, (n_drops,)))
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
-    """Channels and clutter model of drop 0 of ``STUDY_POD``: every PoD entry point's setup."""
-    geometry, channels = draw_drop(config, STUDY_POD)
-    return channels, clutter_covariance(config, geometry)
+    """Channels and clutter model of drop 0 of block 0 of ``STUDY_POD``: every PoD
+    entry point's setup. ``g_rep`` and ``rcs`` are numpy complex128, so complex numbers."""
+    geometry, channels = draw_drop(config, STUDY_POD, 0, 1)
+    return (ChannelRealization(**{name: value[0] for name, value in vars(channels).items()}),
+            clutter_covariance(config, geometry))
 
 
 # -- deterministic parallel execution ------------------------------------------
@@ -290,13 +285,14 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
 SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
-def _secdf_block(config: ScenarioConfig, modes, rep_configs, drops: range) -> np.ndarray:
-    """SE of every user on a block of drops (drawn in one pass), shape (modes,
+def _secdf_block(config: ScenarioConfig, modes, rep_configs, b: int) -> np.ndarray:
+    """SE of every user on block b of the study's ``mc_trials`` drops, shape (modes,
     rep_configs, drops, users), NaN on a degenerate drop. The RZF beams and the SINR
     terms no sensing beam changes are computed once per repeater setting's config."""
-    se = np.empty((len(modes), len(rep_configs), len(drops), config.n_users))
+    n_drops = min(DROPS_PER_BLOCK, config.mc_trials - b * DROPS_PER_BLOCK)
+    se = np.empty((len(modes), len(rep_configs), n_drops, config.n_users))
     try:
-        _, channels = draw_drop(config, STUDY_SECDF, drops)
+        _, channels = draw_drop(config, STUDY_SECDF, b, n_drops)
         for r, cfg in enumerate(rep_configs):
             fdot = effective_channels(channels, cfg)
             p_t = None if cfg.sensing_power_fraction == 0.0 else np.stack(
@@ -304,8 +300,8 @@ def _secdf_block(config: ScenarioConfig, modes, rep_configs, drops: range) -> np
             precoders = PrecoderSet(rzf_precoders(fdot, cfg.zf_regularizer_value), p_t)
             se[:, r] = downlink_metrics(precoders, channels, cfg).se
     except (np.linalg.LinAlgError, NumericalDomainError) as exc:
-        raise NumericalDomainError(f"SE-CDF drops with seed keys ({STUDY_SECDF}, 0|1, "
-                                   f"{drops[0]}..{drops[-1]}): {exc}") from exc
+        raise NumericalDomainError(
+            f"SE-CDF drop block with seed key {(STUDY_SECDF, 0, b)}: {exc}") from exc
     return se
 
 
@@ -314,7 +310,7 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     """Per-user SE samples over independent drops, as an empirical CDF.
 
     Every (mode, repeater) combination is evaluated on the same drops, in blocks of
-    ``DROPS_PER_BLOCK``, each drawn in one pass (:func:`draw_drop`). A config that
+    ``DROPS_PER_BLOCK``, each drawn from one generator (:func:`draw_drop`). A config that
     cannot run, and an empty or repeated list of modes or of repeater settings,
     raise ``ConfigError`` before any drop is drawn; a degenerate drop (sensing
     direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
@@ -335,8 +331,7 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     rep_configs = tuple(config.with_updates(repeater_on=r) for r in repeater_settings)
     with _mapper(workers) as run:
         blocks = run(partial(_secdf_block, config, modes, rep_configs),
-                     [range(d, min(d + DROPS_PER_BLOCK, n_drops))
-                      for d in range(0, n_drops, DROPS_PER_BLOCK)])
+                     range(math.ceil(n_drops / DROPS_PER_BLOCK)))
     se = np.concatenate(blocks, axis=2).reshape(len(combos), n_drops, config.n_users)
 
     rows = []

@@ -313,14 +313,14 @@ def place_entities(config: ScenarioConfig, uniforms: np.ndarray) -> Geometry:
     )
 
 
-def entity_draws(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """The uniform draws that place one drop's users and repeater (:func:`place_entities`)."""
-    return rng.random(2 * config.n_users + 2)
+def entity_draws(config: ScenarioConfig, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """The uniforms (*shape, 2K + 2) that place ``shape`` drops (:func:`place_entities`)."""
+    return rng.random((*shape, 2 * config.n_users + 2))
 
 
 def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
     """Place the users and the repeater of one drop at random (:func:`place_entities`);
-    BS/hotspot anchors are fixed."""
+    BS/hotspot anchors are fixed. A study's drop is placed by ``harness.draw_drop``."""
     return place_entities(config, entity_draws(config, rng))
 
 
@@ -348,7 +348,7 @@ def _parse_value(raw: str, ftype) -> object:
         return raw
     if origin is tuple:
         inner = typing.get_args(ftype)[0]
-        return tuple(inner(tok) for tok in raw.split(",") if tok.strip())
+        return tuple(inner(tok) for tok in raw.split(","))
     raise ConfigError(f"unsupported config field type {ftype}")
 
 

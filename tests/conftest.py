@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from repisac import ScenarioConfig
-from repisac.channel import clutter_covariance
-from repisac.harness import STUDY_POD, draw_drop
+from repisac.harness import _pod_drop
 from repisac.precoding import build_precoders
 
 
@@ -20,11 +19,10 @@ def tiny_config(**overrides) -> ScenarioConfig:
 
 @pytest.fixture
 def small_setup():
+    """(config, channels, clutter model, precoders) of the tiny config's PoD drop."""
     config = tiny_config()
-    geometry, channels = draw_drop(config, STUDY_POD)
-    clutter_model = clutter_covariance(config, geometry)
-    precoders = build_precoders(config, channels)
-    return config, geometry, channels, clutter_model, precoders
+    channels, clutter_model = _pod_drop(config)
+    return config, channels, clutter_model, build_precoders(config, channels)
 
 
 @pytest.fixture

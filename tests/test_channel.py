@@ -7,7 +7,7 @@ import pytest
 from repisac import ConfigError, draw_rcs, drop_entities, gen_channels, steering_vector
 from repisac.channel import ClutterModel, clutter_covariance, redraw_nuisance
 from repisac.detector import trial_rng
-from repisac.harness import STUDY_SECDF, draw_drop
+from repisac.harness import DROPS_PER_BLOCK, STUDY_SECDF, _pod_drop, draw_drop
 from repisac.scenario import pathloss_linear
 
 from conftest import tiny_config
@@ -90,12 +90,14 @@ def one_drop_and_a_block():
     and of a block of 16 drops stacked on a leading axis (``draw_drop``)."""
     config = tiny_config(n_users=3, n_tx_antennas=4, n_rx_antennas=3)
     geom = drop_entities(config, np.random.default_rng(1))
-    one = (geom, gen_channels(geom, config, np.random.default_rng(2)), [np.random.default_rng(2)])
-    block = (*draw_drop(config, STUDY_SECDF, range(16)),
-             [trial_rng(config.master_seed, (STUDY_SECDF, 1), d) for d in range(16)])
-    for geom, ch, rngs in (one, block):
-        # the Rayleigh draws, users in order, real then imaginary parts
-        parts = np.stack([rng.normal(scale=np.sqrt(0.5), size=(3, 2, 4)) for rng in rngs])
+    one = (geom, gen_channels(geom, config, np.random.default_rng(2)), 1,
+           np.random.default_rng(2))
+    block_rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), 0)
+    block_rng.random((DROPS_PER_BLOCK, 2 * 3 + 2))  # the block's uniforms come first
+    block = (*draw_drop(config, STUDY_SECDF, 0, DROPS_PER_BLOCK), DROPS_PER_BLOCK, block_rng)
+    for geom, ch, n_drops, rng in (one, block):
+        # the Rayleigh draws, drop by drop, users in order, real then imaginary parts
+        parts = rng.normal(scale=np.sqrt(0.5), size=(n_drops, 3, 2, 4))
         yield config, geom, ch, parts
 
 
@@ -169,8 +171,8 @@ class TestRedrawNuisance:
     def test_interbs_error_power(self):
         config = tiny_config(n_tx_antennas=6, n_rx_antennas=6,
                              residual_interbs_power=0.3)
-        geom, channels = draw_drop(config, STUDY_SECDF)
-        entry_variance = clutter_covariance(config, geom).entry_variance
+        channels, clutter = _pod_drop(config)
+        entry_variance = clutter.entry_variance
         rng = np.random.default_rng(1)
         samples = [redraw_nuisance(channels, config, entry_variance, rng) for _ in range(400)]
         power = np.mean(np.abs(np.stack([ch.interbs_error for ch in samples])) ** 2)
@@ -180,14 +182,13 @@ class TestRedrawNuisance:
 
     def test_zero_residual_gives_exact_zeros(self):
         config = tiny_config(residual_interbs_power=0.0)
-        geom, channels = draw_drop(config, STUDY_SECDF)
-        ch = redraw_nuisance(channels, config, clutter_covariance(config, geom).entry_variance,
-                             np.random.default_rng(2))
+        channels, clutter = _pod_drop(config)
+        ch = redraw_nuisance(channels, config, clutter.entry_variance, np.random.default_rng(2))
         assert np.all(ch.interbs_error == 0.0)
         assert np.all(ch.clutter != 0.0)
 
     def test_deterministic_links_fixed_nuisance_fresh(self, small_setup, rng):
-        config, _, channels, clutter_model, _ = small_setup
+        config, channels, clutter_model, _ = small_setup
         redrawn = redraw_nuisance(channels, config, clutter_model.entry_variance, rng)
         np.testing.assert_array_equal(redrawn.f_user, channels.f_user)
         np.testing.assert_array_equal(redrawn.a_tx, channels.a_tx)
@@ -196,7 +197,7 @@ class TestRedrawNuisance:
         assert redrawn.rcs != channels.rcs
 
     def test_force_null_zeroes_the_target(self, small_setup, rng):
-        config, _, channels, clutter_model, _ = small_setup
+        config, channels, clutter_model, _ = small_setup
         redrawn = redraw_nuisance(channels, config, clutter_model.entry_variance, rng,
                                   force_null=True)
         assert redrawn.rcs == 0.0

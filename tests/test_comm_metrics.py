@@ -25,7 +25,7 @@ class TestSpectralEfficiency:
 
 class TestUserSinr:
     def test_matches_manual_computation(self, small_setup):
-        config, _, channels, _, precoders = small_setup
+        config, channels, _, precoders = small_setup
         fdot = effective_channels(channels, config)
         rho = config.tx_power_watt
         fr = config.user_fractions
@@ -49,20 +49,20 @@ class TestUserSinr:
                                                abs=0.0)
 
     def test_no_sensing_interference_without_sensing_beam(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         cfg = config.with_updates(sensing_power_fraction=0.0,
                                   user_power_fractions=(0.5, 0.5))
         precoders = build_precoders(cfg, channels)
         assert user_sinr(0, precoders, channels, cfg).sensing_interference == 0.0
 
     def test_repeater_noise_leaves_with_repeater(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         cfg = config.with_updates(repeater_on=False)
         precoders = build_precoders(cfg, channels)
         metrics = user_sinr(0, precoders, channels, cfg)
         assert metrics.noise_power == pytest.approx(cfg.ue_noise_watt, rel=1e-12)
 
     def test_index_validation(self, small_setup):
-        config, _, channels, _, precoders = small_setup
+        config, channels, _, precoders = small_setup
         with pytest.raises(ConfigError):
             user_sinr(config.n_users, precoders, channels, config)

@@ -15,13 +15,13 @@ import repisac
 from repisac import (ConfigError, NumericalDomainError, assemble_statistics,
                      glrt_statistic, map_estimate, oracle_loglike_ratio, run_pod_vs_rcs,
                      sensing_noise_cov)
-from repisac.channel import ClutterModel, clutter_covariance, draw_rcs, redraw_nuisance
+from repisac.channel import ClutterModel, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
                               block_trials, conditional_statistics, frame_rows,
                               glrt_from_statistics, oracle_check, random_small_instance,
                               schur_statistics, threshold_from_null_stats, trial_rng,
                               trial_statistics)
-from repisac.harness import STUDY_POD, calibrate, draw_drop, run_trials
+from repisac.harness import STUDY_POD, _pod_drop, calibrate, run_trials
 from repisac.precoding import PrecoderSet, beam_matrix, build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
 
@@ -206,7 +206,7 @@ class TestStructuredStatistics:
     def test_dense_reference_matches_far_below_the_transition(self, small_setup):
         # at rcs_variance = 1 these H0 statistics are ~1e-9 of the two quadratic
         # forms whose difference they are: no relative slack for that cancellation
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         for i in range(200):
             rng = trial_rng(config.master_seed, (STUDY_POD, 2), i)
             ch = redraw_nuisance(channels, config, clutter.entry_variance, rng,
@@ -305,8 +305,7 @@ class TestConditionalStatistics:
         # taken from the trial's Bartlett frame, as the block kernel takes it
         n = 2000
         config = tiny_config(residual_interbs_power=zeta_sq)
-        geometry, channels = draw_drop(config, STUDY_POD)
-        clutter = clutter_covariance(config, geometry)
+        channels, clutter = _pod_drop(config)
         precoders = build_precoders(config, channels)
         u, s, v = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
         for i in range(n):
@@ -366,7 +365,7 @@ class TestBlockStatistics:
     def test_rows_follow_the_per_trial_kernel_on_the_same_draws(self, small_setup):
         # zeta^2 > 0: the block's draws, trial-major: tau x (K + 1) symbols, then
         # xi and alpha_1, for the trials it keeps
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         config = config.with_updates(residual_interbs_power=1e-12)
         n = block_trials(config) - 3
         rows = block_statistics(config, channels, clutter, precoders,
@@ -386,8 +385,7 @@ class TestBlockStatistics:
         # |R_ii|^2, both for the whole block; R is m x (K + 1), m = min(tau, K + 1).
         # At tau = 8 the block holds 8 // 3 = 2 times 16 trials
         for config, size in ((tiny_config(), 16), (tiny_config(slot_length=8), 32)):
-            geometry, channels = draw_drop(config, STUDY_POD)
-            clutter = clutter_covariance(config, geometry)
+            channels, clutter = _pod_drop(config)
             precoders = build_precoders(config, channels)
             assert block_trials(config) == size
             n = size - 3
@@ -420,7 +418,7 @@ class TestBlockStatistics:
         # each statistic below the critical value sqrt(ln(2 / alpha) / 2) / sqrt(n)
         # of alpha = 1% / 6 (Bonferroni)
         config = tiny_config(n_tx_antennas=4, slot_length=6)
-        geometry, channels = draw_drop(config, STUDY_POD)
+        channels, clutter = _pod_drop(config)
         precoders = build_precoders(config, channels)
         beams = beam_matrix(precoders, config)
         m, p = frame_rows(config), beams.shape[0]
@@ -437,8 +435,8 @@ class TestBlockStatistics:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(repisac.detector, "conditional_statistics", capture)
             for b in range(n_blocks):
-                block_statistics(config, channels, clutter_covariance(config, geometry),
-                                 precoders, trial_rng(config.master_seed, (9,), b), size)
+                block_statistics(config, channels, clutter, precoders,
+                                 trial_rng(config.master_seed, (9,), b), size)
         assert len(frames) == n_blocks
         x = np.concatenate(frames)
         factors = x @ np.linalg.pinv(beams)
@@ -459,8 +457,7 @@ class TestBlockStatistics:
         # against s of frames S M drawn symbol by symbol; statistic below the 1%
         # critical value 1.63 sqrt(2 / n)
         config = repisac.ScenarioConfig(repeater_gain_db=gain_db)
-        geometry, channels = draw_drop(config, STUDY_POD)
-        clutter = clutter_covariance(config, geometry)
+        channels, clutter = _pod_drop(config)
         precoders = build_precoders(config, channels)
         size = block_trials(config)  # 64: Bartlett frames of 11 rows
         n_blocks = 13
@@ -476,7 +473,7 @@ class TestBlockStatistics:
         assert scipy.stats.ks_2samp(rows[:, 1].real, s_symbols).statistic < 1.63 * np.sqrt(2 / n)
 
     def test_prefix_and_null_rows(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         args = (config, channels, clutter, precoders)
         size = block_trials(config)
         full = block_statistics(*args, np.random.default_rng(4), size)
@@ -509,9 +506,8 @@ class TestBlockStatistics:
         for zeta_sq, size in ((1e-13, 16), (0.0, 64)):
             config = repisac.ScenarioConfig(residual_interbs_power=zeta_sq)
             assert block_trials(config) == size
-            geometry, channels = draw_drop(config, STUDY_POD)
-            args = (config, channels, clutter_covariance(config, geometry),
-                    build_precoders(config, channels))
+            channels, clutter = _pod_drop(config)
+            args = (config, channels, clutter, build_precoders(config, channels))
 
             def run(seed):
                 block_statistics(*args, np.random.default_rng(seed), size)
@@ -537,7 +533,7 @@ class TestTrials:
 
     def test_reference_trial_draws_alpha1_last(self, small_setup):
         # its (u, s) are those of the target-free slot, and alpha_1 is the next draw
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         for i in range(5):
             rng = trial_rng(config.master_seed, (STUDY_POD, 8), i)
             replay = copy.deepcopy(rng)
@@ -550,7 +546,7 @@ class TestTrials:
             assert alpha1 == draw_rcs(1.0, replay)
 
     def test_sensing_trial_is_deterministic(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         t1 = trial_statistics(config, channels, clutter, precoders, trial_rng(0, (3,), 0))
         t2 = trial_statistics(config, channels, clutter, precoders, trial_rng(0, (3,), 0))
         assert t1 == t2
@@ -578,7 +574,7 @@ class TestTrials:
         assert resolved.metadata["warnings"] == []
 
     def test_detection_probability_rises_with_strong_target(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         cfg = config.with_updates(pfa_target=0.05, calibration_trials=400)
         threshold, _ = calibrate(cfg)  # on the drop of small_setup
         strong = cfg.with_updates(rcs_variance=1e9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult,
                      drop_entities, gen_channels, harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
-from repisac.channel import ClutterModel, clutter_covariance
+from repisac.channel import ChannelRealization, ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.comm_metrics import downlink_metrics
 from repisac.detector import (block_statistics, block_trials, glrt_from_statistics,
@@ -21,6 +21,11 @@ from repisac.scenario import save_config
 from conftest import tiny_config
 
 
+def drop_of(channels, d):
+    """Drop d of a block of drops' channels, as the ``ChannelRealization`` of one drop."""
+    return ChannelRealization(**{name: value[d] for name, value in vars(channels).items()})
+
+
 @pytest.fixture
 def forced_degenerate(monkeypatch):
     """A 6-drop SE-CDF config whose comm-centric sensing beams are nulled on drops 1 and 4.
@@ -30,7 +35,7 @@ def forced_degenerate(monkeypatch):
     valid configs hit a degenerate drop too rarely to test on a real one.
     """
     config = tiny_config(n_users=2, n_tx_antennas=3, mc_trials=6)
-    doomed = [draw_drop(config, STUDY_SECDF, d)[1].b_tx for d in (1, 4)]  # drop-specific
+    doomed = draw_drop(config, STUDY_SECDF, 0, 6)[1].b_tx[[1, 4]]  # drop-specific
 
     def sensing_beams(mode, a_tx, b_tx, fdot):
         beams = target_precoder(mode, a_tx, b_tx, fdot)
@@ -57,8 +62,7 @@ class TestRunTrials:
     @example(workers=3, n_trials=600, n_drops=90)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
         config = tiny_config()
-        geometry, channels = draw_drop(config, STUDY_POD)
-        clutter = clutter_covariance(config, geometry)
+        channels, clutter = harness._pod_drop(config)
         precoders = build_precoders(config, channels)
         runs = [run_trials(config, channels, clutter, precoders, (5,), n_trials,
                            force_null=False, workers=w) for w in (1, workers)]
@@ -68,7 +72,7 @@ class TestRunTrials:
                 == run_se_cdf(se_config, workers=workers).to_csv_bytes())
 
     def test_trial_order_is_by_index(self, small_setup):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         size = block_trials(config)
         n_full, n_prefix = 100, 40  # both end inside a block
         assert size == 16 and n_full % size and n_prefix % size
@@ -86,7 +90,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_numerical_error_names_the_trial_seed_key(self, small_setup, workers):
-        config, _, channels, _, precoders = small_setup
+        config, channels, _, precoders = small_setup
         wrong_size = ClutterModel.iid(1.0, 3, 3)  # Nt*Nr is 4, not 9
         with pytest.raises(NumericalDomainError, match=re.escape("seed key (5, 7, 0)")):
             run_trials(config, channels, wrong_size, precoders, (5, 7), 3,
@@ -97,7 +101,7 @@ class TestRunTrials:
         # and evaluated in one kernel call; a failure in the third block names
         # that block's one key, (*key, 2)
         config = ScenarioConfig()
-        geometry, channels = draw_drop(config, STUDY_POD)
+        channels, clutter = harness._pod_drop(config)
         calls = []
 
         def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials):
@@ -110,9 +114,8 @@ class TestRunTrials:
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
                 "trial block with seed key (5, 7, 2): clutter-block matrix is singular")
                 + "$"):
-            run_trials(config, channels, clutter_covariance(config, geometry),
-                       build_precoders(config, channels), (5, 7), 3 * 64 + 1,
-                       force_null=True)
+            run_trials(config, channels, clutter, build_precoders(config, channels), (5, 7),
+                       3 * 64 + 1, force_null=True)
         assert calls == [((5, 7, b), 64) for b in range(3)]
 
     @pytest.mark.parametrize("overrides, size", [
@@ -124,9 +127,8 @@ class TestRunTrials:
     def test_a_pass_maps_one_unit_per_block(self, overrides, size):
         config = ScenarioConfig(**overrides)
         assert block_trials(config) == size
-        geometry, channels = draw_drop(config, STUDY_POD)
-        args = (config, channels, clutter_covariance(config, geometry),
-                build_precoders(config, channels))
+        channels, clutter = harness._pod_drop(config)
+        args = (config, channels, clutter, build_precoders(config, channels))
         n_trials = 6 * size + 5  # seven blocks, the last one short
         units = []
 
@@ -168,7 +170,7 @@ def fake_pools(monkeypatch):
 
 class TestWorkerPool:
     def test_a_study_opens_one_pool(self, small_setup, fake_pools):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         gains = (20, 60, 100, None)
         result = run_pod_vs_rcs(config, [1e6, 1e8], repeater_gains_db=gains, workers=2)
         assert fake_pools == [2]  # not one per pass
@@ -189,7 +191,7 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, small_setup, fake_pools, workers):
-        config, _, channels, clutter, precoders = small_setup
+        config, channels, clutter, precoders = small_setup
         match = f"workers must be at least 1, got {workers}"
         with pytest.raises(ConfigError, match=match):
             run_pod_vs_rcs(config, [1e6], workers=workers)
@@ -254,8 +256,7 @@ class TestPodStudy:
         config = tiny_config()  # 200 H0 and 50 H1 trials: both end inside a block
         grid = [float(v) for v in suggest_rcs_grid(config, n_points=3)]
         gains = (20.0, None)
-        geometry, channels = draw_drop(config, STUDY_POD)
-        clutter = clutter_covariance(config, geometry)
+        channels, clutter = harness._pod_drop(config)
 
         def statistics(cfg, precoders, key, n_trials, null):
             size = block_trials(cfg)
@@ -332,9 +333,8 @@ class TestPodStudy:
         # scaled by s_bar, the mean s of one whole block of the study's own kernel
         # and setup: 16 trials on the tiny config, 64 on the default one
         for config, size in ((tiny_config(), 16), (ScenarioConfig(), 64)):
-            geometry, channels = draw_drop(config, STUDY_POD)
-            rows = block_statistics(config, channels, clutter_covariance(config, geometry),
-                                    build_precoders(config, channels),
+            channels, clutter = harness._pod_drop(config)
+            rows = block_statistics(config, channels, clutter, build_precoders(config, channels),
                                     trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)
             s_bar = float(np.mean(rows[:, 1].real))
             np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
@@ -386,6 +386,7 @@ class TestSeCdfStudy:
     def test_degenerate_drops_are_counted_not_fatal(self, forced_degenerate):
         config = forced_degenerate
         result = run_se_cdf(config, workers=1)
+        _, block = draw_drop(config, STUDY_SECDF, 0, 6)  # the study's one block
         assert result.metadata["degenerate_drops"] == {
             "target_centric|1": 0, "target_centric|0": 0,
             "comm_centric|1": 2, "comm_centric|0": 2}
@@ -398,7 +399,7 @@ class TestSeCdfStudy:
                 cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
                 expected = []
                 for d in drops:
-                    _, channels = draw_drop(config, STUDY_SECDF, d)
+                    channels = drop_of(block, d)
                     precoders = build_precoders(cfg, channels)
                     expected += [user_sinr(n, precoders, channels, cfg).se
                                  for n in range(cfg.n_users)]
@@ -410,10 +411,9 @@ class TestSeCdfStudy:
     def se_by_drop(config, modes, settings=(True, False)):
         """SE from the study's blocks of drops, shape (modes, settings, drops, users)."""
         rep_configs = tuple(config.with_updates(repeater_on=r) for r in settings)
-        n_drops, size = config.mc_trials, harness.DROPS_PER_BLOCK
-        return np.concatenate([harness._secdf_block(config, modes, rep_configs,
-                                                    range(d, min(d + size, n_drops)))
-                               for d in range(0, n_drops, size)], axis=2)
+        n_blocks = -(-config.mc_trials // DROPS_PER_BLOCK)
+        return np.concatenate([harness._secdf_block(config, modes, rep_configs, b)
+                               for b in range(n_blocks)], axis=2)
 
     @pytest.mark.parametrize("overrides, modes", [
         ({}, ("target_centric", "comm_centric", "repeater_null")),
@@ -422,39 +422,39 @@ class TestSeCdfStudy:
         ({"n_users": 1}, ("target_centric", "comm_centric", "repeater_null")),
     ], ids=["three_modes", "no_sensing_beam", "unequal_user_fractions", "one_user"])
     def test_each_drop_matches_the_single_drop_calls(self, overrides, modes):
-        # 37 drops: two full blocks and a partial one
+        # 37 drops: two full blocks and a partial one; drop d is drop d % 16 of
+        # block d // 16, evaluated alone
         config = tiny_config(**{"n_tx_antennas": 4, "n_users": 3, "mc_trials": 37, **overrides})
         se = self.se_by_drop(config, modes)
         assert se.shape == (len(modes), 2, 37, config.n_users)
+        blocks = [draw_drop(config, STUDY_SECDF, b, n)[1] for b, n in enumerate((16, 16, 5))]
         for drop in range(37):
-            _, channels = draw_drop(config, STUDY_SECDF, drop)
+            channels = drop_of(blocks[drop // 16], drop % 16)
             for m, mode in enumerate(modes):
                 for r, rep in enumerate((True, False)):
                     cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
                     expected = downlink_metrics(build_precoders(cfg, channels), channels, cfg)
                     np.testing.assert_array_equal(se[m, r, drop], expected.se)
 
-    @pytest.mark.parametrize("drops_per_block", [1, 5, 40])
-    def test_block_size_does_not_change_results(self, monkeypatch, drops_per_block):
-        # a drop moves to another position in another block, or into a partial one
+    def test_a_short_study_is_a_prefix_of_a_longer_one(self):
+        # the partial last block of 37 drops holds the first 5 drops of the full one
         config = tiny_config(n_tx_antennas=4, n_users=3, mc_trials=37)
         modes = ("target_centric", "comm_centric", "repeater_null")
-        se, csv = self.se_by_drop(config, modes), run_se_cdf(config, modes).to_csv_bytes()
-        monkeypatch.setattr(harness, "DROPS_PER_BLOCK", drops_per_block)
-        np.testing.assert_array_equal(self.se_by_drop(config, modes), se)
-        assert run_se_cdf(config, modes).to_csv_bytes() == csv
+        longer = self.se_by_drop(config.with_updates(mc_trials=48), modes)
+        np.testing.assert_array_equal(self.se_by_drop(config, modes), longer[:, :, :37])
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalDomainError])
     def test_numerical_error_names_the_drops_and_their_seed_keys(self, monkeypatch, error):
-        # a failure in the partial last block, drops 32 to 36, names their keys
+        # a failure in the partial last block, drops 32 to 36, names its one key
         def fail_in_the_last_block(fdot, zf_regularizer):
             if fdot.shape[0] < DROPS_PER_BLOCK:
                 raise error("Singular matrix")
             return rzf_precoders(fdot, zf_regularizer)
 
         monkeypatch.setattr(harness, "rzf_precoders", fail_in_the_last_block)
-        with pytest.raises(NumericalDomainError, match=re.escape(
-                f"SE-CDF drops with seed keys ({STUDY_SECDF}, 0|1, 32..36): Singular matrix")):
+        with pytest.raises(NumericalDomainError, match="^" + re.escape(
+                f"SE-CDF drop block with seed key ({STUDY_SECDF}, 0, 2): Singular matrix")
+                + "$"):
             run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=37))
 
     def test_needs_users(self):
@@ -481,17 +481,6 @@ class TestSeCdfStudy:
 
 
 class TestDrawDrop:
-    @staticmethod
-    def assert_same_drop(block, i, drop):
-        """Drop ``i`` of a block equals a drop drawn alone, bit for bit."""
-        (block_geo, block_ch), (geo, ch) = block, drop
-        for name in ("tx_bs", "rx_bs", "hotspot"):
-            np.testing.assert_array_equal(getattr(block_geo, name), getattr(geo, name))
-        np.testing.assert_array_equal(block_geo.repeater[i], geo.repeater)
-        np.testing.assert_array_equal(block_geo.users[i], geo.users)
-        for name, value in vars(ch).items():
-            np.testing.assert_array_equal(getattr(block_ch, name)[i], value, err_msg=name)
-
     @pytest.mark.parametrize("study, overrides", [
         (STUDY_SECDF, {}),
         (STUDY_SECDF, {"residual_interbs_power": 1e-12}),
@@ -499,36 +488,81 @@ class TestDrawDrop:
         (STUDY_SECDF, {"repeater_disc_radius_m": 0.0}),
         (STUDY_POD, {"n_users": 0}),
     ], ids=["default", "interbs_residual", "one_user", "fixed_repeater", "no_users_pod"])
-    def test_a_drop_draws_the_same_wherever_it_falls(self, study, overrides):
+    def test_a_short_block_is_a_prefix_of_the_full_one(self, study, overrides):
         config = ScenarioConfig(master_seed=11, **overrides)
-        drops = [draw_drop(config, study, d) for d in range(40)]
-        assert isinstance(drops[0][1].g_rep, complex) and isinstance(drops[0][1].rcs, complex)
-        for size in (1, 5, 16, 40):
-            for start in range(0, 40, size):
-                block = draw_drop(config, study, range(start, min(start + size, 40)))
-                assert block[1].b_tx.shape == (min(size, 40 - start), config.n_tx_antennas)
-                for i, drop in enumerate(drops[start:start + size]):
-                    self.assert_same_drop(block, i, drop)
+        full_geo, full_ch = draw_drop(config, study, 3, DROPS_PER_BLOCK)
+        for n in (1, 5, DROPS_PER_BLOCK):
+            geometry, channels = draw_drop(config, study, 3, n)
+            for name in ("tx_bs", "rx_bs", "hotspot"):
+                np.testing.assert_array_equal(getattr(geometry, name), getattr(full_geo, name))
+            np.testing.assert_array_equal(geometry.repeater, full_geo.repeater[:n])
+            np.testing.assert_array_equal(geometry.users, full_geo.users[:n])
+            for name, value in vars(channels).items():
+                np.testing.assert_array_equal(value, getattr(full_ch, name)[:n], err_msg=name)
         # a block draws its positions and every link per drop; the nuisance is
         # exact zeros (redraw_nuisance draws it), at zeta^2 > 0 too
-        geometry, channels = block
-        assert geometry.users.shape == (40, config.n_users, 3)
-        assert channels.f_user.shape == (40, config.n_users, config.n_tx_antennas)
-        for nuisance in (channels.clutter, channels.interbs_error):
-            assert nuisance.shape == (40, config.n_rx_antennas, config.n_tx_antennas)
+        assert full_geo.users.shape == (16, config.n_users, 3)
+        assert full_ch.f_user.shape == (16, config.n_users, config.n_tx_antennas)
+        for nuisance in (full_ch.clutter, full_ch.interbs_error):
+            assert nuisance.shape == (16, config.n_rx_antennas, config.n_tx_antennas)
             assert np.all(nuisance == 0.0)
-        assert channels.rcs.shape == channels.g_rep.shape == (40,)
-        assert np.all(channels.rcs == 0.0) and drops[0][1].rcs == 0.0
+        assert full_ch.rcs.shape == full_ch.g_rep.shape == (16,)
+        assert np.all(full_ch.rcs == 0.0)
 
     def test_one_drop_is_drop_entities_then_gen_channels_on_its_keys(self):
+        # drop 0 of a block: its block key's first uniforms, then, past the other
+        # 15 drops' uniforms, its first normals
         config = ScenarioConfig(master_seed=3, residual_interbs_power=1e-12)
-        for d in (0, 7):
-            geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_SECDF, 0), d))
-            channels = gen_channels(geometry, config,
-                                    trial_rng(config.master_seed, (STUDY_SECDF, 1), d))
-            block = draw_drop(config, STUDY_SECDF, range(d, d + 1))
-            self.assert_same_drop(block, 0, (geometry, channels))
-            self.assert_same_drop(block, 0, draw_drop(config, STUDY_SECDF, d))
+        for b in (0, 7):
+            rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), b)
+            geometry = drop_entities(config, rng)
+            rng.random((DROPS_PER_BLOCK - 1, 2 * config.n_users + 2))
+            channels = gen_channels(geometry, config, rng)
+            block_geo, block_ch = draw_drop(config, STUDY_SECDF, b, 2)
+            np.testing.assert_array_equal(block_geo.repeater[0], geometry.repeater)
+            np.testing.assert_array_equal(block_geo.users[0], geometry.users)
+            for name, value in vars(channels).items():
+                np.testing.assert_array_equal(getattr(block_ch, name)[0], value, err_msg=name)
+
+    def test_the_pod_drop_is_drop_zero_of_its_block(self):
+        config = tiny_config()
+        channels, clutter = harness._pod_drop(config)
+        geometry, block = draw_drop(config, STUDY_POD, 0, 1)
+        for name, value in vars(channels).items():
+            np.testing.assert_array_equal(value, getattr(block, name)[0], err_msg=name)
+        assert isinstance(channels.g_rep, complex) and isinstance(channels.rcs, complex)
+        assert clutter.entry_variance == clutter_covariance(config, geometry).entry_variance
+
+
+class TestSeedKeys:
+    @pytest.fixture
+    def keys(self, monkeypatch):
+        """The keys (*key, index) of every generator a study builds, in order."""
+        made = []
+
+        def recording_rng(master_seed, key, index):
+            made.append((*key, index))
+            return trial_rng(master_seed, key, index)
+
+        monkeypatch.setattr(harness, "trial_rng", recording_rng)
+        return made
+
+    def test_each_unit_builds_one_generator(self, keys):
+        # the tiny config: 200 H0 trials in 13 blocks of 16, 50 H1 trials in 4
+        config = tiny_config()
+        assert block_trials(config) == 16
+        grid = suggest_rcs_grid(config, 3)
+        assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 9, 0)]
+        keys.clear()
+        run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
+        passes = [(STUDY_POD, 2, b) for b in range(13)] + [(STUDY_POD, 3, b) for b in range(4)]
+        assert keys == [(STUDY_POD, 0, 0)] + passes * 2
+        keys.clear()
+        calibrate(config)
+        assert keys == [(STUDY_POD, 0, 0)] + [(STUDY_POD, 2, b) for b in range(13)]
+        keys.clear()
+        run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=37))
+        assert keys == [(STUDY_SECDF, 0, b) for b in range(3)]
 
 
 class TestCli:

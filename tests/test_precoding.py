@@ -15,19 +15,19 @@ def cn(rng, shape):
 
 class TestEffectiveChannel:
     def test_composite_path(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         fdot = effective_channels(channels, config)
         for n in range(config.n_users):
             np.testing.assert_allclose(
                 fdot[n], channels.f_user[n] + config.nu * channels.h_user[n] * channels.b_tx)
 
     def test_stacks_all_users(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         fdot = effective_channels(channels, config)
         assert fdot.shape == (config.n_users, config.n_tx_antennas)
 
     def test_repeater_off_reduces_to_direct_path(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         fdot = effective_channels(channels, config.with_updates(repeater_on=False))
         np.testing.assert_array_equal(fdot, channels.f_user)
 
@@ -117,7 +117,7 @@ class TestTargetPrecoder:
 
 class TestBuildPrecoders:
     def test_shapes_and_norms(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         pre = build_precoders(config, channels)
         assert pre.user_precoders.shape == (config.n_users, config.n_tx_antennas)
         np.testing.assert_allclose(np.linalg.norm(pre.user_precoders, axis=1), 1.0,
@@ -125,14 +125,14 @@ class TestBuildPrecoders:
         assert np.linalg.norm(pre.sensing_precoder) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_sensing_beam_without_sensing_power(self, small_setup):
-        config, _, channels, _, _ = small_setup
+        config, channels, _, _ = small_setup
         pre = build_precoders(config.with_updates(sensing_power_fraction=0.0), channels)
         assert pre.sensing_precoder is None
 
 
 class TestTransmitFrame:
     def test_frame_shape_and_composition(self, small_setup, rng):
-        config, _, channels, _, precoders = small_setup
+        config, channels, _, precoders = small_setup
         frame = build_transmit_frame(precoders, config, rng)
         assert frame.x.shape == (config.slot_length, config.n_tx_antennas)
         rho = config.tx_power_watt
@@ -143,7 +143,7 @@ class TestTransmitFrame:
         np.testing.assert_allclose(frame.x, np.sqrt(rho) * rebuilt, atol=1e-14)
 
     def test_beam_matrix_rows(self, small_setup):
-        config, _, channels, _, precoders = small_setup
+        config, channels, _, precoders = small_setup
         beams = beam_matrix(precoders, config)
         assert beams.shape == (config.n_users + 1, config.n_tx_antennas)
         powers = config.tx_power_watt * np.append(config.user_fractions,

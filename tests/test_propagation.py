@@ -8,7 +8,7 @@ from repisac.precoding import build_transmit_frame
 
 class TestDrawNoise:
     def test_shapes_and_powers(self, small_setup):
-        config, _, _, _, _ = small_setup
+        config, _, _, _ = small_setup
         cfg = config.with_updates(slot_length=2000, bs_noise_power_watt=0.7,
                                   repeater_noise_power_watt=0.3)
         noise = draw_noise(cfg, np.random.default_rng(5))
@@ -20,7 +20,7 @@ class TestDrawNoise:
 
 class TestReceiveBsSlot:
     def test_matches_per_slot_reference(self, small_setup, rng):
-        config, _, drop, clutter_model, precoders = small_setup
+        config, drop, clutter_model, precoders = small_setup
         # a slot's nuisance at zeta^2 > 0, so that every term below is nonzero
         config = config.with_updates(residual_interbs_power=1e-12)
         channels = redraw_nuisance(drop, config, clutter_model.entry_variance, rng)

@@ -316,13 +316,21 @@ class TestConfigFiles:
         path.write_text("n_users 3\n")
         with pytest.raises(ConfigError, match="expected"):
             load_config(str(path))
-        for line, message in (
+        empty_token = "could not convert string to float: ''"
+        for lines, message in (
                 ("repeater_on = maybe", "bad value for repeater_on: cannot parse boolean "
                                         "from 'maybe'"),
                 ("n_users = x", "bad value for n_users: invalid literal for int() with "
-                                "base 10: 'x'")):
-            path.write_text(f"# comment\n{line}\n")
-            with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+                                "base 10: 'x'"),
+                # an empty tuple token used to be dropped: 0,,5 loaded as (0.0, 5.0)
+                ("tx_bs_xy = 0,,5", f"bad value for tx_bs_xy: {empty_token}"),
+                ("tx_bs_xy = 0,5,", f"bad value for tx_bs_xy: {empty_token}"),
+                ("n_users = 2\nuser_power_fractions = 0.1,,0.2",
+                 f"bad value for user_power_fractions: {empty_token}")):
+            path.write_text(f"# comment\n{lines}\n")
+            lineno = 1 + len(lines.splitlines())  # the last line is the bad one
+            with pytest.raises(ConfigError,
+                               match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
                 load_config(str(path))
 
     def test_repeated_key_rejected(self, tmp_path):
