@@ -15,8 +15,7 @@ import sys
 
 from .detector import oracle_check
 from .errors import ConfigError, NumericalDomainError
-from .harness import (StudyResult, calibrate, calibration_warnings, run_pod_vs_rcs, run_se_cdf,
-                      suggest_rcs_grid)
+from .harness import StudyResult, calibrate, calibration_warnings, run_pod_vs_rcs, run_se_cdf
 from .scenario import ScenarioConfig, load_config
 
 
@@ -86,10 +85,9 @@ def _write(result, out: str) -> int:
 
 def _cmd_pod(args) -> int:
     config = _load(args)
+    grid = None  # the study's own suggested grid
     if args.grid is not None:
         grid = [_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip()]
-    else:
-        grid = suggest_rcs_grid(config)
     gains = None
     if args.gains is not None:
         gains = tuple(None if tok.strip().lower() == "none" else _number(tok, "--gains")

@@ -30,10 +30,18 @@ forms solve the clutter blocks A_k z_k = a_tx in one place
 (:func:`_clutter_weights`, one stacked solve for a stack of frames). The
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
+
+A block's frame-sized temporaries (its standard-normal draws, conj(X),
+X^H diag(w_k) and the stacked A_k) are per-thread working arrays
+(:func:`_work`), kept from one block to the next: freed per block, they
+made glibc trim the heap and page-fault it back once per block at 12 x 12.
+X and every array a function here returns are allocated fresh, so no caller
+holds a working array.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,23 @@ from .propagation import SensingObservation, draw_noise, receive_bs_slot
 from .scenario import ScenarioConfig
 
 _IMAG_RESIDUE_TOL = 1e-9
+_WORKING = threading.local()  # this thread's working arrays, by name (see _work)
+
+
+def _work(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """The leading shape[0] rows of this thread's working array ``name``.
+
+    The array is allocated once and reused, so a block's frame-sized
+    temporaries are not freed and faulted back in per block; it is reallocated,
+    at ``shape``, only when its row shape changes or it has too few rows. Its
+    contents are undefined: every caller writes what it reads. No array that a
+    public function returns is, or is a view of, a working array.
+    """
+    arrays = vars(_WORKING)
+    buf = arrays.get(name)
+    if buf is None or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
+        buf = arrays[name] = np.empty(shape, dtype)
+    return buf[:shape[0]]
 
 
 @dataclass
@@ -65,10 +90,11 @@ def sensing_noise_cov(x: np.ndarray, config: ScenarioConfig, b_rx: np.ndarray) -
     return diag * np.eye(nr) + (nu2 * config.repeater_noise_watt) * np.outer(b_rx, b_rx.conj())
 
 
-def _noise_eigenvalues(x: np.ndarray, b_sq: float,
+def _noise_eigenvalues(x: np.ndarray, x_conj: np.ndarray, b_sq: float,
                        config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues d[tau] and d[tau] + m ||b_r||^2 of Sigma_s[tau] on I - P and on P."""
-    d = (config.residual_interbs_power * np.einsum("...i,...i->...", x, x.conj()).real
+    """Eigenvalues d[tau] and d[tau] + m ||b_r||^2 of Sigma_s[tau] on I - P and on P,
+    given the frame x and its conjugate."""
+    d = (config.residual_interbs_power * np.einsum("...i,...i->...", x, x_conj).real
          + config.bs_noise_watt)
     if np.any(d <= 0):
         # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
@@ -76,7 +102,7 @@ def _noise_eigenvalues(x: np.ndarray, b_sq: float,
     return d, d + abs(config.nu) ** 2 * config.repeater_noise_watt * b_sq
 
 
-def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
+def _noise_blocks(x: np.ndarray, x_conj: np.ndarray, channels: ChannelRealization,
                   config: ScenarioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_k, e_k) per eigenspace of Sigma_s[tau]: the eigenvalues w_k of Sigma_s^-1
     and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I.
@@ -85,7 +111,7 @@ def _noise_blocks(x: np.ndarray, channels: ChannelRealization,
     noise into u at high gain) is projected out once more."""
     b = channels.b_rx
     b_sq = float(np.vdot(b, b).real)
-    d, d_par = _noise_eigenvalues(x, b_sq, config)
+    d, d_par = _noise_eigenvalues(x, x_conj, b_sq, config)
     v = channels.a_rx + config.nu * channels.g_rep * b
     if np.array_equal(d_par, d):
         return [(1.0 / d, v)]
@@ -122,7 +148,7 @@ def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
     r = (x @ channels.a_tx)[:, None] * v[None, :]  # (tau_L, Nr)
 
     b_sq = float(np.vdot(b, b).real)
-    d, d_par = _noise_eigenvalues(x, b_sq, config)
+    d, d_par = _noise_eigenvalues(x, x.conj(), b_sq, config)
     p = np.outer(b, b.conj()) / b_sq if b_sq > 0.0 else np.zeros((nr, nr))
 
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,15 +228,19 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
 
 
 def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: ScenarioConfig,
-                     clutter_model: ClutterModel) -> tuple[float, list, np.ndarray]:
-    """lam = 1 / sigma_c^2, (c_k, e_k) per eigenspace of Sigma_s[tau] and s, for a
-    stack of frames x (B, tau, Nt) and an i.i.d. clutter model of size Nt * Nr.
+                     clutter_model: ClutterModel) -> tuple[float, list, np.ndarray, np.ndarray]:
+    """lam = 1 / sigma_c^2, (c_k, e_k) per eigenspace of Sigma_s[tau], s and X^H, for
+    a stack of frames x (B, tau, Nt) and an i.i.d. clutter model of size Nt * Nr.
 
     c_k = w_k * (X z_k) of shape (B, tau), z_k = A_k^-1 a_tx,
     A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx)
     (:func:`schur_statistics`); every z_k of every frame comes from one stacked
     solve. No factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`)
     and lam > 0 (checked here), A_k is positive definite.
+
+    conj(X) is made once, in this thread's working array (:func:`_work`), and
+    X^H is its ``swapaxes`` view: it serves the noise eigenvalues, the A_k and
+    the caller, and is valid until the thread's next call.
     """
     if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
@@ -219,11 +249,16 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     if not clutter_model.entry_variance > 0.0:
         raise NumericalDomainError("clutter covariance is not positive definite")
     lam = 1.0 / clutter_model.entry_variance
-    blocks = _noise_blocks(x, channels, config)
+    nt = config.n_tx_antennas
+    x_conj = np.conj(x, out=_work("x_conj", x.shape))
+    blocks = _noise_blocks(x, x_conj, channels, config)
     w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
-    x_h = np.conj(np.swapaxes(x, -1, -2))  # A_k one at a time: see block_statistics
-    a = np.stack([(x_h * w_k) @ x for w_k in w])
-    a += lam * np.eye(config.n_tx_antennas)
+    x_h = np.swapaxes(x_conj, -1, -2)
+    x_h_w = np.swapaxes(_work("x_h_w", x.shape), -1, -2)  # X^H diag(w_k), one k at a time
+    a = _work("a", (len(w) * len(x), nt, nt)).reshape(*w.shape[:2], nt, nt)  # the A_k
+    for a_k, w_k in zip(a, w):
+        np.matmul(np.multiply(x_h, w_k, out=x_h_w), x, out=a_k)
+    a += lam * np.eye(nt)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
     except np.linalg.LinAlgError as exc:
@@ -232,7 +267,7 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     g = x @ channels.a_tx
     s = sum(lam * float(np.vdot(e, e).real) * np.einsum("bt,bt->b", c.conj(), g).real
             for c, e in weights)
-    return lam, weights, s
+    return lam, weights, s, x_h
 
 
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -259,7 +294,7 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     :func:`_clutter_weights`: one Nt x Nt solve per block (one block when
     m ||b_r||^2 = 0), whatever Nr is.
     """
-    lam, weights, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
+    lam, weights, s, _ = _clutter_weights(frame.x[None], channels, config, clutter_model)
     u = sum(lam * complex(np.vdot(c[0], observation.y_slots @ e.conj())) for c, e in weights)
     return u, float(s[0])
 
@@ -281,10 +316,9 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
     At zeta^2 = 0 the detector's noise model is exact and v = s.
     """
-    lam, weights, s = _clutter_weights(x, channels, config, clutter_model)
+    lam, weights, s, x_h = _clutter_weights(x, channels, config, clutter_model)
     b = channels.b_rx
     m = abs(config.nu) ** 2 * config.repeater_noise_watt
-    x_h = np.conj(np.swapaxes(x, -1, -2))
     v = np.zeros(x.shape[0])
     for c, e in weights:
         e_sq = float(np.vdot(e, e).real)
@@ -513,6 +547,14 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     both for the whole block. At zeta^2 > 0 it draws S, xi and alpha_1
     trial-major from one standard-normal array, for the trials it keeps. Either
     way a short block is a prefix of the full one.
+
+    The standard-normal array, sized for a full block, and the conj(X),
+    X^H diag(w_k) and A_k of :func:`_clutter_weights` are this thread's
+    working arrays (:func:`_work`): the next block of the same shape reuses
+    them instead of allocating and freeing arrays of the frame's size, which
+    at 12 x 12 (zeta^2 > 0) are larger than glibc's heap-trim threshold, so the
+    heap was trimmed and page-faulted back once per block. X, the Bartlett
+    factor and the returned rows are allocated per block.
     """
     size = block_trials(config)
     if not 1 <= n_trials <= size:
@@ -523,7 +565,8 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     bartlett = config.residual_interbs_power == 0.0
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    normals = rng.standard_normal((size if bartlett else n_trials, 2 * n_cn))
+    normals = _work("normals", (size, 2 * n_cn), float)
+    rng.standard_normal(out=normals if bartlett else normals[:n_trials])
     z = normals[:n_trials].view(complex)
     z *= np.sqrt(0.5)
     if bartlett:
@@ -536,7 +579,7 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
         factor = z[:, :-2].reshape(n_trials, tau, p)
     x = factor @ beams
     xi, alpha1 = z[:, -2:].T.copy()
-    del normals, z, factor  # keeps a block's memory under glibc's heap-trim threshold
+    del factor  # a Bartlett factor is its own array: freed before the solves
     s, v = conditional_statistics(x, channels, config, clutter_model)
     return np.column_stack([np.sqrt(v) * xi, s, alpha1])
 

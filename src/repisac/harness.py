@@ -55,6 +55,7 @@ from .scenario import Geometry, ScenarioConfig, entity_draws, place_entities
 STUDY_POD = 1
 STUDY_SECDF = 2
 DROPS_PER_BLOCK = 16
+GRID_POINTS = 8  # of the suggested RCS grid
 
 
 @dataclass
@@ -207,7 +208,8 @@ POD_HEADER = ("sigma_t_sq", "repeater_gain_db", "pod", "threshold",
 
 def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
                    repeater_gains_db=None, workers: int = 1) -> StudyResult:
-    """Probability of detection over an RCS-variance grid.
+    """Probability of detection over an RCS-variance grid, or, when ``rcs_grid``
+    is None, over the grid of :func:`suggest_rcs_grid`.
 
     Geometry and deterministic channels (drop 0) are fixed for the whole study;
     each trial draws its symbols, its clutter, residual and noise term given
@@ -217,18 +219,19 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     sufficient statistics), and the GLRT threshold is recalibrated per grid
     point from the H0 pass. The default gains are the configured one and
     repeater-off, or repeater-off alone when the config has the repeater off;
-    no gains, or equal gains (20, 20.0), are a ``ConfigError`` raised before
-    the drop is drawn.
+    no gains, or equal gains (20, 20.0), and fewer than one worker are a
+    ``ConfigError`` raised before the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
-    grid = np.array([float(v) for v in rcs_grid])
-    if grid.size == 0:
-        raise ConfigError("rcs grid must be nonempty")
-    if not np.all(np.isfinite(grid) & (grid > 0.0)):
-        raise ConfigError("rcs variance grid values must be positive and finite")
+    if rcs_grid is not None:
+        grid = np.array([float(v) for v in rcs_grid])
+        if grid.size == 0:
+            raise ConfigError("rcs grid must be nonempty")
+        if not np.all(np.isfinite(grid) & (grid > 0.0)):
+            raise ConfigError("rcs variance grid values must be positive and finite")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
     gain_values = [float("-inf") if g is None else float(g) for g in repeater_gains_db]
@@ -236,11 +239,13 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         raise ConfigError("pod study needs at least one repeater gain")
     if len(set(gain_values)) < len(gain_values):
         raise ConfigError(f"repeater gains must be distinct, got {tuple(repeater_gains_db)}")
-    channels, clutter_model = _pod_drop(config)
 
     rows = []
     mean_scnr = {}
     with _mapper(workers) as run:
+        channels, clutter_model = _pod_drop(config)
+        if rcs_grid is None:
+            grid = _pilot_grid(config, channels, clutter_model, GRID_POINTS)
         for gain_db, gain_value in zip(repeater_gains_db, gain_values):
             cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
                         config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
@@ -262,7 +267,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
                                  "warnings": calibration_warnings(config)})
 
 
-def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
+def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.ndarray:
     """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
     mean s (``mean_scnr``) of one whole pilot block of trials on the study's setup,
     key (STUDY_POD, 9, 0): 64 trials on the default config, 16 at zeta^2 > 0. For
@@ -270,7 +275,12 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = 8) -> np.ndarray:
     grid spans the detector's transition."""
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
-    channels, clutter_model = _pod_drop(config)
+    return _pilot_grid(config, *_pod_drop(config), n_points)
+
+
+def _pilot_grid(config: ScenarioConfig, channels: ChannelRealization,
+                clutter_model: ClutterModel, n_points: int) -> np.ndarray:
+    """The grid of :func:`suggest_rcs_grid` on the study's drop."""
     rows = _trial_block(config, channels, clutter_model, build_precoders(config, channels),
                         (STUDY_POD, 9), block_trials(config), 0)
     s_bar = float(np.mean(rows[:, 1].real))

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -498,13 +499,16 @@ class TestBlockStatistics:
             glrt_from_statistics(u, s, alpha1, config.rcs_variance))
 
     def test_peak_memory_of_a_block_stays_small(self):
-        # the draws are dropped before the solves and A_k is formed one eigenspace
-        # at a time, so that the temporaries of a block of symbol frames
-        # (zeta^2 > 0, 16 trials), or of Bartlett frames (zeta^2 = 0, 64 trials on
-        # the default config), stay under glibc's heap-trim threshold: above it,
-        # the heap is trimmed and page-faulted back per block
-        for zeta_sq, size in ((1e-13, 16), (0.0, 64)):
-            config = repisac.ScenarioConfig(residual_interbs_power=zeta_sq)
+        # the draws, conj(X), X^H diag(w_k) and the A_k live in per-thread working
+        # arrays that a block of the same shape reuses, so a second block allocates
+        # little more than X: at 12 x 12 its frame-sized temporaries are larger
+        # than glibc's heap-trim threshold, and freeing them per block made the
+        # heap be trimmed and page-faulted back once per block
+        for overrides, size in (({"residual_interbs_power": 1e-13}, 16),
+                                ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12,
+                                  "n_rx_antennas": 12}, 16),
+                                ({"residual_interbs_power": 0.0}, 64)):
+            config = repisac.ScenarioConfig(**overrides)
             assert block_trials(config) == size
             channels, clutter = _pod_drop(config)
             args = (config, channels, clutter, build_precoders(config, channels))
@@ -520,7 +524,72 @@ class TestBlockStatistics:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 5 * frames_bytes, f"zeta^2 = {zeta_sq}"
+            assert peak < 3 * frames_bytes, overrides
+
+    @staticmethod
+    def _block_runner(**overrides):
+        """``rows(seed, n)``: rows of a block of ``n`` trials (a full block by
+        default) on the default config with ``overrides``, drawn from ``seed``."""
+        config = repisac.ScenarioConfig(**overrides)
+        channels, clutter = _pod_drop(config)
+        args = (config, channels, clutter, build_precoders(config, channels))
+
+        def rows(seed, n=block_trials(config)):
+            return block_statistics(*args, np.random.default_rng(seed), n)
+        return rows
+
+    def test_working_arrays_never_leak_into_results(self):
+        block_a = self._block_runner(residual_interbs_power=1e-13)
+        bartlett = self._block_runner()
+        large = self._block_runner(residual_interbs_power=1e-13, n_tx_antennas=12,
+                                   n_rx_antennas=12)
+        config = repisac.ScenarioConfig(residual_interbs_power=1e-13)
+        channels, clutter = _pod_drop(config)
+        precoders = build_precoders(config, channels)
+        rows_a = block_a(0)
+        kept = [(rows_a, rows_a.copy())]
+        others = [lambda: block_a(1, 5),  # a short block: the leading rows of A's arrays
+                  lambda: trial_statistics(config, channels, clutter, precoders,
+                                           np.random.default_rng(2)),  # one frame (schur)
+                  lambda: bartlett(3), lambda: large(4), lambda: block_a(5, 5)]
+        for other in others:
+            result = other()
+            if isinstance(result, np.ndarray):
+                kept.append((result, result.copy()))
+            # block A after a call of another shape reads the same bits
+            np.testing.assert_array_equal(block_a(0), rows_a)
+        # no row returned earlier changed under the calls after it
+        for returned, copy_ in kept:
+            np.testing.assert_array_equal(returned, copy_)
+
+    def test_threads_running_blocks_at_once_get_the_rows_of_one_thread(self):
+        # two configs of the same shapes, so a working set shared between threads
+        # would be written by one thread while the other reads it
+        runners = [self._block_runner(residual_interbs_power=1e-13),
+                   self._block_runner(residual_interbs_power=1e-12, repeater_gain_db=60.0)]
+        seeds = range(30)
+        expected = [[rows(seed) for seed in seeds] for rows in runners]
+        got = [[], []]
+
+        def work(i):
+            for seed in seeds:
+                got[i].append(runners[i](seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for rows_got, rows_expected in zip(got, expected):
+            assert len(rows_got) == len(seeds)
+            for a, b in zip(rows_got, rows_expected):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestTrials:

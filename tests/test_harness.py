@@ -190,11 +190,16 @@ class TestWorkerPool:
         assert fake_pools == [3, 4, 4]  # one worker maps in-process
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_fewer_than_one_worker_rejected(self, small_setup, fake_pools, workers):
+    def test_fewer_than_one_worker_rejected(self, small_setup, fake_pools, monkeypatch, tmp_path,
+                                            capsys, workers):
+        # rejected before any drop is drawn or any trial is run: no generator is built
         config, channels, clutter, precoders = small_setup
+        monkeypatch.setattr(harness, "trial_rng", lambda *key: pytest.fail(f"generator {key}"))
         match = f"workers must be at least 1, got {workers}"
         with pytest.raises(ConfigError, match=match):
             run_pod_vs_rcs(config, [1e6], workers=workers)
+        with pytest.raises(ConfigError, match=match):
+            run_pod_vs_rcs(config, None, workers=workers)
         with pytest.raises(ConfigError, match=match):
             calibrate(config, workers=workers)
         with pytest.raises(ConfigError, match=match):
@@ -202,6 +207,11 @@ class TestWorkerPool:
                        workers=workers)
         with pytest.raises(ConfigError, match=match):
             run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=4), workers=workers)
+        cfg = tmp_path / "scenario.cfg"
+        save_config(config, str(cfg))
+        assert main_cli(["pod", "--config", str(cfg), "--workers", str(workers),
+                         "--out", str(tmp_path / "x.csv")]) == 1  # the auto grid
+        assert capsys.readouterr().err == f"configuration error: {match}\n"
         assert fake_pools == []
 
 
