@@ -66,7 +66,7 @@ def _load(args) -> ScenarioConfig:
 
 def _number(token: str, option: str) -> float:
     try:
-        return float(token)
+        return float(token.strip())
     except ValueError as exc:
         raise ConfigError(f"{option}: {exc}") from exc
 
@@ -87,11 +87,11 @@ def _cmd_pod(args) -> int:
     config = _load(args)
     grid = None  # the study's own suggested grid
     if args.grid is not None:
-        grid = [_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip()]
+        grid = [_number(tok, "--grid") for tok in args.grid.split(",")]
     gains = None
     if args.gains is not None:
         gains = tuple(None if tok.strip().lower() == "none" else _number(tok, "--gains")
-                      for tok in args.gains.split(",") if tok.strip())
+                      for tok in args.gains.split(","))
     return _write(run_pod_vs_rcs(config, grid, repeater_gains_db=gains, workers=args.workers),
                   args.out)
 

@@ -219,8 +219,8 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     sufficient statistics), and the GLRT threshold is recalibrated per grid
     point from the H0 pass. The default gains are the configured one and
     repeater-off, or repeater-off alone when the config has the repeater off;
-    no gains, or equal gains (20, 20.0), and fewer than one worker are a
-    ``ConfigError`` raised before the drop is drawn.
+    no gains, equal gains (20, 20.0), a gain no config takes (inf, nan, True)
+    and fewer than one worker are a ``ConfigError`` raised before the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
@@ -234,11 +234,16 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
             raise ConfigError("rcs variance grid values must be positive and finite")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
-    gain_values = [float("-inf") if g is None else float(g) for g in repeater_gains_db]
-    if not gain_values:
+    repeater_gains_db = tuple(repeater_gains_db)
+    if not repeater_gains_db:
         raise ConfigError("pod study needs at least one repeater gain")
+    gain_configs = [config.with_updates(repeater_on=False) if gain_db is None else
+                    config.with_updates(repeater_on=True, repeater_gain_db=gain_db)
+                    for gain_db in repeater_gains_db]
+    gain_values = [float(cfg.repeater_gain_db) if cfg.repeater_on else float("-inf")
+                   for cfg in gain_configs]
     if len(set(gain_values)) < len(gain_values):
-        raise ConfigError(f"repeater gains must be distinct, got {tuple(repeater_gains_db)}")
+        raise ConfigError(f"repeater gains must be distinct, got {repeater_gains_db}")
 
     rows = []
     mean_scnr = {}
@@ -246,9 +251,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         channels, clutter_model = _pod_drop(config)
         if rcs_grid is None:
             grid = _pilot_grid(config, channels, clutter_model, GRID_POINTS)
-        for gain_db, gain_value in zip(repeater_gains_db, gain_values):
-            cfg_gain = (config.with_updates(repeater_on=False) if gain_db is None else
-                        config.with_updates(repeater_on=True, repeater_gain_db=gain_value))
+        for gain_value, cfg_gain in zip(gain_values, gain_configs):
             precoders = build_precoders(cfg_gain, channels)
             thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
                                            run)

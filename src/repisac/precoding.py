@@ -34,10 +34,6 @@ class TransmitFrame:
     sensing_fraction: float
 
 
-def _c(v: np.ndarray, conjugate: bool) -> np.ndarray:
-    return np.conj(v) if conjugate else v
-
-
 def effective_channels(channels: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
     """Effective downlink channels, shape (..., K, Nt) over the realization's batch axes."""
     return channels.f_user + config.nu * channels.h_user[..., :, None] * channels.b_tx[..., None, :]
@@ -61,30 +57,28 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
     return raw / norms
 
 
-def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of each column space (SVD based); columns past the rank are 0."""
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    tol = max(columns.shape[-2:]) * np.finfo(float).eps * s[..., :1]  # s descends
-    return np.where((s > tol)[..., None, :], u, 0.0)
-
-
 def target_precoder(mode: str, a_tx: np.ndarray, b_tx: np.ndarray,
                     fdot: np.ndarray, conjugate: bool = True) -> np.ndarray:
-    """Unit-norm sensing precoder for the requested mode.
+    """Unit-norm sensing precoder for the requested mode, in the conjugate
+    convention (a user receives fdot^T x); ``conjugate=False`` is a ``ConfigError``.
 
-    target_centric: beam at the target direction. comm_centric: same beam
-    projected onto the nullspace of the users' channels. repeater_null: same
-    beam projected orthogonal to the transmit-BS-to-repeater direction.
+    target_centric: beam conj(a_tx) at the target direction. comm_centric: same
+    beam minus its projection Q Q^H onto the span of conj(fdot^T), Q from one
+    reduced QR (the users' channels have full rank with probability one; at
+    K >= Nt, Q spans every direction and the beam is nulled). repeater_null:
+    same beam projected orthogonal to the transmit-BS-to-repeater direction.
 
     Inputs with leading batch axes give a stack of beams, with a NaN beam where
     a single beam raises ``DegenerateNullspaceError`` (direction nulled).
     """
-    a = _c(np.asarray(a_tx, dtype=complex), conjugate)
+    if not conjugate:
+        raise ConfigError("target_precoder supports only the conjugate convention")
+    a = np.conj(np.asarray(a_tx, dtype=complex))
     if mode == "target_centric":
         raw = a
     elif mode == "comm_centric":
-        basis = _orthonormal_basis(np.swapaxes(_c(np.atleast_2d(fdot), conjugate), -1, -2))
-        raw = a - (basis @ (np.swapaxes(basis.conj(), -1, -2) @ a[..., None]))[..., 0]
+        q = np.linalg.qr(np.swapaxes(np.conj(np.atleast_2d(fdot)), -1, -2))[0]
+        raw = a - (q @ (np.swapaxes(q.conj(), -1, -2) @ a[..., None]))[..., 0]
     elif mode == "repeater_null":
         b = np.asarray(b_tx, dtype=complex)
         bn2 = np.sum(np.abs(b) ** 2, axis=-1, keepdims=True)

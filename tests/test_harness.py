@@ -331,6 +331,29 @@ class TestPodStudy:
         assert drawn == []
 
 
+    @pytest.mark.parametrize("gains, bad", [((20.0, float("inf")), "inf"),
+                                            ((20.0, float("nan"), float("nan")), "nan"),
+                                            ((20.0, True), "True"), (("20",), "'20'")],
+                             ids=["inf", "nan_nan", "bool", "str"])
+    def test_gain_no_config_takes_rejected_before_the_study(self, monkeypatch, gains, bad):
+        # each gain's config was built in the study loop: the 20 dB passes ran
+        # first, two NaNs passed the distinctness check (nan != nan), True ran
+        # as 1 dB and "20" as 20 dB
+        drawn = []
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError,
+                           match=f"^repeater_gain_db must be a finite number, got {bad}$"):
+            run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
+        assert drawn == []
+
+    def test_gains_from_a_generator(self):
+        # the study read the generator twice, so its second pass gave 0 rows
+        config = tiny_config()
+        expected = run_pod_vs_rcs(config, [1e6, 1e8], repeater_gains_db=(20.0, None))
+        result = run_pod_vs_rcs(config, [1e6, 1e8],
+                                repeater_gains_db=(g for g in (20.0, None)))
+        assert result.to_csv_bytes() == expected.to_csv_bytes()
+
     def test_no_gains_rejected_before_the_study(self, monkeypatch):
         # no gains used to give a study of no rows
         drawn = []
@@ -374,6 +397,72 @@ class TestPodStudy:
                            match=f"^rcs grid needs at least one point, got {n_points}$"):
             suggest_rcs_grid(tiny_config(), n_points)
         assert drawn == []
+
+
+def gamma_quadrature(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights with E f(gamma) ~ weights @ f(nodes) for gamma ~ Gamma(shape, 1):
+    generalized Gauss-Laguerre (alpha = shape - 1) from the Golub-Welsch eigenproblem of
+    its Jacobi matrix (Golub & Welsch, Math. Comp. 23:221, 1969)."""
+    i = np.arange(n_nodes)
+    off = np.sqrt(i[1:] * (i[1:] + shape - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * i + shape) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+class TestExactReferenceWithoutUsers:
+    """With no users and all power on sensing, the beam is m = sqrt(rho) conj(a_tx) /
+    ||a_tx||, and at zeta^2 = 0 a trial's frame is its 1 x 1 Bartlett factor times m,
+    with |R|^2 = gamma ~ Gamma(tau, 1). Then
+    s(gamma) = lam sum_k ||e_k||^2 w_k gamma |m a_tx|^2 / (w_k gamma ||m||^2 + lam),
+    v = s, PFA(eta) = E exp(-eta (1 + 1 / (sigma_T^2 s))) and
+    PoD(eta) = E exp(-eta / (sigma_T^2 s)): 1-D integrals over gamma."""
+
+    def test_quadrature_integrates_the_gamma_law(self):
+        nodes, weights = gamma_quadrature(50.0, 120)
+        moments = np.stack([np.ones_like(nodes), nodes, nodes ** 2, 1.0 / nodes]) @ weights
+        np.testing.assert_allclose(moments, [1.0, 50.0, 50.0 * 51.0, 1.0 / 49.0], rtol=1e-12)
+
+    @staticmethod
+    def scnr(config, gamma):
+        """s(gamma) on the study's drop, from the channels alone."""
+        channels, clutter_model = harness._pod_drop(config)
+        lam = 1.0 / clutter_model.entry_variance
+        rho = config.tx_power_watt
+        b = channels.b_rx
+        b_sq = float(np.vdot(b, b).real)
+        v = channels.a_rx + config.nu * channels.g_rep * b
+        e0 = channels.a_rx - b * (np.vdot(b, channels.a_rx) / b_sq)  # (I - P) v
+        e_sq = (float(np.vdot(e0, e0).real), abs(np.vdot(b, v)) ** 2 / b_sq)
+        d = config.bs_noise_watt
+        w = (1.0 / d, 1.0 / (d + abs(config.nu) ** 2 * config.repeater_noise_watt * b_sq))
+        ma_sq = rho * float(np.vdot(channels.a_tx, channels.a_tx).real)  # |m a_tx|^2
+        return sum(lam * e_k * w_k * gamma * ma_sq / (w_k * gamma * rho + lam)
+                   for e_k, w_k in zip(e_sq, w))
+
+    # seed and bound fixed before the first run: 4 binomial sigma per point is a
+    # Bonferroni bound for the 8 points of a study (two-sided, ~5e-4 overall)
+    @pytest.mark.parametrize("repeater", [dict(repeater_on=False),
+                                          dict(repeater_on=True, repeater_gain_db=100.0)],
+                             ids=["repeater_off", "100dB"])
+    def test_study_matches_the_quadrature(self, repeater):
+        config = ScenarioConfig(n_users=0, sensing_power_fraction=1.0, mc_trials=20000,
+                                calibration_trials=40000, master_seed=1, **repeater)
+        assert config.residual_interbs_power == 0.0
+        gain = config.repeater_gain_db if config.repeater_on else None
+        result = run_pod_vs_rcs(config, None, repeater_gains_db=(gain,))
+        nodes, weights = gamma_quadrature(config.slot_length, 120)
+        s = self.scnr(config, nodes)
+        p = config.pfa_target
+        pfa_sigma = np.sqrt(p * (1.0 - p) / config.calibration_trials)
+        pods = []
+        for sigma_t_sq, _, pod, threshold, _, trials in result.rows:
+            pod_exact = weights @ np.exp(-threshold / (sigma_t_sq * s))
+            pfa_exact = weights @ np.exp(-threshold * (1.0 + 1.0 / (sigma_t_sq * s)))
+            # the H1 pass is independent of the threshold's H0 pass: binomial given it
+            assert abs(pod - pod_exact) <= 4.0 * np.sqrt(pod_exact * (1.0 - pod_exact) / trials)
+            assert abs(pfa_exact - p) <= 4.0 * pfa_sigma
+            pods.append(pod)
+        assert len(pods) == 8 and pods[0] < 0.05 and pods[-1] > 0.99  # spans the transition
 
 
 class TestSeCdfStudy:
@@ -751,14 +840,19 @@ class TestCli:
 
     @pytest.mark.parametrize("args, overrides, lines, message", [
         (["pod", "--grid", "abc"], {}, "", "--grid: could not convert string to float: 'abc'"),
-        (["pod", "--grid", ","], {}, "", "rcs grid must be nonempty"),
-        (["pod", "--grid", ""], {}, "", "rcs grid must be nonempty"),
+        # every token is a number (or, in --gains, none): an empty one is not
+        (["pod", "--grid", ","], {}, "", "--grid: could not convert string to float: ''"),
+        (["pod", "--grid", ""], {}, "", "--grid: could not convert string to float: ''"),
+        (["pod", "--grid", "1e6,,1e8", "--gains", "20"], {}, "",
+         "--grid: could not convert string to float: ''"),
         (["pod", "--grid", "1e6", "--gains", ""], {}, "",
-         "pod study needs at least one repeater gain"),
+         "--gains: could not convert string to float: ''"),
         (["pod", "--grid", "1e6", "--gains", " , "], {}, "",
-         "pod study needs at least one repeater gain"),
+         "--gains: could not convert string to float: ''"),
         (["pod", "--grid", "1e6", "--gains", "20,abc"], {}, "",
          "--gains: could not convert string to float: 'abc'"),
+        (["pod", "--grid", "1e6", "--gains", "20,inf"], {}, "",
+         "repeater_gain_db must be a finite number, got inf"),
         (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0}, "",
          "se_cdf study needs at least one user"),
         (["calibrate", "--workers", "0"], {}, "", "workers must be at least 1, got 0"),
@@ -780,13 +874,17 @@ class TestCli:
         (["secdf"], {}, "bs_height_m = 1.5\nn_users = 1\nservice_radius_m = 0\n",
          "the transmit BS and the users coincide at (0.0, 0.0, 1.5): their path loss "
          "needs a positive 3-D distance"),
-    ], ids=["grid_not_a_number", "grid_empty", "grid_empty_string", "gains_empty_string",
-            "gains_empty", "gain_not_a_number", "secdf_no_users",
+    ], ids=["grid_not_a_number", "grid_empty", "grid_empty_string", "grid_empty_token",
+            "gains_empty_string", "gains_empty", "gain_not_a_number", "gain_infinite",
+            "secdf_no_users",
             "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
             "zero_service_disc", "duplicate_gains", "duplicate_repeater_off",
             "receive_bs_on_transmit_bs", "user_on_transmit_bs"])
-    def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, args, overrides,
-                                                lines, message):
+    def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, monkeypatch, args,
+                                                overrides, lines, message):
         cfg = self._config_path(tmp_path, lines, **overrides)
+        drawn = []  # every one fails before the study draws a drop
+        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         assert main_cli(args + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert drawn == []

@@ -110,6 +110,36 @@ class TestTargetPrecoder:
                     np.testing.assert_array_equal(beams[i],
                                                   target_precoder(mode, a[i], b[i], fdot[i]))
 
+    def test_comm_centric_matches_an_svd_projection(self, rng):
+        # reference: conj(a_tx) minus its projection on the left singular vectors of
+        # conj(fdot)^T; users receive fdot^T x, so each must see a zero beam
+        for nt in range(2, 9):
+            for k in range(1, nt):
+                a, fdot = cn(rng, (5, nt)), cn(rng, (5, k, nt))
+                u = np.linalg.svd(np.swapaxes(fdot.conj(), -1, -2), full_matrices=False)[0]
+                a_bar = a.conj()[..., None]
+                raw = (a_bar - u @ (np.swapaxes(u.conj(), -1, -2) @ a_bar))[..., 0]
+                expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+                beams = target_precoder("comm_centric", a, cn(rng, (5, nt)), fdot)
+                np.testing.assert_allclose(beams, expected, rtol=0, atol=1e-12)
+                leak = np.abs(np.einsum("dkn,dn->dk", fdot, beams))
+                assert np.all(leak <= 1e-12 * np.linalg.norm(fdot, axis=-1))
+
+    @pytest.mark.parametrize("mode", ["target_centric", "comm_centric", "repeater_null"])
+    def test_only_the_conjugate_convention(self, rng, mode):
+        # with conjugate=False the comm-centric beam leaked into the users' channels
+        with pytest.raises(ConfigError, match="^target_precoder supports only the conjugate "
+                                              "convention$"):
+            target_precoder(mode, cn(rng, 8), cn(rng, 8), cn(rng, (4, 8)), conjugate=False)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_a_stack_of_drops_whose_users_span_space_is_nan(self, rng, k):
+        a, b, fdot = cn(rng, (3, 4)), cn(rng, (3, 4)), cn(rng, (3, k, 4))
+        assert np.all(np.isnan(target_precoder("comm_centric", a, b, fdot)))
+        for i in range(3):
+            with pytest.raises(DegenerateNullspaceError):
+                target_precoder("comm_centric", a[i], b[i], fdot[i])
+
     def test_unknown_mode(self, rng):
         with pytest.raises(ConfigError):
             target_precoder("sideways", cn(rng, 4), cn(rng, 4), np.zeros((0, 4)))
