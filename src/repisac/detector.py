@@ -459,6 +459,8 @@ def oracle_check(n_instances: int = 100, seed: int = 0, n_tx: int = 2, n_rx: int
     """
     if n_instances < 1:
         raise ConfigError(f"oracle check needs at least one instance, got {n_instances}")
+    if seed < 0:
+        raise ConfigError(f"oracle check seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     max_err = 0.0
     for i in range(n_instances):

@@ -16,15 +16,16 @@ recalibrated per grid point from the H0 pass), and the CDF of downlink
 per-user spectral efficiency across precoder choices (one stacked RZF solve
 per block of drops and repeater setting).
 
-A block of ``DROPS_PER_BLOCK`` drops, and a block of trials (``block_trials``:
-64 trials on the default config, 16 at zeta^2 > 0), each draw from one
-generator, keyed (master_seed, study, stream, block b):
+A block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that sets the SE
+study's block layout) and a block of trials (``block_trials``: 64 trials on
+the default config, 16 at zeta^2 > 0) each draw from one generator, keyed
+(master_seed, study, stream, block b):
 
     (STUDY_POD, 0, 0)    the PoD drop (drop 0 of block 0)
     (STUDY_POD, 2, b)    H0 pass: the calibration
     (STUDY_POD, 3, b)    H1 pass
     (STUDY_POD, 9, 0)    grid pilot
-    (STUDY_SECDF, 0, b)  SE-CDF drops
+    (STUDY_SECDF, 0, b)  SE-CDF drops b * DROPS_PER_BLOCK onwards
 
 Blocks are the units that a study's one mapper (:func:`_mapper`) hands to
 worker processes, so results are byte-identical regardless of worker count.
@@ -54,7 +55,7 @@ from .scenario import Geometry, ScenarioConfig, entity_draws, place_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
-DROPS_PER_BLOCK = 16
+DROPS_PER_BLOCK = 64
 GRID_POINTS = 8  # of the suggested RCS grid
 
 
@@ -87,7 +88,10 @@ def draw_drop(config: ScenarioConfig, study: int, block: int,
     ``block`` of a study, with a leading drop axis on the drawn positions and on
     every channel field. The block draws from one generator, key (study, 0,
     block): the uniforms of all ``DROPS_PER_BLOCK`` drops, then the normals of
-    its first ``n_drops``, so a short block is a prefix of the full one."""
+    its first ``n_drops``, so a short block is a prefix of the full one. A block
+    holds 1 to ``DROPS_PER_BLOCK`` drops; any other ``n_drops`` is a ``ValueError``."""
+    if not 1 <= n_drops <= DROPS_PER_BLOCK:
+        raise ValueError(f"a drop block holds 1 to {DROPS_PER_BLOCK} drops, got {n_drops}")
     rng = trial_rng(config.master_seed, (study, 0), block)
     geometry = place_entities(config, entity_draws(config, rng, (DROPS_PER_BLOCK,))[:n_drops])
     return geometry, realize_channels(geometry, config, channel_draws(config, rng, (n_drops,)))
@@ -95,7 +99,10 @@ def draw_drop(config: ScenarioConfig, study: int, block: int,
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
     """Channels and clutter model of drop 0 of block 0 of ``STUDY_POD``: every PoD
-    entry point's setup. ``g_rep`` and ``rcs`` are numpy complex128, so complex numbers."""
+    entry point's setup. Its positions and LOS links are the first uniforms of the
+    block's key, so they do not depend on ``DROPS_PER_BLOCK``; its users' Rayleigh
+    channels follow the uniforms of the whole block, so they do. ``g_rep`` and
+    ``rcs`` are numpy complex128, so complex numbers."""
     geometry, channels = draw_drop(config, STUDY_POD, 0, 1)
     return (ChannelRealization(**{name: value[0] for name, value in vars(channels).items()}),
             clutter_covariance(config, geometry))
@@ -299,9 +306,11 @@ SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 
 def _secdf_block(config: ScenarioConfig, modes, rep_configs, b: int) -> np.ndarray:
-    """SE of every user on block b of the study's ``mc_trials`` drops, shape (modes,
-    rep_configs, drops, users), NaN on a degenerate drop. The RZF beams and the SINR
-    terms no sensing beam changes are computed once per repeater setting's config."""
+    """SE of every user on block b of the study's ``mc_trials`` drops (drops
+    b * ``DROPS_PER_BLOCK`` onwards, 1 to ``DROPS_PER_BLOCK`` of them), shape (modes,
+    rep_configs, drops, users), NaN on a degenerate drop. Per repeater setting's
+    config, one stacked call each of ``effective_channels``, ``target_precoder`` (every
+    mode), ``rzf_precoders`` and ``downlink_metrics`` serves every drop of the block."""
     n_drops = min(DROPS_PER_BLOCK, config.mc_trials - b * DROPS_PER_BLOCK)
     se = np.empty((len(modes), len(rep_configs), n_drops, config.n_users))
     try:
@@ -323,7 +332,8 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     """Per-user SE samples over independent drops, as an empirical CDF.
 
     Every (mode, repeater) combination is evaluated on the same drops, in blocks of
-    ``DROPS_PER_BLOCK``, each drawn from one generator (:func:`draw_drop`). A config that
+    ``DROPS_PER_BLOCK``, each drawn from one generator (:func:`draw_drop`) and each
+    one unit of the mapper: ceil(``mc_trials`` / ``DROPS_PER_BLOCK``) units. A config that
     cannot run, and an empty or repeated list of modes or of repeater settings,
     raise ``ConfigError`` before any drop is drawn; a degenerate drop (sensing
     direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and

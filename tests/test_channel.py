@@ -87,7 +87,7 @@ class TestClutterModel:
 
 def one_drop_and_a_block():
     """(config, geometry, channels, Rayleigh parts) of one drop from ``gen_channels``,
-    and of a block of 16 drops stacked on a leading axis (``draw_drop``)."""
+    and of a block of ``DROPS_PER_BLOCK`` drops stacked on a leading axis (``draw_drop``)."""
     config = tiny_config(n_users=3, n_tx_antennas=4, n_rx_antennas=3)
     geom = drop_entities(config, np.random.default_rng(1))
     one = (geom, gen_channels(geom, config, np.random.default_rng(2)), 1,

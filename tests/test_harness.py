@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult,
+from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult, detector,
                      drop_entities, gen_channels, harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ChannelRealization, ClutterModel, clutter_covariance
 from repisac.cli import main_cli
@@ -56,10 +56,12 @@ class TestRunTrials:
     @given(workers=st.integers(1, 3),
            n_trials=st.integers(1, 600).filter(  # a partial block
                lambda n: n % block_trials(tiny_config())),
-           n_drops=st.integers(DROPS_PER_BLOCK + 1, 200).filter(lambda n: n % DROPS_PER_BLOCK))
-    @example(workers=2, n_trials=130, n_drops=20)   # batches of 1 block
-    @example(workers=2, n_trials=600, n_drops=600)  # batches of 2 blocks
-    @example(workers=3, n_trials=600, n_drops=90)
+           n_drops=st.integers(DROPS_PER_BLOCK + 1, 12 * DROPS_PER_BLOCK + 8).filter(
+               lambda n: n % DROPS_PER_BLOCK))  # 2 to 13 blocks, the last one partial
+    @example(workers=2, n_trials=130, n_drops=DROPS_PER_BLOCK + 4)  # batches of 1 block
+    @example(workers=2, n_trials=600,                               # batches of 2 blocks
+             n_drops=37 * DROPS_PER_BLOCK + 8)
+    @example(workers=3, n_trials=600, n_drops=5 * DROPS_PER_BLOCK + 26)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
         config = tiny_config()
         channels, clutter = harness._pod_drop(config)
@@ -467,7 +469,8 @@ class TestExactReferenceWithoutUsers:
 
 class TestSeCdfStudy:
     def test_structure_and_determinism_across_workers(self):
-        config = tiny_config(n_users=1, n_tx_antennas=3, mc_trials=24)
+        # three blocks of drops, the last one partial, so workers share the study
+        config = tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 8)
         r1 = run_se_cdf(config, workers=1)
         r2 = run_se_cdf(config, workers=2)
         assert r1.header == SECDF_HEADER
@@ -521,14 +524,17 @@ class TestSeCdfStudy:
         ({"n_users": 1}, ("target_centric", "comm_centric", "repeater_null")),
     ], ids=["three_modes", "no_sensing_beam", "unequal_user_fractions", "one_user"])
     def test_each_drop_matches_the_single_drop_calls(self, overrides, modes):
-        # 37 drops: two full blocks and a partial one; drop d is drop d % 16 of
-        # block d // 16, evaluated alone
-        config = tiny_config(**{"n_tx_antennas": 4, "n_users": 3, "mc_trials": 37, **overrides})
+        # two full blocks and a partial one; drop d is drop d % DROPS_PER_BLOCK of
+        # block d // DROPS_PER_BLOCK, evaluated alone
+        n_drops = 2 * DROPS_PER_BLOCK + 5
+        config = tiny_config(**{"n_tx_antennas": 4, "n_users": 3, "mc_trials": n_drops,
+                                **overrides})
         se = self.se_by_drop(config, modes)
-        assert se.shape == (len(modes), 2, 37, config.n_users)
-        blocks = [draw_drop(config, STUDY_SECDF, b, n)[1] for b, n in enumerate((16, 16, 5))]
-        for drop in range(37):
-            channels = drop_of(blocks[drop // 16], drop % 16)
+        assert se.shape == (len(modes), 2, n_drops, config.n_users)
+        blocks = [draw_drop(config, STUDY_SECDF, b, n)[1]
+                  for b, n in enumerate((DROPS_PER_BLOCK, DROPS_PER_BLOCK, 5))]
+        for drop in range(n_drops):
+            channels = drop_of(blocks[drop // DROPS_PER_BLOCK], drop % DROPS_PER_BLOCK)
             for m, mode in enumerate(modes):
                 for r, rep in enumerate((True, False)):
                     cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
@@ -536,15 +542,18 @@ class TestSeCdfStudy:
                     np.testing.assert_array_equal(se[m, r, drop], expected.se)
 
     def test_a_short_study_is_a_prefix_of_a_longer_one(self):
-        # the partial last block of 37 drops holds the first 5 drops of the full one
-        config = tiny_config(n_tx_antennas=4, n_users=3, mc_trials=37)
+        # the partial last block of two blocks and 5 drops holds the first 5 drops
+        # of the full third block
+        n_drops = 2 * DROPS_PER_BLOCK + 5
+        config = tiny_config(n_tx_antennas=4, n_users=3, mc_trials=n_drops)
         modes = ("target_centric", "comm_centric", "repeater_null")
-        longer = self.se_by_drop(config.with_updates(mc_trials=48), modes)
-        np.testing.assert_array_equal(self.se_by_drop(config, modes), longer[:, :, :37])
+        longer = self.se_by_drop(config.with_updates(mc_trials=3 * DROPS_PER_BLOCK), modes)
+        np.testing.assert_array_equal(self.se_by_drop(config, modes), longer[:, :, :n_drops])
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalDomainError])
     def test_numerical_error_names_the_drops_and_their_seed_keys(self, monkeypatch, error):
-        # a failure in the partial last block, drops 32 to 36, names its one key
+        # a failure in the partial last block, the 5 drops after two full blocks,
+        # names its one key
         def fail_in_the_last_block(fdot, zf_regularizer):
             if fdot.shape[0] < DROPS_PER_BLOCK:
                 raise error("Singular matrix")
@@ -554,7 +563,8 @@ class TestSeCdfStudy:
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
                 f"SE-CDF drop block with seed key ({STUDY_SECDF}, 0, 2): Singular matrix")
                 + "$"):
-            run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=37))
+            run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3,
+                                   mc_trials=2 * DROPS_PER_BLOCK + 5))
 
     def test_needs_users(self):
         with pytest.raises(ValueError):
@@ -600,17 +610,18 @@ class TestDrawDrop:
                 np.testing.assert_array_equal(value, getattr(full_ch, name)[:n], err_msg=name)
         # a block draws its positions and every link per drop; the nuisance is
         # exact zeros (redraw_nuisance draws it), at zeta^2 > 0 too
-        assert full_geo.users.shape == (16, config.n_users, 3)
-        assert full_ch.f_user.shape == (16, config.n_users, config.n_tx_antennas)
+        assert full_geo.users.shape == (DROPS_PER_BLOCK, config.n_users, 3)
+        assert full_ch.f_user.shape == (DROPS_PER_BLOCK, config.n_users, config.n_tx_antennas)
         for nuisance in (full_ch.clutter, full_ch.interbs_error):
-            assert nuisance.shape == (16, config.n_rx_antennas, config.n_tx_antennas)
+            assert nuisance.shape == (DROPS_PER_BLOCK, config.n_rx_antennas,
+                                      config.n_tx_antennas)
             assert np.all(nuisance == 0.0)
-        assert full_ch.rcs.shape == full_ch.g_rep.shape == (16,)
+        assert full_ch.rcs.shape == full_ch.g_rep.shape == (DROPS_PER_BLOCK,)
         assert np.all(full_ch.rcs == 0.0)
 
     def test_one_drop_is_drop_entities_then_gen_channels_on_its_keys(self):
         # drop 0 of a block: its block key's first uniforms, then, past the other
-        # 15 drops' uniforms, its first normals
+        # DROPS_PER_BLOCK - 1 drops' uniforms, its first normals
         config = ScenarioConfig(master_seed=3, residual_interbs_power=1e-12)
         for b in (0, 7):
             rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), b)
@@ -622,6 +633,12 @@ class TestDrawDrop:
             np.testing.assert_array_equal(block_geo.users[0], geometry.users)
             for name, value in vars(channels).items():
                 np.testing.assert_array_equal(getattr(block_ch, name)[0], value, err_msg=name)
+
+    @pytest.mark.parametrize("n_drops", [0, -1, DROPS_PER_BLOCK + 1])
+    def test_a_block_holds_one_to_drops_per_block_drops(self, n_drops):
+        with pytest.raises(ValueError, match=f"^a drop block holds 1 to {DROPS_PER_BLOCK} "
+                                             f"drops, got {n_drops}$"):
+            draw_drop(tiny_config(), STUDY_SECDF, 0, n_drops)
 
     def test_the_pod_drop_is_drop_zero_of_its_block(self):
         config = tiny_config()
@@ -660,7 +677,7 @@ class TestSeedKeys:
         calibrate(config)
         assert keys == [(STUDY_POD, 0, 0)] + [(STUDY_POD, 2, b) for b in range(13)]
         keys.clear()
-        run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=37))
+        run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
         assert keys == [(STUDY_SECDF, 0, b) for b in range(3)]
 
 
@@ -809,13 +826,18 @@ class TestCli:
         assert main_cli(["oracle-check", "--trials", "10", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_oracle_check_of_no_instances_exits_one(self, capsys, trials):
-        assert main_cli(["oracle-check", "--trials", trials]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("configuration error: oracle check needs at least one instance, "
-                       f"got {trials}\n")
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "oracle check needs at least one instance, got 0"),
+        (["--trials", "-5"], "oracle check needs at least one instance, got -5"),
+        (["--seed", "-1"], "oracle check seed must be nonnegative, got -1"),
+    ], ids=["0", "-5", "negative_seed"])
+    def test_bad_oracle_check_input_exits_one(self, capsys, monkeypatch, args, message):
+        drawn = []  # every one fails before an instance is drawn
+        monkeypatch.setattr(detector, "random_small_instance",
+                            lambda *args, **kwargs: drawn.append(args))
+        assert main_cli(["oracle-check", *args]) == 1
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+        assert drawn == []
 
     def test_bad_config_returns_one(self, tmp_path):
         path = tmp_path / "bad.cfg"
