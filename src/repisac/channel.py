@@ -171,8 +171,8 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
                  rng: np.random.Generator) -> ChannelRealization:
     """Draw the channels of one drop for its geometry (:func:`realize_channels`).
 
-    Identical (geometry, config, seed) give identical channels. A study's drop
-    draws its channels in a block of drops (``harness.draw_drop``).
+    Identical (geometry, config, seed) give identical channels. The PoD study's
+    drop draws its channels here (``harness._pod_drop``).
     """
     channels = realize_channels(geometry, config, channel_draws(config, rng))
     return replace(channels, g_rep=complex(channels.g_rep), rcs=complex(channels.rcs))

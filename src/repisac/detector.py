@@ -523,7 +523,7 @@ def block_trials(config: ScenarioConfig) -> int:
     """Trials in one block: as many as stack no more frame rows than
     ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 64 on the default config
     (Bartlett frames of 11 rows) and 16 at zeta^2 > 0."""
-    return TRIALS_PER_BLOCK * max(1, config.slot_length // frame_rows(config))
+    return TRIALS_PER_BLOCK * (config.slot_length // frame_rows(config))
 
 
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
@@ -547,8 +547,8 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     j > i (Goodman, Ann. Math. Statist. 34:152, 1963). The block draws its R_ij,
     xi and alpha_1 trial-major from one standard-normal array, then the R_ii,
     both for the whole block. At zeta^2 > 0 it draws S, xi and alpha_1
-    trial-major from one standard-normal array, for the trials it keeps. Either
-    way a short block is a prefix of the full one.
+    trial-major from one standard-normal array for the whole block, and nothing
+    after it. Either way a short block is a prefix of the full one.
 
     The standard-normal array, sized for a full block, and the conj(X),
     X^H diag(w_k) and A_k of :func:`_clutter_weights` are this thread's
@@ -568,7 +568,7 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
     normals = _work("normals", (size, 2 * n_cn), float)
-    rng.standard_normal(out=normals if bartlett else normals[:n_trials])
+    rng.standard_normal(out=normals)
     z = normals[:n_trials].view(complex)
     z *= np.sqrt(0.5)
     if bartlett:

@@ -1,29 +1,30 @@
 """Study harness: study setup, Monte Carlo trials, threshold calibration,
 CSV output.
 
-Every entry point (the studies, the CLI, the tests) draws its geometry and
-channels through :func:`draw_drop`, a block of drops at a time. A drop holds
-only its deterministic links: a slot's clutter, inter-BS residual and RCS are
-nuisance, fresh in each trial (``redraw_nuisance`` draws them in the reference
-trial). :func:`calibrate`, the detection study and its grid suggestion share
-one setup (:func:`_pod_drop`) and one trial kernel (:func:`_trial_block`), and
-take the threshold from one H0 pass, so one config gives one threshold
-wherever it is asked for. Two studies are provided: probability of detection
-versus RCS variance (one H0 pass and one H1 pass per repeater gain; each
-trial's statistic at every grid point follows from its sufficient statistics
-(u, s, alpha_1), read with alpha_1 = 0 in the H0 pass, and the threshold is
-recalibrated per grid point from the H0 pass), and the CDF of downlink
-per-user spectral efficiency across precoder choices (one stacked RZF solve
-per block of drops and repeater setting).
+A drop holds only its deterministic links: a slot's clutter, inter-BS residual
+and RCS are nuisance, fresh in each trial (``redraw_nuisance`` draws them in
+the reference trial). The PoD study's one drop (:func:`_pod_drop`) is
+``drop_entities`` then ``gen_channels``; :func:`calibrate`, the detection study
+and its grid suggestion share it and one trial kernel (:func:`_trial_block`),
+and take the threshold from one H0 pass, so one config gives one threshold
+wherever it is asked for. The SE-CDF study draws its drops a block at a time
+(:func:`draw_drop`). The studies: probability of detection versus RCS variance
+(one H0 and one H1 pass per repeater gain; each trial's statistic at every
+grid point follows from its sufficient statistics (u, s, alpha_1), read with
+alpha_1 = 0 in the H0 pass, which sets each grid point's threshold), and the
+CDF of downlink per-user spectral efficiency across precoder choices (one
+stacked RZF solve per block of drops and repeater setting).
 
-A block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that sets the SE
-study's block layout) and a block of trials (``block_trials``: 64 trials on
-the default config, 16 at zeta^2 > 0) each draw from one generator, keyed
-(master_seed, study, stream, block b):
+The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
+sets the SE study's block layout) and a block of trials (``block_trials``: 64
+trials on the default config, 16 at zeta^2 > 0) draw from generators keyed
+(master_seed, study, stream, index):
 
-    (STUDY_POD, 0, 0)    the PoD drop (drop 0 of block 0)
+    (STUDY_POD, 0, 0)    the PoD drop's positions
+    (STUDY_POD, 1, 0)    the PoD drop's Rayleigh channels
     (STUDY_POD, 2, b)    H0 pass: the calibration
     (STUDY_POD, 3, b)    H1 pass
+    (STUDY_POD, 4, b)    held-out H0 trials (acceptance criterion 3)
     (STUDY_POD, 9, 0)    grid pilot
     (STUDY_SECDF, 0, b)  SE-CDF drops b * DROPS_PER_BLOCK onwards
 
@@ -44,14 +45,15 @@ from itertools import repeat
 import numpy as np
 
 from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_covariance,
-                      realize_channels)
+                      gen_channels, realize_channels)
 from .comm_metrics import downlink_metrics
 from .detector import (block_statistics, block_trials, glrt_from_statistics,
                        threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
                         target_precoder)
-from .scenario import Geometry, ScenarioConfig, entity_draws, place_entities
+from .scenario import (Geometry, ScenarioConfig, _check_type, drop_entities, entity_draws,
+                       place_entities)
 
 STUDY_POD = 1
 STUDY_SECDF = 2
@@ -82,29 +84,27 @@ class StudyResult:
 
 # -- study setup ---------------------------------------------------------------
 
-def draw_drop(config: ScenarioConfig, study: int, block: int,
+def draw_drop(config: ScenarioConfig, block: int,
               n_drops: int) -> tuple[Geometry, ChannelRealization]:
-    """Geometry and deterministic channels of the first ``n_drops`` drops of block
-    ``block`` of a study, with a leading drop axis on the drawn positions and on
-    every channel field. The block draws from one generator, key (study, 0,
-    block): the uniforms of all ``DROPS_PER_BLOCK`` drops, then the normals of
-    its first ``n_drops``, so a short block is a prefix of the full one. A block
-    holds 1 to ``DROPS_PER_BLOCK`` drops; any other ``n_drops`` is a ``ValueError``."""
+    """Geometry and deterministic channels, with a leading drop axis, of the first
+    ``n_drops`` drops of block ``block`` of the SE-CDF study, drawn from one
+    generator, key (STUDY_SECDF, 0, block): the uniforms of all ``DROPS_PER_BLOCK``
+    drops, then the normals of the first ``n_drops``, so a short block is a prefix
+    of the full one. ``n_drops`` outside 1..``DROPS_PER_BLOCK`` is a ``ValueError``."""
     if not 1 <= n_drops <= DROPS_PER_BLOCK:
         raise ValueError(f"a drop block holds 1 to {DROPS_PER_BLOCK} drops, got {n_drops}")
-    rng = trial_rng(config.master_seed, (study, 0), block)
+    rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), block)
     geometry = place_entities(config, entity_draws(config, rng, (DROPS_PER_BLOCK,))[:n_drops])
     return geometry, realize_channels(geometry, config, channel_draws(config, rng, (n_drops,)))
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
-    """Channels and clutter model of drop 0 of block 0 of ``STUDY_POD``: every PoD
-    entry point's setup. Its positions and LOS links are the first uniforms of the
-    block's key, so they do not depend on ``DROPS_PER_BLOCK``; its users' Rayleigh
-    channels follow the uniforms of the whole block, so they do. ``g_rep`` and
-    ``rcs`` are numpy complex128, so complex numbers."""
-    geometry, channels = draw_drop(config, STUDY_POD, 0, 1)
-    return (ChannelRealization(**{name: value[0] for name, value in vars(channels).items()}),
+    """Channels and clutter model of the PoD study's one drop: every PoD entry
+    point's setup, the acceptance suite's included. Its positions are
+    ``drop_entities`` on key (STUDY_POD, 0, 0) and its channels ``gen_channels`` on
+    key (STUDY_POD, 1, 0), so no block layout changes it."""
+    geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
+    return (gen_channels(geometry, config, trial_rng(config.master_seed, (STUDY_POD, 1), 0)),
             clutter_covariance(config, geometry))
 
 
@@ -113,6 +113,7 @@ def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]
 @contextmanager
 def _mapper(workers: int):
     """In-order ``map(fn, units)`` of a study: a loop, or one pool of <= cpu_count processes."""
+    _check_type("workers", workers, int)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -218,27 +219,30 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     """Probability of detection over an RCS-variance grid, or, when ``rcs_grid``
     is None, over the grid of :func:`suggest_rcs_grid`.
 
-    Geometry and deterministic channels (drop 0) are fixed for the whole study;
-    each trial draws its symbols, its clutter, residual and noise term given
-    the frame, and (under H1) the RCS. Per repeater setting, one pass of
-    ``calibration_trials`` H0 trials and one pass of ``mc_trials`` H1 trials
-    serve every grid point (the RCS variance only scales each trial's
-    sufficient statistics), and the GLRT threshold is recalibrated per grid
-    point from the H0 pass. The default gains are the configured one and
-    repeater-off, or repeater-off alone when the config has the repeater off;
-    no gains, equal gains (20, 20.0), a gain no config takes (inf, nan, True)
-    and fewer than one worker are a ``ConfigError`` raised before the drop is drawn.
+    The drop (:func:`_pod_drop`) is fixed for the whole study; each trial draws
+    its symbols, its clutter, residual and noise term given the frame, and
+    (under H1) the RCS. Per repeater setting, one pass of ``calibration_trials``
+    H0 trials and one pass of ``mc_trials`` H1 trials serve every grid point
+    (the RCS variance only scales each trial's sufficient statistics), and the
+    GLRT threshold is recalibrated per grid point from the H0 pass. The default
+    gains are the configured one and repeater-off, or repeater-off alone when
+    the config has the repeater off. No gains, equal gains (20, 20.0), a gain
+    or grid value that is not a finite number (inf, nan, True) and a worker
+    count that is not an integer of at least 1 are a ``ConfigError`` raised
+    before the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
     if rcs_grid is not None:
-        grid = np.array([float(v) for v in rcs_grid])
+        grid = tuple(rcs_grid)
+        _check_type("rcs grid value", grid, tuple[float, ...])
+        grid = np.array(grid, dtype=float)
         if grid.size == 0:
             raise ConfigError("rcs grid must be nonempty")
-        if not np.all(np.isfinite(grid) & (grid > 0.0)):
-            raise ConfigError("rcs variance grid values must be positive and finite")
+        if not np.all(grid > 0.0):
+            raise ConfigError("rcs variance grid values must be positive")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
     repeater_gains_db = tuple(repeater_gains_db)
@@ -283,6 +287,7 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.
     key (STUDY_POD, 9, 0): 64 trials on the default config, 16 at zeta^2 > 0. For
     a Swerling-I target at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the
     grid spans the detector's transition."""
+    _check_type("n_points", n_points, int)
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
     return _pilot_grid(config, *_pod_drop(config), n_points)
@@ -314,7 +319,7 @@ def _secdf_block(config: ScenarioConfig, modes, rep_configs, b: int) -> np.ndarr
     n_drops = min(DROPS_PER_BLOCK, config.mc_trials - b * DROPS_PER_BLOCK)
     se = np.empty((len(modes), len(rep_configs), n_drops, config.n_users))
     try:
-        _, channels = draw_drop(config, STUDY_SECDF, b, n_drops)
+        _, channels = draw_drop(config, b, n_drops)
         for r, cfg in enumerate(rep_configs):
             fdot = effective_channels(channels, cfg)
             p_t = None if cfg.sensing_power_fraction == 0.0 else np.stack(

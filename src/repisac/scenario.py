@@ -320,7 +320,7 @@ def entity_draws(config: ScenarioConfig, rng: np.random.Generator, shape=()) -> 
 
 def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
     """Place the users and the repeater of one drop at random (:func:`place_entities`);
-    BS/hotspot anchors are fixed. A study's drop is placed by ``harness.draw_drop``."""
+    BS/hotspot anchors are fixed. It places the PoD study's drop (``harness._pod_drop``)."""
     return place_entities(config, entity_draws(config, rng))
 
 
@@ -328,12 +328,10 @@ def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
 
 def _parse_value(raw: str, ftype) -> object:
     raw = raw.strip()
-    origin = typing.get_origin(ftype)
-    if origin is typing.Union or isinstance(ftype, types.UnionType):
-        args = [a for a in typing.get_args(ftype) if a is not type(None)]
+    if isinstance(ftype, types.UnionType):  # X | None
         if raw.lower() in ("none", ""):
             return None
-        return _parse_value(raw, args[0])
+        return _parse_value(raw, typing.get_args(ftype)[0])
     if ftype is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
@@ -346,7 +344,7 @@ def _parse_value(raw: str, ftype) -> object:
         return float(raw)
     if ftype is str:
         return raw
-    if origin is tuple:
+    if typing.get_origin(ftype) is tuple:
         inner = typing.get_args(ftype)[0]
         return tuple(inner(tok) for tok in raw.split(","))
     raise ConfigError(f"unsupported config field type {ftype}")

@@ -12,7 +12,7 @@ from repisac.channel import ChannelRealization, ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.comm_metrics import downlink_metrics
 from repisac.detector import (block_statistics, block_trials, glrt_from_statistics,
-                              trial_rng)
+                              threshold_from_null_stats, trial_rng)
 from repisac.harness import (DROPS_PER_BLOCK, POD_HEADER, SECDF_HEADER, STUDY_POD, STUDY_SECDF,
                              calibrate, draw_drop, run_trials, suggest_rcs_grid)
 from repisac.precoding import build_precoders, rzf_precoders, target_precoder
@@ -27,6 +27,21 @@ def drop_of(channels, d):
 
 
 @pytest.fixture
+def keys(monkeypatch):
+    """The keys (*key, index) of every generator the harness builds, in order. Every
+    drop and every block of trials draws from such generators, so an empty list
+    means that nothing was drawn."""
+    made = []
+
+    def recording_rng(master_seed, key, index):
+        made.append((*key, index))
+        return trial_rng(master_seed, key, index)
+
+    monkeypatch.setattr(harness, "trial_rng", recording_rng)
+    return made
+
+
+@pytest.fixture
 def forced_degenerate(monkeypatch):
     """A 6-drop SE-CDF config whose comm-centric sensing beams are nulled on drops 1 and 4.
 
@@ -35,7 +50,7 @@ def forced_degenerate(monkeypatch):
     valid configs hit a degenerate drop too rarely to test on a real one.
     """
     config = tiny_config(n_users=2, n_tx_antennas=3, mc_trials=6)
-    doomed = draw_drop(config, STUDY_SECDF, 0, 6)[1].b_tx[[1, 4]]  # drop-specific
+    doomed = draw_drop(config, 0, 6)[1].b_tx[[1, 4]]  # drop-specific
 
     def sensing_beams(mode, a_tx, b_tx, fdot):
         beams = target_precoder(mode, a_tx, b_tx, fdot)
@@ -191,13 +206,19 @@ class TestWorkerPool:
             calibrate(config, workers=workers)
         assert fake_pools == [3, 4, 4]  # one worker maps in-process
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers, match", [
+        pytest.param(0, "workers must be at least 1, got 0", id="0"),
+        pytest.param(-3, "workers must be at least 1, got -3", id="-3"),
+        # 1.5 and 2.0 failed in the pool with a raw TypeError, and True ran as 1
+        pytest.param(1.5, "workers must be an integer, got 1.5", id="1.5"),
+        pytest.param(2.0, "workers must be an integer, got 2.0", id="2.0"),
+        pytest.param(True, "workers must be an integer, got True", id="True"),
+    ])
     def test_fewer_than_one_worker_rejected(self, small_setup, fake_pools, monkeypatch, tmp_path,
-                                            capsys, workers):
+                                            capsys, workers, match):
         # rejected before any drop is drawn or any trial is run: no generator is built
         config, channels, clutter, precoders = small_setup
         monkeypatch.setattr(harness, "trial_rng", lambda *key: pytest.fail(f"generator {key}"))
-        match = f"workers must be at least 1, got {workers}"
         with pytest.raises(ConfigError, match=match):
             run_pod_vs_rcs(config, [1e6], workers=workers)
         with pytest.raises(ConfigError, match=match):
@@ -209,11 +230,12 @@ class TestWorkerPool:
                        workers=workers)
         with pytest.raises(ConfigError, match=match):
             run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=4), workers=workers)
-        cfg = tmp_path / "scenario.cfg"
-        save_config(config, str(cfg))
-        assert main_cli(["pod", "--config", str(cfg), "--workers", str(workers),
-                         "--out", str(tmp_path / "x.csv")]) == 1  # the auto grid
-        assert capsys.readouterr().err == f"configuration error: {match}\n"
+        if type(workers) is int:  # the CLI parses --workers as an integer
+            cfg = tmp_path / "scenario.cfg"
+            save_config(config, str(cfg))
+            assert main_cli(["pod", "--config", str(cfg), "--workers", str(workers),
+                             "--out", str(tmp_path / "x.csv")]) == 1  # the auto grid
+            assert capsys.readouterr().err == f"configuration error: {match}\n"
         assert fake_pools == []
 
 
@@ -318,35 +340,31 @@ class TestPodStudy:
         with pytest.raises(ValueError):
             run_pod_vs_rcs(tiny_config(), [])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_invalid_grid_value_rejected(self, bad):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
+    def test_invalid_grid_value_rejected(self, bad):  # True ran as 1.0
         with pytest.raises(ConfigError):
             run_pod_vs_rcs(tiny_config(), [1.0, bad])
 
     @pytest.mark.parametrize("gains", [(20, 20.0), (None, 60.0, None)], ids=["20", "none"])
-    def test_duplicate_gains_rejected_before_the_study(self, monkeypatch, gains):
+    def test_duplicate_gains_rejected_before_the_study(self, keys, gains):
         # two equal gains would run the same passes twice and write duplicate rows
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         with pytest.raises(ConfigError, match="repeater gains must be distinct"):
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
-        assert drawn == []
+        assert keys == []
 
 
     @pytest.mark.parametrize("gains, bad", [((20.0, float("inf")), "inf"),
                                             ((20.0, float("nan"), float("nan")), "nan"),
                                             ((20.0, True), "True"), (("20",), "'20'")],
                              ids=["inf", "nan_nan", "bool", "str"])
-    def test_gain_no_config_takes_rejected_before_the_study(self, monkeypatch, gains, bad):
+    def test_gain_no_config_takes_rejected_before_the_study(self, keys, gains, bad):
         # each gain's config was built in the study loop: the 20 dB passes ran
         # first, two NaNs passed the distinctness check (nan != nan), True ran
         # as 1 dB and "20" as 20 dB
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         with pytest.raises(ConfigError,
                            match=f"^repeater_gain_db must be a finite number, got {bad}$"):
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
-        assert drawn == []
+        assert keys == []
 
     def test_gains_from_a_generator(self):
         # the study read the generator twice, so its second pass gave 0 rows
@@ -356,13 +374,11 @@ class TestPodStudy:
                                 repeater_gains_db=(g for g in (20.0, None)))
         assert result.to_csv_bytes() == expected.to_csv_bytes()
 
-    def test_no_gains_rejected_before_the_study(self, monkeypatch):
+    def test_no_gains_rejected_before_the_study(self, keys):
         # no gains used to give a study of no rows
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         with pytest.raises(ConfigError, match="^pod study needs at least one repeater gain$"):
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=())
-        assert drawn == []
+        assert keys == []
 
     def test_grid_suggestion_spans_the_transition(self):
         # scaled by s_bar, the mean s of one whole block of the study's own kernel
@@ -390,15 +406,17 @@ class TestPodStudy:
         pods = [row[2] for row in run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,)).rows]
         assert pods[0] <= 0.05 and pods[-1] >= 0.99
 
-    @pytest.mark.parametrize("n_points", [0, -3])
-    def test_grid_of_no_points_rejected_before_the_drop(self, monkeypatch, n_points):
-        # 0 points used to give an empty grid, and -3 numpy's raw ValueError
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
-        with pytest.raises(ConfigError,
-                           match=f"^rcs grid needs at least one point, got {n_points}$"):
+    @pytest.mark.parametrize("n_points, message", [
+        pytest.param(0, "rcs grid needs at least one point, got 0", id="0"),
+        pytest.param(-3, "rcs grid needs at least one point, got -3", id="-3"),
+        pytest.param(2.5, "n_points must be an integer, got 2.5", id="2.5"),
+    ])
+    def test_grid_of_no_points_rejected_before_the_drop(self, keys, n_points, message):
+        # 0 points used to give an empty grid, -3 numpy's raw ValueError, and 2.5
+        # numpy's raw TypeError after the drop and the pilot block
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             suggest_rcs_grid(tiny_config(), n_points)
-        assert drawn == []
+        assert keys == []
 
 
 def gamma_quadrature(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +506,7 @@ class TestSeCdfStudy:
     def test_degenerate_drops_are_counted_not_fatal(self, forced_degenerate):
         config = forced_degenerate
         result = run_se_cdf(config, workers=1)
-        _, block = draw_drop(config, STUDY_SECDF, 0, 6)  # the study's one block
+        _, block = draw_drop(config, 0, 6)  # the study's one block
         assert result.metadata["degenerate_drops"] == {
             "target_centric|1": 0, "target_centric|0": 0,
             "comm_centric|1": 2, "comm_centric|0": 2}
@@ -531,7 +549,7 @@ class TestSeCdfStudy:
                                 **overrides})
         se = self.se_by_drop(config, modes)
         assert se.shape == (len(modes), 2, n_drops, config.n_users)
-        blocks = [draw_drop(config, STUDY_SECDF, b, n)[1]
+        blocks = [draw_drop(config, b, n)[1]
                   for b, n in enumerate((DROPS_PER_BLOCK, DROPS_PER_BLOCK, 5))]
         for drop in range(n_drops):
             channels = drop_of(blocks[drop // DROPS_PER_BLOCK], drop % DROPS_PER_BLOCK)
@@ -578,30 +596,24 @@ class TestSeCdfStudy:
         ({"repeater_settings": (True, True)},
          r"repeater settings must be distinct, got \(True, True\)"),
     ], ids=["no_modes", "no_repeater_settings", "repeated_mode", "repeated_setting"])
-    def test_bad_modes_and_settings_rejected_before_any_drop(self, monkeypatch, kwargs,
-                                                              message):
+    def test_bad_modes_and_settings_rejected_before_any_drop(self, keys, kwargs, message):
         # no modes used to fail inside the first block, no settings gave 0 rows, and a
         # repeated one wrote every sample twice
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run_se_cdf(tiny_config(n_tx_antennas=4, n_users=2, mc_trials=20), **kwargs)
-        assert drawn == []
+        assert keys == []
 
 
 class TestDrawDrop:
-    @pytest.mark.parametrize("study, overrides", [
-        (STUDY_SECDF, {}),
-        (STUDY_SECDF, {"residual_interbs_power": 1e-12}),
-        (STUDY_SECDF, {"n_users": 1}),
-        (STUDY_SECDF, {"repeater_disc_radius_m": 0.0}),
-        (STUDY_POD, {"n_users": 0}),
-    ], ids=["default", "interbs_residual", "one_user", "fixed_repeater", "no_users_pod"])
-    def test_a_short_block_is_a_prefix_of_the_full_one(self, study, overrides):
+    @pytest.mark.parametrize("overrides", [
+        {}, {"residual_interbs_power": 1e-12}, {"n_users": 1},
+        {"repeater_disc_radius_m": 0.0}, {"n_users": 0},
+    ], ids=["default", "interbs_residual", "one_user", "fixed_repeater", "no_users"])
+    def test_a_short_block_is_a_prefix_of_the_full_one(self, overrides):
         config = ScenarioConfig(master_seed=11, **overrides)
-        full_geo, full_ch = draw_drop(config, study, 3, DROPS_PER_BLOCK)
+        full_geo, full_ch = draw_drop(config, 3, DROPS_PER_BLOCK)
         for n in (1, 5, DROPS_PER_BLOCK):
-            geometry, channels = draw_drop(config, study, 3, n)
+            geometry, channels = draw_drop(config, 3, n)
             for name in ("tx_bs", "rx_bs", "hotspot"):
                 np.testing.assert_array_equal(getattr(geometry, name), getattr(full_geo, name))
             np.testing.assert_array_equal(geometry.repeater, full_geo.repeater[:n])
@@ -628,7 +640,7 @@ class TestDrawDrop:
             geometry = drop_entities(config, rng)
             rng.random((DROPS_PER_BLOCK - 1, 2 * config.n_users + 2))
             channels = gen_channels(geometry, config, rng)
-            block_geo, block_ch = draw_drop(config, STUDY_SECDF, b, 2)
+            block_geo, block_ch = draw_drop(config, b, 2)
             np.testing.assert_array_equal(block_geo.repeater[0], geometry.repeater)
             np.testing.assert_array_equal(block_geo.users[0], geometry.users)
             for name, value in vars(channels).items():
@@ -638,44 +650,58 @@ class TestDrawDrop:
     def test_a_block_holds_one_to_drops_per_block_drops(self, n_drops):
         with pytest.raises(ValueError, match=f"^a drop block holds 1 to {DROPS_PER_BLOCK} "
                                              f"drops, got {n_drops}$"):
-            draw_drop(tiny_config(), STUDY_SECDF, 0, n_drops)
+            draw_drop(tiny_config(), 0, n_drops)
 
-    def test_the_pod_drop_is_drop_zero_of_its_block(self):
+    @staticmethod
+    def acceptance_drop(config):
+        """Geometry and channels of the PoD drop as acceptance criteria 3 and 7 build it:
+        ``drop_entities``, then ``gen_channels``, each on its key."""
+        geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
+        return geometry, gen_channels(geometry, config,
+                                      trial_rng(config.master_seed, (STUDY_POD, 1), 0))
+
+    def test_the_pod_drop_is_the_acceptance_suite_s_drop(self):
         config = tiny_config()
         channels, clutter = harness._pod_drop(config)
-        geometry, block = draw_drop(config, STUDY_POD, 0, 1)
-        for name, value in vars(channels).items():
-            np.testing.assert_array_equal(value, getattr(block, name)[0], err_msg=name)
+        geometry, expected = self.acceptance_drop(config)
+        for name, value in vars(expected).items():
+            np.testing.assert_array_equal(getattr(channels, name), value, err_msg=name)
         assert isinstance(channels.g_rep, complex) and isinstance(channels.rcs, complex)
         assert clutter.entry_variance == clutter_covariance(config, geometry).entry_variance
 
+    def test_calibrate_is_criterion_three_s_threshold(self):
+        # criterion 3's construction on the acceptance suite's drop gives calibrate's
+        # threshold and false-alarm rate bit for bit
+        config = tiny_config()
+        geometry, channels = self.acceptance_drop(config)
+        t_cal = run_trials(config, channels, clutter_covariance(config, geometry),
+                           build_precoders(config, channels), (STUDY_POD, 2),
+                           config.calibration_trials, force_null=True)
+        threshold = threshold_from_null_stats(t_cal, config.pfa_target)
+        assert calibrate(config) == (threshold, np.mean(t_cal >= threshold))
+
+    def test_the_pod_study_does_not_depend_on_the_drop_block_size(self, monkeypatch):
+        config = tiny_config()
+        expected = run_pod_vs_rcs(config, None).to_csv_bytes()
+        monkeypatch.setattr(harness, "DROPS_PER_BLOCK", 16)
+        assert run_pod_vs_rcs(config, None).to_csv_bytes() == expected
+
 
 class TestSeedKeys:
-    @pytest.fixture
-    def keys(self, monkeypatch):
-        """The keys (*key, index) of every generator a study builds, in order."""
-        made = []
-
-        def recording_rng(master_seed, key, index):
-            made.append((*key, index))
-            return trial_rng(master_seed, key, index)
-
-        monkeypatch.setattr(harness, "trial_rng", recording_rng)
-        return made
-
     def test_each_unit_builds_one_generator(self, keys):
         # the tiny config: 200 H0 trials in 13 blocks of 16, 50 H1 trials in 4
         config = tiny_config()
         assert block_trials(config) == 16
         grid = suggest_rcs_grid(config, 3)
-        assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 9, 0)]
+        drop = [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]
+        assert keys == drop + [(STUDY_POD, 9, 0)]
         keys.clear()
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
         passes = [(STUDY_POD, 2, b) for b in range(13)] + [(STUDY_POD, 3, b) for b in range(4)]
-        assert keys == [(STUDY_POD, 0, 0)] + passes * 2
+        assert keys == drop + passes * 2
         keys.clear()
         calibrate(config)
-        assert keys == [(STUDY_POD, 0, 0)] + [(STUDY_POD, 2, b) for b in range(13)]
+        assert keys == drop + [(STUDY_POD, 2, b) for b in range(13)]
         keys.clear()
         run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
         assert keys == [(STUDY_SECDF, 0, b) for b in range(3)]
@@ -711,15 +737,13 @@ class TestCli:
         assert out.read_text().startswith(",".join(SECDF_HEADER))
 
     @pytest.mark.parametrize("command", [["pod"], ["secdf"], ["calibrate"]])
-    def test_out_in_no_directory_fails_before_the_study(self, tmp_path, capsys, monkeypatch,
+    def test_out_in_no_directory_fails_before_the_study(self, tmp_path, capsys, keys,
                                                          command):
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         out = str(tmp_path / "no" / "such" / "out.csv")
         cfg = self._config_path(tmp_path, n_users=1, n_tx_antennas=3)
         assert main_cli(command + ["--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err == f"configuration error: --out {out}: no such directory\n"
-        assert drawn == []
+        assert keys == []
 
     def test_failed_write_is_a_configuration_error(self, tmp_path, capsys):
         # the directory exists, but the path is a directory: the write fails after the study
@@ -779,14 +803,12 @@ class TestCli:
             "warning: 2 of 6 drops degenerate for comm_centric|0 (skipped)\n")
 
     def test_comm_centric_without_nullspace_is_rejected_before_the_study(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, keys):
         # as many users as transmit antennas: the comm-centric nullspace is empty
         config = tiny_config(n_users=2, n_tx_antennas=2, mc_trials=6)
-        drawn = []
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
         with pytest.raises(ConfigError, match="n_users < n_tx_antennas"):
             run_se_cdf(config, modes=("comm_centric",))
-        assert drawn == []
+        assert keys == []
 
         cfg = self._config_path(tmp_path, n_users=2, n_tx_antennas=2, mc_trials=6)
         out = str(tmp_path / "out.csv")
@@ -902,11 +924,10 @@ class TestCli:
             "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
             "zero_service_disc", "duplicate_gains", "duplicate_repeater_off",
             "receive_bs_on_transmit_bs", "user_on_transmit_bs"])
-    def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, monkeypatch, args,
+    def test_bad_input_is_a_configuration_error(self, tmp_path, capsys, keys, args,
                                                 overrides, lines, message):
         cfg = self._config_path(tmp_path, lines, **overrides)
-        drawn = []  # every one fails before the study draws a drop
-        monkeypatch.setattr(harness, "draw_drop", lambda *args: drawn.append(args))
+        # every one fails before the study draws a drop
         assert main_cli(args + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert drawn == []
+        assert keys == []
