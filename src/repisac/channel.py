@@ -49,9 +49,9 @@ class ChannelRealization:
     """A drop's deterministic links, and a slot's nuisance: ``interbs_error``,
     ``clutter`` and ``rcs`` are exact zeros until :func:`redraw_nuisance` draws them.
 
-    A block of drops gives every field the same leading batch axes (one drop
-    axis); the shapes below are those of one drop, where ``g_rep`` and ``rcs``
-    are Python complex numbers.
+    :func:`gen_channels` draws one drop, or a block of drops, which gives every
+    field the same leading drop axis; the shapes below are those of one drop,
+    where ``g_rep`` and ``rcs`` are Python complex numbers.
     """
 
     f_user: np.ndarray  # (K, Nt) transmit BS -> user n
@@ -112,25 +112,23 @@ def _los_gain(d, beta, config: ScenarioConfig):
     return np.sqrt(beta) * np.exp(-2j * np.pi * d / config.wavelength_m)
 
 
-def channel_draws(config: ScenarioConfig, rng: np.random.Generator, shape=()) -> np.ndarray:
-    """The standard normals (*shape, 2 K Nt) of ``shape`` drops' channels: per drop the
-    users' Rayleigh parts (K, 2, Nt: each user's real then imaginary parts)."""
-    return rng.standard_normal((*shape, 2 * config.n_users * config.n_tx_antennas))
+def gen_channels(geometry: Geometry, config: ScenarioConfig,
+                 rng: np.random.Generator) -> ChannelRealization:
+    """Draw the channels of the drops of ``geometry``: one drop, or a block of drops.
 
-
-def realize_channels(geometry: Geometry, config: ScenarioConfig,
-                     normals: np.ndarray) -> ChannelRealization:
-    """Channels of drops from their geometry and their :func:`channel_draws`.
-
-    Every field takes the leading batch axes of ``normals`` (..., 2 K Nt), which
-    are those of the drawn positions in ``geometry``. The links are evaluated as
-    arrays over all drops at once; ``a_tx`` and ``a_rx``, which depend only on
-    the fixed anchors, are evaluated once and repeated. ``interbs_error``,
-    ``clutter`` and ``rcs`` are exact zeros: :func:`redraw_nuisance` draws them.
+    Every field takes the leading batch axes of the drawn positions (those of
+    ``geometry.repeater``). The users' Rayleigh parts are drawn in one call, per
+    drop 2 K Nt standard normals (K, 2, Nt: each user's real then imaginary
+    parts). The links are evaluated as arrays over all drops at once; ``a_tx``
+    and ``a_rx``, which depend only on the fixed anchors, are evaluated once and
+    repeated. ``interbs_error``, ``clutter`` and ``rcs`` are exact zeros:
+    :func:`redraw_nuisance` draws them. Identical (geometry, config, seed) give
+    identical channels.
     """
     nt, nr, k = config.n_tx_antennas, config.n_rx_antennas, config.n_users
     fc = config.carrier_ghz
-    batch = normals.shape[:-1]
+    batch = geometry.repeater.shape[:-1]
+    normals = rng.standard_normal((*batch, 2 * k * nt))
 
     # distances and path gains from the transmit BS (row 0) and from the
     # repeater (row 1) to every user
@@ -162,20 +160,12 @@ def realize_channels(geometry: Geometry, config: ScenarioConfig,
                       config)[..., 0]
 
     zeros = np.zeros(batch + (nr, nt), dtype=complex)
+    rcs = np.zeros(batch, dtype=complex)
+    if not batch:
+        g_rep, rcs = complex(g_rep), complex(rcs)
     return ChannelRealization(f_user=f_user, h_user=h_user, a_tx=a_tx, a_rx=a_rx,
                               b_tx=b_tx, b_rx=b_rx, g_rep=g_rep, interbs_error=zeros,
-                              clutter=zeros.copy(), rcs=np.zeros(batch, dtype=complex))
-
-
-def gen_channels(geometry: Geometry, config: ScenarioConfig,
-                 rng: np.random.Generator) -> ChannelRealization:
-    """Draw the channels of one drop for its geometry (:func:`realize_channels`).
-
-    Identical (geometry, config, seed) give identical channels. The PoD study's
-    drop draws its channels here (``harness._pod_drop``).
-    """
-    channels = realize_channels(geometry, config, channel_draws(config, rng))
-    return replace(channels, g_rep=complex(channels.g_rep), rcs=complex(channels.rcs))
+                              clutter=zeros.copy(), rcs=rcs)
 
 
 def redraw_nuisance(base: ChannelRealization, config: ScenarioConfig,

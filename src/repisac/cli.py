@@ -10,6 +10,7 @@ oracle). Exit codes: 0 success, 1 configuration/usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -51,10 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    """The study's config; an --out in no directory fails here, before the study."""
+    """The study's config; an --out in no directory, or that is a directory, fails
+    here, before the study."""
     config = load_config(args.config) if args.config else ScenarioConfig()
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"--out {args.out}: no such directory")
+    if args.out and os.path.isdir(args.out):  # the message of the write it spares
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        raise ConfigError(f"cannot write {args.out}: {error}")
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed

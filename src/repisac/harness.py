@@ -3,12 +3,12 @@ CSV output.
 
 A drop holds only its deterministic links: a slot's clutter, inter-BS residual
 and RCS are nuisance, fresh in each trial (``redraw_nuisance`` draws them in
-the reference trial). The PoD study's one drop (:func:`_pod_drop`) is
-``drop_entities`` then ``gen_channels``; :func:`calibrate`, the detection study
-and its grid suggestion share it and one trial kernel (:func:`_trial_block`),
-and take the threshold from one H0 pass, so one config gives one threshold
-wherever it is asked for. The SE-CDF study draws its drops a block at a time
-(:func:`draw_drop`). The studies: probability of detection versus RCS variance
+the reference trial). Every drop is ``drop_entities`` then ``gen_channels``:
+the PoD study's one drop (:func:`_pod_drop`), and the SE-CDF study's blocks of
+drops (:func:`draw_drop`). :func:`calibrate`, the detection study and its grid
+suggestion share the PoD drop and one trial kernel (:func:`_trial_block`), and
+take the threshold from one H0 pass, so one config gives one threshold
+wherever it is asked for. The studies: probability of detection versus RCS variance
 (one H0 and one H1 pass per repeater gain; each trial's statistic at every
 grid point follows from its sufficient statistics (u, s, alpha_1), read with
 alpha_1 = 0 in the H0 pass, which sets each grid point's threshold), and the
@@ -38,22 +38,20 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 
 import numpy as np
 
-from .channel import (ChannelRealization, ClutterModel, channel_draws, clutter_covariance,
-                      gen_channels, realize_channels)
+from .channel import ChannelRealization, ClutterModel, clutter_covariance, gen_channels
 from .comm_metrics import downlink_metrics
 from .detector import (block_statistics, block_trials, glrt_from_statistics,
                        threshold_from_null_stats, trial_rng)
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
                         target_precoder)
-from .scenario import (Geometry, ScenarioConfig, _check_type, drop_entities, entity_draws,
-                       place_entities)
+from .scenario import Geometry, ScenarioConfig, _check_type, drop_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
@@ -88,14 +86,16 @@ def draw_drop(config: ScenarioConfig, block: int,
               n_drops: int) -> tuple[Geometry, ChannelRealization]:
     """Geometry and deterministic channels, with a leading drop axis, of the first
     ``n_drops`` drops of block ``block`` of the SE-CDF study, drawn from one
-    generator, key (STUDY_SECDF, 0, block): the uniforms of all ``DROPS_PER_BLOCK``
-    drops, then the normals of the first ``n_drops``, so a short block is a prefix
-    of the full one. ``n_drops`` outside 1..``DROPS_PER_BLOCK`` is a ``ValueError``."""
+    generator, key (STUDY_SECDF, 0, block): ``drop_entities`` places all
+    ``DROPS_PER_BLOCK`` drops, then ``gen_channels`` draws the first ``n_drops``
+    drops' channels, so a short block is a prefix of the full one. ``n_drops``
+    outside 1..``DROPS_PER_BLOCK`` is a ``ValueError``."""
     if not 1 <= n_drops <= DROPS_PER_BLOCK:
         raise ValueError(f"a drop block holds 1 to {DROPS_PER_BLOCK} drops, got {n_drops}")
     rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), block)
-    geometry = place_entities(config, entity_draws(config, rng, (DROPS_PER_BLOCK,))[:n_drops])
-    return geometry, realize_channels(geometry, config, channel_draws(config, rng, (n_drops,)))
+    full = drop_entities(config, rng, DROPS_PER_BLOCK)
+    geometry = replace(full, repeater=full.repeater[:n_drops], users=full.users[:n_drops])
+    return geometry, gen_channels(geometry, config, rng)
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:

@@ -290,15 +290,19 @@ def _uniform_disc(center_xy, radius: float, height: float, u_radius, u_angle) ->
     return np.stack([x, y, np.full_like(x, height)], axis=-1)
 
 
-def place_entities(config: ScenarioConfig, uniforms: np.ndarray) -> Geometry:
-    """Geometry of the drops whose uniform draws are ``uniforms`` (..., 2K + 2).
+def drop_entities(config: ScenarioConfig, rng: np.random.Generator,
+                  n_drops: int | None = None) -> Geometry:
+    """Place the users and the repeater of one drop at random, or of ``n_drops``
+    drops on a leading drop axis; the BS/hotspot anchors are fixed.
 
-    A drop's draws are, in order, its users' radii, its users' angles, then the
-    repeater's radius and angle. Users fall uniformly in the service disc
-    around the transmit BS; the repeater falls uniformly in a disc around the
-    hotspot center.
+    A drop draws 2K + 2 uniforms: its users' radii, its users' angles, then the
+    repeater's radius and angle, all drops' draws in one call. Users fall
+    uniformly in the service disc around the transmit BS; the repeater falls
+    uniformly in a disc around the hotspot center.
     """
     k = config.n_users
+    shape = () if n_drops is None else (n_drops,)
+    uniforms = rng.random((*shape, 2 * k + 2))
     users = _uniform_disc(config.tx_bs_xy, config.service_radius_m, config.user_height_m,
                           uniforms[..., :k], uniforms[..., k:2 * k])
     repeater = _uniform_disc(config.hotspot_xy, config.repeater_disc_radius_m,
@@ -311,17 +315,6 @@ def place_entities(config: ScenarioConfig, uniforms: np.ndarray) -> Geometry:
         hotspot=np.array([*config.hotspot_xy, config.target_height_m]),
         users=users,
     )
-
-
-def entity_draws(config: ScenarioConfig, rng: np.random.Generator, shape=()) -> np.ndarray:
-    """The uniforms (*shape, 2K + 2) that place ``shape`` drops (:func:`place_entities`)."""
-    return rng.random((*shape, 2 * config.n_users + 2))
-
-
-def drop_entities(config: ScenarioConfig, rng: np.random.Generator) -> Geometry:
-    """Place the users and the repeater of one drop at random (:func:`place_entities`);
-    BS/hotspot anchors are fixed. It places the PoD study's drop (``harness._pod_drop``)."""
-    return place_entities(config, entity_draws(config, rng))
 
 
 # -- flat key-value config files --------------------------------------------
@@ -361,7 +354,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -384,15 +377,18 @@ def load_config(path: str) -> ScenarioConfig:
 
 def save_config(config: ScenarioConfig, path: str) -> None:
     """Write a config back out in the flat key-value format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(ScenarioConfig):
-            value = getattr(config, f.name)
-            if value is None:
-                text = "none"
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, str):
-                text = value
-            else:  # numbers and tuples of them, numpy ones as Python ones (repr round-trips)
-                text = ",".join(map(repr, np.atleast_1d(value).tolist()))
-            fh.write(f"{f.name} = {text}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for f in fields(ScenarioConfig):
+                value = getattr(config, f.name)
+                if value is None:
+                    text = "none"
+                elif isinstance(value, bool):
+                    text = "true" if value else "false"
+                elif isinstance(value, str):
+                    text = value
+                else:  # numbers and tuples of them, numpy ones as Python ones (repr round-trips)
+                    text = ",".join(map(repr, np.atleast_1d(value).tolist()))
+                fh.write(f"{f.name} = {text}\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

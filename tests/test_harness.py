@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import gammainc
+from scipy.stats import norm
 
 from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult, detector,
                      drop_entities, gen_channels, harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
@@ -18,6 +21,7 @@ from repisac.harness import (DROPS_PER_BLOCK, POD_HEADER, SECDF_HEADER, STUDY_PO
 from repisac.precoding import build_precoders, rzf_precoders, target_precoder
 from repisac.scenario import save_config
 
+import se_law
 from conftest import tiny_config
 
 
@@ -485,6 +489,39 @@ class TestExactReferenceWithoutUsers:
         assert len(pods) == 8 and pods[0] < 0.05 and pods[-1] > 0.99  # spans the transition
 
 
+class TestExactSeLawWithOneUser:
+    """At K = 1 with the repeater off, the SE-CDF study's SINR has an exact law
+    (``se_law``): an integral over the user's position of a gamma law, for
+    comm-centric sensing, or of a gamma-exponential mixture, for target-centric."""
+
+    @pytest.mark.parametrize("c, d", [(0.5, 0.3), (3.0, 0.97), (4.0, 1.0), (2.0, 1.001),
+                                      (5.0, 1.03), (8.0, 5.0), (0.01, 2.0)])
+    def test_the_mixture_is_integrated_exactly(self, c, d):
+        # against adaptive quadrature over X ~ Exp(1), up to the kink when d < 1
+        n = 7
+        end = c / (1.0 - d) if d < 1.0 else np.inf
+        exact = quad(lambda x: np.exp(-x) * gammainc(n, c + (d - 1.0) * x), 0.0, end,
+                     epsabs=1e-13, limit=200)[0]
+        assert se_law.target_centric_given_gain(c, d, n) == pytest.approx(exact, abs=1e-7)
+
+    # seed and bound fixed before the first run: 19 quantiles x 2 modes, each a
+    # two-sided binomial z, Bonferroni-corrected to a family-wise 1e-3 (|z| <= 4.2)
+    def test_study_matches_the_exact_law(self):
+        config = ScenarioConfig(n_users=1, mc_trials=4000, master_seed=11)
+        result = run_se_cdf(config, repeater_settings=(False,))
+        q = np.arange(1, 20) / 20
+        bound = norm.isf(1e-3 / (2 * 2 * q.size))
+        for mode in ("target_centric", "comm_centric"):
+            se = np.array([row[2] for row in result.rows if row[0] == mode])
+            assert se.size == config.mc_trials
+            t = se_law.sinr_quantiles(config, mode, q)
+            p = se_law.sinr_cdf(config, mode, t)
+            np.testing.assert_allclose(p, q, atol=1e-6)
+            below = np.mean(se[:, None] <= np.log2(1.0 + t), axis=0)
+            z = (below - p) / np.sqrt(p * (1.0 - p) / se.size)
+            assert np.all(np.abs(z) <= bound), f"{mode}: z = {np.round(z, 2)}"
+
+
 class TestSeCdfStudy:
     def test_structure_and_determinism_across_workers(self):
         # three blocks of drops, the last one partial, so workers share the study
@@ -745,12 +782,23 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: --out {out}: no such directory\n"
         assert keys == []
 
+    @pytest.mark.parametrize("command", [["pod"], ["secdf"], ["calibrate"]])
+    def test_out_that_is_a_directory_fails_before_the_study(self, tmp_path, capsys, keys,
+                                                            command):
+        # used to fail only when the study's CSV was written
+        cfg = self._config_path(tmp_path, n_users=1, n_tx_antennas=3)
+        assert main_cli(command + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"configuration error: cannot write {tmp_path}: "
+                                           f"[Errno 21] Is a directory: '{tmp_path}'\n")
+        assert keys == []
+
     def test_failed_write_is_a_configuration_error(self, tmp_path, capsys):
-        # the directory exists, but the path is a directory: the write fails after the study
+        # the directory exists, but the file name is too long: the write fails after the study
         cfg = self._config_path(tmp_path)
-        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", str(tmp_path)]) == 1
+        out = str(tmp_path / ("x" * 300))
+        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write {tmp_path}: [Errno")
+        assert err.startswith(f"configuration error: cannot write {out}: [Errno")
         assert err.count("\n") == 1
 
     def test_calibrate_command(self, tmp_path, capsys):

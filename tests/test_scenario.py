@@ -343,3 +343,18 @@ class TestConfigFiles:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # used to escape as a raw UnicodeDecodeError
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("n_users = 2\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(path))}: "
+                                              "'utf-8' codec can't decode byte 0xe9"):
+            load_config(str(path))
+
+    def test_save_to_no_directory_rejected(self, tmp_path):
+        # used to escape as a raw FileNotFoundError
+        path = tmp_path / "no" / "scenario.cfg"
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(path))}: "
+                                              r"\[Errno 2\] No such file or directory"):
+            save_config(tiny_config(), str(path))
