@@ -110,9 +110,9 @@ def _cmd_calibrate(args) -> int:
     result = StudyResult("calibration", ("threshold", "empirical_pfa", "trials"),
                          [(*calibrate(config, workers=args.workers), config.calibration_trials)],
                          {"warnings": calibration_warnings(config)})
-    print(" ".join(f"{k}={v!r}" for k, v in zip(result.header, result.rows[0])))
-    if args.out:
+    if args.out:  # a failed write prints no result
         result.write_csv(args.out)
+    print(" ".join(f"{k}={v!r}" for k, v in zip(result.header, result.rows[0])))
     _warn(result)
     return 0
 

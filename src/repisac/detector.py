@@ -50,7 +50,7 @@ from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
 from .errors import ConfigError, NumericalDomainError, OracleFailureError
 from .precoding import PrecoderSet, TransmitFrame, beam_matrix, build_transmit_frame
 from .propagation import SensingObservation, draw_noise, receive_bs_slot
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _check_type
 
 _IMAG_RESIDUE_TOL = 1e-9
 _WORKING = threading.local()  # this thread's working arrays, by name (see _work)
@@ -457,6 +457,8 @@ def oracle_check(n_instances: int = 100, seed: int = 0, n_tx: int = 2, n_rx: int
     Returns (max relative error, tolerance); the check passes when
     max_err <= tol with tol = ORACLE_REL_TOL (relative to 1 + |T|).
     """
+    _check_type("n_instances", n_instances, int)
+    _check_type("seed", seed, int)
     if n_instances < 1:
         raise ConfigError(f"oracle check needs at least one instance, got {n_instances}")
     if seed < 0:

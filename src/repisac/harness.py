@@ -3,17 +3,18 @@ CSV output.
 
 A drop holds only its deterministic links: a slot's clutter, inter-BS residual
 and RCS are nuisance, fresh in each trial (``redraw_nuisance`` draws them in
-the reference trial). Every drop is ``drop_entities`` then ``gen_channels``:
-the PoD study's one drop (:func:`_pod_drop`), and the SE-CDF study's blocks of
-drops (:func:`draw_drop`). :func:`calibrate`, the detection study and its grid
-suggestion share the PoD drop and one trial kernel (:func:`_trial_block`), and
-take the threshold from one H0 pass, so one config gives one threshold
-wherever it is asked for. The studies: probability of detection versus RCS variance
-(one H0 and one H1 pass per repeater gain; each trial's statistic at every
-grid point follows from its sufficient statistics (u, s, alpha_1), read with
-alpha_1 = 0 in the H0 pass, which sets each grid point's threshold), and the
-CDF of downlink per-user spectral efficiency across precoder choices (one
-stacked RZF solve per block of drops and repeater setting).
+the reference trial). Every drop is :func:`draw_drop`, ``drop_entities`` then
+``gen_channels`` on keys of their own: the PoD study's one drop
+(:func:`_pod_drop`), and the SE-CDF study's blocks of drops. :func:`calibrate`,
+the detection study and its grid suggestion share the PoD drop and one trial
+kernel (:func:`_trial_block`), and take the threshold from one H0 pass, so one
+config gives one threshold wherever it is asked for. The studies: probability
+of detection versus RCS variance (one H0 and one H1 pass per repeater gain;
+each trial's statistic at every grid point follows from its sufficient
+statistics (u, s, alpha_1), read with alpha_1 = 0 in the H0 pass, which sets
+each grid point's threshold), and the CDF of downlink per-user spectral
+efficiency across precoder choices (one stacked RZF solve per block of drops
+and repeater setting).
 
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
 sets the SE study's block layout) and a block of trials (``block_trials``: 64
@@ -26,7 +27,8 @@ trials on the default config, 16 at zeta^2 > 0) draw from generators keyed
     (STUDY_POD, 3, b)    H1 pass
     (STUDY_POD, 4, b)    held-out H0 trials (acceptance criterion 3)
     (STUDY_POD, 9, 0)    grid pilot
-    (STUDY_SECDF, 0, b)  SE-CDF drops b * DROPS_PER_BLOCK onwards
+    (STUDY_SECDF, 0, b)  positions of SE-CDF drops b * DROPS_PER_BLOCK onwards
+    (STUDY_SECDF, 1, b)  their Rayleigh channels
 
 Blocks are the units that a study's one mapper (:func:`_mapper`) hands to
 worker processes, so results are byte-identical regardless of worker count.
@@ -38,7 +40,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 
@@ -82,30 +84,35 @@ class StudyResult:
 
 # -- study setup ---------------------------------------------------------------
 
-def draw_drop(config: ScenarioConfig, block: int,
-              n_drops: int) -> tuple[Geometry, ChannelRealization]:
-    """Geometry and deterministic channels, with a leading drop axis, of the first
-    ``n_drops`` drops of block ``block`` of the SE-CDF study, drawn from one
-    generator, key (STUDY_SECDF, 0, block): ``drop_entities`` places all
-    ``DROPS_PER_BLOCK`` drops, then ``gen_channels`` draws the first ``n_drops``
-    drops' channels, so a short block is a prefix of the full one. ``n_drops``
-    outside 1..``DROPS_PER_BLOCK`` is a ``ValueError``."""
-    if not 1 <= n_drops <= DROPS_PER_BLOCK:
-        raise ValueError(f"a drop block holds 1 to {DROPS_PER_BLOCK} drops, got {n_drops}")
-    rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), block)
-    full = drop_entities(config, rng, DROPS_PER_BLOCK)
-    geometry = replace(full, repeater=full.repeater[:n_drops], users=full.users[:n_drops])
-    return geometry, gen_channels(geometry, config, rng)
+def _as_tuple(name: str, values) -> tuple:
+    """A study's sequence argument as a tuple; a string or a value that is not
+    iterable is a ``ConfigError``, not a tuple of its characters or a raw error."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be a sequence, got {values!r}")
+
+
+def draw_drop(config: ScenarioConfig, study: int, block: int,
+              n_drops: int | None = None) -> tuple[Geometry, ChannelRealization]:
+    """Geometry and deterministic channels of drop block ``block`` of ``study``:
+    ``drop_entities`` on key (study, 0, block), then ``gen_channels`` on key
+    (study, 1, block). One drop, or ``n_drops`` drops on a leading drop axis;
+    each stream is drawn in one call, so a short block is a prefix of a longer
+    one, and drop 0 of a block is its one drop."""
+    geometry = drop_entities(config, trial_rng(config.master_seed, (study, 0), block), n_drops)
+    return geometry, gen_channels(geometry, config,
+                                  trial_rng(config.master_seed, (study, 1), block))
 
 
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
-    """Channels and clutter model of the PoD study's one drop: every PoD entry
-    point's setup, the acceptance suite's included. Its positions are
-    ``drop_entities`` on key (STUDY_POD, 0, 0) and its channels ``gen_channels`` on
-    key (STUDY_POD, 1, 0), so no block layout changes it."""
-    geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_POD, 0), 0))
-    return (gen_channels(geometry, config, trial_rng(config.master_seed, (STUDY_POD, 1), 0)),
-            clutter_covariance(config, geometry))
+    """Channels and clutter model of the PoD study's one drop, ``draw_drop`` on
+    block 0 of STUDY_POD: every PoD entry point's setup, the acceptance suite's
+    included, so no block layout changes it."""
+    geometry, channels = draw_drop(config, STUDY_POD, 0)
+    return channels, clutter_covariance(config, geometry)
 
 
 # -- deterministic parallel execution ------------------------------------------
@@ -160,7 +167,11 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
                key: tuple[int, ...], n_trials: int, force_null: bool,
                workers: int = 1) -> np.ndarray:
     """Test statistics of ``n_trials`` Monte Carlo trials at ``config.rcs_variance``,
-    in trial order; under ``force_null`` (H0) the target echo is left out."""
+    in trial order; under ``force_null`` (H0) the target echo is left out. An
+    ``n_trials`` that is not a nonnegative integer is a ``ConfigError``."""
+    _check_type("n_trials", n_trials, int)
+    if n_trials < 0:
+        raise ConfigError(f"n_trials must be nonnegative, got {n_trials}")
     with _mapper(workers) as run:
         u, s, alpha1 = _trial_pass(config, channels, clutter_model, precoders, key,
                                    n_trials, run).T
@@ -226,17 +237,17 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     (the RCS variance only scales each trial's sufficient statistics), and the
     GLRT threshold is recalibrated per grid point from the H0 pass. The default
     gains are the configured one and repeater-off, or repeater-off alone when
-    the config has the repeater off. No gains, equal gains (20, 20.0), a gain
-    or grid value that is not a finite number (inf, nan, True) and a worker
-    count that is not an integer of at least 1 are a ``ConfigError`` raised
-    before the drop is drawn.
+    the config has the repeater off. A grid or gains that is a string or not a
+    sequence, no gains, equal gains (20, 20.0), a gain or grid value that is not
+    a finite number (inf, nan, True) and a worker count that is not an integer
+    of at least 1 are a ``ConfigError`` raised before the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 pass of s, the target energy per unit RCS left after the
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
     if rcs_grid is not None:
-        grid = tuple(rcs_grid)
+        grid = _as_tuple("rcs grid", rcs_grid)
         _check_type("rcs grid value", grid, tuple[float, ...])
         grid = np.array(grid, dtype=float)
         if grid.size == 0:
@@ -245,7 +256,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
             raise ConfigError("rcs variance grid values must be positive")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
-    repeater_gains_db = tuple(repeater_gains_db)
+    repeater_gains_db = _as_tuple("repeater gains", repeater_gains_db)
     if not repeater_gains_db:
         raise ConfigError("pod study needs at least one repeater gain")
     gain_configs = [config.with_updates(repeater_on=False) if gain_db is None else
@@ -312,14 +323,14 @@ SECDF_HEADER = ("mode", "repeater", "se", "cdf")
 
 def _secdf_block(config: ScenarioConfig, modes, rep_configs, b: int) -> np.ndarray:
     """SE of every user on block b of the study's ``mc_trials`` drops (drops
-    b * ``DROPS_PER_BLOCK`` onwards, 1 to ``DROPS_PER_BLOCK`` of them), shape (modes,
-    rep_configs, drops, users), NaN on a degenerate drop. Per repeater setting's
-    config, one stacked call each of ``effective_channels``, ``target_precoder`` (every
-    mode), ``rzf_precoders`` and ``downlink_metrics`` serves every drop of the block."""
+    b * ``DROPS_PER_BLOCK`` onwards, from ``draw_drop``), shape (modes, rep_configs,
+    drops, users), NaN on a degenerate drop. Per repeater setting's config, one
+    stacked call each of ``effective_channels``, ``target_precoder`` (every mode),
+    ``rzf_precoders`` and ``downlink_metrics`` serves every drop of the block."""
     n_drops = min(DROPS_PER_BLOCK, config.mc_trials - b * DROPS_PER_BLOCK)
     se = np.empty((len(modes), len(rep_configs), n_drops, config.n_users))
     try:
-        _, channels = draw_drop(config, b, n_drops)
+        _, channels = draw_drop(config, STUDY_SECDF, b, n_drops)
         for r, cfg in enumerate(rep_configs):
             fdot = effective_channels(channels, cfg)
             p_t = None if cfg.sensing_power_fraction == 0.0 else np.stack(
@@ -328,7 +339,8 @@ def _secdf_block(config: ScenarioConfig, modes, rep_configs, b: int) -> np.ndarr
             se[:, r] = downlink_metrics(precoders, channels, cfg).se
     except (np.linalg.LinAlgError, NumericalDomainError) as exc:
         raise NumericalDomainError(
-            f"SE-CDF drop block with seed key {(STUDY_SECDF, 0, b)}: {exc}") from exc
+            f"SE-CDF drop block with seed keys {(STUDY_SECDF, 0, b)} and "
+            f"{(STUDY_SECDF, 1, b)}: {exc}") from exc
     return se
 
 
@@ -337,16 +349,17 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     """Per-user SE samples over independent drops, as an empirical CDF.
 
     Every (mode, repeater) combination is evaluated on the same drops, in blocks of
-    ``DROPS_PER_BLOCK``, each drawn from one generator (:func:`draw_drop`) and each
-    one unit of the mapper: ceil(``mc_trials`` / ``DROPS_PER_BLOCK``) units. A config that
-    cannot run, and an empty or repeated list of modes or of repeater settings,
-    raise ``ConfigError`` before any drop is drawn; a degenerate drop (sensing
-    direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
+    ``DROPS_PER_BLOCK``: block b is ``draw_drop(config, STUDY_SECDF, b, n)`` and one
+    unit of the mapper, so drop 0 of block b is ``draw_drop``'s one drop there. A config
+    that cannot run, and modes or repeater settings that are empty, repeated, a string
+    or not a sequence raise ``ConfigError`` before any drop is drawn; a degenerate drop
+    (sensing direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
     skipped, never fatal.
     """
     if config.n_users < 1:
         raise ConfigError("se_cdf study needs at least one user")
-    modes, repeater_settings = tuple(modes), tuple(repeater_settings)
+    modes = _as_tuple("precoder modes", modes)
+    repeater_settings = _as_tuple("repeater settings", repeater_settings)
     for name, values in (("precoder mode", modes), ("repeater setting", repeater_settings)):
         if not values:
             raise ConfigError(f"se_cdf study needs at least one {name}")

@@ -92,9 +92,8 @@ def one_drop_and_a_block():
     geom = drop_entities(config, np.random.default_rng(1))
     one = (geom, gen_channels(geom, config, np.random.default_rng(2)), 1,
            np.random.default_rng(2))
-    block_rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), 0)
-    block_rng.random((DROPS_PER_BLOCK, 2 * 3 + 2))  # the block's uniforms come first
-    block = (*draw_drop(config, 0, DROPS_PER_BLOCK), DROPS_PER_BLOCK, block_rng)
+    block = (*draw_drop(config, STUDY_SECDF, 0, DROPS_PER_BLOCK), DROPS_PER_BLOCK,
+             trial_rng(config.master_seed, (STUDY_SECDF, 1), 0))
     for geom, ch, n_drops, rng in (one, block):
         # the Rayleigh draws, drop by drop, users in order, real then imaginary parts
         parts = rng.normal(scale=np.sqrt(0.5), size=(n_drops, 3, 2, 4))

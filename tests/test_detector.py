@@ -151,6 +151,17 @@ class TestDetector:
         with pytest.raises(ConfigError, match=f"at least one instance, got {n_instances}"):
             oracle_check(n_instances=n_instances)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_instances": 2.5}, "n_instances must be an integer, got 2.5"),
+        ({"n_instances": True}, "n_instances must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ], ids=["instances_2.5", "instances_True", "seed_1.5", "seed_True"])
+    def test_oracle_check_count_or_seed_that_is_no_integer_rejected(self, kwargs, message):
+        # 2.5 and 1.5 raised raw TypeErrors, and True ran as 1
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            oracle_check(**kwargs)
+
     def test_oracle_agreement_with_full_clutter_covariance(self, rng):
         inst = random_small_instance(rng, full_clutter_cov=True)
         obs, frame, channels, config, clutter = inst

@@ -54,7 +54,7 @@ def forced_degenerate(monkeypatch):
     valid configs hit a degenerate drop too rarely to test on a real one.
     """
     config = tiny_config(n_users=2, n_tx_antennas=3, mc_trials=6)
-    doomed = draw_drop(config, 0, 6)[1].b_tx[[1, 4]]  # drop-specific
+    doomed = draw_drop(config, STUDY_SECDF, 0, 6)[1].b_tx[[1, 4]]  # drop-specific
 
     def sensing_beams(mode, a_tx, b_tx, fdot):
         beams = target_precoder(mode, a_tx, b_tx, fdot)
@@ -138,6 +138,19 @@ class TestRunTrials:
             run_trials(config, channels, clutter, build_precoders(config, channels), (5, 7),
                        3 * 64 + 1, force_null=True)
         assert calls == [((5, 7, b), 64) for b in range(3)]
+
+    @pytest.mark.parametrize("n_trials, message", [
+        pytest.param(2.5, "n_trials must be an integer, got 2.5", id="2.5"),
+        pytest.param(True, "n_trials must be an integer, got True", id="True"),
+        pytest.param(-3, "n_trials must be nonnegative, got -3", id="-3"),
+    ])
+    def test_trial_count_that_is_no_count_rejected(self, small_setup, keys, n_trials,
+                                                   message):
+        # 2.5 raised a raw TypeError, True ran one trial and -3 gave no rows
+        config, channels, clutter, precoders = small_setup
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trials(config, channels, clutter, precoders, (5,), n_trials, force_null=False)
+        assert keys == []
 
     @pytest.mark.parametrize("overrides, size", [
         ({}, 64),                                  # tau = 50, 11 Bartlett rows: 4 x 16
@@ -370,6 +383,21 @@ class TestPodStudy:
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
         assert keys == []
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rcs_grid": 1e6}, "rcs grid must be a sequence, got 1000000.0"),
+        ({"rcs_grid": "1e6"}, "rcs grid must be a sequence, got '1e6'"),
+        ({"rcs_grid": [1e6], "repeater_gains_db": 20.0},
+         "repeater gains must be a sequence, got 20.0"),
+        ({"rcs_grid": None, "repeater_gains_db": "20"},
+         "repeater gains must be a sequence, got '20'"),
+    ], ids=["scalar_grid", "string_grid", "scalar_gains", "string_gains"])
+    def test_grid_or_gains_that_is_no_sequence_rejected_before_the_study(self, keys, kwargs,
+                                                                          message):
+        # a scalar raised a raw TypeError, and a string was read one character at a time
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_pod_vs_rcs(tiny_config(), **kwargs)
+        assert keys == []
+
     def test_gains_from_a_generator(self):
         # the study read the generator twice, so its second pass gave 0 rows
         config = tiny_config()
@@ -543,7 +571,7 @@ class TestSeCdfStudy:
     def test_degenerate_drops_are_counted_not_fatal(self, forced_degenerate):
         config = forced_degenerate
         result = run_se_cdf(config, workers=1)
-        _, block = draw_drop(config, 0, 6)  # the study's one block
+        _, block = draw_drop(config, STUDY_SECDF, 0, 6)  # the study's one block
         assert result.metadata["degenerate_drops"] == {
             "target_centric|1": 0, "target_centric|0": 0,
             "comm_centric|1": 2, "comm_centric|0": 2}
@@ -586,7 +614,7 @@ class TestSeCdfStudy:
                                 **overrides})
         se = self.se_by_drop(config, modes)
         assert se.shape == (len(modes), 2, n_drops, config.n_users)
-        blocks = [draw_drop(config, b, n)[1]
+        blocks = [draw_drop(config, STUDY_SECDF, b, n)[1]
                   for b, n in enumerate((DROPS_PER_BLOCK, DROPS_PER_BLOCK, 5))]
         for drop in range(n_drops):
             channels = drop_of(blocks[drop // DROPS_PER_BLOCK], drop % DROPS_PER_BLOCK)
@@ -605,6 +633,22 @@ class TestSeCdfStudy:
         longer = self.se_by_drop(config.with_updates(mc_trials=3 * DROPS_PER_BLOCK), modes)
         np.testing.assert_array_equal(self.se_by_drop(config, modes), longer[:, :, :n_drops])
 
+    def test_the_first_drop_of_block_b_is_criterion_eight_s_drop_b(self):
+        # acceptance criterion 8 builds its SE drop d as drop_entities on key (2, 0, d),
+        # then gen_channels on key (2, 1, d): the study's drop d * DROPS_PER_BLOCK
+        assert STUDY_SECDF == 2
+        config = tiny_config(n_tx_antennas=4, n_users=3, mc_trials=2 * DROPS_PER_BLOCK + 5)
+        modes = ("target_centric", "comm_centric", "repeater_null")
+        se = self.se_by_drop(config, modes)
+        for d in range(3):
+            geometry = drop_entities(config, trial_rng(config.master_seed, (2, 0), d))
+            channels = gen_channels(geometry, config, trial_rng(config.master_seed, (2, 1), d))
+            for m, mode in enumerate(modes):
+                for r, rep in enumerate((True, False)):
+                    cfg = config.with_updates(precoder_mode=mode, repeater_on=rep)
+                    expected = downlink_metrics(build_precoders(cfg, channels), channels, cfg)
+                    np.testing.assert_array_equal(se[m, r, d * DROPS_PER_BLOCK], expected.se)
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalDomainError])
     def test_numerical_error_names_the_drops_and_their_seed_keys(self, monkeypatch, error):
         # a failure in the partial last block, the 5 drops after two full blocks,
@@ -616,7 +660,8 @@ class TestSeCdfStudy:
 
         monkeypatch.setattr(harness, "rzf_precoders", fail_in_the_last_block)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
-                f"SE-CDF drop block with seed key ({STUDY_SECDF}, 0, 2): Singular matrix")
+                f"SE-CDF drop block with seed keys ({STUDY_SECDF}, 0, 2) and "
+                f"({STUDY_SECDF}, 1, 2): Singular matrix")
                 + "$"):
             run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3,
                                    mc_trials=2 * DROPS_PER_BLOCK + 5))
@@ -632,10 +677,14 @@ class TestSeCdfStudy:
          r"precoder modes must be distinct, got \('comm_centric', 'comm_centric'\)"),
         ({"repeater_settings": (True, True)},
          r"repeater settings must be distinct, got \(True, True\)"),
-    ], ids=["no_modes", "no_repeater_settings", "repeated_mode", "repeated_setting"])
+        ({"modes": "comm_centric"}, "precoder modes must be a sequence, got 'comm_centric'"),
+        ({"repeater_settings": True}, "repeater settings must be a sequence, got True"),
+    ], ids=["no_modes", "no_repeater_settings", "repeated_mode", "repeated_setting",
+            "string_mode", "scalar_setting"])
     def test_bad_modes_and_settings_rejected_before_any_drop(self, keys, kwargs, message):
-        # no modes used to fail inside the first block, no settings gave 0 rows, and a
-        # repeated one wrote every sample twice
+        # no modes used to fail inside the first block, no settings gave 0 rows, a
+        # repeated one wrote every sample twice, a string was read as one mode per
+        # character and a scalar raised a raw TypeError
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run_se_cdf(tiny_config(n_tx_antennas=4, n_users=2, mc_trials=20), **kwargs)
         assert keys == []
@@ -648,9 +697,9 @@ class TestDrawDrop:
     ], ids=["default", "interbs_residual", "one_user", "fixed_repeater", "no_users"])
     def test_a_short_block_is_a_prefix_of_the_full_one(self, overrides):
         config = ScenarioConfig(master_seed=11, **overrides)
-        full_geo, full_ch = draw_drop(config, 3, DROPS_PER_BLOCK)
+        full_geo, full_ch = draw_drop(config, STUDY_SECDF, 3, DROPS_PER_BLOCK)
         for n in (1, 5, DROPS_PER_BLOCK):
-            geometry, channels = draw_drop(config, 3, n)
+            geometry, channels = draw_drop(config, STUDY_SECDF, 3, n)
             for name in ("tx_bs", "rx_bs", "hotspot"):
                 np.testing.assert_array_equal(getattr(geometry, name), getattr(full_geo, name))
             np.testing.assert_array_equal(geometry.repeater, full_geo.repeater[:n])
@@ -669,25 +718,23 @@ class TestDrawDrop:
         assert np.all(full_ch.rcs == 0.0)
 
     def test_one_drop_is_drop_entities_then_gen_channels_on_its_keys(self):
-        # drop 0 of a block: its block key's first uniforms, then, past the other
-        # DROPS_PER_BLOCK - 1 drops' uniforms, its first normals
+        # drop 0 of a block: the first uniforms of its positions key, then the
+        # first normals of its channels key; one drop is that drop without an axis
         config = ScenarioConfig(master_seed=3, residual_interbs_power=1e-12)
         for b in (0, 7):
-            rng = trial_rng(config.master_seed, (STUDY_SECDF, 0), b)
-            geometry = drop_entities(config, rng)
-            rng.random((DROPS_PER_BLOCK - 1, 2 * config.n_users + 2))
-            channels = gen_channels(geometry, config, rng)
-            block_geo, block_ch = draw_drop(config, b, 2)
-            np.testing.assert_array_equal(block_geo.repeater[0], geometry.repeater)
-            np.testing.assert_array_equal(block_geo.users[0], geometry.users)
+            geometry = drop_entities(config, trial_rng(config.master_seed, (STUDY_SECDF, 0), b))
+            channels = gen_channels(geometry, config,
+                                    trial_rng(config.master_seed, (STUDY_SECDF, 1), b))
+            one_geo, one_ch = draw_drop(config, STUDY_SECDF, b)
+            block_geo, block_ch = draw_drop(config, STUDY_SECDF, b, 2)
+            for drawn in (one_geo, block_geo):
+                np.testing.assert_array_equal(drawn.repeater.reshape(-1, 3)[0],
+                                              geometry.repeater)
+                np.testing.assert_array_equal(drawn.users.reshape(-1, config.n_users, 3)[0],
+                                              geometry.users)
             for name, value in vars(channels).items():
+                np.testing.assert_array_equal(getattr(one_ch, name), value, err_msg=name)
                 np.testing.assert_array_equal(getattr(block_ch, name)[0], value, err_msg=name)
-
-    @pytest.mark.parametrize("n_drops", [0, -1, DROPS_PER_BLOCK + 1])
-    def test_a_block_holds_one_to_drops_per_block_drops(self, n_drops):
-        with pytest.raises(ValueError, match=f"^a drop block holds 1 to {DROPS_PER_BLOCK} "
-                                             f"drops, got {n_drops}$"):
-            draw_drop(tiny_config(), 0, n_drops)
 
     @staticmethod
     def acceptance_drop(config):
@@ -741,7 +788,7 @@ class TestSeedKeys:
         assert keys == drop + [(STUDY_POD, 2, b) for b in range(13)]
         keys.clear()
         run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
-        assert keys == [(STUDY_SECDF, 0, b) for b in range(3)]
+        assert keys == [(STUDY_SECDF, stream, b) for b in range(3) for stream in (0, 1)]
 
 
 class TestCli:
@@ -792,14 +839,18 @@ class TestCli:
                                            f"[Errno 21] Is a directory: '{tmp_path}'\n")
         assert keys == []
 
-    def test_failed_write_is_a_configuration_error(self, tmp_path, capsys):
-        # the directory exists, but the file name is too long: the write fails after the study
-        cfg = self._config_path(tmp_path)
+    @pytest.mark.parametrize("command", [["pod", "--grid", "1e6"], ["secdf"], ["calibrate"]],
+                             ids=["pod", "secdf", "calibrate"])
+    def test_failed_write_is_a_configuration_error(self, tmp_path, capsys, command):
+        # the directory exists, but the file name is too long: the write fails after
+        # the study, and no result is printed (calibrate printed its threshold first)
+        cfg = self._config_path(tmp_path, n_users=1, n_tx_antennas=3, mc_trials=8)
         out = str(tmp_path / ("x" * 300))
-        assert main_cli(["pod", "--config", cfg, "--grid", "1e6", "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write {out}: [Errno")
-        assert err.count("\n") == 1
+        assert main_cli(command + ["--config", cfg, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {out}: [Errno")
+        assert captured.err.count("\n") == 1
 
     def test_calibrate_command(self, tmp_path, capsys):
         cfg = self._config_path(tmp_path, calibration_trials=250, pfa_target=0.05)
