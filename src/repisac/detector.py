@@ -31,10 +31,11 @@ forms solve the clutter blocks A_k z_k = a_tx in one place
 empirical threshold of a set of H0 statistics lives here too; the study
 setup and the trial passes that use them are in ``repisac.harness``.
 
-A block's frame-sized temporaries (its standard-normal draws, conj(X),
-X^H diag(w_k) and the stacked A_k) are per-thread working arrays
-(:func:`_work`), kept from one block to the next: freed per block, they
-made glibc trim the heap and page-fault it back once per block at 12 x 12.
+A block's frame-sized temporaries (its standard-normal draws, conj(X), which
+also holds X^H diag(w_k) one k at a time, and the stacked A_k) are per-thread
+working arrays (:func:`_work`), kept from one block to the next: freed per
+block, they made glibc trim the heap and page-fault it back once per block at
+12 x 12.
 X and every array a function here returns are allocated fresh, so no caller
 holds a working array.
 """
@@ -60,8 +61,9 @@ def _work(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
     """The leading shape[0] rows of this thread's working array ``name``.
 
     The array is allocated once and reused, so a block's frame-sized
-    temporaries are not freed and faulted back in per block; it is reallocated,
-    at ``shape``, only when its row shape changes or it has too few rows. Its
+    temporaries are not freed and faulted back in per block, and a short block
+    uses the leading rows of a full block's array; it is reallocated, at
+    ``shape``, only when its row shape changes or it has too few rows. Its
     contents are undefined: every caller writes what it reads. No array that a
     public function returns is, or is a view of, a working array.
     """
@@ -238,9 +240,10 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     solve. No factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`)
     and lam > 0 (checked here), A_k is positive definite.
 
-    conj(X) is made once, in this thread's working array (:func:`_work`), and
-    X^H is its ``swapaxes`` view: it serves the noise eigenvalues, the A_k and
-    the caller, and is valid until the thread's next call.
+    conj(X) is made in this thread's working array (:func:`_work`), and X^H is
+    its ``swapaxes`` view: it serves the noise eigenvalues, holds X^H diag(w_k)
+    in place for one A_k at a time, and is made again from X for the caller,
+    valid until the thread's next call.
     """
     if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
@@ -254,10 +257,10 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     blocks = _noise_blocks(x, x_conj, channels, config)
     w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
     x_h = np.swapaxes(x_conj, -1, -2)
-    x_h_w = np.swapaxes(_work("x_h_w", x.shape), -1, -2)  # X^H diag(w_k), one k at a time
     a = _work("a", (len(w) * len(x), nt, nt)).reshape(*w.shape[:2], nt, nt)  # the A_k
-    for a_k, w_k in zip(a, w):
-        np.matmul(np.multiply(x_h, w_k, out=x_h_w), x, out=a_k)
+    for a_k, w_k in zip(a, w):  # X^H diag(w_k) in place of X^H, then X^H back
+        np.matmul(np.multiply(x_h, w_k, out=x_h), x, out=a_k)
+        np.conj(x, out=x_conj)
     a += lam * np.eye(nt)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
@@ -509,7 +512,7 @@ def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
     return u, s, draw_rcs(1.0, rng)
 
 
-TRIALS_PER_BLOCK = 16  # tau-row symbol frames per block; independent of the worker count
+TRIALS_PER_BLOCK = 64  # tau-row symbol frames per block; independent of the worker count
 
 
 def frame_rows(config: ScenarioConfig) -> int:
@@ -523,8 +526,8 @@ def frame_rows(config: ScenarioConfig) -> int:
 
 def block_trials(config: ScenarioConfig) -> int:
     """Trials in one block: as many as stack no more frame rows than
-    ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 64 on the default config
-    (Bartlett frames of 11 rows) and 16 at zeta^2 > 0."""
+    ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 256 on the default config
+    (Bartlett frames of 11 rows) and 64 at zeta^2 > 0."""
     return TRIALS_PER_BLOCK * (config.slot_length // frame_rows(config))
 
 
@@ -546,15 +549,16 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     R M gives the same (s, v) as S M. A trial then draws, instead of S, the
     m x p upper-trapezoidal Bartlett factor R (m = :func:`frame_rows`), which
     has the law of QR's R: |R_ii|^2 ~ Gamma(tau - i, 1) and R_ij ~ CN(0, 1) for
-    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). The block draws its R_ij,
-    xi and alpha_1 trial-major from one standard-normal array, then the R_ii,
-    both for the whole block. At zeta^2 > 0 it draws S, xi and alpha_1
-    trial-major from one standard-normal array for the whole block, and nothing
-    after it. Either way a short block is a prefix of the full one.
+    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). The block draws the
+    |R_ii|^2 of all its :func:`block_trials` trials, then the R_ij, xi and
+    alpha_1 of its ``n_trials`` trials trial-major in one standard-normal
+    array; at zeta^2 > 0, only S, xi and alpha_1 of its ``n_trials`` trials.
+    So a short block draws no normals for trials it does not hold, and is a
+    prefix of the full one.
 
-    The standard-normal array, sized for a full block, and the conj(X),
-    X^H diag(w_k) and A_k of :func:`_clutter_weights` are this thread's
-    working arrays (:func:`_work`): the next block of the same shape reuses
+    The standard-normal array, sized for the trials drawn, and the conj(X) and
+    A_k of :func:`_clutter_weights` are this thread's working arrays
+    (:func:`_work`): the next block of the same shape reuses
     them instead of allocating and freeing arrays of the frame's size, which
     at 12 x 12 (zeta^2 > 0) are larger than glibc's heap-trim threshold, so the
     heap was trimmed and page-faulted back once per block. X, the Bartlett
@@ -569,12 +573,11 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     bartlett = config.residual_interbs_power == 0.0
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    normals = _work("normals", (size, 2 * n_cn), float)
-    rng.standard_normal(out=normals)
-    z = normals[:n_trials].view(complex)
+    if bartlett:  # for the whole block, so the normals start where a full block's do
+        gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n_trials]
+    z = rng.standard_normal(out=_work("normals", (n_trials, 2 * n_cn), float)).view(complex)
     z *= np.sqrt(0.5)
     if bartlett:
-        gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n_trials]
         factor = np.zeros((n_trials, m, p), dtype=complex)
         upper = np.triu_indices(m, 1, p)
         factor[:, upper[0], upper[1]] = z[:, :-2]

@@ -17,8 +17,8 @@ efficiency across precoder choices (one stacked RZF solve per block of drops
 and repeater setting).
 
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
-sets the SE study's block layout) and a block of trials (``block_trials``: 64
-trials on the default config, 16 at zeta^2 > 0) draw from generators keyed
+sets the SE study's block layout) and a block of trials (``block_trials``: 256
+trials on the default config, 64 at zeta^2 > 0) draw from generators keyed
 (master_seed, study, stream, index):
 
     (STUDY_POD, 0, 0)    the PoD drop's positions
@@ -295,7 +295,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.ndarray:
     """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
     mean s (``mean_scnr``) of one whole pilot block of trials on the study's setup,
-    key (STUDY_POD, 9, 0): 64 trials on the default config, 16 at zeta^2 > 0. For
+    key (STUDY_POD, 9, 0): 256 trials on the default config, 64 at zeta^2 > 0. For
     a Swerling-I target at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the
     grid spans the detector's transition."""
     _check_type("n_points", n_points, int)

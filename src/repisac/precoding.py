@@ -44,13 +44,18 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
 
     Each row of the returned (..., K, Nt) array has unit norm. The beams
     combine coherently under the transposed reception convention y = fdot^T x.
+    The beams are the columns of (fdot^H fdot + lam I_Nt)^-1 fdot^H, computed
+    by the push-through identity as the rows of conj((fdot fdot^H + lam I_K)^-1
+    fdot): a K x K solve in place of an Nt x Nt one, never worse conditioned
+    (the Nt x Nt matrix has the eigenvalue lam on every direction that fdot
+    does not span), and at K = 1 the matched filter conj(fdot) / ||fdot|| to
+    rounding.
     """
     if zf_regularizer <= 0.0:
         raise ConfigError("zf_regularizer must be positive")
     fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
-    cf_t = np.swapaxes(fdot.conj(), -1, -2)  # (..., Nt, K)
-    gram = cf_t @ fdot + zf_regularizer * np.eye(fdot.shape[-1])
-    raw = np.swapaxes(np.linalg.solve(gram, cf_t), -1, -2)  # (..., K, Nt)
+    gram = fdot @ np.swapaxes(fdot.conj(), -1, -2) + zf_regularizer * np.eye(fdot.shape[-2])
+    raw = np.linalg.solve(gram, fdot).conj()  # (..., K, Nt)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ConfigError("RZF produced a zero beam (zero user channel?)")

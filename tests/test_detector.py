@@ -393,10 +393,11 @@ class TestBlockStatistics:
             assert row[2] == alpha1
 
     def test_rows_follow_the_bartlett_factor_at_zero_residual(self):
-        # zeta^2 = 0: the strictly upper R_ij, xi and alpha_1 trial-major, then the
-        # |R_ii|^2, both for the whole block; R is m x (K + 1), m = min(tau, K + 1).
-        # At tau = 8 the block holds 8 // 3 = 2 times 16 trials
-        for config, size in ((tiny_config(), 16), (tiny_config(slot_length=8), 32)):
+        # zeta^2 = 0: the |R_ii|^2 for the whole block, then the strictly upper
+        # R_ij, xi and alpha_1 trial-major for the trials it keeps; R is
+        # m x (K + 1), m = min(tau, K + 1). At tau = 8 the block holds 8 // 3 = 2
+        # times 64 trials
+        for config, size in ((tiny_config(), 64), (tiny_config(slot_length=8), 128)):
             channels, clutter = _pod_drop(config)
             precoders = build_precoders(config, channels)
             assert block_trials(config) == size
@@ -407,9 +408,9 @@ class TestBlockStatistics:
             m = frame_rows(config)
             assert m == min(tau, p) == 3
             replay = np.random.default_rng(3)
-            draws = replay.standard_normal((size, 2 * (m * p - m * (m + 1) // 2 + 2)))
-            z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
             gammas = replay.standard_gamma(tau - np.arange(m), (size, m))
+            draws = replay.standard_normal((n, 2 * (m * p - m * (m + 1) // 2 + 2)))
+            z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
             for row, upper, g in zip(rows, z, gammas):
                 factor = np.zeros((m, p), dtype=complex)
                 entries = iter(upper[:-2])
@@ -435,7 +436,7 @@ class TestBlockStatistics:
         beams = beam_matrix(precoders, config)
         m, p = frame_rows(config), beams.shape[0]
         assert m == p == 3 and np.linalg.matrix_rank(beams) == p
-        size = block_trials(config)  # 32: two tau-row frames' worth of rows each
+        size = block_trials(config)  # 128: two tau-row frames' worth of rows each
         n_blocks = 62
         n = n_blocks * size
         frames = []
@@ -471,7 +472,7 @@ class TestBlockStatistics:
         config = repisac.ScenarioConfig(repeater_gain_db=gain_db)
         channels, clutter = _pod_drop(config)
         precoders = build_precoders(config, channels)
-        size = block_trials(config)  # 64: Bartlett frames of 11 rows
+        size = block_trials(config)  # 256: Bartlett frames of 11 rows
         n_blocks = 13
         n = n_blocks * size
         rows = np.concatenate([
@@ -509,16 +510,37 @@ class TestBlockStatistics:
             run_trials(*args, (5,), n, force_null=False),
             glrt_from_statistics(u, s, alpha1, config.rcs_variance))
 
+    @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["bartlett", "symbols"])
+    def test_a_short_block_draws_only_its_trials(self, small_setup, zeta_sq):
+        # the generator is left where a replay of the block's draws leaves it: the
+        # whole block's |R_ii|^2 (Bartlett frames only), then the n trials'
+        # normals; and the rows are the leading rows of the full block
+        config, channels, clutter, precoders = small_setup
+        config = config.with_updates(residual_interbs_power=zeta_sq)
+        args = (config, channels, clutter, precoders)
+        size, m = block_trials(config), frame_rows(config)
+        tau, p = config.slot_length, config.n_users + 1
+        n_cn = (m * p - m * (m + 1) // 2 if zeta_sq == 0.0 else tau * p) + 2
+        full = block_statistics(*args, np.random.default_rng(8), size)
+        for n in (1, size - 1):
+            rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+            np.testing.assert_array_equal(block_statistics(*args, rng, n), full[:n])
+            if zeta_sq == 0.0:
+                replay.standard_gamma(tau - np.arange(m), (size, m))
+            replay.standard_normal((n, 2 * n_cn))
+            assert rng.random() == replay.random(), n
+
     def test_peak_memory_of_a_block_stays_small(self):
-        # the draws, conj(X), X^H diag(w_k) and the A_k live in per-thread working
-        # arrays that a block of the same shape reuses, so a second block allocates
-        # little more than X: at 12 x 12 its frame-sized temporaries are larger
-        # than glibc's heap-trim threshold, and freeing them per block made the
-        # heap be trimmed and page-faulted back once per block
-        for overrides, size in (({"residual_interbs_power": 1e-13}, 16),
+        # the draws, conj(X) (which also holds X^H diag(w_k), one k at a time) and
+        # the A_k live in per-thread working arrays that a block of the same shape
+        # reuses, so a second block allocates little more than X: at 12 x 12 its
+        # frame-sized temporaries are larger than glibc's heap-trim threshold, and
+        # freeing them per block made the heap be trimmed and page-faulted back
+        # once per block
+        for overrides, size in (({"residual_interbs_power": 1e-13}, 64),
                                 ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12,
-                                  "n_rx_antennas": 12}, 16),
-                                ({"residual_interbs_power": 0.0}, 64)):
+                                  "n_rx_antennas": 12}, 64),
+                                ({"residual_interbs_power": 0.0}, 256)):
             config = repisac.ScenarioConfig(**overrides)
             assert block_trials(config) == size
             channels, clutter = _pod_drop(config)

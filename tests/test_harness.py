@@ -73,12 +73,12 @@ class TestRunTrials:
     # below puts several batches on each worker
     @settings(deadline=None, derandomize=True, database=None, max_examples=8)
     @given(workers=st.integers(1, 3),
-           n_trials=st.integers(1, 600).filter(  # a partial block
+           n_trials=st.integers(1, 2400).filter(  # a partial block
                lambda n: n % block_trials(tiny_config())),
            n_drops=st.integers(DROPS_PER_BLOCK + 1, 12 * DROPS_PER_BLOCK + 8).filter(
                lambda n: n % DROPS_PER_BLOCK))  # 2 to 13 blocks, the last one partial
     @example(workers=2, n_trials=130, n_drops=DROPS_PER_BLOCK + 4)  # batches of 1 block
-    @example(workers=2, n_trials=600,                               # batches of 2 blocks
+    @example(workers=2, n_trials=37 * block_trials(tiny_config()) + 8,  # batches of 2 blocks
              n_drops=37 * DROPS_PER_BLOCK + 8)
     @example(workers=3, n_trials=600, n_drops=5 * DROPS_PER_BLOCK + 26)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
@@ -95,14 +95,14 @@ class TestRunTrials:
     def test_trial_order_is_by_index(self, small_setup):
         config, channels, clutter, precoders = small_setup
         size = block_trials(config)
-        n_full, n_prefix = 100, 40  # both end inside a block
-        assert size == 16 and n_full % size and n_prefix % size
+        n_full, n_prefix = 400, 150  # both end inside a block
+        assert size == 64 and n_full % size and n_prefix % size
         full = run_trials(config, channels, clutter, precoders, (5,), n_full,
                           force_null=False, workers=1)
         prefix = run_trials(config, channels, clutter, precoders, (5,), n_prefix,
                             force_null=False, workers=1)
         np.testing.assert_array_equal(full[:n_prefix], prefix)
-        # trials 80 to 95 are block 5, drawn from key (5, 5) whatever chunk holds it
+        # trials 320 to 383 are block 5, drawn from key (5, 5) whatever chunk holds it
         rows = block_statistics(config, channels, clutter, precoders,
                                 trial_rng(config.master_seed, (5,), 5), size)
         np.testing.assert_array_equal(
@@ -118,7 +118,7 @@ class TestRunTrials:
                        force_null=True, workers=workers)
 
     def test_numerical_error_names_the_failing_block(self, monkeypatch):
-        # on the default config a block holds 64 trials, drawn from one generator
+        # on the default config a block holds 256 trials, drawn from one generator
         # and evaluated in one kernel call; a failure in the third block names
         # that block's one key, (*key, 2)
         config = ScenarioConfig()
@@ -136,8 +136,8 @@ class TestRunTrials:
                 "trial block with seed key (5, 7, 2): clutter-block matrix is singular")
                 + "$"):
             run_trials(config, channels, clutter, build_precoders(config, channels), (5, 7),
-                       3 * 64 + 1, force_null=True)
-        assert calls == [((5, 7, b), 64) for b in range(3)]
+                       3 * 256 + 1, force_null=True)
+        assert calls == [((5, 7, b), 256) for b in range(3)]
 
     @pytest.mark.parametrize("n_trials, message", [
         pytest.param(2.5, "n_trials must be an integer, got 2.5", id="2.5"),
@@ -153,10 +153,10 @@ class TestRunTrials:
         assert keys == []
 
     @pytest.mark.parametrize("overrides, size", [
-        ({}, 64),                                  # tau = 50, 11 Bartlett rows: 4 x 16
-        ({"slot_length": 22}, 32),                 # 22 // 11 = 2
-        ({"slot_length": 8}, 16),                  # tau < K + 1: 8 rows, as many as S
-        ({"residual_interbs_power": 1e-13}, 16),   # symbol frames of tau rows
+        ({}, 256),                                 # tau = 50, 11 Bartlett rows: 4 x 64
+        ({"slot_length": 22}, 128),                # 22 // 11 = 2
+        ({"slot_length": 8}, 64),                  # tau < K + 1: 8 rows, as many as S
+        ({"residual_interbs_power": 1e-13}, 64),   # symbol frames of tau rows
     ], ids=["default", "tau22", "tau8", "zeta"])
     def test_a_pass_maps_one_unit_per_block(self, overrides, size):
         config = ScenarioConfig(**overrides)
@@ -414,8 +414,8 @@ class TestPodStudy:
 
     def test_grid_suggestion_spans_the_transition(self):
         # scaled by s_bar, the mean s of one whole block of the study's own kernel
-        # and setup: 16 trials on the tiny config, 64 on the default one
-        for config, size in ((tiny_config(), 16), (ScenarioConfig(), 64)):
+        # and setup: 64 trials on the tiny config, 256 on the default one
+        for config, size in ((tiny_config(), 64), (ScenarioConfig(), 256)):
             channels, clutter = harness._pod_drop(config)
             rows = block_statistics(config, channels, clutter, build_precoders(config, channels),
                                     trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)
@@ -773,19 +773,19 @@ class TestDrawDrop:
 
 class TestSeedKeys:
     def test_each_unit_builds_one_generator(self, keys):
-        # the tiny config: 200 H0 trials in 13 blocks of 16, 50 H1 trials in 4
+        # the tiny config: 200 H0 trials in 4 blocks of 64, 50 H1 trials in 1
         config = tiny_config()
-        assert block_trials(config) == 16
+        assert block_trials(config) == 64
         grid = suggest_rcs_grid(config, 3)
         drop = [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]
         assert keys == drop + [(STUDY_POD, 9, 0)]
         keys.clear()
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
-        passes = [(STUDY_POD, 2, b) for b in range(13)] + [(STUDY_POD, 3, b) for b in range(4)]
+        passes = [(STUDY_POD, 2, b) for b in range(4)] + [(STUDY_POD, 3, 0)]
         assert keys == drop + passes * 2
         keys.clear()
         calibrate(config)
-        assert keys == drop + [(STUDY_POD, 2, b) for b in range(13)]
+        assert keys == drop + [(STUDY_POD, 2, b) for b in range(4)]
         keys.clear()
         run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
         assert keys == [(STUDY_SECDF, stream, b) for b in range(3) for stream in (0, 1)]

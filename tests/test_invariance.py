@@ -23,11 +23,10 @@ from repisac.precoding import beam_matrix, build_precoders, effective_channels
 from repisac.scenario import PRECODER_MODES
 
 # A wrong conjugate or a transposed solve moves these quantities by O(1). The
-# bound is 1e-10 relative, or Nt eps kappa where that is larger: rzf_precoders
-# solves the Nt x Nt Gram fdot^H fdot + lambda I, of condition number
-# kappa = 1 + ||fdot||^2 / lambda (~1e9 at 120 dB), and a backward-stable solve
-# moves a beam by up to about Nt eps kappa (even at K = 1, whose exact beam is
-# conj(fdot) / ||fdot||)
+# bound is 1e-10 relative, or Nt eps kappa where that is larger:
+# kappa = 1 + ||fdot||^2 / lambda (~1e9 at 120 dB) bounds the condition number
+# of the K x K matrix fdot fdot^H + lambda I that rzf_precoders solves, and a
+# backward-stable solve moves a beam by up to about K eps kappa
 RTOL = 1e-10
 N_FRAMES = 4
 
