@@ -52,14 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    """The study's config; an --out in no directory, or that is a directory, fails
-    here, before the study."""
+    """The study's config; an --out that names no file, is in no directory, or is a
+    directory fails here, before the study."""
     config = load_config(args.config) if args.config else ScenarioConfig()
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        raise ConfigError(f"--out {args.out}: no such directory")
-    if args.out and os.path.isdir(args.out):  # the message of the write it spares
-        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-        raise ConfigError(f"cannot write {args.out}: {error}")
+    if args.out is not None:
+        if not os.path.basename(args.out):  # "" or a trailing separator
+            raise ConfigError(f"--out {args.out!r}: names no file")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError(f"--out {args.out}: no such directory")
+        if os.path.isdir(args.out):  # the message of the write it spares
+            error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+            raise ConfigError(f"cannot write {args.out}: {error}")
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
@@ -110,7 +113,7 @@ def _cmd_calibrate(args) -> int:
     result = StudyResult("calibration", ("threshold", "empirical_pfa", "trials"),
                          [(*calibrate(config, workers=args.workers), config.calibration_trials)],
                          {"warnings": calibration_warnings(config)})
-    if args.out:  # a failed write prints no result
+    if args.out is not None:  # a failed write prints no result
         result.write_csv(args.out)
     print(" ".join(f"{k}={v!r}" for k, v in zip(result.header, result.rows[0])))
     _warn(result)

@@ -33,11 +33,7 @@ setup and the trial passes that use them are in ``repisac.harness``.
 
 A block's frame-sized temporaries (its standard-normal draws, conj(X), which
 also holds X^H diag(w_k) one k at a time, and the stacked A_k) are per-thread
-working arrays (:func:`_work`), kept from one block to the next: freed per
-block, they made glibc trim the heap and page-fault it back once per block at
-12 x 12.
-X and every array a function here returns are allocated fresh, so no caller
-holds a working array.
+working arrays (:func:`_work`), kept from one block to the next.
 """
 
 from __future__ import annotations
@@ -60,12 +56,13 @@ _WORKING = threading.local()  # this thread's working arrays, by name (see _work
 def _work(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
     """The leading shape[0] rows of this thread's working array ``name``.
 
-    The array is allocated once and reused, so a block's frame-sized
-    temporaries are not freed and faulted back in per block, and a short block
-    uses the leading rows of a full block's array; it is reallocated, at
-    ``shape``, only when its row shape changes or it has too few rows. Its
-    contents are undefined: every caller writes what it reads. No array that a
-    public function returns is, or is a view of, a working array.
+    The array is allocated once and reused, and a short block uses the leading
+    rows of a full block's array; it is reallocated, at ``shape``, only when its
+    row shape changes or it has too few rows. A block's frame-sized temporaries
+    are larger than glibc's heap-trim threshold at 12 x 12 (zeta^2 > 0): freed
+    per block, they made the heap be trimmed and page-faulted back once per
+    block. Its contents are undefined: every caller writes what it reads. No
+    array that a function here returns is, or is a view of, a working array.
     """
     arrays = vars(_WORKING)
     buf = arrays.get(name)
@@ -105,10 +102,10 @@ def _noise_eigenvalues(x: np.ndarray, x_conj: np.ndarray, b_sq: float,
 
 
 def _noise_blocks(x: np.ndarray, x_conj: np.ndarray, channels: ChannelRealization,
-                  config: ScenarioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w_k, e_k) per eigenspace of Sigma_s[tau]: the eigenvalues w_k of Sigma_s^-1
-    and e_0 = (I - P) v, e_1 = P v; one block (1/d, v) when Sigma_s[tau] = d I.
-    A stack of frames x (..., tau, Nt) gives w_k of shape (..., tau). The
+                  config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """w, e over the eigenspaces k of Sigma_s[tau], for a stack of frames x (B, tau, Nt):
+    the eigenvalues w of Sigma_s^-1, shape (k, B, tau), and e (k, Nr), with
+    e_0 = (I - P) v, e_1 = P v; k = 1 and (1/d, v) when Sigma_s[tau] = d I. The
     residue of v - P v along b_r (~eps ||v||, which lets the amplified repeater
     noise into u at high gain) is projected out once more."""
     b = channels.b_rx
@@ -116,10 +113,10 @@ def _noise_blocks(x: np.ndarray, x_conj: np.ndarray, channels: ChannelRealizatio
     d, d_par = _noise_eigenvalues(x, x_conj, b_sq, config)
     v = channels.a_rx + config.nu * channels.g_rep * b
     if np.array_equal(d_par, d):
-        return [(1.0 / d, v)]
+        return (1.0 / d)[None], v[None]
     v_par = b * (np.vdot(b, v) / b_sq)
     e_0 = v - v_par
-    return [(1.0 / d, e_0 - b * (np.vdot(b, e_0) / b_sq)), (1.0 / d_par, v_par)]
+    return 1.0 / np.stack([d, d_par]), np.stack([e_0 - b * (np.vdot(b, e_0) / b_sq), v_par])
 
 
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -230,20 +227,20 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
 
 
 def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: ScenarioConfig,
-                     clutter_model: ClutterModel) -> tuple[float, list, np.ndarray, np.ndarray]:
-    """lam = 1 / sigma_c^2, (c_k, e_k) per eigenspace of Sigma_s[tau], s and X^H, for
-    a stack of frames x (B, tau, Nt) and an i.i.d. clutter model of size Nt * Nr.
+                     clutter_model: ClutterModel) -> tuple[float, np.ndarray, np.ndarray,
+                                                            np.ndarray]:
+    """lam = 1 / sigma_c^2, c, e and s for a stack of frames x (B, tau, Nt) and an
+    i.i.d. clutter model of size Nt * Nr, over the eigenspaces k of Sigma_s[tau]
+    (:func:`_noise_blocks`: e of shape (k, Nr)).
 
-    c_k = w_k * (X z_k) of shape (B, tau), z_k = A_k^-1 a_tx,
-    A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx)
-    (:func:`schur_statistics`); every z_k of every frame comes from one stacked
-    solve. No factorization checks A_k: with w_k > 0 (:func:`_noise_eigenvalues`)
-    and lam > 0 (checked here), A_k is positive definite.
-
-    conj(X) is made in this thread's working array (:func:`_work`), and X^H is
-    its ``swapaxes`` view: it serves the noise eigenvalues, holds X^H diag(w_k)
-    in place for one A_k at a time, and is made again from X for the caller,
-    valid until the thread's next call.
+    c = w * (X z) of shape (k, B, tau), z_k = A_k^-1 a_tx,
+    A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx) of
+    shape (B,) (:func:`schur_statistics`); every z_k of every frame comes from
+    one stacked solve. No factorization checks A_k: with w_k > 0
+    (:func:`_noise_eigenvalues`) and lam > 0 (checked here), A_k is positive
+    definite. conj(X) is made in this thread's working array (:func:`_work`):
+    it serves the noise eigenvalues, then holds X^H diag(w_k) in place for one
+    A_k at a time.
     """
     if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
@@ -254,23 +251,22 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     lam = 1.0 / clutter_model.entry_variance
     nt = config.n_tx_antennas
     x_conj = np.conj(x, out=_work("x_conj", x.shape))
-    blocks = _noise_blocks(x, x_conj, channels, config)
-    w = np.stack([w for w, _ in blocks])[..., None, :]  # (k, B, 1, tau)
+    w, e = _noise_blocks(x, x_conj, channels, config)
     x_h = np.swapaxes(x_conj, -1, -2)
-    a = _work("a", (len(w) * len(x), nt, nt)).reshape(*w.shape[:2], nt, nt)  # the A_k
-    for a_k, w_k in zip(a, w):  # X^H diag(w_k) in place of X^H, then X^H back
+    a = _work("a", (w.shape[0] * len(x), nt, nt)).reshape(*w.shape[:2], nt, nt)  # the A_k
+    for k, (a_k, w_k) in enumerate(zip(a, w[..., None, :])):
+        if k:  # conj(X) again: the k before left X^H diag(w) in it
+            np.conj(x, out=x_conj)
         np.matmul(np.multiply(x_h, w_k, out=x_h), x, out=a_k)
-        np.conj(x, out=x_conj)
     a += lam * np.eye(nt)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError("clutter-block matrix is singular") from exc
-    weights = [(c_k, e) for c_k, (_, e) in zip(w[..., 0, :] * (x @ z)[..., 0], blocks)]
-    g = x @ channels.a_tx
-    s = sum(lam * float(np.vdot(e, e).real) * np.einsum("bt,bt->b", c.conj(), g).real
-            for c, e in weights)
-    return lam, weights, s, x_h
+    c = w * (x @ z)[..., 0]
+    e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
+    s = np.sum(lam * e_sq * np.einsum("kbt,bt->kb", c.conj(), x @ channels.a_tx).real, axis=0)
+    return lam, c, e, s
 
 
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -297,16 +293,17 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     :func:`_clutter_weights`: one Nt x Nt solve per block (one block when
     m ||b_r||^2 = 0), whatever Nr is.
     """
-    lam, weights, s, _ = _clutter_weights(frame.x[None], channels, config, clutter_model)
-    u = sum(lam * complex(np.vdot(c[0], observation.y_slots @ e.conj())) for c, e in weights)
-    return u, float(s[0])
+    lam, c, e, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
+    u = lam * np.einsum("kt,tk->", c[:, 0].conj(), observation.y_slots @ e.conj().T)
+    return complex(u), float(s[0])
 
 
 def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
                            config: ScenarioConfig,
                            clutter_model: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
-    """s and the H0 variance v of u given the transmit frame, for a stack of
-    frames x (B, tau, Nt), from the weights c_k of :func:`_clutter_weights`.
+    """s and the H0 variance v of u given the transmit frame, each of shape (B,),
+    for a stack of frames x (B, tau, Nt), from the weights c (k, B, tau) of
+    :func:`_clutter_weights`.
 
     u = lam sum_k c_k^H Y conj(e_k) (:func:`schur_statistics`) is linear in the
     observation Y. Given X, every term of Y under H0 is zero-mean Gaussian:
@@ -314,22 +311,18 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     sigma_c^2 = 1/lam and zeta^2, fixed over the slot) enter as X (C + E)^T,
     repeater noise as nu w_R b_r^T, BS noise as W. Since e_0 is orthogonal to
     e_1, u | X ~ CN(0, v) with
-    v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||X^T conj(c_k)||^2
+    v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||c_k^H X||^2
                      + (sigma_BS^2 ||e_k||^2 + |nu|^2 sigma_R^2 |b_r^H e_k|^2) ||c_k||^2]
     (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
     At zeta^2 = 0 the detector's noise model is exact and v = s.
     """
-    lam, weights, s, x_h = _clutter_weights(x, channels, config, clutter_model)
-    b = channels.b_rx
+    lam, c, e, s = _clutter_weights(x, channels, config, clutter_model)
     m = abs(config.nu) ** 2 * config.repeater_noise_watt
-    v = np.zeros(x.shape[0])
-    for c, e in weights:
-        e_sq = float(np.vdot(e, e).real)
-        xc = x_h @ c[..., None]
-        v += lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq
-                         * np.sum(np.abs(xc[..., 0]) ** 2, axis=-1)
-                         + (config.bs_noise_watt * e_sq + m * abs(np.vdot(b, e)) ** 2)
-                         * np.sum(np.abs(c) ** 2, axis=-1))
+    e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
+    xc_sq = np.sum(np.abs(c.conj()[..., None, :] @ x) ** 2, axis=(-2, -1))  # ||c_k^H X||^2
+    noise = config.bs_noise_watt * e_sq + m * np.abs(e @ channels.b_rx.conj())[:, None] ** 2
+    v = np.sum(lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq * xc_sq
+                           + noise * np.sum(np.abs(c) ** 2, axis=-1)), axis=0)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
         raise NumericalDomainError("conditional statistics are not finite")
     return s, v
@@ -558,11 +551,8 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
 
     The standard-normal array, sized for the trials drawn, and the conj(X) and
     A_k of :func:`_clutter_weights` are this thread's working arrays
-    (:func:`_work`): the next block of the same shape reuses
-    them instead of allocating and freeing arrays of the frame's size, which
-    at 12 x 12 (zeta^2 > 0) are larger than glibc's heap-trim threshold, so the
-    heap was trimmed and page-faulted back once per block. X, the Bartlett
-    factor and the returned rows are allocated per block.
+    (:func:`_work`), which the next block of the same shape reuses. X, the
+    Bartlett factor and the returned rows are allocated per block.
     """
     size = block_trials(config)
     if not 1 <= n_trials <= size:

@@ -343,6 +343,29 @@ class TestConditionalStatistics:
             assert np.median(v / s) > 1.5
             assert scipy.stats.kstest(np.abs(u) ** 2 / s, "expon").statistic > bound
 
+    @pytest.mark.parametrize("overrides, n_spaces", [
+        ({}, 2), ({"repeater_gain_db": 120.0}, 2), ({"repeater_on": False}, 1),
+        ({"n_tx_antennas": 12, "n_rx_antennas": 12, "residual_interbs_power": 1e-13}, 2),
+        ({"n_tx_antennas": 12, "n_rx_antennas": 12, "residual_interbs_power": 1e-13,
+          "repeater_gain_db": 120.0}, 2),
+    ], ids=["default", "120dB", "repeater-off", "12x12-zeta", "12x12-zeta-120dB"])
+    def test_a_frame_has_the_same_bits_alone_or_in_any_stack(self, overrides, n_spaces):
+        # a frame's (s, v) must not depend on the frames stacked with it, so that
+        # stacks of any size (a short block, or more axes next to the frames)
+        # give the rows of one frame at a time
+        config = repisac.ScenarioConfig(**overrides)
+        channels, clutter = _pod_drop(config)
+        beams = beam_matrix(build_precoders(config, channels), config)
+        frames = cn(np.random.default_rng(6), (64, frame_rows(config), beams.shape[0])) @ beams
+        _, c, _, _ = repisac.detector._clutter_weights(frames, channels, config, clutter)
+        assert c.shape == (n_spaces, *frames.shape[:2])  # the eigenspaces of Sigma_s
+        s, v = conditional_statistics(frames, channels, config, clutter)
+        for i in range(len(frames)):
+            start = min(i, len(frames) - 3)
+            for stack, at in ((frames[i:i + 1], 0), (frames[start:start + 3], i - start)):
+                s_i, v_i = conditional_statistics(stack, channels, config, clutter)
+                assert (s_i[at], v_i[at]) == (s[i], v[i]), (i, len(stack))
+
     def test_failures_raise_numerical_domain_error(self, rng):
         _, frame, channels, config, _ = random_small_instance(rng, slot_length=3)
         size = config.n_tx_antennas * config.n_rx_antennas
@@ -594,6 +617,14 @@ class TestBlockStatistics:
         # no row returned earlier changed under the calls after it
         for returned, copy_ in kept:
             np.testing.assert_array_equal(returned, copy_)
+        # nor does the clutter solve hand its callers a working array or a view of one
+        frames = cn(np.random.default_rng(6), (5, config.slot_length, config.n_users + 1))
+        _, *returned = repisac.detector._clutter_weights(
+            frames @ beam_matrix(precoders, config), channels, config, clutter)
+        working = list(vars(repisac.detector._WORKING).values())
+        assert len(working) >= 2  # conj(X) and the A_k at least
+        for array in returned:
+            assert not any(np.shares_memory(array, buf) for buf in working)
 
     def test_threads_running_blocks_at_once_get_the_rows_of_one_thread(self):
         # two configs of the same shapes, so a working set shared between threads

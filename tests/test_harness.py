@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -837,6 +838,21 @@ class TestCli:
         assert main_cli(command + ["--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"configuration error: cannot write {tmp_path}: "
                                            f"[Errno 21] Is a directory: '{tmp_path}'\n")
+        assert keys == []
+
+    @pytest.mark.parametrize("trailing", [False, True], ids=["empty", "trailing-separator"])
+    @pytest.mark.parametrize("command", [["pod"], ["secdf"], ["calibrate"]],
+                             ids=["pod", "secdf", "calibrate"])
+    def test_out_that_names_no_file_fails_before_the_study(self, tmp_path, capsys, keys,
+                                                          command, trailing):
+        # pod and secdf used to run the study and then fail to write; calibrate
+        # took "" for no --out, so it printed its threshold, wrote nothing and
+        # exited 0
+        out = str(tmp_path / "nosuch") + os.sep if trailing else ""
+        cfg = self._config_path(tmp_path, n_users=1, n_tx_antennas=3)
+        assert main_cli(command + ["--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"configuration error: --out {out!r}: "
+                                           "names no file\n")
         assert keys == []
 
     @pytest.mark.parametrize("command", [["pod", "--grid", "1e6"], ["secdf"], ["calibrate"]],
