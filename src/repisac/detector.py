@@ -22,23 +22,25 @@ Monte Carlo passes use the block kernel :func:`block_statistics` instead:
 given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
 A block of :func:`block_trials` trials draws only a frame, one unit normal and
-alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block), and
-is evaluated in one call. The frame is the slot's symbols, or at zeta^2 = 0,
-where (s, v) see the frame only through X^H X, the Bartlett factor of their
-Gram matrix: min(tau, K + 1) rows in place of tau (:func:`frame_rows`). Both
-forms solve the clutter blocks A_k z_k = a_tx in one place
-(:func:`_clutter_weights`, one stacked solve for a stack of frames). The
-empirical threshold of a set of H0 statistics lives here too; the study
-setup and the trial passes that use them are in ``repisac.harness``.
+alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block);
+blocks whose trials fit in one block's are evaluated in one call. The frame
+is the slot's symbols, or at zeta^2 = 0, where (s, v) see the frame only
+through X^H X, a Bartlett factor of that Gram matrix: min(tau, K + 1, Nt)
+rows in place of tau (:func:`frame_rows`). Both forms solve the clutter
+blocks A_k z_k = a_tx in one place (:func:`_clutter_weights`, one stacked
+solve for a stack of frames). The empirical threshold of a set of H0
+statistics lives here too; the study setup and the trial passes that use
+them are in ``repisac.harness``.
 
-A block's frame-sized temporaries (its standard-normal draws, conj(X), which
-also holds X^H diag(w_k) one k at a time, and the stacked A_k) are per-thread
-working arrays (:func:`_work`), kept from one block to the next.
+A call's frame-sized temporaries (its frames, its standard-normal draws,
+conj(X), which also holds X^H diag(w_k) one k at a time, and the stacked A_k)
+are per-thread working arrays (:func:`_work`), kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +95,11 @@ def _noise_eigenvalues(x: np.ndarray, x_conj: np.ndarray, b_sq: float,
                        config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues d[tau] and d[tau] + m ||b_r||^2 of Sigma_s[tau] on I - P and on P,
     given the frame x and its conjugate."""
-    d = (config.residual_interbs_power * np.einsum("...i,...i->...", x, x_conj).real
-         + config.bs_noise_watt)
+    if config.residual_interbs_power == 0.0:  # d = sigma_BS^2 on every row
+        d = np.full(x.shape[:-1], config.bs_noise_watt)
+    else:
+        d = (config.residual_interbs_power * np.einsum("...i,...i->...", x, x_conj).real
+             + config.bs_noise_watt)
     if np.any(d <= 0):
         # with m >= 0 this is exactly the condition for Sigma_s[tau] to be PD
         raise NumericalDomainError("sensing-noise covariance is not positive definite")
@@ -240,7 +245,8 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     (:func:`_noise_eigenvalues`) and lam > 0 (checked here), A_k is positive
     definite. conj(X) is made in this thread's working array (:func:`_work`):
     it serves the noise eigenvalues, then holds X^H diag(w_k) in place for one
-    A_k at a time.
+    A_k at a time. At zeta^2 = 0 every row of the slot has the same weight w_k,
+    so X^H X is formed once, in the A_k array, and scaled into each A_k.
     """
     if clutter_model.size != config.n_tx_antennas * config.n_rx_antennas:
         raise NumericalDomainError("clutter covariance size does not match Nt*Nr")
@@ -254,10 +260,15 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     w, e = _noise_blocks(x, x_conj, channels, config)
     x_h = np.swapaxes(x_conj, -1, -2)
     a = _work("a", (w.shape[0] * len(x), nt, nt)).reshape(*w.shape[:2], nt, nt)  # the A_k
-    for k, (a_k, w_k) in enumerate(zip(a, w[..., None, :])):
-        if k:  # conj(X) again: the k before left X^H diag(w) in it
-            np.conj(x, out=x_conj)
-        np.matmul(np.multiply(x_h, w_k, out=x_h), x, out=a_k)
+    if config.residual_interbs_power == 0.0:  # w_k is one number: A_k = w_k X^H X + lam I
+        np.matmul(x_h, x, out=a[-1])
+        for a_k, w_k in zip(a, w[:, 0, 0]):  # a[-1], which holds X^H X, is scaled last
+            np.multiply(a[-1], w_k, out=a_k)
+    else:
+        for k, (a_k, w_k) in enumerate(zip(a, w[..., None, :])):
+            if k:  # conj(X) again: the k before left X^H diag(w) in it
+                np.conj(x, out=x_conj)
+            np.matmul(np.multiply(x_h, w_k, out=x_h), x, out=a_k)
     a += lam * np.eye(nt)
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
@@ -314,15 +325,19 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||c_k^H X||^2
                      + (sigma_BS^2 ||e_k||^2 + |nu|^2 sigma_R^2 |b_r^H e_k|^2) ||c_k||^2]
     (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
-    At zeta^2 = 0 the detector's noise model is exact and v = s.
+    At zeta^2 = 0 the detector's noise model is exact and v = s, which is
+    returned as v without evaluating the formula.
     """
     lam, c, e, s = _clutter_weights(x, channels, config, clutter_model)
-    m = abs(config.nu) ** 2 * config.repeater_noise_watt
-    e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
-    xc_sq = np.sum(np.abs(c.conj()[..., None, :] @ x) ** 2, axis=(-2, -1))  # ||c_k^H X||^2
-    noise = config.bs_noise_watt * e_sq + m * np.abs(e @ channels.b_rx.conj())[:, None] ** 2
-    v = np.sum(lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq * xc_sq
-                           + noise * np.sum(np.abs(c) ** 2, axis=-1)), axis=0)
+    if config.residual_interbs_power == 0.0:
+        v = s.copy()
+    else:
+        m = abs(config.nu) ** 2 * config.repeater_noise_watt
+        e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
+        xc_sq = np.sum(np.abs(c.conj()[..., None, :] @ x) ** 2, axis=(-2, -1))  # ||c_k^H X||^2
+        noise = config.bs_noise_watt * e_sq + m * np.abs(e @ channels.b_rx.conj())[:, None] ** 2
+        v = np.sum(lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq * xc_sq
+                               + noise * np.sum(np.abs(c) ** 2, axis=-1)), axis=0)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
         raise NumericalDomainError("conditional statistics are not finite")
     return s, v
@@ -510,25 +525,27 @@ TRIALS_PER_BLOCK = 64  # tau-row symbol frames per block; independent of the wor
 
 def frame_rows(config: ScenarioConfig) -> int:
     """Rows of the frame that :func:`block_statistics` evaluates per trial: the
-    slot's tau symbol rows, or at zeta^2 = 0 the min(tau, K + 1) rows of their
+    slot's tau symbol rows, or at zeta^2 = 0 the min(tau, K + 1, Nt) rows of a
     Bartlett factor."""
     if config.residual_interbs_power == 0.0:
-        return min(config.slot_length, config.user_fractions.size + 1)
+        return min(config.slot_length, config.user_fractions.size + 1, config.n_tx_antennas)
     return config.slot_length
 
 
 def block_trials(config: ScenarioConfig) -> int:
     """Trials in one block: as many as stack no more frame rows than
-    ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 256 on the default config
-    (Bartlett frames of 11 rows) and 64 at zeta^2 > 0."""
+    ``TRIALS_PER_BLOCK`` frames of tau symbol rows, 384 on the default config
+    (Bartlett frames of 8 rows) and 64 at zeta^2 > 0."""
     return TRIALS_PER_BLOCK * (config.slot_length // frame_rows(config))
 
 
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng: np.random.Generator, n_trials: int) -> np.ndarray:
-    """Rows (u, s, alpha_1) of the first ``n_trials`` trials of a block drawn from
-    ``rng``, shape (n_trials, 3), 1 <= n_trials <= :func:`block_trials`.
+                     draws: Sequence[tuple[np.random.Generator, int]]) -> np.ndarray:
+    """Rows (u, s, alpha_1) of blocks of trials evaluated in one kernel call: for
+    each (rng, n) of ``draws`` in turn, the first n trials of a block drawn from
+    rng. Shape (sum of the n, 3); every n is at least 1, and together they hold
+    at most :func:`block_trials` trials.
 
     Per trial, a tau x p symbol matrix S (p = K + 1), one unit complex normal
     xi and alpha_1 enter; the frame is X = S M
@@ -538,44 +555,58 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     H0 the rows are read with alpha_1 = 0.
 
     At zeta^2 = 0 every row of the slot has the same noise weights, so (s, v)
-    depend on X only through X^H X = M^H (S^H S) M, and with S = QR the frame
-    R M gives the same (s, v) as S M. A trial then draws, instead of S, the
-    m x p upper-trapezoidal Bartlett factor R (m = :func:`frame_rows`), which
-    has the law of QR's R: |R_ii|^2 ~ Gamma(tau - i, 1) and R_ij ~ CN(0, 1) for
-    j > i (Goodman, Ann. Math. Statist. 34:152, 1963). The block draws the
-    |R_ii|^2 of all its :func:`block_trials` trials, then the R_ij, xi and
-    alpha_1 of its ``n_trials`` trials trial-major in one standard-normal
-    array; at zeta^2 > 0, only S, xi and alpha_1 of its ``n_trials`` trials.
-    So a short block draws no normals for trials it does not hold, and is a
-    prefix of the full one.
+    depend on X only through X^H X = M^H (S^H S) M. When p > Nt, M = Q_M R_M
+    (reduced QR, R_M of Nt x Nt) and S Q_M has i.i.d. CN(0, 1) entries, so X has
+    the law of S' R_M for a tau x Nt symbol matrix S': the beams become R_M and
+    p becomes Nt. With S = QR the frame R M then gives the same (s, v) as S M.
+    A trial draws, instead of S, the m x p upper-trapezoidal Bartlett factor R
+    (m = :func:`frame_rows`), which has the law of QR's R: |R_ii|^2 ~
+    Gamma(tau - i, 1) and R_ij ~ CN(0, 1) for j > i (Goodman, Ann. Math.
+    Statist. 34:152, 1963). A block draws the |R_ii|^2 of all its
+    :func:`block_trials` trials, then the R_ij, xi and alpha_1 of its n trials
+    trial-major in one standard-normal array; at zeta^2 > 0, only S, xi and
+    alpha_1 of its n trials. So a short block draws no normals for trials it
+    does not hold, and is a prefix of the full one; and since a frame's (s, v)
+    have the same bits alone or in any stack, a block's rows do not depend on
+    the blocks evaluated with it.
 
-    The standard-normal array, sized for the trials drawn, and the conj(X) and
-    A_k of :func:`_clutter_weights` are this thread's working arrays
-    (:func:`_work`), which the next block of the same shape reuses. X, the
-    Bartlett factor and the returned rows are allocated per block.
+    The frames of every block of the call, the standard-normal array, sized for
+    one block's trials, and the conj(X) and A_k of :func:`_clutter_weights` are
+    this thread's working arrays (:func:`_work`), which the next call of the
+    same shape reuses. The Bartlett factors and the returned rows are allocated
+    per call.
     """
     size = block_trials(config)
-    if not 1 <= n_trials <= size:
-        raise ValueError(f"a block holds 1 to {size} trials, got {n_trials}")
+    counts = [n for _, n in draws]
+    if not counts or min(counts) < 1 or sum(counts) > size:
+        raise ValueError(f"a block holds 1 to {size} trials, got "
+                         + (" + ".join(map(str, counts)) or "none"))
     beams = beam_matrix(precoders, config)
+    bartlett = config.residual_interbs_power == 0.0
+    if bartlett and beams.shape[0] > beams.shape[1]:
+        beams = np.linalg.qr(beams, mode="r")
     tau, p = config.slot_length, beams.shape[0]
     m = frame_rows(config)
-    bartlett = config.residual_interbs_power == 0.0
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    if bartlett:  # for the whole block, so the normals start where a full block's do
-        gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n_trials]
-    z = rng.standard_normal(out=_work("normals", (n_trials, 2 * n_cn), float)).view(complex)
-    z *= np.sqrt(0.5)
-    if bartlett:
-        factor = np.zeros((n_trials, m, p), dtype=complex)
-        upper = np.triu_indices(m, 1, p)
-        factor[:, upper[0], upper[1]] = z[:, :-2]
-        factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas)
-    else:
-        factor = z[:, :-2].reshape(n_trials, tau, p)
-    x = factor @ beams
-    xi, alpha1 = z[:, -2:].T.copy()
+    x = _work("frames", (sum(counts), m, beams.shape[1]))
+    xi, alpha1 = np.empty((2, len(x)), dtype=complex)
+    start = 0
+    for rng, n in draws:
+        if bartlett:  # for the whole block, so the normals start where a full block's do
+            gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n]
+        z = rng.standard_normal(out=_work("normals", (n, 2 * n_cn), float)).view(complex)
+        z *= np.sqrt(0.5)
+        if bartlett:
+            factor = np.zeros((n, m, p), dtype=complex)
+            upper = np.triu_indices(m, 1, p)
+            factor[:, upper[0], upper[1]] = z[:, :-2]
+            factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas)
+        else:
+            factor = z[:, :-2].reshape(n, tau, p)
+        np.matmul(factor, beams, out=x[start:start + n])
+        xi[start:start + n], alpha1[start:start + n] = z[:, -2:].T
+        start += n
     del factor  # a Bartlett factor is its own array: freed before the solves
     s, v = conditional_statistics(x, channels, config, clutter_model)
     return np.column_stack([np.sqrt(v) * xi, s, alpha1])

@@ -7,7 +7,7 @@ the reference trial). Every drop is :func:`draw_drop`, ``drop_entities`` then
 ``gen_channels`` on keys of their own: the PoD study's one drop
 (:func:`_pod_drop`), and the SE-CDF study's blocks of drops. :func:`calibrate`,
 the detection study and its grid suggestion share the PoD drop and one trial
-kernel (:func:`_trial_block`), and take the threshold from one H0 pass, so one
+kernel (:func:`_trial_unit`), and take the threshold from one H0 pass, so one
 config gives one threshold wherever it is asked for. The studies: probability
 of detection versus RCS variance (one H0 and one H1 pass per repeater gain;
 each trial's statistic at every grid point follows from its sufficient
@@ -17,7 +17,7 @@ efficiency across precoder choices (one stacked RZF solve per block of drops
 and repeater setting).
 
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
-sets the SE study's block layout) and a block of trials (``block_trials``: 256
+sets the SE study's block layout) and a block of trials (``block_trials``: 384
 trials on the default config, 64 at zeta^2 > 0) draw from generators keyed
 (master_seed, study, stream, index):
 
@@ -31,14 +31,16 @@ trials on the default config, 64 at zeta^2 > 0) draw from generators keyed
     (STUDY_SECDF, 1, b)  their Rayleigh channels
 
 Blocks are the units that a study's one mapper (:func:`_mapper`) hands to
-worker processes, so results are byte-identical regardless of worker count.
+worker processes; the short last blocks of a repeater gain's H0 and H1 passes
+share one unit, and one kernel call, when their trials fit in one block. A
+block's rows depend neither on the unit that holds it nor on the worker
+count, so results are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -115,6 +117,15 @@ def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]
     return channels, clutter_covariance(config, geometry)
 
 
+def _pod_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
+    """``build_precoders`` on the PoD drop; a numerical failure names the drop's seed keys."""
+    try:
+        return build_precoders(config, channels)
+    except (np.linalg.LinAlgError, NumericalDomainError) as exc:
+        raise NumericalDomainError(f"PoD drop with seed keys {(STUDY_POD, 0, 0)} and "
+                                   f"{(STUDY_POD, 1, 0)}: {exc}") from exc
+
+
 # -- deterministic parallel execution ------------------------------------------
 
 @contextmanager
@@ -127,39 +138,60 @@ def _mapper(workers: int):
     if workers == 1:
         yield lambda fn, units: [fn(unit) for unit in units]
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when used
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield lambda fn, units: list(
             pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
 
 
-def _trial_block(config: ScenarioConfig, channels: ChannelRealization,
-                 clutter_model: ClutterModel, precoders: PrecoderSet, key: tuple[int, ...],
-                 n_trials: int, b: int) -> np.ndarray:
-    """Rows of block b of a pass of ``n_trials`` trials, drawn from key (*key, b)."""
-    size = block_trials(config)
-    try:
-        return block_statistics(config, channels, clutter_model, precoders,
-                                trial_rng(config.master_seed, key, b),
-                                min(size, n_trials - b * size))
-    except NumericalDomainError as exc:
-        raise NumericalDomainError(f"trial block with seed key {(*key, b)}: {exc}") from exc
-
-
-def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
+def _trial_unit(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
-                key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
-    """Rows (u, s, alpha_1) of ``n_trials`` Monte Carlo trials, in trial order.
+                blocks: tuple[tuple[tuple[int, ...], int, int], ...]) -> list[np.ndarray]:
+    """Rows of each block (key, b, n) of ``blocks``, its first n trials drawn from
+    key (*key, b), all evaluated in one kernel call."""
+    try:
+        rows = block_statistics(config, channels, clutter_model, precoders,
+                                [(trial_rng(config.master_seed, key, b), n)
+                                 for key, b, n in blocks])
+    except NumericalDomainError as exc:
+        keys = " and ".join(str((*key, b)) for key, b, _ in blocks)
+        plural = "s" if len(blocks) > 1 else ""
+        raise NumericalDomainError(f"trial block{plural} with seed key{plural} {keys}: "
+                                   f"{exc}") from exc
+    return np.split(rows, np.cumsum([n for *_, n in blocks])[:-1])
 
-    Block b holds trials b * ``block_trials`` onwards and draws from key
-    (*key, b); a block is the unit that ``run`` (:func:`_mapper`) hands to
-    workers, so no row depends on the worker count. A pass depends on neither
-    the hypothesis nor ``config.rcs_variance``: every trial's statistic follows
-    from its row (``glrt_from_statistics``, with alpha_1 = 0 under H0).
+
+def _trial_passes(config: ScenarioConfig, channels: ChannelRealization,
+                  clutter_model: ClutterModel, precoders: PrecoderSet,
+                  passes: list[tuple[tuple[int, ...], int]], run) -> list[np.ndarray]:
+    """Rows (u, s, alpha_1) of each pass (key, n_trials) of ``passes``, in trial order.
+
+    Block b of a pass holds its trials b * ``block_trials`` onwards and draws
+    from key (*key, b). A full block is one unit of ``run`` (:func:`_mapper`);
+    the short last blocks of the passes share units, in order, as long as their
+    trials fit in one block, so the H0 and H1 passes of a small study make one
+    kernel call. A block's rows depend on neither the unit that holds it nor
+    the worker count. A pass depends on neither the hypothesis nor
+    ``config.rcs_variance``: every trial's statistic follows from its row
+    (``glrt_from_statistics``, with alpha_1 = 0 under H0).
     """
-    parts = run(partial(_trial_block, config, channels, clutter_model, precoders, key,
-                        n_trials),
-                range(math.ceil(n_trials / block_trials(config))))
-    return np.concatenate(parts) if parts else np.zeros((0, 3), dtype=complex)
+    size = block_trials(config)
+    units, short = [], []
+    for key, n_trials in passes:
+        for b in range(math.ceil(n_trials / size)):
+            n = min(size, n_trials - b * size)
+            if n == size:
+                units.append(((key, b, n),))
+            elif short and sum(block[2] for block in short[-1]) + n <= size:
+                short[-1] += ((key, b, n),)
+            else:
+                short.append(((key, b, n),))
+    units += short
+    parts = run(partial(_trial_unit, config, channels, clutter_model, precoders), units)
+    rows = {block[:2]: part for unit, unit_parts in zip(units, parts)
+            for block, part in zip(unit, unit_parts)}
+    return [np.concatenate([rows[key, b] for b in range(math.ceil(n_trials / size))])
+            if n_trials else np.zeros((0, 3), dtype=complex) for key, n_trials in passes]
 
 
 def run_trials(config: ScenarioConfig, channels: ChannelRealization,
@@ -173,22 +205,21 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
     if n_trials < 0:
         raise ConfigError(f"n_trials must be nonnegative, got {n_trials}")
     with _mapper(workers) as run:
-        u, s, alpha1 = _trial_pass(config, channels, clutter_model, precoders, key,
-                                   n_trials, run).T
+        (rows,) = _trial_passes(config, channels, clutter_model, precoders,
+                                [(key, n_trials)], run)
+    u, s, alpha1 = rows.T
     return glrt_from_statistics(u, s.real, 0.0 if force_null else alpha1, config.rcs_variance)
 
 
 # -- threshold calibration -----------------------------------------------------
 
-def _thresholds(config: ScenarioConfig, channels: ChannelRealization,
-                clutter_model: ClutterModel, precoders: PrecoderSet,
-                sigma_t_sq: np.ndarray, run) -> tuple[np.ndarray, np.ndarray]:
+def _thresholds(null_rows: np.ndarray, sigma_t_sq: np.ndarray,
+                pfa_target: float) -> tuple[np.ndarray, np.ndarray]:
     """GLRT threshold and in-sample false-alarm rate at each RCS variance, from
-    the ``calibration_trials`` H0 trials (target absent) on key (STUDY_POD, 2)."""
-    u, s, _ = _trial_pass(config, channels, clutter_model, precoders, (STUDY_POD, 2),
-                          config.calibration_trials, run).T
+    the rows of the H0 pass (target absent) on key (STUDY_POD, 2)."""
+    u, s, _ = null_rows.T
     t_null = glrt_from_statistics(u, s.real, 0.0, sigma_t_sq[:, None])
-    thresholds = threshold_from_null_stats(t_null, config.pfa_target)
+    thresholds = threshold_from_null_stats(t_null, pfa_target)
     return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
 
 
@@ -213,9 +244,11 @@ def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     """
     with _mapper(workers) as run:
         channels, clutter_model = _pod_drop(config)
-        thresholds, pfas = _thresholds(config, channels, clutter_model,
-                                       build_precoders(config, channels),
-                                       np.array([config.rcs_variance]), run)
+        (null_rows,) = _trial_passes(config, channels, clutter_model,
+                                     _pod_precoders(config, channels),
+                                     [((STUDY_POD, 2), config.calibration_trials)], run)
+    thresholds, pfas = _thresholds(null_rows, np.array([config.rcs_variance]),
+                                   config.pfa_target)
     return float(thresholds[0]), float(pfas[0])
 
 
@@ -234,8 +267,10 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     its symbols, its clutter, residual and noise term given the frame, and
     (under H1) the RCS. Per repeater setting, one pass of ``calibration_trials``
     H0 trials and one pass of ``mc_trials`` H1 trials serve every grid point
-    (the RCS variance only scales each trial's sufficient statistics), and the
-    GLRT threshold is recalibrated per grid point from the H0 pass. The default
+    (the RCS variance only scales each trial's sufficient statistics; the
+    short last blocks of the two passes share a kernel call,
+    :func:`_trial_passes`), and the GLRT threshold is recalibrated per grid
+    point from the H0 pass. The default
     gains are the configured one and repeater-off, or repeater-off alone when
     the config has the repeater off. A grid or gains that is a string or not a
     sequence, no gains, equal gains (20, 20.0), a gain or grid value that is not
@@ -274,11 +309,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         if rcs_grid is None:
             grid = _pilot_grid(config, channels, clutter_model, GRID_POINTS)
         for gain_value, cfg_gain in zip(gain_values, gain_configs):
-            precoders = build_precoders(cfg_gain, channels)
-            thresholds, pfas = _thresholds(cfg_gain, channels, clutter_model, precoders, grid,
-                                           run)
-            u, s, alpha1 = _trial_pass(cfg_gain, channels, clutter_model, precoders,
-                                       (STUDY_POD, 3), cfg_gain.mc_trials, run).T
+            null_rows, hit_rows = _trial_passes(
+                cfg_gain, channels, clutter_model, _pod_precoders(cfg_gain, channels),
+                [((STUDY_POD, 2), cfg_gain.calibration_trials),
+                 ((STUDY_POD, 3), cfg_gain.mc_trials)], run)
+            thresholds, pfas = _thresholds(null_rows, grid, cfg_gain.pfa_target)
+            u, s, alpha1 = hit_rows.T
             mean_scnr[gain_value] = float(np.mean(s.real))
             t_hit = glrt_from_statistics(u, s.real, alpha1, grid[:, None])
             pods = np.mean(t_hit >= thresholds[:, None], axis=1)
@@ -295,7 +331,7 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.ndarray:
     """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
     mean s (``mean_scnr``) of one whole pilot block of trials on the study's setup,
-    key (STUDY_POD, 9, 0): 256 trials on the default config, 64 at zeta^2 > 0. For
+    key (STUDY_POD, 9, 0): 384 trials on the default config, 64 at zeta^2 > 0. For
     a Swerling-I target at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the
     grid spans the detector's transition."""
     _check_type("n_points", n_points, int)
@@ -307,8 +343,8 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.
 def _pilot_grid(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, n_points: int) -> np.ndarray:
     """The grid of :func:`suggest_rcs_grid` on the study's drop."""
-    rows = _trial_block(config, channels, clutter_model, build_precoders(config, channels),
-                        (STUDY_POD, 9), block_trials(config), 0)
+    (rows,) = _trial_unit(config, channels, clutter_model, _pod_precoders(config, channels),
+                          (((STUDY_POD, 9), 0, block_trials(config)),))
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:
         raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "

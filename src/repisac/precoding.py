@@ -44,18 +44,26 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
 
     Each row of the returned (..., K, Nt) array has unit norm. The beams
     combine coherently under the transposed reception convention y = fdot^T x.
-    The beams are the columns of (fdot^H fdot + lam I_Nt)^-1 fdot^H, computed
-    by the push-through identity as the rows of conj((fdot fdot^H + lam I_K)^-1
-    fdot): a K x K solve in place of an Nt x Nt one, never worse conditioned
-    (the Nt x Nt matrix has the eigenvalue lam on every direction that fdot
-    does not span), and at K = 1 the matched filter conj(fdot) / ||fdot|| to
-    rounding.
+    The beams are the columns of (fdot^H fdot + lam I_Nt)^-1 fdot^H. For
+    K <= Nt they are computed by the push-through identity as the rows of
+    conj((fdot fdot^H + lam I_K)^-1 fdot), a K x K solve, which at K = 1 is the
+    matched filter conj(fdot) / ||fdot|| to rounding. The solve is on the side
+    of min(K, Nt): the Gram matrix on the larger side has rank min(K, Nt) plus
+    lam, so at K > Nt the K x K matrix is the ill-conditioned one (a beam error
+    of ~1e-5 at lam = 1e-20 on the default config, and an exactly singular
+    pivot when lam falls below eps ||fdot||^2), while the Nt x Nt one has full
+    rank.
     """
     if zf_regularizer <= 0.0:
         raise ConfigError("zf_regularizer must be positive")
     fdot = np.atleast_2d(np.asarray(fdot, dtype=complex))
-    gram = fdot @ np.swapaxes(fdot.conj(), -1, -2) + zf_regularizer * np.eye(fdot.shape[-2])
-    raw = np.linalg.solve(gram, fdot).conj()  # (..., K, Nt)
+    fdot_h = np.swapaxes(fdot.conj(), -1, -2)
+    k, nt = fdot.shape[-2:]
+    if k <= nt:
+        raw = np.linalg.solve(fdot @ fdot_h + zf_regularizer * np.eye(k), fdot).conj()
+    else:
+        raw = np.swapaxes(np.linalg.solve(fdot_h @ fdot + zf_regularizer * np.eye(nt), fdot_h),
+                          -1, -2)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ConfigError("RZF produced a zero beam (zero user channel?)")

@@ -118,6 +118,11 @@ class ScenarioConfig:
         if self.precoder_mode == "comm_centric" and self.n_users >= self.n_tx_antennas:
             raise ConfigError("comm_centric needs n_users < n_tx_antennas (the users' "
                               "channels would span every transmit direction)")
+        if self.precoder_mode == "repeater_null" and (self.n_tx_antennas == 1
+                                                      or self.repeater_disc_radius_m == 0.0):
+            raise ConfigError("repeater_null needs n_tx_antennas > 1 and a positive "
+                              "repeater_disc_radius_m (the repeater direction b_tx would be "
+                              "the target direction a_tx, and the sensing beam nulled)")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
         if self.residual_interbs_power < 0:

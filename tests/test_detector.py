@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -295,7 +296,10 @@ class TestConditionalStatistics:
     def test_a_frame_and_its_bartlett_frame_give_the_same_statistics(
             self, nt, nr, tau, p, gain_db, zero_b_rx, seed):
         # at zeta^2 = 0, (s, v) depend on X = S M only through X^H X, and
-        # S = QR gives S^H S = R^H R: the R M frame has min(tau, p) rows
+        # S = QR gives S^H S = R^H R: the R M frame has min(tau, p) rows. With
+        # M = Q_M R_M (reduced QR), X = (S Q_M) R_M, and the R factor B of S Q_M
+        # gives the frame B R_M of min(tau, p, Nt) rows: the block kernel's frame
+        # when p > Nt
         rng = np.random.default_rng(seed)
         _, _, channels, config, clutter = random_small_instance(rng, n_tx=nt, n_rx=nr)
         config = config.with_updates(residual_interbs_power=0.0, repeater_gain_db=gain_db)
@@ -309,6 +313,12 @@ class TestConditionalStatistics:
         s_r, v_r = conditional_statistics(factors @ beams, channels, config, clutter)
         np.testing.assert_allclose(s_r, s, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(v_r, v, rtol=1e-12, atol=0.0)
+        q_m, r_m = np.linalg.qr(beams)
+        bartlett = np.linalg.qr(symbols @ q_m, mode="r")
+        assert bartlett.shape == (3, min(tau, p, nt), min(p, nt))
+        s_b, v_b = conditional_statistics(bartlett @ r_m, channels, config, clutter)
+        np.testing.assert_allclose(s_b, s, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v_b, v, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["zeta0", "zeta1e-12"])
     def test_reference_simulation_is_exponential_given_the_frame(self, zeta_sq):
@@ -381,15 +391,18 @@ class TestConditionalStatistics:
 
 class TestBlockStatistics:
     @staticmethod
-    def frame_statistics(config, channels, clutter, precoders, symbols):
-        """s and v of one trial from the schur_statistics reference on the frame
-        rebuilt from its symbols (the rows of S, or of the Bartlett factor R)."""
+    def frame(config, precoders, symbols):
+        """The frame S M rebuilt from its symbols S and the precoders."""
         k = config.n_users
-        x = np.sqrt(config.tx_power_watt) * (
+        return np.sqrt(config.tx_power_watt) * (
             symbols[:, :k] @ (np.sqrt(config.user_fractions)[:, None]
                               * precoders.user_precoders)
             + np.sqrt(config.sensing_power_fraction) * symbols[:, k:]
             * precoders.sensing_precoder)
+
+    @staticmethod
+    def frame_statistics(config, channels, clutter, precoders, x):
+        """s and v of one trial from the schur_statistics reference on the frame x."""
         frame = dataclasses.replace(build_transmit_frame(precoders, config,
                                                          np.random.default_rng(0)), x=x)
         zero_obs = SensingObservation(y_slots=np.zeros((x.shape[0], config.n_rx_antennas)))
@@ -404,48 +417,59 @@ class TestBlockStatistics:
         config = config.with_updates(residual_interbs_power=1e-12)
         n = block_trials(config) - 3
         rows = block_statistics(config, channels, clutter, precoders,
-                                np.random.default_rng(3), n)
+                                [(np.random.default_rng(3), n)])
         tau, k = config.slot_length, config.n_users
         draws = np.random.default_rng(3).standard_normal((n, 2 * (tau * (k + 1) + 2)))
         z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
         symbols = z[:, :-2].reshape(n, tau, k + 1)
         for row, sym, xi, alpha1 in zip(rows, symbols, z[:, -2], z[:, -1]):
-            s, v = self.frame_statistics(config, channels, clutter, precoders, sym)
+            s, v = self.frame_statistics(config, channels, clutter, precoders,
+                                         self.frame(config, precoders, sym))
             assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
             assert row[0] == pytest.approx(np.sqrt(v) * xi, rel=1e-12, abs=0.0)
             assert row[2] == alpha1
 
-    def test_rows_follow_the_bartlett_factor_at_zero_residual(self):
+    @pytest.mark.parametrize("overrides, size, m, p", [
+        ({}, 128, 2, 2),                                   # K + 1 = 3 > Nt = 2: 4 // 2 = 2
+        ({"slot_length": 1}, 64, 1, 2),                    # tau < Nt < K + 1
+        ({"n_tx_antennas": 4, "slot_length": 8}, 128, 3, 3),   # K + 1 <= Nt: 8 // 3 = 2
+        ({"n_tx_antennas": 4, "slot_length": 2}, 64, 2, 3),    # tau < K + 1 <= Nt
+    ], ids=["R_M", "R_M-tau1", "M", "M-tau2"])
+    def test_rows_follow_the_bartlett_factor_at_zero_residual(self, overrides, size, m, p):
         # zeta^2 = 0: the |R_ii|^2 for the whole block, then the strictly upper
-        # R_ij, xi and alpha_1 trial-major for the trials it keeps; R is
-        # m x (K + 1), m = min(tau, K + 1). At tau = 8 the block holds 8 // 3 = 2
-        # times 64 trials
-        for config, size in ((tiny_config(), 64), (tiny_config(slot_length=8), 128)):
-            channels, clutter = _pod_drop(config)
-            precoders = build_precoders(config, channels)
-            assert block_trials(config) == size
-            n = size - 3
-            rows = block_statistics(config, channels, clutter, precoders,
-                                    np.random.default_rng(3), n)
-            tau, p = config.slot_length, config.n_users + 1
-            m = frame_rows(config)
-            assert m == min(tau, p) == 3
-            replay = np.random.default_rng(3)
-            gammas = replay.standard_gamma(tau - np.arange(m), (size, m))
-            draws = replay.standard_normal((n, 2 * (m * p - m * (m + 1) // 2 + 2)))
-            z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
-            for row, upper, g in zip(rows, z, gammas):
-                factor = np.zeros((m, p), dtype=complex)
-                entries = iter(upper[:-2])
-                for i in range(m):
-                    factor[i, i] = np.sqrt(g[i])
-                    for j in range(i + 1, p):
-                        factor[i, j] = next(entries)
-                s, v = self.frame_statistics(config, channels, clutter, precoders, factor)
-                assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
-                # zeta^2 = 0: v = s, so u = sqrt(s) xi
-                assert row[0] == pytest.approx(np.sqrt(s) * upper[-2], rel=1e-12, abs=0.0)
-                assert row[2] == upper[-1]
+        # R_ij, xi and alpha_1 trial-major for the trials it keeps; R is m x p,
+        # m = min(tau, p), and the frame is R M, or R R_M when K + 1 > Nt, with
+        # p = Nt and R_M the Nt x Nt factor of M's reduced QR (R_M^H R_M = M^H M)
+        config = tiny_config(**overrides)
+        channels, clutter = _pod_drop(config)
+        precoders = build_precoders(config, channels)
+        assert block_trials(config) == size
+        n = size - 3
+        rows = block_statistics(config, channels, clutter, precoders,
+                                [(np.random.default_rng(3), n)])
+        tau = config.slot_length
+        assert frame_rows(config) == m
+        beams = self.frame(config, precoders, np.eye(config.n_users + 1))  # M
+        if beams.shape[0] > config.n_tx_antennas:
+            beams = np.linalg.qr(beams, mode="r")
+        assert beams.shape[0] == p
+        replay = np.random.default_rng(3)
+        gammas = replay.standard_gamma(tau - np.arange(m), (size, m))
+        draws = replay.standard_normal((n, 2 * (m * p - m * (m + 1) // 2 + 2)))
+        z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
+        for row, upper, g in zip(rows, z, gammas):
+            factor = np.zeros((m, p), dtype=complex)
+            entries = iter(upper[:-2])
+            for i in range(m):
+                factor[i, i] = np.sqrt(g[i])
+                for j in range(i + 1, p):
+                    factor[i, j] = next(entries)
+            s, v = self.frame_statistics(config, channels, clutter, precoders,
+                                         factor @ beams)
+            assert row[1].real == pytest.approx(s, rel=1e-12, abs=0.0)
+            # zeta^2 = 0: v = s, so u = sqrt(s) xi
+            assert row[0] == pytest.approx(np.sqrt(s) * upper[-2], rel=1e-12, abs=0.0)
+            assert row[2] == upper[-1]
 
     def test_the_bartlett_factor_has_its_law(self):
         # R recovered from the frames X = R M the kernel evaluates (M has full row
@@ -465,14 +489,14 @@ class TestBlockStatistics:
         frames = []
 
         def capture(x, *args):
-            frames.append(x)
+            frames.append(x.copy())  # x is a working array that the next block reuses
             return conditional_statistics(x, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(repisac.detector, "conditional_statistics", capture)
             for b in range(n_blocks):
                 block_statistics(config, channels, clutter, precoders,
-                                 trial_rng(config.master_seed, (9,), b), size)
+                                 [(trial_rng(config.master_seed, (9,), b), size)])
         assert len(frames) == n_blocks
         x = np.concatenate(frames)
         factors = x @ np.linalg.pinv(beams)
@@ -500,7 +524,7 @@ class TestBlockStatistics:
         n = n_blocks * size
         rows = np.concatenate([
             block_statistics(config, channels, clutter, precoders,
-                             trial_rng(config.master_seed, (9,), b), size)
+                             [(trial_rng(config.master_seed, (9,), b), size)])
             for b in range(n_blocks)])
         rng = np.random.default_rng(11)
         symbols = cn(rng, (n, config.slot_length, config.n_users + 1))
@@ -512,18 +536,18 @@ class TestBlockStatistics:
         config, channels, clutter, precoders = small_setup
         args = (config, channels, clutter, precoders)
         size = block_trials(config)
-        full = block_statistics(*args, np.random.default_rng(4), size)
-        head = block_statistics(*args, np.random.default_rng(4), 5)
+        full = block_statistics(*args, [(np.random.default_rng(4), size)])
+        head = block_statistics(*args, [(np.random.default_rng(4), 5)])
         np.testing.assert_array_equal(full[:5], head)
         for n_trials in (0, size + 1):
             with pytest.raises(ValueError,
                                match=f"^a block holds 1 to {size} trials, got {n_trials}$"):
-                block_statistics(*args, np.random.default_rng(4), n_trials)
+                block_statistics(*args, [(np.random.default_rng(4), n_trials)])
         # one pass of rows serves both hypotheses: H0 reads it with alpha_1 = 0
         n = 2 * size + 3
         rows = np.concatenate([
-            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
-                             min(size, n - b * size))
+            block_statistics(*args, [(trial_rng(config.master_seed, (5,), b),
+                                      min(size, n - b * size))])
             for b in range(3)])
         u, s, alpha1 = rows[:, 0], rows[:, 1].real, rows[:, 2]
         np.testing.assert_array_equal(
@@ -532,6 +556,29 @@ class TestBlockStatistics:
         np.testing.assert_array_equal(
             run_trials(*args, (5,), n, force_null=False),
             glrt_from_statistics(u, s, alpha1, config.rcs_variance))
+
+    @pytest.mark.parametrize("overrides, counts", [
+        ({}, (30, 250)), ({}, (1, 200, 183)), ({"repeater_on": False}, (30, 250)),
+        ({"residual_interbs_power": 1e-13}, (36, 25)),
+        ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12},
+         (36, 25)),
+    ], ids=["default", "three", "repeater-off", "zeta", "12x12-zeta"])
+    def test_blocks_in_one_call_have_the_rows_they_have_alone(self, overrides, counts):
+        # the short blocks of the passes share a kernel call: each keeps its own
+        # draws, and its rows have the same bits as in a call of its own
+        rows = self._block_runner(**overrides)
+        config = repisac.ScenarioConfig(**overrides)
+        channels, clutter = _pod_drop(config)
+        args = (config, channels, clutter, build_precoders(config, channels))
+        packed = block_statistics(*args, [(np.random.default_rng(seed), n)
+                                          for seed, n in enumerate(counts)])
+        np.testing.assert_array_equal(
+            packed, np.concatenate([rows(seed, n) for seed, n in enumerate(counts)]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"a block holds 1 to {block_trials(config)} trials, got "
+                f"{block_trials(config)} + 1")):
+            block_statistics(*args, [(np.random.default_rng(0), block_trials(config)),
+                                     (np.random.default_rng(1), 1)])
 
     @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["bartlett", "symbols"])
     def test_a_short_block_draws_only_its_trials(self, small_setup, zeta_sq):
@@ -543,11 +590,13 @@ class TestBlockStatistics:
         args = (config, channels, clutter, precoders)
         size, m = block_trials(config), frame_rows(config)
         tau, p = config.slot_length, config.n_users + 1
+        if zeta_sq == 0.0:  # the Bartlett factor has min(K + 1, Nt) columns
+            p = min(p, config.n_tx_antennas)
         n_cn = (m * p - m * (m + 1) // 2 if zeta_sq == 0.0 else tau * p) + 2
-        full = block_statistics(*args, np.random.default_rng(8), size)
+        full = block_statistics(*args, [(np.random.default_rng(8), size)])
         for n in (1, size - 1):
             rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-            np.testing.assert_array_equal(block_statistics(*args, rng, n), full[:n])
+            np.testing.assert_array_equal(block_statistics(*args, [(rng, n)]), full[:n])
             if zeta_sq == 0.0:
                 replay.standard_gamma(tau - np.arange(m), (size, m))
             replay.standard_normal((n, 2 * n_cn))
@@ -559,18 +608,22 @@ class TestBlockStatistics:
         # reuses, so a second block allocates little more than X: at 12 x 12 its
         # frame-sized temporaries are larger than glibc's heap-trim threshold, and
         # freeing them per block made the heap be trimmed and page-faulted back
-        # once per block
-        for overrides, size in (({"residual_interbs_power": 1e-13}, 64),
-                                ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12,
-                                  "n_rx_antennas": 12}, 64),
-                                ({"residual_interbs_power": 0.0}, 256)):
+        # once per block. The packed calls evaluate the short blocks of an H0 and
+        # an H1 pass together, their frames drawn into one working array
+        zeta_12 = {"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12}
+        for overrides, size, counts in (({"residual_interbs_power": 1e-13}, 64, (64,)),
+                                        (zeta_12, 64, (64,)),
+                                        (zeta_12, 64, (36, 25)),
+                                        ({"residual_interbs_power": 0.0}, 384, (384,)),
+                                        ({"residual_interbs_power": 0.0}, 384, (30, 250))):
             config = repisac.ScenarioConfig(**overrides)
             assert block_trials(config) == size
             channels, clutter = _pod_drop(config)
             args = (config, channels, clutter, build_precoders(config, channels))
 
             def run(seed):
-                block_statistics(*args, np.random.default_rng(seed), size)
+                block_statistics(*args, [(np.random.default_rng(seed + i), n)
+                                         for i, n in enumerate(counts)])
 
             run(0)
             frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16
@@ -580,7 +633,7 @@ class TestBlockStatistics:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * frames_bytes, overrides
+            assert peak < 3 * frames_bytes, (overrides, counts)
 
     @staticmethod
     def _block_runner(**overrides):
@@ -591,7 +644,7 @@ class TestBlockStatistics:
         args = (config, channels, clutter, build_precoders(config, channels))
 
         def rows(seed, n=block_trials(config)):
-            return block_statistics(*args, np.random.default_rng(seed), n)
+            return block_statistics(*args, [(np.random.default_rng(seed), n)])
         return rows
 
     def test_working_arrays_never_leak_into_results(self):

@@ -1,6 +1,9 @@
+import concurrent.futures
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import norm
 
-from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, StudyResult, detector,
-                     drop_entities, gen_channels, harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
+from repisac import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
+                     ScenarioConfig, StudyResult, detector, drop_entities, gen_channels,
+                     harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ChannelRealization, ClutterModel, clutter_covariance
 from repisac.cli import main_cli
 from repisac.comm_metrics import downlink_metrics
@@ -97,17 +101,17 @@ class TestRunTrials:
         config, channels, clutter, precoders = small_setup
         size = block_trials(config)
         n_full, n_prefix = 400, 150  # both end inside a block
-        assert size == 64 and n_full % size and n_prefix % size
+        assert size == 128 and n_full % size and n_prefix % size
         full = run_trials(config, channels, clutter, precoders, (5,), n_full,
                           force_null=False, workers=1)
         prefix = run_trials(config, channels, clutter, precoders, (5,), n_prefix,
                             force_null=False, workers=1)
         np.testing.assert_array_equal(full[:n_prefix], prefix)
-        # trials 320 to 383 are block 5, drawn from key (5, 5) whatever chunk holds it
+        # trials 256 to 383 are block 2, drawn from key (5, 2) whatever chunk holds it
         rows = block_statistics(config, channels, clutter, precoders,
-                                trial_rng(config.master_seed, (5,), 5), size)
+                                [(trial_rng(config.master_seed, (5,), 2), size)])
         np.testing.assert_array_equal(
-            full[5 * size:6 * size],
+            full[2 * size:3 * size],
             glrt_from_statistics(rows[:, 0], rows[:, 1].real, rows[:, 2], config.rcs_variance))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -119,26 +123,71 @@ class TestRunTrials:
                        force_null=True, workers=workers)
 
     def test_numerical_error_names_the_failing_block(self, monkeypatch):
-        # on the default config a block holds 256 trials, drawn from one generator
+        # on the default config a block holds 384 trials, drawn from one generator
         # and evaluated in one kernel call; a failure in the third block names
         # that block's one key, (*key, 2)
         config = ScenarioConfig()
         channels, clutter = harness._pod_drop(config)
         calls = []
 
-        def fail_in_block_two(cfg, ch, cm, pr, rng, n_trials):
-            calls.append((rng.bit_generator.seed_seq.spawn_key, n_trials))
-            if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
+        def fail_in_block_two(cfg, ch, cm, pr, draws):
+            calls.append([(rng.bit_generator.seed_seq.spawn_key, n) for rng, n in draws])
+            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 2 for rng, _ in draws):
                 raise NumericalDomainError("clutter-block matrix is singular")
-            return block_statistics(cfg, ch, cm, pr, rng, n_trials)
+            return block_statistics(cfg, ch, cm, pr, draws)
 
         monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
                 "trial block with seed key (5, 7, 2): clutter-block matrix is singular")
                 + "$"):
             run_trials(config, channels, clutter, build_precoders(config, channels), (5, 7),
-                       3 * 256 + 1, force_null=True)
-        assert calls == [((5, 7, b), 256) for b in range(3)]
+                       3 * 384 + 1, force_null=True)
+        assert calls == [[((5, 7, b), 384)] for b in range(3)]
+        # the short blocks of an H0 and an H1 pass share one kernel call: a
+        # failure there names both keys
+        calls.clear()
+
+        def fail(cfg, ch, cm, pr, draws):
+            calls.append([(rng.bit_generator.seed_seq.spawn_key, n) for rng, n in draws])
+            raise NumericalDomainError("clutter-block matrix is singular")
+
+        monkeypatch.setattr(harness, "block_statistics", fail)
+        with pytest.raises(NumericalDomainError, match="^" + re.escape(
+                "trial blocks with seed keys (1, 2, 0) and (1, 3, 0): "
+                "clutter-block matrix is singular") + "$"):
+            run_pod_vs_rcs(config.with_updates(calibration_trials=30, mc_trials=250), [1e8],
+                           repeater_gains_db=(20.0,))
+        assert calls == [[((1, 2, 0), 30), ((1, 3, 0), 250)]]
+
+    @pytest.mark.parametrize("overrides", [{}, {"residual_interbs_power": 1e-13}],
+                             ids=["bartlett", "symbols"])
+    def test_short_blocks_share_units_and_keep_their_rows(self, overrides):
+        # the short last blocks of the passes share units, in order, while their
+        # trials fit in one block; each pass's rows are byte-equal to its blocks
+        # evaluated alone, and to the rows of two worker processes
+        config = ScenarioConfig(**overrides)
+        size = block_trials(config)
+        channels, clutter = harness._pod_drop(config)
+        args = (config, channels, clutter, build_precoders(config, channels))
+        passes = [((5, 0), size + size // 8), ((5, 1), size // 2), ((5, 2), size // 2)]
+        units = []
+
+        def recording_run(fn, blocks):
+            units.append(blocks)
+            return [fn(b) for b in blocks]
+
+        packed = harness._trial_passes(*args, passes, recording_run)
+        assert units == [[(((5, 0), 0, size),),
+                          (((5, 0), 1, size // 8), ((5, 1), 0, size // 2)),
+                          (((5, 2), 0, size // 2),)]]
+        for (key, n_trials), rows in zip(passes, packed):
+            np.testing.assert_array_equal(rows, np.concatenate([
+                block_statistics(*args, [(trial_rng(config.master_seed, key, b),
+                                          min(size, n_trials - b * size))])
+                for b in range(-(-n_trials // size))]))
+        with harness._mapper(2) as run:
+            for rows, rows_2 in zip(packed, harness._trial_passes(*args, passes, run)):
+                np.testing.assert_array_equal(rows, rows_2)
 
     @pytest.mark.parametrize("n_trials, message", [
         pytest.param(2.5, "n_trials must be an integer, got 2.5", id="2.5"),
@@ -154,11 +203,12 @@ class TestRunTrials:
         assert keys == []
 
     @pytest.mark.parametrize("overrides, size", [
-        ({}, 256),                                 # tau = 50, 11 Bartlett rows: 4 x 64
-        ({"slot_length": 22}, 128),                # 22 // 11 = 2
-        ({"slot_length": 8}, 64),                  # tau < K + 1: 8 rows, as many as S
+        ({}, 384),                                 # tau = 50, 8 Bartlett rows (Nt < K + 1): 6 x 64
+        ({"slot_length": 22}, 128),                # 22 // 8 = 2
+        ({"slot_length": 8}, 64),                  # tau = Nt: 8 rows, as many as S
+        ({"n_users": 4}, 640),                     # K + 1 < Nt: 5 rows, 50 // 5 = 10 x 64
         ({"residual_interbs_power": 1e-13}, 64),   # symbol frames of tau rows
-    ], ids=["default", "tau22", "tau8", "zeta"])
+    ], ids=["default", "tau22", "tau8", "K4", "zeta"])
     def test_a_pass_maps_one_unit_per_block(self, overrides, size):
         config = ScenarioConfig(**overrides)
         assert block_trials(config) == size
@@ -171,11 +221,11 @@ class TestRunTrials:
             units.append(blocks)
             return [fn(b) for b in blocks]
 
-        rows = harness._trial_pass(*args, (5,), n_trials, recording_run)
-        assert units == [range(7)]
+        (rows,) = harness._trial_passes(*args, [((5,), n_trials)], recording_run)
+        assert units == [[(((5,), b, size),) for b in range(6)] + [(((5,), 6, 5),)]]
         np.testing.assert_array_equal(rows, np.concatenate([
-            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
-                             min(size, n_trials - b * size))
+            block_statistics(*args, [(trial_rng(config.master_seed, (5,), b),
+                                      min(size, n_trials - b * size))])
             for b in range(7)]))
 
 
@@ -198,12 +248,23 @@ def fake_pools(monkeypatch):
         def map(self, fn, units, chunksize=1):
             return map(fn, units)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     return made
 
 
 class TestWorkerPool:
+    def test_importing_the_package_imports_no_process_pool(self):
+        # the pool is imported by a study that asks for more than one worker;
+        # imported with the package, it pulled in multiprocessing, socket and
+        # subprocess on every import
+        code = ("import sys, repisac; print([m for m in ('concurrent.futures', "
+                "'multiprocessing') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert out.stdout == "[]\n"
+
     def test_a_study_opens_one_pool(self, small_setup, fake_pools):
         config, channels, clutter, precoders = small_setup
         gains = (20, 60, 100, None)
@@ -314,8 +375,8 @@ class TestPodStudy:
             size = block_trials(cfg)
             rows = np.concatenate([
                 block_statistics(cfg, channels, clutter, precoders,
-                                 trial_rng(cfg.master_seed, key, b),
-                                 min(size, n_trials - b * size))
+                                 [(trial_rng(cfg.master_seed, key, b),
+                                   min(size, n_trials - b * size))])
                 for b in range(-(-n_trials // size))])
             assert rows.shape == (n_trials, 3)
             u, s, alpha1 = rows.T
@@ -413,13 +474,68 @@ class TestPodStudy:
             run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=())
         assert keys == []
 
+    @pytest.mark.parametrize("overrides", [{"n_tx_antennas": 1},
+                                           {"repeater_disc_radius_m": 0.0}],
+                             ids=["Nt1", "disc0"])
+    def test_repeater_null_that_nulls_every_drop_rejected_before_the_drop(
+            self, keys, tmp_path, capsys, overrides):
+        # with one transmit antenna, or a repeater above the hotspot on the target's
+        # azimuth from the transmit BS, b_tx is parallel to a_tx on every drop, so
+        # repeater-null nulls the sensing beam. pod and calibrate exited 2 after
+        # drawing the drop, with a message that named no seed key
+        _, channels = draw_drop(tiny_config(**overrides), STUDY_POD, 0)
+        with pytest.raises(DegenerateNullspaceError):
+            target_precoder("repeater_null", channels.a_tx, channels.b_tx, None)
+        keys.clear()
+        with pytest.raises(ConfigError, match="^repeater_null needs n_tx_antennas > 1"):
+            tiny_config(precoder_mode="repeater_null", **overrides)
+        cfg = tmp_path / "scenario.cfg"
+        save_config(tiny_config(**overrides), str(cfg))
+        cfg.write_text(cfg.read_text().replace("precoder_mode = target_centric",
+                                               "precoder_mode = repeater_null"))
+        for command in (["pod", "--grid", "1e8"], ["calibrate"]):
+            assert main_cli([*command, "--config", str(cfg),
+                             "--out", str(tmp_path / "x.csv")]) == 1
+            assert capsys.readouterr().err.startswith(
+                "configuration error: repeater_null needs n_tx_antennas > 1")
+        assert keys == []
+
+    @pytest.mark.parametrize("tx_power_watt, kappa, seed", [(1e20, 1e6, 6), (1e16, 1e-2, 10)],
+                             ids=["LinAlgError", "zero-beam"])
+    def test_more_users_than_antennas_at_a_tiny_regularizer_run(self, tx_power_watt, kappa,
+                                                                 seed):
+        # Nt = 1, K = 2: at these powers lam = K sigma_UE^2 / rho falls to about
+        # eps ||fdot||^2, and the K x K RZF solve of the PoD drop met an exactly zero
+        # pivot (a raw LinAlgError out of the study) or gave a zero beam (a
+        # ConfigError); the 1 x 1 solve has full rank
+        config = ScenarioConfig(n_tx_antennas=1, n_users=2, tx_power_watt=tx_power_watt,
+                                clutter_suppression=kappa, master_seed=seed, mc_trials=50,
+                                calibration_trials=200)
+        for row in run_pod_vs_rcs(config, None).rows:  # gains 20 dB and repeater-off
+            assert np.all(np.isfinite([row[0], *row[2:5]])), row
+        assert all(np.isfinite(calibrate(config)))
+
+    def test_a_precoder_failure_names_the_drop_seed_keys(self, keys, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(harness, "build_precoders", singular)
+        message = "^" + re.escape("PoD drop with seed keys (1, 0, 0) and (1, 1, 0): "
+                                  "Singular matrix") + "$"
+        for study in (lambda: run_pod_vs_rcs(tiny_config(), [1e8]),
+                      lambda: run_pod_vs_rcs(tiny_config(), None),
+                      lambda: calibrate(tiny_config())):
+            keys.clear()
+            with pytest.raises(NumericalDomainError, match=message):
+                study()
+            assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]  # no trial block
+
     def test_grid_suggestion_spans_the_transition(self):
         # scaled by s_bar, the mean s of one whole block of the study's own kernel
-        # and setup: 64 trials on the tiny config, 256 on the default one
-        for config, size in ((tiny_config(), 64), (ScenarioConfig(), 256)):
+        # and setup: 128 trials on the tiny config, 384 on the default one
+        for config, size in ((tiny_config(), 128), (ScenarioConfig(), 384)):
             channels, clutter = harness._pod_drop(config)
             rows = block_statistics(config, channels, clutter, build_precoders(config, channels),
-                                    trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)
+                                    [(trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)])
             s_bar = float(np.mean(rows[:, 1].real))
             np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
                                           np.geomspace(0.05 / s_bar, 2000.0 / s_bar, 5))
@@ -774,19 +890,20 @@ class TestDrawDrop:
 
 class TestSeedKeys:
     def test_each_unit_builds_one_generator(self, keys):
-        # the tiny config: 200 H0 trials in 4 blocks of 64, 50 H1 trials in 1
+        # the tiny config: 200 H0 trials in 2 blocks of 128, 50 H1 trials in 1;
+        # the short blocks, 72 + 50 trials, share one unit
         config = tiny_config()
-        assert block_trials(config) == 64
+        assert block_trials(config) == 128
         grid = suggest_rcs_grid(config, 3)
         drop = [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]
         assert keys == drop + [(STUDY_POD, 9, 0)]
         keys.clear()
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
-        passes = [(STUDY_POD, 2, b) for b in range(4)] + [(STUDY_POD, 3, 0)]
+        passes = [(STUDY_POD, 2, b) for b in range(2)] + [(STUDY_POD, 3, 0)]
         assert keys == drop + passes * 2
         keys.clear()
         calibrate(config)
-        assert keys == drop + [(STUDY_POD, 2, b) for b in range(4)]
+        assert keys == drop + [(STUDY_POD, 2, b) for b in range(2)]
         keys.clear()
         run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
         assert keys == [(STUDY_SECDF, stream, b) for b in range(3) for stream in (0, 1)]

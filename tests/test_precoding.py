@@ -79,6 +79,24 @@ class TestRzfPrecoders:
         matched = fdot.conj() / np.linalg.norm(fdot, axis=-1, keepdims=True)
         assert np.abs(beams - matched).max() <= 1e-14
 
+    @pytest.mark.parametrize("zf_regularizer", [None, 1e-20], ids=["default", "1e-20"])
+    def test_more_users_than_antennas_solve_on_the_antenna_side(self, zf_regularizer):
+        # at K > Nt the K x K matrix fdot fdot^H + lam I has rank Nt plus lam, and the
+        # Nt x Nt one fdot^H fdot + lam I full rank. Reference: R^-1 Q_1^H from the QR
+        # of [fdot; sqrt(lam) I] = [Q_1; Q_2] R, which forms no Gram matrix. On these
+        # default-config drops the K x K form was 1.2e-5 off at lam = 1e-20
+        config = ScenarioConfig(zf_regularizer=zf_regularizer)
+        _, channels = draw_drop(config, STUDY_SECDF, 0, 8)
+        fdot = effective_channels(channels, config)
+        k, nt = fdot.shape[-2:]
+        assert k > nt
+        lam = config.zf_regularizer_value
+        q, r = np.linalg.qr(np.concatenate(
+            [fdot, np.broadcast_to(np.sqrt(lam) * np.eye(nt), (len(fdot), nt, nt))], axis=-2))
+        reference = np.swapaxes(np.linalg.solve(r, np.swapaxes(q[:, :k].conj(), -1, -2)), -1, -2)
+        reference /= np.linalg.norm(reference, axis=-1, keepdims=True)
+        assert np.abs(rzf_precoders(fdot, lam) - reference).max() <= 1e-12
+
     def test_invalid_inputs(self, rng):
         with pytest.raises(ConfigError):
             rzf_precoders(cn(rng, (2, 4)), 0.0)

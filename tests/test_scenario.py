@@ -247,6 +247,9 @@ def valid_configs(draw) -> ScenarioConfig:
     heights = [draw(_finite) for _ in range(4)]  # BS, repeater, user, target
     assume(service_radius_m > 0.0 or n_users == 0 or heights[2] != heights[0])
     assume(repeater_disc_radius_m > 0.0 or heights[1] != heights[3])
+    # repeater-null needs a repeater direction other than the target's
+    assume(precoder_mode != "repeater_null"
+           or (n_tx_antennas > 1 and repeater_disc_radius_m > 0.0))
     return ScenarioConfig(
         n_tx_antennas=n_tx_antennas, n_rx_antennas=draw(st.integers(1, 64)),
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
