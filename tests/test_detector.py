@@ -429,18 +429,19 @@ class TestBlockStatistics:
             assert row[0] == pytest.approx(np.sqrt(v) * xi, rel=1e-12, abs=0.0)
             assert row[2] == alpha1
 
-    @pytest.mark.parametrize("overrides, size, m, p", [
-        ({}, 128, 2, 2),                                   # K + 1 = 3 > Nt = 2: 4 // 2 = 2
-        ({"slot_length": 1}, 64, 1, 2),                    # tau < Nt < K + 1
-        ({"n_tx_antennas": 4, "slot_length": 8}, 128, 3, 3),   # K + 1 <= Nt: 8 // 3 = 2
-        ({"n_tx_antennas": 4, "slot_length": 2}, 64, 2, 3),    # tau < K + 1 <= Nt
-    ], ids=["R_M", "R_M-tau1", "M", "M-tau2"])
-    def test_rows_follow_the_bartlett_factor_at_zero_residual(self, overrides, size, m, p):
+    def test_rows_follow_the_bartlett_factor_at_zero_residual(self):
         # zeta^2 = 0: the |R_ii|^2 for the whole block, then the strictly upper
         # R_ij, xi and alpha_1 trial-major for the trials it keeps; R is m x p,
         # m = min(tau, p), and the frame is R M, or R R_M when K + 1 > Nt, with
         # p = Nt and R_M the Nt x Nt factor of M's reduced QR (R_M^H R_M = M^H M)
-        config = tiny_config(**overrides)
+        for overrides, size, m, p in (
+                ({}, 128, 2, 2),                                   # K + 1 = 3 > Nt = 2: 4 // 2
+                ({"slot_length": 1}, 64, 1, 2),                    # tau < Nt < K + 1
+                ({"n_tx_antennas": 4, "slot_length": 8}, 128, 3, 3),   # K + 1 <= Nt: 8 // 3
+                ({"n_tx_antennas": 4, "slot_length": 2}, 64, 2, 3)):   # tau < K + 1 <= Nt
+            self._check_bartlett_rows(tiny_config(**overrides), size, m, p)
+
+    def _check_bartlett_rows(self, config, size, m, p):
         channels, clutter = _pod_drop(config)
         precoders = build_precoders(config, channels)
         assert block_trials(config) == size
