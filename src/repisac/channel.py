@@ -145,7 +145,7 @@ def gen_channels(geometry: Geometry, config: ScenarioConfig,
     # target / repeater links: LOS steering-vector channels. The links from the
     # two BSs to the target join fixed anchors, so they are evaluated once; the
     # links from the two BSs and from the target to the repeater, once per drop
-    anchors = np.stack([geometry.tx_bs, geometry.rx_bs, geometry.hotspot])
+    anchors = np.array([geometry.tx_bs, geometry.rx_bs, geometry.hotspot])
     d_hot, az_hot = link_geometry(anchors[:2], geometry.hotspot)
     gain_hot = np.sqrt(pathloss_linear(d_hot, fc, config.target_height_m))
     a_tx, a_rx = np.empty(batch + (nt,), complex), np.empty(batch + (nr,), complex)

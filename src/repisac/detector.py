@@ -32,13 +32,16 @@ solve for a stack of frames). The empirical threshold of a set of H0
 statistics lives here too; the study setup and the trial passes that use
 them are in ``repisac.harness``.
 
-A call's frame-sized temporaries (its frames, its standard-normal draws,
-conj(X), which also holds X^H diag(w_k) one k at a time, and the stacked A_k)
-are per-thread working arrays (:func:`_work`), kept from one call to the next.
+A call's frame-sized temporaries (its frames, its Bartlett factors, its
+standard-normal draws, conj(X), which also holds X^H diag(w_k) one k at a time,
+and the stacked A_k) are per-thread working arrays (:func:`_work`), kept from
+one call to the next.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,7 +59,9 @@ _WORKING = threading.local()  # this thread's working arrays, by name (see _work
 
 
 def _work(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-    """The leading shape[0] rows of this thread's working array ``name``.
+    """The leading shape[0] rows of this thread's working array ``name``: the
+    frames, the Bartlett factors and the standard-normal draws of
+    :func:`block_statistics`, and conj(X) and the A_k of :func:`_clutter_weights`.
 
     The array is allocated once and reused, and a short block uses the leading
     rows of a full block's array; it is reallocated, at ``shape``, only when its
@@ -269,7 +274,8 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
             if k:  # conj(X) again: the k before left X^H diag(w) in it
                 np.conj(x, out=x_conj)
             np.matmul(np.multiply(x_h, w_k, out=x_h), x, out=a_k)
-    a += lam * np.eye(nt)
+    diagonal = a.reshape(-1, nt * nt)[:, ::nt + 1]  # + lam I, on the diagonal alone
+    diagonal += lam
     try:  # b of the same rank as a is a stack of matrices under every numpy version
         z = np.linalg.solve(a, channels.a_tx.reshape(1, 1, -1, 1))
     except np.linalg.LinAlgError as exc:
@@ -570,27 +576,36 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     have the same bits alone or in any stack, a block's rows do not depend on
     the blocks evaluated with it.
 
-    The frames of every block of the call, the standard-normal array, sized for
-    one block's trials, and the conj(X) and A_k of :func:`_clutter_weights` are
-    this thread's working arrays (:func:`_work`), which the next call of the
-    same shape reuses. The Bartlett factors and the returned rows are allocated
-    per call.
+    The Bartlett factors of every block of the call are written into one
+    zeroed (sum of the n, m p) array, each trial's R_ij and sqrt |R_ii|^2
+    through flat indices cached per (m, p), and every frame of the call comes
+    from one (sum of the n) m x p by p x Nt product; each frame has the same
+    bits as its own factor times the beams. Symbol frames are multiplied block
+    by block. The frames, the factors, the standard-normal array, sized for one
+    block's trials, and the conj(X) and A_k of :func:`_clutter_weights` are this
+    thread's working arrays (:func:`_work`), which the next call of the same
+    shape reuses. Only the returned rows are allocated per call.
     """
     size = block_trials(config)
     counts = [n for _, n in draws]
-    if not counts or min(counts) < 1 or sum(counts) > size:
+    total = sum(counts)
+    if not counts or min(counts) < 1 or total > size:
         raise ValueError(f"a block holds 1 to {size} trials, got "
                          + (" + ".join(map(str, counts)) or "none"))
     beams = beam_matrix(precoders, config)
     bartlett = config.residual_interbs_power == 0.0
     if bartlett and beams.shape[0] > beams.shape[1]:
         beams = np.linalg.qr(beams, mode="r")
-    tau, p = config.slot_length, beams.shape[0]
+    tau, (p, nt) = config.slot_length, beams.shape
     m = frame_rows(config)
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    x = _work("frames", (sum(counts), m, beams.shape[1]))
-    xi, alpha1 = np.empty((2, len(x)), dtype=complex)
+    x = _work("frames", (total, m, nt))
+    rows = np.empty((total, 3), dtype=complex)  # xi and alpha_1 now; u = sqrt(v) xi and s last
+    if bartlett:
+        factor = _work("factor", (total, m * p))
+        factor.fill(0.0)
+        upper, diagonal = _bartlett_entries(m, p)
     start = 0
     for rng, n in draws:
         if bartlett:  # for the whole block, so the normals start where a full block's do
@@ -598,18 +613,26 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
         z = rng.standard_normal(out=_work("normals", (n, 2 * n_cn), float)).view(complex)
         z *= np.sqrt(0.5)
         if bartlett:
-            factor = np.zeros((n, m, p), dtype=complex)
-            upper = np.triu_indices(m, 1, p)
-            factor[:, upper[0], upper[1]] = z[:, :-2]
-            factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas)
+            factor[start:start + n, upper] = z[:, :-2]
+            factor[start:start + n, diagonal] = np.sqrt(gammas)
         else:
-            factor = z[:, :-2].reshape(n, tau, p)
-        np.matmul(factor, beams, out=x[start:start + n])
-        xi[start:start + n], alpha1[start:start + n] = z[:, -2:].T
+            np.matmul(z[:, :-2].reshape(n, tau, p), beams, out=x[start:start + n])
+        rows[start:start + n, ::2] = z[:, -2:]
         start += n
-    del factor  # a Bartlett factor is its own array: freed before the solves
+    if bartlett:  # every frame of the call in one product
+        np.matmul(factor.reshape(-1, p), beams, out=x.reshape(-1, nt))
     s, v = conditional_statistics(x, channels, config, clutter_model)
-    return np.column_stack([np.sqrt(v) * xi, s, alpha1])
+    rows[:, 0] *= np.sqrt(v)
+    rows[:, 1] = s
+    return rows
+
+
+@functools.cache
+def _bartlett_entries(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices in an m x p matrix of the entries above the diagonal, row-major
+    (the order a trial draws its R_ij in), and of the diagonal."""
+    rows, cols = np.triu_indices(m, 1, p)
+    return rows * p + cols, np.arange(m) * (p + 1)
 
 
 def glrt_from_statistics(u, s, alpha1, sigma_t_sq):
@@ -628,7 +651,13 @@ def glrt_from_statistics(u, s, alpha1, sigma_t_sq):
 
 def threshold_from_null_stats(t_values: np.ndarray,
                               pfa_target: float) -> np.ndarray | float:
-    """Empirical (1 - PFA) quantile of H0 statistics along the last axis,
-    higher interpolation (so the threshold is one of the statistics)."""
-    return np.quantile(np.asarray(t_values, float), 1.0 - pfa_target, axis=-1,
-                       method="higher")
+    """Empirical (1 - PFA) quantile of H0 statistics along the last axis, as
+    ``np.quantile(..., method="higher")`` gives it: the order statistic of index
+    ceil((n - 1) (1 - PFA)) of the n statistics, so the threshold is one of them.
+    A row that holds a NaN gives NaN, a PFA outside [0, 1] is a ``ValueError``,
+    and 1-D input gives a float."""
+    q = 1.0 - pfa_target
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    t = np.sort(np.asarray(t_values, float), axis=-1)  # a NaN sorts last
+    return np.where(np.isnan(t[..., -1]), np.nan, t[..., math.ceil((t.shape[-1] - 1) * q)])[()]

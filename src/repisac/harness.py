@@ -134,7 +134,8 @@ def _mapper(workers: int):
     _check_type("workers", workers, int)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:  # a loop asks for no cpu_count
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         yield lambda fn, units: [fn(unit) for unit in units]
         return
@@ -146,11 +147,11 @@ def _mapper(workers: int):
 
 def _trial_unit(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
-                blocks: tuple[tuple[tuple[int, ...], int, int], ...]) -> list[np.ndarray]:
-    """Rows of each block (key, b, n) of ``blocks``, its first n trials drawn from
-    key (*key, b), all evaluated in one kernel call."""
+                blocks: tuple[tuple[tuple[int, ...], int, int], ...]) -> np.ndarray:
+    """Rows of the blocks (key, b, n) of ``blocks``, one after another, each its
+    first n trials drawn from key (*key, b), all evaluated in one kernel call."""
     try:
-        rows = block_statistics(config, channels, clutter_model, precoders,
+        return block_statistics(config, channels, clutter_model, precoders,
                                 [(trial_rng(config.master_seed, key, b), n)
                                  for key, b, n in blocks])
     except NumericalDomainError as exc:
@@ -158,7 +159,6 @@ def _trial_unit(config: ScenarioConfig, channels: ChannelRealization,
         plural = "s" if len(blocks) > 1 else ""
         raise NumericalDomainError(f"trial block{plural} with seed key{plural} {keys}: "
                                    f"{exc}") from exc
-    return np.split(rows, np.cumsum([n for *_, n in blocks])[:-1])
 
 
 def _trial_passes(config: ScenarioConfig, channels: ChannelRealization,
@@ -188,8 +188,11 @@ def _trial_passes(config: ScenarioConfig, channels: ChannelRealization,
                 short.append(((key, b, n),))
     units += short
     parts = run(partial(_trial_unit, config, channels, clutter_model, precoders), units)
-    rows = {block[:2]: part for unit, unit_parts in zip(units, parts)
-            for block, part in zip(unit, unit_parts)}
+    rows = {}
+    for unit, part in zip(units, parts):
+        start = 0
+        for key, b, n in unit:
+            rows[key, b], start = part[start:start + n], start + n
     return [np.concatenate([rows[key, b] for b in range(math.ceil(n_trials / size))])
             if n_trials else np.zeros((0, 3), dtype=complex) for key, n_trials in passes]
 
@@ -343,8 +346,8 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.
 def _pilot_grid(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, n_points: int) -> np.ndarray:
     """The grid of :func:`suggest_rcs_grid` on the study's drop."""
-    (rows,) = _trial_unit(config, channels, clutter_model, _pod_precoders(config, channels),
-                          (((STUDY_POD, 9), 0, block_trials(config)),))
+    rows = _trial_unit(config, channels, clutter_model, _pod_precoders(config, channels),
+                       (((STUDY_POD, 9), 0, block_trials(config)),))
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:
         raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "

@@ -7,6 +7,7 @@ dB by convention).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import types
@@ -97,8 +98,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         # first: 4.0 would fail only mid-study, NaN pass every sign check, 'no' count as on
-        for f in fields(self):
-            _check_type(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
+        for name, ftype in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), ftype)
         if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
             raise ConfigError("antenna counts must be positive")
         if self.n_users < 0:
@@ -219,11 +220,23 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
+@functools.cache
+def _type_form(ftype) -> tuple:
+    """``typing.get_origin`` and ``typing.get_args`` of a field type, found once per type."""
+    return typing.get_origin(ftype), typing.get_args(ftype)
+
+
 def _check_type(name: str, value, ftype) -> None:
     """Raise ``ConfigError`` unless ``value`` has the field type ``ftype``: tuples are
-    tuples, an int (numpy's too, a bool not) is a number, and numbers are finite."""
-    args = typing.get_args(ftype)
-    if typing.get_origin(ftype) is tuple:
+    tuples, an int (numpy's too, a bool not) is a number, and numbers are finite.
+    A value of exactly the field's class, or an int or float for a float field (the
+    common cases), is decided before the generic checks, with the same verdict."""
+    kind = type(value)
+    if kind is ftype and kind is not float or (
+            kind in (int, float) and ftype is float and math.isfinite(value)):
+        return
+    origin, args = _type_form(ftype)
+    if origin is tuple:
         if not isinstance(value, tuple):
             raise ConfigError(f"{name} must be a tuple, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
@@ -290,9 +303,11 @@ def _uniform_disc(center_xy, radius: float, height: float, u_radius, u_angle) ->
     """Points (..., n, 3) uniform in a disc, from uniform draws (..., n) of radius and angle."""
     r = radius * np.sqrt(u_radius)
     theta = 2.0 * np.pi * u_angle
-    x = center_xy[0] + r * np.cos(theta)
-    y = center_xy[1] + r * np.sin(theta)
-    return np.stack([x, y, np.full_like(x, height)], axis=-1)
+    points = np.empty(theta.shape + (3,))
+    points[..., 0] = center_xy[0] + r * np.cos(theta)
+    points[..., 1] = center_xy[1] + r * np.sin(theta)
+    points[..., 2] = height
+    return points
 
 
 def drop_entities(config: ScenarioConfig, rng: np.random.Generator,

@@ -563,7 +563,10 @@ class TestBlockStatistics:
         ({"residual_interbs_power": 1e-13}, (36, 25)),
         ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12},
          (36, 25)),
-    ], ids=["default", "three", "repeater-off", "zeta", "12x12-zeta"])
+        # Bartlett frames of m = p = 5 rows: one product over all frames of the call
+        # puts a block's rows at odd offsets, where BLAS takes its edge kernels
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, (3, 250, 31)),
+    ], ids=["default", "three", "repeater-off", "zeta", "12x12-zeta", "12x12-K4"])
     def test_blocks_in_one_call_have_the_rows_they_have_alone(self, overrides, counts):
         # the short blocks of the passes share a kernel call: each keeps its own
         # draws, and its rows have the same bits as in a call of its own
@@ -580,6 +583,46 @@ class TestBlockStatistics:
                 f"{block_trials(config)} + 1")):
             block_statistics(*args, [(np.random.default_rng(0), block_trials(config)),
                                      (np.random.default_rng(1), 1)])
+
+    @pytest.mark.parametrize("overrides, counts", [
+        ({}, (30, 250)), ({}, (384,)),
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, (3, 250, 31)),
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12, "slot_length": 3}, (7,)),
+    ], ids=["default", "default-full", "12x12-K4", "12x12-K4-tau3"])
+    def test_one_product_gives_each_frame_the_bits_of_its_own(self, overrides, counts):
+        # every Bartlett frame of a call comes from one (sum n * m) x p by p x Nt
+        # product: each has the bits of its own m x p factor times the beams
+        config = repisac.ScenarioConfig(**overrides)
+        channels, clutter = _pod_drop(config)
+        precoders = build_precoders(config, channels)
+        beams = beam_matrix(precoders, config)
+        if beams.shape[0] > beams.shape[1]:
+            beams = np.linalg.qr(beams, mode="r")
+        (p, _), m, tau = beams.shape, frame_rows(config), config.slot_length
+        frames = []
+
+        def capture(x, *args):
+            frames.append(x.copy())  # x is a working array
+            return conditional_statistics(x, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repisac.detector, "conditional_statistics", capture)
+            block_statistics(config, channels, clutter, precoders,
+                             [(np.random.default_rng(seed), n)
+                              for seed, n in enumerate(counts)])
+        factors = []
+        upper = np.triu(np.ones((m, p), dtype=bool), 1)
+        for seed, n in enumerate(counts):
+            replay = np.random.default_rng(seed)
+            gammas = replay.standard_gamma(tau - np.arange(m), (block_trials(config), m))
+            draws = replay.standard_normal((n, 2 * (upper.sum() + 2)))
+            factor = np.zeros((n, m, p), dtype=complex)
+            factor[:, upper] = (draws[:, 0:-4:2] + 1j * draws[:, 1:-4:2]) * np.sqrt(0.5)
+            factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas[:n])
+            factors.append(factor)
+        (x,) = frames
+        for frame, factor in zip(x, np.concatenate(factors)):
+            np.testing.assert_array_equal(frame, factor @ beams)
 
     @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["bartlett", "symbols"])
     def test_a_short_block_draws_only_its_trials(self, small_setup, zeta_sq):
@@ -743,6 +786,29 @@ class TestTrials:
         thr = threshold_from_null_stats(values, 0.01)
         assert np.mean(values >= thr) <= 0.01
         assert np.mean(values >= thr) >= 0.005
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 29, 30, 31, 100, 4000, 10**4])
+    def test_threshold_is_the_order_statistic_numpy_quantile_picks(self, n):
+        # the (1 - PFA) quantile with "higher" interpolation, bit for bit, along the
+        # last axis: rows of 1-D and 2-D input, ties, +-inf entries and a NaN row
+        rng = np.random.default_rng(n)
+        values = rng.exponential(size=(4, n))
+        values[1] = np.round(values[1], 1)  # ties
+        values[2, rng.integers(n, size=2)] = np.inf, -np.inf
+        values[3, rng.integers(n)] = np.nan
+        for pfa in (1e-6, 1e-3, 0.01, 0.0123, 0.05, 0.5, 0.9):
+            expected = np.quantile(values, 1.0 - pfa, axis=-1, method="higher")
+            np.testing.assert_array_equal(threshold_from_null_stats(values, pfa), expected)
+            for row, value in zip(values, expected):
+                one = threshold_from_null_stats(row, pfa)
+                assert type(one) is np.float64
+                assert one == value or np.isnan(one) and np.isnan(value)
+        assert np.isnan(threshold_from_null_stats(values, 0.01)[3])
+        for pfa in (-0.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"^Quantiles must be in the range \[0, 1\]$"):
+                np.quantile(values, 1.0 - pfa, axis=-1, method="higher")
+            with pytest.raises(ValueError, match=r"^Quantiles must be in the range \[0, 1\]$"):
+                threshold_from_null_stats(values, pfa)
 
     def test_calibration_controls_false_alarms(self):
         cfg = tiny_config(pfa_target=0.05, calibration_trials=400)

@@ -335,6 +335,33 @@ class TestStudyResult:
 
 
 class TestPodStudy:
+    def test_a_study_part_stays_within_its_call_budget(self):
+        # a benchmark part (one gain, 30 + 250 trials, the grid given) spends most
+        # of its time on fixed per-call cost, which timings cannot guard; this
+        # counts the calls the package's own frames make, Python (a frame of the
+        # package or of a library it calls) and C, so numpy's internals do not count.
+        # The package makes 290 and 191; before the one-product Bartlett frames,
+        # the sorted-index thresholds and the cached type checks it made 455 and 274
+        config = ScenarioConfig(mc_trials=250, calibration_trials=30)
+        grid = [float(v) for v in suggest_rcs_grid(config)]
+        run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,))  # fills the caches
+        package = os.path.dirname(harness.__file__) + os.sep
+        counts = {"call": 0, "c_call": 0}
+
+        def count(frame, event, arg):
+            caller = frame.f_back if event == "call" else frame
+            if event in counts and caller is not None and (
+                    caller.f_code.co_filename.startswith(package)):
+                counts[event] += 1
+
+        profile = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,))
+        finally:
+            sys.setprofile(profile)
+        assert counts["call"] <= 333 and counts["c_call"] <= 220, counts
+
     def test_structure_and_determinism_across_workers(self):
         config = tiny_config(mc_trials=60, calibration_trials=300, pfa_target=0.05)
         grid = suggest_rcs_grid(config, n_points=3)

@@ -217,6 +217,41 @@ def test_non_finite_and_zero_clutter_configs_rejected(field, value):
         tiny_config(**{field: value})
 
 
+TYPE_VERDICTS = [  # (field, value, message of the ConfigError, or None: accepted)
+    ("n_users", True, "n_users must be an integer, got True"),
+    ("tx_power_watt", True, "tx_power_watt must be a finite number, got True"),
+    ("bs_noise_power_watt", True, "bs_noise_power_watt must be a finite number, got True"),
+    ("tx_bs_xy", (True, 0.0), "tx_bs_xy must be a finite number, got True"),
+    ("n_tx_antennas", np.int64(3), None),
+    ("tx_power_watt", np.int64(3), None),
+    ("tx_power_watt", 3, None),
+    ("tx_bs_xy", (np.int64(1), 0.0), None),
+    ("n_users", np.float64(3.0), "n_users must be an integer, got np.float64(3.0)"),
+    ("n_users", 3.0, "n_users must be an integer, got 3.0"),
+    ("tx_power_watt", np.float64("nan"), "tx_power_watt must be a finite number, got "
+                                         "np.float64(nan)"),
+    ("tx_power_watt", float("inf"), "tx_power_watt must be a finite number, got inf"),
+    ("tx_power_watt", float("-inf"), "tx_power_watt must be a finite number, got -inf"),
+    ("bs_noise_power_watt", float("inf"), "bs_noise_power_watt must be a finite number, "
+                                          "got inf"),
+    ("tx_bs_xy", (float("nan"), 0.0), "tx_bs_xy must be a finite number, got nan"),
+    ("repeater_on", 1, "repeater_on must be a bool, got 1"),
+    ("repeater_on", np.bool_(True), "repeater_on must be a bool, got np.True_"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", TYPE_VERDICTS,
+                         ids=[f"{field}={value!r}" for field, value, _ in TYPE_VERDICTS])
+def test_field_type_verdicts_and_messages(field, value, message):
+    # an exact int or float is decided before the generic checks: a bool is no
+    # number, numpy numbers are numbers, and a number must be finite, as before
+    if message is None:
+        assert getattr(ScenarioConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(**{field: value})
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _nonnegative = st.floats(min_value=0.0, allow_infinity=False)
