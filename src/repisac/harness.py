@@ -285,9 +285,8 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
     if rcs_grid is not None:
-        grid = _as_tuple("rcs grid", rcs_grid)
-        _check_type("rcs grid value", grid, tuple[float, ...])
-        grid = np.array(grid, dtype=float)
+        grid = np.array(_check_type("rcs grid value", _as_tuple("rcs grid", rcs_grid),
+                                    tuple[float, ...]))
         if grid.size == 0:
             raise ConfigError("rcs grid must be nonempty")
         if not np.all(grid > 0.0):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import types
+import sys
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -21,6 +21,8 @@ from .errors import ConfigError, PowerBudgetError
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 PRECODER_MODES = ("target_centric", "comm_centric", "repeater_null")
+# the largest gain (whole dB) whose |nu|^4 = 10^(G/5), which the detector forms, is finite
+MAX_REPEATER_GAIN_DB = math.floor(5.0 * math.log10(sys.float_info.max))
 
 
 def pathloss_linear(distance_m, carrier_ghz: float, rx_height_m: float = 1.5):
@@ -99,7 +101,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         # first: 4.0 would fail only mid-study, NaN pass every sign check, 'no' count as on
         for name, ftype in _FIELD_TYPES.items():
-            _check_type(name, getattr(self, name), ftype)
+            value = getattr(self, name)
+            if (held := _check_type(name, value, ftype)) is not value:
+                object.__setattr__(self, name, held)
         if self.n_tx_antennas < 1 or self.n_rx_antennas < 1:
             raise ConfigError("antenna counts must be positive")
         if self.n_users < 0:
@@ -110,6 +114,9 @@ class ScenarioConfig:
             raise ConfigError("tx_power_watt must be positive")
         if self.rcs_variance <= 0:
             raise ConfigError("rcs_variance must be positive")
+        if self.repeater_gain_db > MAX_REPEATER_GAIN_DB:
+            raise ConfigError(f"repeater_gain_db must be at most {MAX_REPEATER_GAIN_DB} dB (|nu|^4 = "
+                              f"10^(G/5) overflows a float above it), got {self.repeater_gain_db}")
         if not (0.0 < self.pfa_target < 1.0):
             raise ConfigError("pfa_target must lie in (0, 1)")
         if self.mc_trials < 1 or self.calibration_trials < 1:
@@ -134,11 +141,12 @@ class ScenarioConfig:
         if self.sensing_power_fraction < 0:
             raise ConfigError("sensing_power_fraction must be nonnegative")
         fractions = self.user_fractions
-        if np.any(fractions < 0):
+        if (fractions < 0).any():
             raise ConfigError("user power fractions must be nonnegative")
-        if fractions.sum() + self.sensing_power_fraction > 1.0 + 1e-12:
+        total = fractions.sum() + self.sensing_power_fraction
+        if total > 1.0 + 1e-12:
             raise PowerBudgetError("power fractions must sum to at most 1")
-        if not fractions.sum() + self.sensing_power_fraction > 0.0:
+        if not total > 0.0:
             raise ConfigError("the config transmits nothing: all power fractions are zero")
         for name in ("bs_noise_power_watt", "ue_noise_power_watt",
                      "repeater_noise_power_watt", "zf_regularizer"):
@@ -226,34 +234,34 @@ def _type_form(ftype) -> tuple:
     return typing.get_origin(ftype), typing.get_args(ftype)
 
 
-def _check_type(name: str, value, ftype) -> None:
-    """Raise ``ConfigError`` unless ``value`` has the field type ``ftype``: tuples are
-    tuples, an int (numpy's too, a bool not) is a number, and numbers are finite.
-    A value of exactly the field's class, or an int or float for a float field (the
-    common cases), is decided before the generic checks, with the same verdict."""
-    kind = type(value)
-    if kind is ftype and kind is not float or (
-            kind in (int, float) and ftype is float and math.isfinite(value)):
-        return
+def _check_type(name: str, value, ftype):
+    """``value`` as a field of type ``ftype`` holds it (a number as a Python float), or a
+    ``ConfigError``: tuples are tuples, an int (numpy's too, a bool not) is a number, and
+    numbers are finite (an int is compared, so 10**400 is not). Only a value of exactly
+    the field's class is decided before the generic checks, with the same verdict."""
+    if type(value) is ftype and (ftype is not float or math.isfinite(value)):
+        return value
     origin, args = _type_form(ftype)
     if origin is tuple:
         if not isinstance(value, tuple):
             raise ConfigError(f"{name} must be a tuple, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{name} must hold exactly {len(args)} numbers, got {value!r}")
-        for v in value:
-            _check_type(name, v, args[0])
-    elif args:  # X | None
-        if value is not None:
-            _check_type(name, value, args[0])
-    elif ftype is int:
+        return tuple([_check_type(name, v, args[0]) for v in value])
+    if args:  # X | None
+        return None if value is None else _check_type(name, value, args[0])
+    if ftype is int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     elif ftype is float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if isinstance(value, bool) or not (
+                abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                else isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        return float(value)
     elif not isinstance(value, ftype):
         raise ConfigError(f"{name} must be a {ftype.__name__}, got {value!r}")
+    return value
 
 
 # pairs of entities whose 3-D distance sets a path loss (gen_channels, clutter)
@@ -341,26 +349,18 @@ def drop_entities(config: ScenarioConfig, rng: np.random.Generator,
 
 def _parse_value(raw: str, ftype) -> object:
     raw = raw.strip()
-    if isinstance(ftype, types.UnionType):  # X | None
-        if raw.lower() in ("none", ""):
-            return None
-        return _parse_value(raw, typing.get_args(ftype)[0])
+    origin, args = _type_form(ftype)
+    if origin is tuple:
+        return tuple(_parse_value(tok, args[0]) for tok in raw.split(","))
+    if args:  # X | None
+        return None if raw.lower() in ("none", "") else _parse_value(raw, args[0])
     if ftype is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean from {raw!r}")
-    if ftype is int:
-        return int(raw)
-    if ftype is float:
-        return float(raw)
-    if ftype is str:
-        return raw
-    if typing.get_origin(ftype) is tuple:
-        inner = typing.get_args(ftype)[0]
-        return tuple(inner(tok) for tok in raw.split(","))
-    raise ConfigError(f"unsupported config field type {ftype}")
+    return ftype(raw)
 
 
 def load_config(path: str) -> ScenarioConfig:

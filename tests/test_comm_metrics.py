@@ -61,6 +61,10 @@ class TestUserSinr:
         precoders = build_precoders(cfg, channels)
         metrics = user_sinr(0, precoders, channels, cfg)
         assert metrics.noise_power == pytest.approx(cfg.ue_noise_watt, rel=1e-12)
+        # ue_noise_power_watt overrides the derived UE noise floor
+        cfg = cfg.with_updates(ue_noise_power_watt=3e-13)
+        metrics = user_sinr(0, build_precoders(cfg, channels), channels, cfg)
+        assert metrics.noise_power == 3e-13
 
     def test_index_validation(self, small_setup):
         config, channels, _, precoders = small_setup

@@ -122,7 +122,7 @@ class TestRunTrials:
             run_trials(config, channels, wrong_size, precoders, (5, 7), 3,
                        force_null=True, workers=workers)
 
-    def test_numerical_error_names_the_failing_block(self, monkeypatch):
+    def test_numerical_error_names_the_failing_block(self, monkeypatch, tmp_path, capsys):
         # on the default config a block holds 384 trials, drawn from one generator
         # and evaluated in one kernel call; a failure in the third block names
         # that block's one key, (*key, 2)
@@ -158,6 +158,12 @@ class TestRunTrials:
             run_pod_vs_rcs(config.with_updates(calibration_trials=30, mc_trials=250), [1e8],
                            repeater_gains_db=(20.0,))
         assert calls == [[((1, 2, 0), 30), ((1, 3, 0), 250)]]
+        # the CLI prints the error and exits 2; the default config's H0 pass fills
+        # its first block alone
+        assert main_cli(["pod", "--grid", "1e8", "--gains", "20",
+                         "--out", str(tmp_path / "pod.csv")]) == 2
+        assert capsys.readouterr() == ("", "numerical error: trial block with seed key "
+                                           "(1, 2, 0): clutter-block matrix is singular\n")
 
     @pytest.mark.parametrize("overrides", [{}, {"residual_interbs_power": 1e-13}],
                              ids=["bartlett", "symbols"])
@@ -446,7 +452,8 @@ class TestPodStudy:
         with pytest.raises(ValueError):
             run_pod_vs_rcs(tiny_config(), [])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, 10**400],
+                             ids=["0.0", "-1.0", "nan", "inf", "True", "10**400"])
     def test_invalid_grid_value_rejected(self, bad):  # True ran as 1.0
         with pytest.raises(ConfigError):
             run_pod_vs_rcs(tiny_config(), [1.0, bad])
@@ -461,8 +468,9 @@ class TestPodStudy:
 
     @pytest.mark.parametrize("gains, bad", [((20.0, float("inf")), "inf"),
                                             ((20.0, float("nan"), float("nan")), "nan"),
-                                            ((20.0, True), "True"), (("20",), "'20'")],
-                             ids=["inf", "nan_nan", "bool", "str"])
+                                            ((20.0, True), "True"), (("20",), "'20'"),
+                                            ((20.0, 10**400), str(10**400))],
+                             ids=["inf", "nan_nan", "bool", "str", "int_too_large"])
     def test_gain_no_config_takes_rejected_before_the_study(self, keys, gains, bad):
         # each gain's config was built in the study loop: the 20 dB passes ran
         # first, two NaNs passed the distinctness check (nan != nan), True ran
@@ -572,6 +580,13 @@ class TestPodStudy:
             raise NumericalDomainError("Q_H0 is not positive definite")
         monkeypatch.setattr(harness, "block_statistics", fail)
         with pytest.raises(NumericalDomainError, match=re.escape("seed key (1, 9, 0)")):
+            suggest_rcs_grid(tiny_config())
+
+        def no_target_energy(cfg, ch, cm, pr, draws):  # rows (u, s, alpha_1) with s = 0
+            return np.zeros((sum(n for _, n in draws), 3), dtype=complex)
+        monkeypatch.setattr(harness, "block_statistics", no_target_energy)
+        with pytest.raises(NumericalDomainError, match="^" + re.escape(
+                "pilot trial block with seed key (1, 9, 0): no target energy") + "$"):
             suggest_rcs_grid(tiny_config())
 
     def test_auto_grid_spans_the_swerling_transition(self):
@@ -1156,6 +1171,13 @@ class TestCli:
          "--gains: could not convert string to float: 'abc'"),
         (["pod", "--grid", "1e6", "--gains", "20,inf"], {}, "",
          "repeater_gain_db must be a finite number, got inf"),
+        # |nu|^2 overflowed mid-study: an OverflowError traceback
+        (["pod", "--grid", "1e6", "--gains", "3500"], {}, "",
+         "repeater_gain_db must be at most 1541 dB (|nu|^4 = 10^(G/5) overflows a float "
+         "above it), got 3500.0"),
+        (["secdf"], {}, "repeater_gain_db = 7000\n",
+         "repeater_gain_db must be at most 1541 dB (|nu|^4 = 10^(G/5) overflows a float "
+         "above it), got 7000.0"),
         (["secdf"], {"n_users": 0, "sensing_power_fraction": 1.0}, "",
          "se_cdf study needs at least one user"),
         (["calibrate", "--workers", "0"], {}, "", "workers must be at least 1, got 0"),
@@ -1179,6 +1201,7 @@ class TestCli:
          "needs a positive 3-D distance"),
     ], ids=["grid_not_a_number", "grid_empty", "grid_empty_string", "grid_empty_token",
             "gains_empty_string", "gains_empty", "gain_not_a_number", "gain_infinite",
+            "gain_too_large", "config_gain_too_large",
             "secdf_no_users",
             "zero_workers", "negative_workers", "one_number_anchor", "three_number_anchor",
             "zero_service_disc", "duplicate_gains", "duplicate_repeater_off",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repisac import (ConfigError, Geometry, ScenarioConfig, drop_entities,
                      load_config, noise_power_watt, pathloss_linear, save_config)
-from repisac.scenario import PRECODER_MODES, link_geometry
+from repisac.scenario import MAX_REPEATER_GAIN_DB, PRECODER_MODES, link_geometry
 
 from conftest import tiny_config
 
@@ -136,18 +136,28 @@ class TestScenarioConfig:
                 (dict(bs_noise_power_watt=0.0), "bs_noise_power_watt must be positive when given"),
                 (dict(carrier_ghz=0.0), "carrier and bandwidth must be positive"),
                 (dict(bandwidth_hz=0.0), "carrier and bandwidth must be positive"),
-                (dict(service_radius_m=-1.0), "geometry radii must be nonnegative")):
+                (dict(service_radius_m=-1.0), "geometry radii must be nonnegative"),
+                # |nu|^2 overflowed in ScenarioConfig.nu or abs(config.nu) ** 2 mid-study, and
+                # |nu|^4 in the detector from about 1700 dB
+                *[(dict(repeater_on=on, repeater_gain_db=gain),
+                   f"repeater_gain_db must be at most 1541 dB (|nu|^4 = 10^(G/5) "
+                   f"overflows a float above it), got {float(gain)}")
+                  for on, gain in ((True, 3500.0), (True, 1542), (False, 7000.0))]):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 tiny_config(**bad)
 
     def test_numpy_integers_are_integers(self, tmp_path):
-        # ints are numbers too, and numpy floats are written as Python floats
+        # ints are numbers too, and a float field holds its number as a Python float
         path = str(tmp_path / "scenario.cfg")
         for config in (ScenarioConfig(n_tx_antennas=np.int64(4), calibration_trials=np.int32(300),
                                       master_seed=np.uint8(3)),
                        ScenarioConfig(tx_power_watt=1, tx_bs_xy=(0, 5)),
                        ScenarioConfig(tx_power_watt=np.float64(1.5)),
-                       ScenarioConfig(hotspot_xy=(np.float64(150.0), 120.0))):
+                       ScenarioConfig(hotspot_xy=(np.float64(150.0), 120.0)),
+                       # beyond int64, numpy made an object array of it
+                       ScenarioConfig(rcs_variance=10**30, hotspot_xy=(2**70, 120))):
+            assert all(type(v) is float for v in (config.tx_power_watt, config.rcs_variance,
+                                                   *config.hotspot_xy))
             save_config(config, path)
             assert load_config(path) == config
 
@@ -237,14 +247,22 @@ TYPE_VERDICTS = [  # (field, value, message of the ConfigError, or None: accepte
     ("tx_bs_xy", (float("nan"), 0.0), "tx_bs_xy must be a finite number, got nan"),
     ("repeater_on", 1, "repeater_on must be a bool, got 1"),
     ("repeater_on", np.bool_(True), "repeater_on must be a bool, got np.True_"),
+    # an int too large for a float is no finite number: it used to escape as an
+    # OverflowError
+    ("tx_power_watt", 2**70, None),
+    ("rcs_variance", 10**400, f"rcs_variance must be a finite number, got {10**400}"),
+    ("repeater_gain_db", -10**400, f"repeater_gain_db must be a finite number, got {-10**400}"),
+    ("tx_bs_xy", (10**400, 0.0), f"tx_bs_xy must be a finite number, got {10**400}"),
+    ("user_power_fractions", (10**400,),
+     f"user_power_fractions must be a finite number, got {10**400}"),
 ]
 
 
 @pytest.mark.parametrize("field, value, message", TYPE_VERDICTS,
-                         ids=[f"{field}={value!r}" for field, value, _ in TYPE_VERDICTS])
+                         ids=[f"{field}={value!r}"[:40] for field, value, _ in TYPE_VERDICTS])
 def test_field_type_verdicts_and_messages(field, value, message):
-    # an exact int or float is decided before the generic checks: a bool is no
-    # number, numpy numbers are numbers, and a number must be finite, as before
+    # a value of exactly its field's class is decided before the generic checks: a
+    # bool is no number, numpy numbers are numbers, and a number must be finite
     if message is None:
         assert getattr(ScenarioConfig(**{field: value}), field) == value
     else:
@@ -290,7 +308,9 @@ def valid_configs(draw) -> ScenarioConfig:
         n_users=n_users, slot_length=draw(st.integers(1, 500)),
         tx_power_watt=draw(_positive), sensing_power_fraction=sensing,
         user_power_fractions=fractions, repeater_on=draw(st.booleans()),
-        repeater_gain_db=draw(_finite), repeater_phase_rad=draw(_finite),
+        repeater_gain_db=draw(st.floats(max_value=MAX_REPEATER_GAIN_DB, allow_nan=False,
+                                        allow_infinity=False)),
+        repeater_phase_rad=draw(_finite),
         rcs_variance=draw(_positive), carrier_ghz=draw(_positive),
         bandwidth_hz=draw(_positive), noise_density_dbm_hz=draw(_finite),
         noise_figure_db=draw(_finite), ue_noise_figure_db=draw(_finite),
