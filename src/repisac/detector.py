@@ -114,19 +114,19 @@ def _noise_eigenvalues(x: np.ndarray, x_conj: np.ndarray, b_sq: float,
 def _noise_blocks(x: np.ndarray, x_conj: np.ndarray, channels: ChannelRealization,
                   config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """w, e over the eigenspaces k of Sigma_s[tau], for a stack of frames x (B, tau, Nt):
-    the eigenvalues w of Sigma_s^-1, shape (k, B, tau), and e (k, Nr), with
-    e_0 = (I - P) v, e_1 = P v; k = 1 and (1/d, v) when Sigma_s[tau] = d I. The
-    residue of v - P v along b_r (~eps ||v||, which lets the amplified repeater
-    noise into u at high gain) is projected out once more."""
+    the eigenvalues w of Sigma_s^-1, shape (k, B, tau), and e (k, Nr), the target
+    direction v = a_rx + nu g_rep b_r split as e_0 = (I - P) a_rx and
+    e_1 = P a_rx + nu g_rep b_r. So e_0 is orthogonal to b_r and e_1 lies along it
+    by construction: e_0 takes no rounding from the amplified repeater path, as
+    v - P v would. k = 1 and (1/d, v) when Sigma_s[tau] = d I."""
     b = channels.b_rx
     b_sq = float(np.vdot(b, b).real)
     d, d_par = _noise_eigenvalues(x, x_conj, b_sq, config)
-    v = channels.a_rx + config.nu * channels.g_rep * b
     if np.array_equal(d_par, d):
-        return (1.0 / d)[None], v[None]
-    v_par = b * (np.vdot(b, v) / b_sq)
-    e_0 = v - v_par
-    return 1.0 / np.stack([d, d_par]), np.stack([e_0 - b * (np.vdot(b, e_0) / b_sq), v_par])
+        return (1.0 / d)[None], (channels.a_rx + config.nu * channels.g_rep * b)[None]
+    a_par = b * (np.vdot(b, channels.a_rx) / b_sq)
+    return 1.0 / np.stack([d, d_par]), np.stack([channels.a_rx - a_par,
+                                                  a_par + config.nu * channels.g_rep * b])
 
 
 def assemble_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -238,10 +238,10 @@ def map_estimate(ws: DetectorWorkspace) -> tuple[complex, np.ndarray]:
 
 def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: ScenarioConfig,
                      clutter_model: ClutterModel) -> tuple[float, np.ndarray, np.ndarray,
-                                                            np.ndarray]:
-    """lam = 1 / sigma_c^2, c, e and s for a stack of frames x (B, tau, Nt) and an
-    i.i.d. clutter model of size Nt * Nr, over the eigenspaces k of Sigma_s[tau]
-    (:func:`_noise_blocks`: e of shape (k, Nr)).
+                                                            np.ndarray, np.ndarray]:
+    """lam = 1 / sigma_c^2, c, e, ||e_k||^2 and s for a stack of frames x (B, tau, Nt)
+    and an i.i.d. clutter model of size Nt * Nr, over the eigenspaces k of
+    Sigma_s[tau] (:func:`_noise_blocks`: e of shape (k, Nr), ||e_k||^2 of (k, 1)).
 
     c = w * (X z) of shape (k, B, tau), z_k = A_k^-1 a_tx,
     A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx) of
@@ -283,7 +283,7 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     c = w * (x @ z)[..., 0]
     e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
     s = np.sum(lam * e_sq * np.einsum("kbt,bt->kb", c.conj(), x @ channels.a_tx).real, axis=0)
-    return lam, c, e, s
+    return lam, c, e, e_sq, s
 
 
 def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
@@ -301,7 +301,8 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     With Sigma_c = I / lam and P = b_r b_r^H / ||b_r||^2,
     Q_H0 = A0 kron (I - P) + A1 kron P, A_k = X^H diag(w_k) X + lam I,
     w_0 = 1/d, w_1 = 1/(d + m ||b_r||^2) (the eigenvalues of Sigma_s[tau]^-1).
-    The target direction v splits into e_0 = (I - P) v and e_1 = P v, and for
+    The target direction v = a_rx + nu g_rep b_r splits into e_0 = (I - P) a_rx
+    and e_1 = P a_rx + nu g_rep b_r (:func:`_noise_blocks`), and for
     each block z_k = A_k^-1 a_tx and c_k = w_k * (X z_k) give, from
     A_k - X^H diag(w_k) X = lam I,
     u = lam sum_k c_k^H Y conj(e_k),
@@ -310,7 +311,7 @@ def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
     :func:`_clutter_weights`: one Nt x Nt solve per block (one block when
     m ||b_r||^2 = 0), whatever Nr is.
     """
-    lam, c, e, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
+    lam, c, e, _, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
     u = lam * np.einsum("kt,tk->", c[:, 0].conj(), observation.y_slots @ e.conj().T)
     return complex(u), float(s[0])
 
@@ -331,21 +332,28 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     v = lam^2 sum_k [(sigma_c^2 + zeta^2) ||e_k||^2 ||c_k^H X||^2
                      + (sigma_BS^2 ||e_k||^2 + |nu|^2 sigma_R^2 |b_r^H e_k|^2) ||c_k||^2]
     (Kay, Fundamentals of Statistical Signal Processing Vol. II, sec. 13).
-    At zeta^2 = 0 the detector's noise model is exact and v = s, which is
-    returned as v without evaluating the formula.
+    On two eigenspaces, e_0 is orthogonal to b_r and e_1 lies along it by
+    construction (:func:`_noise_blocks`), so |b_r^H e_k|^2 is 0 and
+    ||b_r||^2 ||e_1||^2, not read from e: e_0's rounding residue along b_r,
+    ~eps ||a_rx||, would be multiplied by |nu|^2 sigma_R^2. At zeta^2 = 0 the
+    detector's noise model is exact and v = s, which is returned as v without
+    evaluating the formula. An s that is negative (rounding, on a frame that
+    puts almost no energy on the target) or a statistic that is not finite is
+    a ``NumericalDomainError``.
     """
-    lam, c, e, s = _clutter_weights(x, channels, config, clutter_model)
+    lam, c, e, e_sq, s = _clutter_weights(x, channels, config, clutter_model)
     if config.residual_interbs_power == 0.0:
         v = s.copy()
     else:
         m = abs(config.nu) ** 2 * config.repeater_noise_watt
-        e_sq = (e.conj()[:, None, :] @ e[..., None])[..., 0].real  # (k, 1): ||e_k||^2
         xc_sq = np.sum(np.abs(c.conj()[..., None, :] @ x) ** 2, axis=(-2, -1))  # ||c_k^H X||^2
-        noise = config.bs_noise_watt * e_sq + m * np.abs(e @ channels.b_rx.conj())[:, None] ** 2
+        be_sq = (np.abs(e @ channels.b_rx.conj())[:, None] ** 2 if len(e) == 1  # |b_r^H e_k|^2
+                 else e_sq * [[0.0], [np.vdot(channels.b_rx, channels.b_rx).real]])
+        noise = config.bs_noise_watt * e_sq + m * be_sq
         v = np.sum(lam ** 2 * ((1.0 / lam + config.residual_interbs_power) * e_sq * xc_sq
                                + noise * np.sum(np.abs(c) ** 2, axis=-1)), axis=0)
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
-        raise NumericalDomainError("conditional statistics are not finite")
+    if not (np.all((s >= 0.0) & np.isfinite(s)) and np.all(np.isfinite(v))):
+        raise NumericalDomainError("conditional statistics are negative or not finite")
     return s, v
 
 

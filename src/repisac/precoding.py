@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, _cn_matrix
-from .errors import ConfigError, DegenerateNullspaceError
+from .errors import ConfigError, DegenerateNullspaceError, NumericalDomainError
 from .scenario import ScenarioConfig
 
 
@@ -52,7 +52,8 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
     lam, so at K > Nt the K x K matrix is the ill-conditioned one (a beam error
     of ~1e-5 at lam = 1e-20 on the default config, and an exactly singular
     pivot when lam falls below eps ||fdot||^2), while the Nt x Nt one has full
-    rank.
+    rank. A zero beam is a ``NumericalDomainError``: a zero channel, or one that
+    rounding loses next to a repeater path ~1000 dB stronger, is no config fault.
     """
     if zf_regularizer <= 0.0:
         raise ConfigError("zf_regularizer must be positive")
@@ -66,7 +67,7 @@ def rzf_precoders(fdot: np.ndarray, zf_regularizer: float) -> np.ndarray:
                           -1, -2)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
-        raise ConfigError("RZF produced a zero beam (zero user channel?)")
+        raise NumericalDomainError("RZF produced a zero beam (zero user channel?)")
     return raw / norms
 
 

@@ -26,7 +26,9 @@ from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statist
 from repisac.harness import STUDY_POD, _pod_drop, calibrate, run_trials
 from repisac.precoding import PrecoderSet, beam_matrix, build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
+from repisac.scenario import MAX_REPEATER_GAIN_DB
 
+import repeater_ceiling
 from conftest import tiny_config
 
 
@@ -367,7 +369,7 @@ class TestConditionalStatistics:
         channels, clutter = _pod_drop(config)
         beams = beam_matrix(build_precoders(config, channels), config)
         frames = cn(np.random.default_rng(6), (64, frame_rows(config), beams.shape[0])) @ beams
-        _, c, _, _ = repisac.detector._clutter_weights(frames, channels, config, clutter)
+        c = repisac.detector._clutter_weights(frames, channels, config, clutter)[1]
         assert c.shape == (n_spaces, *frames.shape[:2])  # the eigenspaces of Sigma_s
         s, v = conditional_statistics(frames, channels, config, clutter)
         for i in range(len(frames)):
@@ -387,6 +389,55 @@ class TestConditionalStatistics:
         frames[1, 0, 0] = np.nan
         with pytest.raises(NumericalDomainError, match="not finite"):
             conditional_statistics(frames, channels, config, clutter)
+        # no sensing power, the target 100 km away and 1.65e17 W: the user beam puts
+        # ~1e-26 of target energy in s, and rounding makes some of it negative, which
+        # would make u = sqrt(v) xi a NaN
+        config = repisac.ScenarioConfig(
+            n_tx_antennas=2, n_rx_antennas=1, n_users=1, slot_length=5,
+            sensing_power_fraction=0.0, repeater_gain_db=98.3, hotspot_xy=(150.0, 1e5),
+            tx_power_watt=1.65e17)
+        channels, clutter = _pod_drop(config)
+        frames = cn(rng, (16, 5, 2)) @ beam_matrix(build_precoders(config, channels), config)
+        with pytest.raises(NumericalDomainError, match="^conditional statistics are negative"):
+            conditional_statistics(frames, channels, config, clutter)
+
+
+class TestRepeaterNoiseCeiling:
+    """(s, v) of ``conditional_statistics`` against their limit as the repeater gain
+    grows (``repeater_ceiling``), on 16 symbol frames of the PoD drop, with the
+    precoders built at 120 dB and kept across gains (the limit holds at fixed
+    frames). Bounds on the largest relative error of s and of v:
+
+    - 160 and 200 dB: 2 C / |nu| + ROUNDING, with C / |nu| the limit's first-order
+      error (``repeater_ceiling.cross_term``). The terms of order 1/|nu|^2 are at
+      most 6% of it at 160 dB on these configs.
+    - 400 dB to ``MAX_REPEATER_GAIN_DB``: ROUNDING, since C / |nu| < 1e-19 there.
+    """
+
+    ROUNDING = 1e-13
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_tx_antennas": 12, "n_rx_antennas": 12, "residual_interbs_power": 1e-13},
+        {"n_users": 4, "precoder_mode": "comm_centric", "residual_interbs_power": 1e-13},
+        {"precoder_mode": "repeater_null"},
+    ], ids=["default", "12x12-zeta", "comm-centric", "repeater-null"])
+    def test_statistics_reach_the_closed_form_ceiling(self, overrides):
+        config = repisac.ScenarioConfig(**overrides)
+        channels, clutter = _pod_drop(config)
+        fixed = config.with_updates(repeater_gain_db=120.0)
+        beams = beam_matrix(build_precoders(fixed, channels), fixed)
+        x = cn(np.random.default_rng(0), (16, config.slot_length, beams.shape[0])) @ beams
+        s_inf, v_inf = repeater_ceiling.ceiling(
+            x, channels.a_tx, channels.a_rx, channels.b_rx, channels.g_rep,
+            clutter.entry_variance, config.residual_interbs_power, config.bs_noise_watt,
+            config.repeater_noise_watt)
+        c = repeater_ceiling.cross_term(channels.a_rx, channels.b_rx, channels.g_rep)
+        for gain_db in (160.0, 200.0, 400.0, 800.0, 1200.0, MAX_REPEATER_GAIN_DB):
+            cfg = config.with_updates(repeater_gain_db=gain_db)
+            bound = self.ROUNDING + (2.0 * c / abs(cfg.nu) if gain_db <= 200.0 else 0.0)
+            s, v = conditional_statistics(x, channels, cfg, clutter)
+            for got, limit in ((s, s_inf), (v, v_inf)):
+                assert np.max(np.abs(got / limit - 1.0)) <= bound, gain_db
 
 
 class TestBlockStatistics:

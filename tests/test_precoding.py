@@ -3,7 +3,7 @@ import pytest
 
 from repisac import (ConfigError, DegenerateNullspaceError, ScenarioConfig, build_precoders,
                      build_transmit_frame, rzf_precoders, target_precoder)
-from repisac.errors import PowerBudgetError
+from repisac.errors import NumericalDomainError, PowerBudgetError
 from repisac.harness import STUDY_SECDF, draw_drop
 from repisac.precoding import beam_matrix, effective_channels
 
@@ -100,7 +100,7 @@ class TestRzfPrecoders:
     def test_invalid_inputs(self, rng):
         with pytest.raises(ConfigError):
             rzf_precoders(cn(rng, (2, 4)), 0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericalDomainError, match="zero beam"):  # not a config fault
             rzf_precoders(np.zeros((1, 4)), 0.1)
 
 

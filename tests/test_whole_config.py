@@ -27,7 +27,7 @@ from repisac import (ConfigError, NumericalDomainError, ScenarioConfig, run_pod_
 from repisac import harness
 from repisac.detector import trial_rng
 from repisac.harness import calibrate
-from repisac.scenario import PRECODER_MODES
+from repisac.scenario import MAX_REPEATER_GAIN_DB, PRECODER_MODES
 
 TX_BS_XY, RX_BS_XY = (0.0, 0.0), (300.0, 0.0)
 FIXED_GRID = (1e-6, 1.0, 1e6)
@@ -44,8 +44,11 @@ def _or_int(values):
 
 
 HUGE = st.integers(309, 400).map(lambda e: 10 ** e)  # Python ints that no float holds
-# a gain in the studied range, or out to +-10**4 dB
-GAINS = _or_int(st.floats(-40.0, 200.0) | st.floats(-1e4, 1e4))
+# a gain in the studied range, in the valid high-gain band (where the statistics
+# sit on the repeater-noise ceiling and RZF can lose the users' own channels), or
+# out to +-10**4 dB
+GAINS = _or_int(st.floats(-40.0, 200.0) | st.floats(200.0, MAX_REPEATER_GAIN_DB)
+                | st.floats(-1e4, 1e4))
 
 
 @st.composite
@@ -129,6 +132,21 @@ _SMALL = dict(n_rx_antennas=2, slot_length=4, sensing_power_fraction=0.5, repeat
 @example(kwargs=dict(_SMALL, n_tx_antennas=4, n_users=2, tx_power_watt=1.0,
                      clutter_suppression=1e-2, master_seed=0, precoder_mode="repeater_null",
                      repeater_disc_radius_m=0.0), grid=FIXED_GRID, gains=None)
+# no sensing power and the target 100 km away: rounding gives s < 0 on some frames,
+# which must end in a seed-keyed error, not in NaN thresholds
+@example(kwargs=dict(n_tx_antennas=2, n_rx_antennas=1, n_users=1, slot_length=5,
+                     sensing_power_fraction=0.0, repeater_gain_db=98.3,
+                     hotspot_xy=(150.0, 1e5), tx_power_watt=1.65e17, mc_trials=70,
+                     calibration_trials=90, master_seed=0), grid=FIXED_GRID, gains=None)
+# at 1000 dB the repeater path swamps the users' own channels, and RZF gives the PoD
+# drop a zero beam: a numerical failure after the drop is drawn, so it names its keys
+@example(kwargs=dict(n_tx_antennas=5, n_rx_antennas=1, n_users=4, slot_length=1,
+                     sensing_power_fraction=0.0, repeater_gain_db=1000.0,
+                     residual_interbs_power=0.0, clutter_suppression=1.0,
+                     precoder_mode="target_centric", service_radius_m=1.0,
+                     repeater_disc_radius_m=0.0, hotspot_xy=(300.0, 0.0), tx_power_watt=1.0,
+                     pfa_target=0.1, mc_trials=70, calibration_trials=90, master_seed=1),
+         grid=FIXED_GRID, gains=None)
 def test_every_study_runs_or_says_why(kwargs, grid, gains):
     try:
         config = ScenarioConfig(**kwargs)
