@@ -22,11 +22,11 @@ Monte Carlo passes use the block kernel :func:`block_statistics` instead:
 given the transmit frame X every nuisance term is zero-mean Gaussian, so
 under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
 A block of :func:`block_trials` trials draws only a frame, one unit normal and
-alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block);
-blocks whose trials fit in one block's are evaluated in one call. The frame
-is the slot's symbols, or at zeta^2 = 0, where (s, v) see the frame only
-through X^H X, a Bartlett factor of that Gram matrix: min(tau, K + 1, Nt)
-rows in place of tau (:func:`frame_rows`). Both forms solve the clutter
+alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block),
+and one call evaluates one block. The frame is the slot's symbols, or at
+zeta^2 = 0, where (s, v) see the frame only through X^H X, a Bartlett factor
+of that Gram matrix: min(tau, K + 1, Nt) rows in place of tau
+(:func:`frame_rows`). Both forms solve the clutter
 blocks A_k z_k = a_tx in one place (:func:`_clutter_weights`, one stacked
 solve for a stack of frames). The empirical threshold of a set of H0
 statistics lives here too; the study setup and the trial passes that use
@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -555,11 +554,9 @@ def block_trials(config: ScenarioConfig) -> int:
 
 def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
                      clutter_model: ClutterModel, precoders: PrecoderSet,
-                     draws: Sequence[tuple[np.random.Generator, int]]) -> np.ndarray:
-    """Rows (u, s, alpha_1) of blocks of trials evaluated in one kernel call: for
-    each (rng, n) of ``draws`` in turn, the first n trials of a block drawn from
-    rng. Shape (sum of the n, 3); every n is at least 1, and together they hold
-    at most :func:`block_trials` trials.
+                     rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows (u, s, alpha_1) of the first n trials of a block drawn from rng,
+    shape (n, 3); n is 1 to :func:`block_trials`.
 
     Per trial, a tau x p symbol matrix S (p = K + 1), one unit complex normal
     xi and alpha_1 enter; the frame is X = S M
@@ -580,26 +577,21 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     :func:`block_trials` trials, then the R_ij, xi and alpha_1 of its n trials
     trial-major in one standard-normal array; at zeta^2 > 0, only S, xi and
     alpha_1 of its n trials. So a short block draws no normals for trials it
-    does not hold, and is a prefix of the full one; and since a frame's (s, v)
-    have the same bits alone or in any stack, a block's rows do not depend on
-    the blocks evaluated with it.
+    does not hold, and is a prefix of the full one: since a frame's (s, v) have
+    the same bits alone or in any stack, its rows are the full block's leading
+    rows.
 
-    The Bartlett factors of every block of the call are written into one
-    zeroed (sum of the n, m p) array, each trial's R_ij and sqrt |R_ii|^2
-    through flat indices cached per (m, p), and every frame of the call comes
-    from one (sum of the n) m x p by p x Nt product; each frame has the same
-    bits as its own factor times the beams. Symbol frames are multiplied block
-    by block. The frames, the factors, the standard-normal array, sized for one
-    block's trials, and the conj(X) and A_k of :func:`_clutter_weights` are this
-    thread's working arrays (:func:`_work`), which the next call of the same
-    shape reuses. Only the returned rows are allocated per call.
+    The Bartlett factors are written into one zeroed (n, m p) array, each
+    trial's R_ij and sqrt |R_ii|^2 through flat indices cached per (m, p), and
+    every frame comes from one n m x p by p x Nt product; each frame has the
+    same bits as its own factor times the beams. The frames, the factors, the
+    standard-normal array and the conj(X) and A_k of :func:`_clutter_weights`
+    are this thread's working arrays (:func:`_work`), which the next call of
+    the same shape reuses. Only the returned rows are allocated per call.
     """
     size = block_trials(config)
-    counts = [n for _, n in draws]
-    total = sum(counts)
-    if not counts or min(counts) < 1 or total > size:
-        raise ValueError(f"a block holds 1 to {size} trials, got "
-                         + (" + ".join(map(str, counts)) or "none"))
+    if not 1 <= n <= size:
+        raise ValueError(f"a block holds 1 to {size} trials, got {n}")
     beams = beam_matrix(precoders, config)
     bartlett = config.residual_interbs_power == 0.0
     if bartlett and beams.shape[0] > beams.shape[1]:
@@ -608,27 +600,22 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
     m = frame_rows(config)
     # complex normals per trial: the R_ij above the diagonal, or S; then xi and alpha_1
     n_cn = (m * p - m * (m + 1) // 2 if bartlett else tau * p) + 2
-    x = _work("frames", (total, m, nt))
-    rows = np.empty((total, 3), dtype=complex)  # xi and alpha_1 now; u = sqrt(v) xi and s last
+    x = _work("frames", (n, m, nt))
+    if bartlett:  # for the whole block, so the normals start where a full block's do
+        gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n]
+    z = rng.standard_normal(out=_work("normals", (n, 2 * n_cn), float)).view(complex)
+    z *= np.sqrt(0.5)
     if bartlett:
-        factor = _work("factor", (total, m * p))
+        factor = _work("factor", (n, m * p))
         factor.fill(0.0)
         upper, diagonal = _bartlett_entries(m, p)
-    start = 0
-    for rng, n in draws:
-        if bartlett:  # for the whole block, so the normals start where a full block's do
-            gammas = rng.standard_gamma(tau - np.arange(m), (size, m))[:n]
-        z = rng.standard_normal(out=_work("normals", (n, 2 * n_cn), float)).view(complex)
-        z *= np.sqrt(0.5)
-        if bartlett:
-            factor[start:start + n, upper] = z[:, :-2]
-            factor[start:start + n, diagonal] = np.sqrt(gammas)
-        else:
-            np.matmul(z[:, :-2].reshape(n, tau, p), beams, out=x[start:start + n])
-        rows[start:start + n, ::2] = z[:, -2:]
-        start += n
-    if bartlett:  # every frame of the call in one product
+        factor[:, upper] = z[:, :-2]
+        factor[:, diagonal] = np.sqrt(gammas)
         np.matmul(factor.reshape(-1, p), beams, out=x.reshape(-1, nt))
+    else:
+        np.matmul(z[:, :-2].reshape(n, tau, p), beams, out=x)
+    rows = np.empty((n, 3), dtype=complex)  # xi and alpha_1 now; u = sqrt(v) xi and s last
+    rows[:, ::2] = z[:, -2:]
     s, v = conditional_statistics(x, channels, config, clutter_model)
     rows[:, 0] *= np.sqrt(v)
     rows[:, 1] = s

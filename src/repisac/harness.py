@@ -9,12 +9,13 @@ the reference trial). Every drop is :func:`draw_drop`, ``drop_entities`` then
 the detection study and its grid suggestion share the PoD drop and one trial
 kernel (:func:`_trial_unit`), and take the threshold from one H0 pass, so one
 config gives one threshold wherever it is asked for. The studies: probability
-of detection versus RCS variance (one H0 and one H1 pass per repeater gain;
-each trial's statistic at every grid point follows from its sufficient
-statistics (u, s, alpha_1), read with alpha_1 = 0 in the H0 pass, which sets
-each grid point's threshold), and the CDF of downlink per-user spectral
-efficiency across precoder choices (one stacked RZF solve per block of drops
-and repeater setting).
+of detection versus RCS variance (one pass per repeater gain, whose first
+``calibration_trials`` trials are the H0 pass and the ``mc_trials`` after them
+the H1 trials; each trial's statistic at every grid point follows from its
+sufficient statistics (u, s, alpha_1), read with alpha_1 = 0 in the H0 pass,
+which sets each grid point's threshold), and the CDF of downlink per-user
+spectral efficiency across precoder choices (one stacked RZF solve per block
+of drops and repeater setting).
 
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
 sets the SE study's block layout) and a block of trials (``block_trials``: 384
@@ -23,18 +24,16 @@ trials on the default config, 64 at zeta^2 > 0) draw from generators keyed
 
     (STUDY_POD, 0, 0)    the PoD drop's positions
     (STUDY_POD, 1, 0)    the PoD drop's Rayleigh channels
-    (STUDY_POD, 2, b)    H0 pass: the calibration
-    (STUDY_POD, 3, b)    H1 pass
+    (STUDY_POD, 2, b)    a gain's pass: the calibration (H0), then the H1 trials
     (STUDY_POD, 4, b)    held-out H0 trials (acceptance criterion 3)
     (STUDY_POD, 9, 0)    grid pilot
     (STUDY_SECDF, 0, b)  positions of SE-CDF drops b * DROPS_PER_BLOCK onwards
     (STUDY_SECDF, 1, b)  their Rayleigh channels
 
 Blocks are the units that a study's one mapper (:func:`_mapper`) hands to
-worker processes; the short last blocks of a repeater gain's H0 and H1 passes
-share one unit, and one kernel call, when their trials fit in one block. A
-block's rows depend neither on the unit that holds it nor on the worker
-count, so results are byte-identical regardless of worker count.
+worker processes, one kernel call each. A block's rows depend on neither the
+worker count nor the trials after it, so results are byte-identical
+regardless of worker count, and a pass's first n trials are its pass of n.
 """
 
 from __future__ import annotations
@@ -147,54 +146,32 @@ def _mapper(workers: int):
 
 def _trial_unit(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, precoders: PrecoderSet,
-                blocks: tuple[tuple[tuple[int, ...], int, int], ...]) -> np.ndarray:
-    """Rows of the blocks (key, b, n) of ``blocks``, one after another, each its
-    first n trials drawn from key (*key, b), all evaluated in one kernel call."""
+                key: tuple[int, ...], block: tuple[int, int]) -> np.ndarray:
+    """Rows of block (b, n) of ``key``: its first n trials, drawn from key (*key, b)."""
+    b, n = block
     try:
         return block_statistics(config, channels, clutter_model, precoders,
-                                [(trial_rng(config.master_seed, key, b), n)
-                                 for key, b, n in blocks])
+                                trial_rng(config.master_seed, key, b), n)
     except NumericalDomainError as exc:
-        keys = " and ".join(str((*key, b)) for key, b, _ in blocks)
-        plural = "s" if len(blocks) > 1 else ""
-        raise NumericalDomainError(f"trial block{plural} with seed key{plural} {keys}: "
-                                   f"{exc}") from exc
+        raise NumericalDomainError(f"trial block with seed key {(*key, b)}: {exc}") from exc
 
 
-def _trial_passes(config: ScenarioConfig, channels: ChannelRealization,
-                  clutter_model: ClutterModel, precoders: PrecoderSet,
-                  passes: list[tuple[tuple[int, ...], int]], run) -> list[np.ndarray]:
-    """Rows (u, s, alpha_1) of each pass (key, n_trials) of ``passes``, in trial order.
+def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
+                clutter_model: ClutterModel, precoders: PrecoderSet,
+                key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
+    """Rows (u, s, alpha_1) of ``n_trials`` trials on ``key``, in trial order.
 
-    Block b of a pass holds its trials b * ``block_trials`` onwards and draws
-    from key (*key, b). A full block is one unit of ``run`` (:func:`_mapper`);
-    the short last blocks of the passes share units, in order, as long as their
-    trials fit in one block, so the H0 and H1 passes of a small study make one
-    kernel call. A block's rows depend on neither the unit that holds it nor
-    the worker count. A pass depends on neither the hypothesis nor
+    Block b holds trials b * ``block_trials`` onwards, draws from key (*key, b)
+    and is one unit of ``run`` (:func:`_mapper`), so its rows depend on neither
+    the worker count nor how many trials follow it: the first n trials of a
+    pass are the pass of n trials. A pass depends on neither the hypothesis nor
     ``config.rcs_variance``: every trial's statistic follows from its row
     (``glrt_from_statistics``, with alpha_1 = 0 under H0).
     """
     size = block_trials(config)
-    units, short = [], []
-    for key, n_trials in passes:
-        for b in range(math.ceil(n_trials / size)):
-            n = min(size, n_trials - b * size)
-            if n == size:
-                units.append(((key, b, n),))
-            elif short and sum(block[2] for block in short[-1]) + n <= size:
-                short[-1] += ((key, b, n),)
-            else:
-                short.append(((key, b, n),))
-    units += short
-    parts = run(partial(_trial_unit, config, channels, clutter_model, precoders), units)
-    rows = {}
-    for unit, part in zip(units, parts):
-        start = 0
-        for key, b, n in unit:
-            rows[key, b], start = part[start:start + n], start + n
-    return [np.concatenate([rows[key, b] for b in range(math.ceil(n_trials / size))])
-            if n_trials else np.zeros((0, 3), dtype=complex) for key, n_trials in passes]
+    units = [(b, min(size, n_trials - b * size)) for b in range(math.ceil(n_trials / size))]
+    parts = run(partial(_trial_unit, config, channels, clutter_model, precoders, key), units)
+    return np.concatenate([np.zeros((0, 3), dtype=complex), *parts])
 
 
 def run_trials(config: ScenarioConfig, channels: ChannelRealization,
@@ -208,8 +185,7 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
     if n_trials < 0:
         raise ConfigError(f"n_trials must be nonnegative, got {n_trials}")
     with _mapper(workers) as run:
-        (rows,) = _trial_passes(config, channels, clutter_model, precoders,
-                                [(key, n_trials)], run)
+        rows = _trial_pass(config, channels, clutter_model, precoders, key, n_trials, run)
     u, s, alpha1 = rows.T
     return glrt_from_statistics(u, s.real, 0.0 if force_null else alpha1, config.rcs_variance)
 
@@ -247,9 +223,9 @@ def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     """
     with _mapper(workers) as run:
         channels, clutter_model = _pod_drop(config)
-        (null_rows,) = _trial_passes(config, channels, clutter_model,
-                                     _pod_precoders(config, channels),
-                                     [((STUDY_POD, 2), config.calibration_trials)], run)
+        null_rows = _trial_pass(config, channels, clutter_model,
+                                _pod_precoders(config, channels), (STUDY_POD, 2),
+                                config.calibration_trials, run)
     thresholds, pfas = _thresholds(null_rows, np.array([config.rcs_variance]),
                                    config.pfa_target)
     return float(thresholds[0]), float(pfas[0])
@@ -268,20 +244,21 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
     The drop (:func:`_pod_drop`) is fixed for the whole study; each trial draws
     its symbols, its clutter, residual and noise term given the frame, and
-    (under H1) the RCS. Per repeater setting, one pass of ``calibration_trials``
-    H0 trials and one pass of ``mc_trials`` H1 trials serve every grid point
-    (the RCS variance only scales each trial's sufficient statistics; the
-    short last blocks of the two passes share a kernel call,
-    :func:`_trial_passes`), and the GLRT threshold is recalibrated per grid
-    point from the H0 pass. The default
-    gains are the configured one and repeater-off, or repeater-off alone when
-    the config has the repeater off. A grid or gains that is a string or not a
-    sequence, no gains, equal gains (20, 20.0), a gain or grid value that is not
-    a finite number (inf, nan, True) and a worker count that is not an integer
-    of at least 1 are a ``ConfigError`` raised before the drop is drawn.
+    (under H1) the RCS. Per repeater setting, one pass of ``calibration_trials
+    + mc_trials`` trials on key (STUDY_POD, 2) (:func:`_trial_pass`) serves
+    every grid point (the RCS variance only scales each trial's sufficient
+    statistics): its first ``calibration_trials`` trials are the H0 pass, from
+    which the GLRT threshold is recalibrated per grid point, exactly as
+    :func:`calibrate` takes it, and the ``mc_trials`` after them are the H1
+    trials. The default gains are the configured one and repeater-off, or
+    repeater-off alone when the config has the repeater off. A grid or gains
+    that is a string or not a sequence, no gains, equal gains (20, 20.0), a gain
+    or grid value that is not a finite number (inf, nan, True) and a worker
+    count that is not an integer of at least 1 are a ``ConfigError`` raised
+    before the drop is drawn.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
-    mean over its H1 pass of s, the target energy per unit RCS left after the
+    mean over its H1 trials of s, the target energy per unit RCS left after the
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
     """
     if rcs_grid is not None:
@@ -311,12 +288,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
         if rcs_grid is None:
             grid = _pilot_grid(config, channels, clutter_model, GRID_POINTS)
         for gain_value, cfg_gain in zip(gain_values, gain_configs):
-            null_rows, hit_rows = _trial_passes(
-                cfg_gain, channels, clutter_model, _pod_precoders(cfg_gain, channels),
-                [((STUDY_POD, 2), cfg_gain.calibration_trials),
-                 ((STUDY_POD, 3), cfg_gain.mc_trials)], run)
-            thresholds, pfas = _thresholds(null_rows, grid, cfg_gain.pfa_target)
-            u, s, alpha1 = hit_rows.T
+            n_null = cfg_gain.calibration_trials
+            pass_rows = _trial_pass(cfg_gain, channels, clutter_model,
+                                    _pod_precoders(cfg_gain, channels), (STUDY_POD, 2),
+                                    n_null + cfg_gain.mc_trials, run)
+            thresholds, pfas = _thresholds(pass_rows[:n_null], grid, cfg_gain.pfa_target)
+            u, s, alpha1 = pass_rows[n_null:].T
             mean_scnr[gain_value] = float(np.mean(s.real))
             t_hit = glrt_from_statistics(u, s.real, alpha1, grid[:, None])
             pods = np.mean(t_hit >= thresholds[:, None], axis=1)
@@ -346,7 +323,7 @@ def _pilot_grid(config: ScenarioConfig, channels: ChannelRealization,
                 clutter_model: ClutterModel, n_points: int) -> np.ndarray:
     """The grid of :func:`suggest_rcs_grid` on the study's drop."""
     rows = _trial_unit(config, channels, clutter_model, _pod_precoders(config, channels),
-                       (((STUDY_POD, 9), 0, block_trials(config)),))
+                       (STUDY_POD, 9), (0, block_trials(config)))
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:
         raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -468,7 +467,7 @@ class TestBlockStatistics:
         config = config.with_updates(residual_interbs_power=1e-12)
         n = block_trials(config) - 3
         rows = block_statistics(config, channels, clutter, precoders,
-                                [(np.random.default_rng(3), n)])
+                                np.random.default_rng(3), n)
         tau, k = config.slot_length, config.n_users
         draws = np.random.default_rng(3).standard_normal((n, 2 * (tau * (k + 1) + 2)))
         z = (draws[:, 0::2] + 1j * draws[:, 1::2]) * np.sqrt(0.5)
@@ -498,7 +497,7 @@ class TestBlockStatistics:
         assert block_trials(config) == size
         n = size - 3
         rows = block_statistics(config, channels, clutter, precoders,
-                                [(np.random.default_rng(3), n)])
+                                np.random.default_rng(3), n)
         tau = config.slot_length
         assert frame_rows(config) == m
         beams = self.frame(config, precoders, np.eye(config.n_users + 1))  # M
@@ -548,7 +547,7 @@ class TestBlockStatistics:
             patch.setattr(repisac.detector, "conditional_statistics", capture)
             for b in range(n_blocks):
                 block_statistics(config, channels, clutter, precoders,
-                                 [(trial_rng(config.master_seed, (9,), b), size)])
+                                 trial_rng(config.master_seed, (9,), b), size)
         assert len(frames) == n_blocks
         x = np.concatenate(frames)
         factors = x @ np.linalg.pinv(beams)
@@ -576,7 +575,7 @@ class TestBlockStatistics:
         n = n_blocks * size
         rows = np.concatenate([
             block_statistics(config, channels, clutter, precoders,
-                             [(trial_rng(config.master_seed, (9,), b), size)])
+                             trial_rng(config.master_seed, (9,), b), size)
             for b in range(n_blocks)])
         rng = np.random.default_rng(11)
         symbols = cn(rng, (n, config.slot_length, config.n_users + 1))
@@ -588,18 +587,18 @@ class TestBlockStatistics:
         config, channels, clutter, precoders = small_setup
         args = (config, channels, clutter, precoders)
         size = block_trials(config)
-        full = block_statistics(*args, [(np.random.default_rng(4), size)])
-        head = block_statistics(*args, [(np.random.default_rng(4), 5)])
+        full = block_statistics(*args, np.random.default_rng(4), size)
+        head = block_statistics(*args, np.random.default_rng(4), 5)
         np.testing.assert_array_equal(full[:5], head)
         for n_trials in (0, size + 1):
             with pytest.raises(ValueError,
                                match=f"^a block holds 1 to {size} trials, got {n_trials}$"):
-                block_statistics(*args, [(np.random.default_rng(4), n_trials)])
+                block_statistics(*args, np.random.default_rng(4), n_trials)
         # one pass of rows serves both hypotheses: H0 reads it with alpha_1 = 0
         n = 2 * size + 3
         rows = np.concatenate([
-            block_statistics(*args, [(trial_rng(config.master_seed, (5,), b),
-                                      min(size, n - b * size))])
+            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
+                             min(size, n - b * size))
             for b in range(3)])
         u, s, alpha1 = rows[:, 0], rows[:, 1].real, rows[:, 2]
         np.testing.assert_array_equal(
@@ -609,39 +608,15 @@ class TestBlockStatistics:
             run_trials(*args, (5,), n, force_null=False),
             glrt_from_statistics(u, s, alpha1, config.rcs_variance))
 
-    @pytest.mark.parametrize("overrides, counts", [
-        ({}, (30, 250)), ({}, (1, 200, 183)), ({"repeater_on": False}, (30, 250)),
-        ({"residual_interbs_power": 1e-13}, (36, 25)),
-        ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12},
-         (36, 25)),
-        # Bartlett frames of m = p = 5 rows: one product over all frames of the call
-        # puts a block's rows at odd offsets, where BLAS takes its edge kernels
-        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, (3, 250, 31)),
-    ], ids=["default", "three", "repeater-off", "zeta", "12x12-zeta", "12x12-K4"])
-    def test_blocks_in_one_call_have_the_rows_they_have_alone(self, overrides, counts):
-        # the short blocks of the passes share a kernel call: each keeps its own
-        # draws, and its rows have the same bits as in a call of its own
-        rows = self._block_runner(**overrides)
-        config = repisac.ScenarioConfig(**overrides)
-        channels, clutter = _pod_drop(config)
-        args = (config, channels, clutter, build_precoders(config, channels))
-        packed = block_statistics(*args, [(np.random.default_rng(seed), n)
-                                          for seed, n in enumerate(counts)])
-        np.testing.assert_array_equal(
-            packed, np.concatenate([rows(seed, n) for seed, n in enumerate(counts)]))
-        with pytest.raises(ValueError, match=re.escape(
-                f"a block holds 1 to {block_trials(config)} trials, got "
-                f"{block_trials(config)} + 1")):
-            block_statistics(*args, [(np.random.default_rng(0), block_trials(config)),
-                                     (np.random.default_rng(1), 1)])
-
-    @pytest.mark.parametrize("overrides, counts", [
-        ({}, (30, 250)), ({}, (384,)),
-        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, (3, 250, 31)),
-        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12, "slot_length": 3}, (7,)),
+    @pytest.mark.parametrize("overrides, n", [
+        ({}, 280), ({}, 384),
+        # Bartlett frames of m = p = 5 rows: an odd count of them, so BLAS takes
+        # its edge kernels on the last rows of the product
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, 283),
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12, "slot_length": 3}, 7),
     ], ids=["default", "default-full", "12x12-K4", "12x12-K4-tau3"])
-    def test_one_product_gives_each_frame_the_bits_of_its_own(self, overrides, counts):
-        # every Bartlett frame of a call comes from one (sum n * m) x p by p x Nt
+    def test_one_product_gives_each_frame_the_bits_of_its_own(self, overrides, n):
+        # every Bartlett frame of a block comes from one (n * m) x p by p x Nt
         # product: each has the bits of its own m x p factor times the beams
         config = repisac.ScenarioConfig(**overrides)
         channels, clutter = _pod_drop(config)
@@ -659,20 +634,17 @@ class TestBlockStatistics:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(repisac.detector, "conditional_statistics", capture)
             block_statistics(config, channels, clutter, precoders,
-                             [(np.random.default_rng(seed), n)
-                              for seed, n in enumerate(counts)])
-        factors = []
+                             np.random.default_rng(5), n)
         upper = np.triu(np.ones((m, p), dtype=bool), 1)
-        for seed, n in enumerate(counts):
-            replay = np.random.default_rng(seed)
-            gammas = replay.standard_gamma(tau - np.arange(m), (block_trials(config), m))
-            draws = replay.standard_normal((n, 2 * (upper.sum() + 2)))
-            factor = np.zeros((n, m, p), dtype=complex)
-            factor[:, upper] = (draws[:, 0:-4:2] + 1j * draws[:, 1:-4:2]) * np.sqrt(0.5)
-            factor[:, np.arange(m), np.arange(m)] = np.sqrt(gammas[:n])
-            factors.append(factor)
+        replay = np.random.default_rng(5)
+        gammas = replay.standard_gamma(tau - np.arange(m), (block_trials(config), m))
+        draws = replay.standard_normal((n, 2 * (upper.sum() + 2)))
+        factors = np.zeros((n, m, p), dtype=complex)
+        factors[:, upper] = (draws[:, 0:-4:2] + 1j * draws[:, 1:-4:2]) * np.sqrt(0.5)
+        factors[:, np.arange(m), np.arange(m)] = np.sqrt(gammas[:n])
         (x,) = frames
-        for frame, factor in zip(x, np.concatenate(factors)):
+        assert len(x) == n
+        for frame, factor in zip(x, factors):
             np.testing.assert_array_equal(frame, factor @ beams)
 
     @pytest.mark.parametrize("zeta_sq", [0.0, 1e-12], ids=["bartlett", "symbols"])
@@ -688,10 +660,10 @@ class TestBlockStatistics:
         if zeta_sq == 0.0:  # the Bartlett factor has min(K + 1, Nt) columns
             p = min(p, config.n_tx_antennas)
         n_cn = (m * p - m * (m + 1) // 2 if zeta_sq == 0.0 else tau * p) + 2
-        full = block_statistics(*args, [(np.random.default_rng(8), size)])
+        full = block_statistics(*args, np.random.default_rng(8), size)
         for n in (1, size - 1):
             rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-            np.testing.assert_array_equal(block_statistics(*args, [(rng, n)]), full[:n])
+            np.testing.assert_array_equal(block_statistics(*args, rng, n), full[:n])
             if zeta_sq == 0.0:
                 replay.standard_gamma(tau - np.arange(m), (size, m))
             replay.standard_normal((n, 2 * n_cn))
@@ -703,22 +675,20 @@ class TestBlockStatistics:
         # reuses, so a second block allocates little more than X: at 12 x 12 its
         # frame-sized temporaries are larger than glibc's heap-trim threshold, and
         # freeing them per block made the heap be trimmed and page-faulted back
-        # once per block. The packed calls evaluate the short blocks of an H0 and
-        # an H1 pass together, their frames drawn into one working array
+        # once per block. A short block uses the leading rows of the same arrays
         zeta_12 = {"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12}
-        for overrides, size, counts in (({"residual_interbs_power": 1e-13}, 64, (64,)),
-                                        (zeta_12, 64, (64,)),
-                                        (zeta_12, 64, (36, 25)),
-                                        ({"residual_interbs_power": 0.0}, 384, (384,)),
-                                        ({"residual_interbs_power": 0.0}, 384, (30, 250))):
+        for overrides, size, n in (({"residual_interbs_power": 1e-13}, 64, 64),
+                                   (zeta_12, 64, 64),
+                                   (zeta_12, 64, 61),
+                                   ({"residual_interbs_power": 0.0}, 384, 384),
+                                   ({"residual_interbs_power": 0.0}, 384, 280)):
             config = repisac.ScenarioConfig(**overrides)
             assert block_trials(config) == size
             channels, clutter = _pod_drop(config)
             args = (config, channels, clutter, build_precoders(config, channels))
 
             def run(seed):
-                block_statistics(*args, [(np.random.default_rng(seed + i), n)
-                                         for i, n in enumerate(counts)])
+                block_statistics(*args, np.random.default_rng(seed), n)
 
             run(0)
             frames_bytes = TRIALS_PER_BLOCK * config.slot_length * config.n_tx_antennas * 16
@@ -728,7 +698,7 @@ class TestBlockStatistics:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * frames_bytes, (overrides, counts)
+            assert peak < 3 * frames_bytes, (overrides, n)
 
     @staticmethod
     def _block_runner(**overrides):
@@ -739,7 +709,7 @@ class TestBlockStatistics:
         args = (config, channels, clutter, build_precoders(config, channels))
 
         def rows(seed, n=block_trials(config)):
-            return block_statistics(*args, [(np.random.default_rng(seed), n)])
+            return block_statistics(*args, np.random.default_rng(seed), n)
         return rows
 
     def test_working_arrays_never_leak_into_results(self):

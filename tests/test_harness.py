@@ -87,12 +87,12 @@ class TestRunTrials:
              n_drops=37 * DROPS_PER_BLOCK + 8)
     @example(workers=3, n_trials=600, n_drops=5 * DROPS_PER_BLOCK + 26)
     def test_worker_count_does_not_change_results(self, workers, n_trials, n_drops):
-        config = tiny_config()
-        channels, clutter = harness._pod_drop(config)
-        precoders = build_precoders(config, channels)
-        runs = [run_trials(config, channels, clutter, precoders, (5,), n_trials,
-                           force_null=False, workers=w) for w in (1, workers)]
-        np.testing.assert_array_equal(*runs)
+        for config in (tiny_config(), tiny_config(residual_interbs_power=1e-13)):
+            channels, clutter = harness._pod_drop(config)
+            precoders = build_precoders(config, channels)
+            runs = [run_trials(config, channels, clutter, precoders, (5,), n_trials,
+                               force_null=False, workers=w) for w in (1, workers)]
+            np.testing.assert_array_equal(*runs)
         se_config = tiny_config(n_users=1, n_tx_antennas=3, mc_trials=n_drops)
         assert (run_se_cdf(se_config, workers=1).to_csv_bytes()
                 == run_se_cdf(se_config, workers=workers).to_csv_bytes())
@@ -109,7 +109,7 @@ class TestRunTrials:
         np.testing.assert_array_equal(full[:n_prefix], prefix)
         # trials 256 to 383 are block 2, drawn from key (5, 2) whatever chunk holds it
         rows = block_statistics(config, channels, clutter, precoders,
-                                [(trial_rng(config.master_seed, (5,), 2), size)])
+                                trial_rng(config.master_seed, (5,), 2), size)
         np.testing.assert_array_equal(
             full[2 * size:3 * size],
             glrt_from_statistics(rows[:, 0], rows[:, 1].real, rows[:, 2], config.rcs_variance))
@@ -130,11 +130,11 @@ class TestRunTrials:
         channels, clutter = harness._pod_drop(config)
         calls = []
 
-        def fail_in_block_two(cfg, ch, cm, pr, draws):
-            calls.append([(rng.bit_generator.seed_seq.spawn_key, n) for rng, n in draws])
-            if any(rng.bit_generator.seed_seq.spawn_key[-1] == 2 for rng, _ in draws):
+        def fail_in_block_two(cfg, ch, cm, pr, rng, n):
+            calls.append((rng.bit_generator.seed_seq.spawn_key, n))
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 2:
                 raise NumericalDomainError("clutter-block matrix is singular")
-            return block_statistics(cfg, ch, cm, pr, draws)
+            return block_statistics(cfg, ch, cm, pr, rng, n)
 
         monkeypatch.setattr(harness, "block_statistics", fail_in_block_two)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
@@ -142,58 +142,27 @@ class TestRunTrials:
                 + "$"):
             run_trials(config, channels, clutter, build_precoders(config, channels), (5, 7),
                        3 * 384 + 1, force_null=True)
-        assert calls == [[((5, 7, b), 384)] for b in range(3)]
-        # the short blocks of an H0 and an H1 pass share one kernel call: a
-        # failure there names both keys
+        assert calls == [((5, 7, b), 384) for b in range(3)]
+        # a study's H0 and H1 trials are one pass: 30 + 250 trials are one block,
+        # and a failure there names its one key
         calls.clear()
 
-        def fail(cfg, ch, cm, pr, draws):
-            calls.append([(rng.bit_generator.seed_seq.spawn_key, n) for rng, n in draws])
+        def fail(cfg, ch, cm, pr, rng, n):
+            calls.append((rng.bit_generator.seed_seq.spawn_key, n))
             raise NumericalDomainError("clutter-block matrix is singular")
 
         monkeypatch.setattr(harness, "block_statistics", fail)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
-                "trial blocks with seed keys (1, 2, 0) and (1, 3, 0): "
-                "clutter-block matrix is singular") + "$"):
+                "trial block with seed key (1, 2, 0): clutter-block matrix is singular")
+                + "$"):
             run_pod_vs_rcs(config.with_updates(calibration_trials=30, mc_trials=250), [1e8],
                            repeater_gains_db=(20.0,))
-        assert calls == [[((1, 2, 0), 30), ((1, 3, 0), 250)]]
-        # the CLI prints the error and exits 2; the default config's H0 pass fills
-        # its first block alone
+        assert calls == [((1, 2, 0), 280)]
+        # the CLI prints the error and exits 2
         assert main_cli(["pod", "--grid", "1e8", "--gains", "20",
                          "--out", str(tmp_path / "pod.csv")]) == 2
         assert capsys.readouterr() == ("", "numerical error: trial block with seed key "
                                            "(1, 2, 0): clutter-block matrix is singular\n")
-
-    @pytest.mark.parametrize("overrides", [{}, {"residual_interbs_power": 1e-13}],
-                             ids=["bartlett", "symbols"])
-    def test_short_blocks_share_units_and_keep_their_rows(self, overrides):
-        # the short last blocks of the passes share units, in order, while their
-        # trials fit in one block; each pass's rows are byte-equal to its blocks
-        # evaluated alone, and to the rows of two worker processes
-        config = ScenarioConfig(**overrides)
-        size = block_trials(config)
-        channels, clutter = harness._pod_drop(config)
-        args = (config, channels, clutter, build_precoders(config, channels))
-        passes = [((5, 0), size + size // 8), ((5, 1), size // 2), ((5, 2), size // 2)]
-        units = []
-
-        def recording_run(fn, blocks):
-            units.append(blocks)
-            return [fn(b) for b in blocks]
-
-        packed = harness._trial_passes(*args, passes, recording_run)
-        assert units == [[(((5, 0), 0, size),),
-                          (((5, 0), 1, size // 8), ((5, 1), 0, size // 2)),
-                          (((5, 2), 0, size // 2),)]]
-        for (key, n_trials), rows in zip(passes, packed):
-            np.testing.assert_array_equal(rows, np.concatenate([
-                block_statistics(*args, [(trial_rng(config.master_seed, key, b),
-                                          min(size, n_trials - b * size))])
-                for b in range(-(-n_trials // size))]))
-        with harness._mapper(2) as run:
-            for rows, rows_2 in zip(packed, harness._trial_passes(*args, passes, run)):
-                np.testing.assert_array_equal(rows, rows_2)
 
     @pytest.mark.parametrize("n_trials, message", [
         pytest.param(2.5, "n_trials must be an integer, got 2.5", id="2.5"),
@@ -227,11 +196,11 @@ class TestRunTrials:
             units.append(blocks)
             return [fn(b) for b in blocks]
 
-        (rows,) = harness._trial_passes(*args, [((5,), n_trials)], recording_run)
-        assert units == [[(((5,), b, size),) for b in range(6)] + [(((5,), 6, 5),)]]
+        rows = harness._trial_pass(*args, (5,), n_trials, recording_run)
+        assert units == [[(b, size) for b in range(6)] + [(6, 5)]]
         np.testing.assert_array_equal(rows, np.concatenate([
-            block_statistics(*args, [(trial_rng(config.master_seed, (5,), b),
-                                      min(size, n_trials - b * size))])
+            block_statistics(*args, trial_rng(config.master_seed, (5,), b),
+                             min(size, n_trials - b * size))
             for b in range(7)]))
 
 
@@ -396,21 +365,24 @@ class TestPodStudy:
         assert len(out.read_text().strip().split("\n")) == 1 + 1
 
     def test_one_pass_matches_per_point_pipeline(self):
-        # reference: every grid point reruns its own H0 and H1 trials, block by
-        # block, and evaluates T = |u + alpha s|^2 / (s + 1/sigma_T^2) in complex
-        # arithmetic, as a study that drew each point's trials itself would
-        config = tiny_config()  # 200 H0 and 50 H1 trials: both end inside a block
+        # reference: every grid point reruns its own trials, block by block, and
+        # evaluates T = |u + alpha s|^2 / (s + 1/sigma_T^2) in complex arithmetic,
+        # as a study that drew each point's trials itself would. The H0 trials
+        # are trials 0 onwards of key (STUDY_POD, 2), and the H1 trials are
+        # trials calibration_trials onwards of the same key
+        config = tiny_config()  # 200 H0 and 50 H1 trials: blocks of 128 and 122
         grid = [float(v) for v in suggest_rcs_grid(config, n_points=3)]
         gains = (20.0, None)
         channels, clutter = harness._pod_drop(config)
 
-        def statistics(cfg, precoders, key, n_trials, null):
+        def statistics(cfg, precoders, first, n_trials, null):
             size = block_trials(cfg)
+            end = first + n_trials
             rows = np.concatenate([
                 block_statistics(cfg, channels, clutter, precoders,
-                                 [(trial_rng(cfg.master_seed, key, b),
-                                   min(size, n_trials - b * size))])
-                for b in range(-(-n_trials // size))])
+                                 trial_rng(cfg.master_seed, (STUDY_POD, 2), b),
+                                 min(size, end - b * size))
+                for b in range(-(-end // size))])[first:]
             assert rows.shape == (n_trials, 3)
             u, s, alpha1 = rows.T
             alpha = 0.0 if null else np.sqrt(cfg.rcs_variance) * alpha1  # H0: no echo
@@ -423,10 +395,10 @@ class TestPodStudy:
             precoders = build_precoders(cfg_gain, channels)
             for sigma_t_sq in grid:
                 cfg = cfg_gain.with_updates(rcs_variance=sigma_t_sq)
-                t_null = statistics(cfg, precoders, (STUDY_POD, 2), cfg.calibration_trials,
-                                    True)
+                t_null = statistics(cfg, precoders, 0, cfg.calibration_trials, True)
                 threshold = np.quantile(t_null, 1.0 - cfg.pfa_target, method="higher")
-                t_hit = statistics(cfg, precoders, (STUDY_POD, 3), cfg.mc_trials, False)
+                t_hit = statistics(cfg, precoders, cfg.calibration_trials, cfg.mc_trials,
+                                   False)
                 expected.append((np.mean(t_hit >= threshold), threshold,
                                  np.mean(t_null >= threshold), cfg.mc_trials))
 
@@ -564,13 +536,31 @@ class TestPodStudy:
                 study()
             assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]  # no trial block
 
+    # from ~400 dB the repeater path nu h b_tx swamps every user's direct channel on
+    # the default drop: the effective channels are rank one to double precision, and
+    # the RZF solve is exactly singular at some valid gains (1280, 1420 and 1541 dB;
+    # 1300 and 1500 dB pass). A known limit of the precoding stage, pinned here
+    SINGULAR_AT_1541_DB = "PoD drop with seed keys (1, 0, 0) and (1, 1, 0): Singular matrix"
+
+    def test_rzf_solve_singular_on_the_default_drop_names_the_drop(self, keys):
+        with pytest.raises(NumericalDomainError,
+                           match="^" + re.escape(self.SINGULAR_AT_1541_DB) + "$"):
+            run_pod_vs_rcs(ScenarioConfig(), [1.0], repeater_gains_db=(1541.0,))
+        assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]  # no trial block
+
+    def test_rzf_solve_singular_on_the_default_drop_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main_cli(["pod", "--gains", "1541", "--grid", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"numerical error: {self.SINGULAR_AT_1541_DB}\n")
+        assert not out.exists()
+
     def test_grid_suggestion_spans_the_transition(self):
         # scaled by s_bar, the mean s of one whole block of the study's own kernel
         # and setup: 128 trials on the tiny config, 384 on the default one
         for config, size in ((tiny_config(), 128), (ScenarioConfig(), 384)):
             channels, clutter = harness._pod_drop(config)
             rows = block_statistics(config, channels, clutter, build_precoders(config, channels),
-                                    [(trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)])
+                                    trial_rng(config.master_seed, (STUDY_POD, 9), 0), size)
             s_bar = float(np.mean(rows[:, 1].real))
             np.testing.assert_array_equal(suggest_rcs_grid(config, 5),
                                           np.geomspace(0.05 / s_bar, 2000.0 / s_bar, 5))
@@ -582,8 +572,8 @@ class TestPodStudy:
         with pytest.raises(NumericalDomainError, match=re.escape("seed key (1, 9, 0)")):
             suggest_rcs_grid(tiny_config())
 
-        def no_target_energy(cfg, ch, cm, pr, draws):  # rows (u, s, alpha_1) with s = 0
-            return np.zeros((sum(n for _, n in draws), 3), dtype=complex)
+        def no_target_energy(cfg, ch, cm, pr, rng, n):  # rows (u, s, alpha_1) with s = 0
+            return np.zeros((n, 3), dtype=complex)
         monkeypatch.setattr(harness, "block_statistics", no_target_energy)
         with pytest.raises(NumericalDomainError, match="^" + re.escape(
                 "pilot trial block with seed key (1, 9, 0): no target energy") + "$"):
@@ -932,8 +922,8 @@ class TestDrawDrop:
 
 class TestSeedKeys:
     def test_each_unit_builds_one_generator(self, keys):
-        # the tiny config: 200 H0 trials in 2 blocks of 128, 50 H1 trials in 1;
-        # the short blocks, 72 + 50 trials, share one unit
+        # the tiny config: a gain's 200 H0 and 50 H1 trials are one pass of 250
+        # trials on key (STUDY_POD, 2), in blocks of 128 and 122
         config = tiny_config()
         assert block_trials(config) == 128
         grid = suggest_rcs_grid(config, 3)
@@ -941,8 +931,7 @@ class TestSeedKeys:
         assert keys == drop + [(STUDY_POD, 9, 0)]
         keys.clear()
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
-        passes = [(STUDY_POD, 2, b) for b in range(2)] + [(STUDY_POD, 3, 0)]
-        assert keys == drop + passes * 2
+        assert keys == drop + [(STUDY_POD, 2, b) for b in range(2)] * 2
         keys.clear()
         calibrate(config)
         assert keys == drop + [(STUDY_POD, 2, b) for b in range(2)]

@@ -1,6 +1,7 @@
-"""Array-rotation invariances: checks of the precoders, of the trial kernel's
-conditional statistics and of the downlink SE at array sizes the dense
-reference cannot reach (its Q_H1 alone has (Nt Nr + 1)^2 entries).
+"""Array-rotation and user-permutation invariances: checks of the precoders,
+of the trial kernel's conditional statistics and of the downlink SE at array
+sizes the dense reference cannot reach (its Q_H1 alone has (Nt Nr + 1)^2
+entries).
 
 Rotate the transmit array by a unitary U (``f_user``, ``a_tx`` and ``b_tx``
 become their rows times U) and the receive array by a unitary V (``a_rx`` and
@@ -8,11 +9,18 @@ become their rows times U) and the receive array by a unitary V (``a_rx`` and
 turn the other way, M' = M conj(U), and then on the same symbol frames S
 (X = S M) neither the (s, v) of ``conditional_statistics`` nor any user's SE
 may move.
+
+Permute the users by P (their ``f_user`` rows, ``h_user`` entries and power
+fractions together): that only relabels them. The RZF beams must permute the
+same way, the sensing beam and each user's SE must stay, and on symbol frames
+whose user columns are permuted the same way (S P^T P M = S M) the (s, v) of
+``conditional_statistics`` must stay.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +108,48 @@ def test_the_unitary_is_unitary_and_not_real():
     u = haar_unitary(16, np.random.default_rng(0))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(16), atol=1e-14)
     assert np.max(np.abs(u.imag)) > 0.1  # a real U would not see a lost conjugate
+
+
+# Relabelling moves nothing in exact arithmetic; the permuted RZF solve and the
+# sums over users round differently, by a few eps. A lost permutation (beams or
+# SE left in the old order, or the fractions not permuted) moves them by O(1)
+PERMUTATION_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"n_users": 4}, {"n_users": 6, "precoder_mode": "comm_centric"},
+    {"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12, "residual_interbs_power": 1e-13},
+], ids=["default", "K4", "comm-centric-K6", "12x12-K4-zeta"])
+def test_permuting_the_users_only_relabels_them(overrides):
+    config = ScenarioConfig(**overrides)
+    k = config.n_users
+    rng = np.random.default_rng(k)
+    fractions = rng.uniform(0.5, 1.5, k)  # unequal, so that a lost permutation shows
+    fractions *= (1.0 - config.sensing_power_fraction) / fractions.sum()
+    config = config.with_updates(user_power_fractions=tuple(fractions))
+    channels, clutter_model = harness._pod_drop(config)
+    perm = np.roll(np.arange(k), 1)  # every user moves
+    permuted_config = config.with_updates(user_power_fractions=tuple(fractions[perm]))
+    permuted = replace(channels, f_user=channels.f_user[perm], h_user=channels.h_user[perm])
+
+    precoders = build_precoders(config, channels)
+    permuted_precoders = build_precoders(permuted_config, permuted)
+    assert_close(permuted_precoders.user_precoders, precoders.user_precoders[perm],
+                 np.linalg.norm(precoders.user_precoders), PERMUTATION_RTOL, "RZF beams")
+    assert_close(permuted_precoders.sensing_precoder, precoders.sensing_precoder,
+                 np.linalg.norm(precoders.sensing_precoder), PERMUTATION_RTOL, "sensing beam")
+
+    se = downlink_metrics(precoders, channels, config).se
+    assert_close(downlink_metrics(permuted_precoders, permuted, permuted_config).se,
+                 se[perm], se[perm], PERMUTATION_RTOL, "SE")
+
+    frames = (rng.standard_normal((N_FRAMES, config.slot_length, k + 1))
+              + 1j * rng.standard_normal((N_FRAMES, config.slot_length, k + 1)))
+    s, var = (a.copy() for a in conditional_statistics(
+        frames @ beam_matrix(precoders, config), channels, config, clutter_model))
+    permuted_frames = frames[..., np.append(perm, k)]  # the sensing column stays last
+    permuted_s, permuted_var = conditional_statistics(
+        permuted_frames @ beam_matrix(permuted_precoders, permuted_config), permuted,
+        permuted_config, clutter_model)
+    assert_close(permuted_s, s, np.abs(s), PERMUTATION_RTOL, "s")
+    assert_close(permuted_var, var, np.abs(var), PERMUTATION_RTOL, "v")
