@@ -410,6 +410,29 @@ class TestPodStudy:
             assert (row[2], row[4], row[5]) == (pod, empirical_pfa, trials)
             assert row[3] == pytest.approx(threshold, rel=1e-10)
 
+    @pytest.mark.parametrize("overrides, n_null, n_hit", [
+        ({}, 30, 250), ({}, 385, 200), ({"repeater_on": False}, 30, 250),
+        ({"residual_interbs_power": 1e-13}, 36, 25),
+        ({"residual_interbs_power": 1e-13, "n_tx_antennas": 12, "n_rx_antennas": 12}, 36, 25),
+        ({"n_users": 4, "n_tx_antennas": 12, "n_rx_antennas": 12}, 31, 250),
+    ], ids=["default", "across-blocks", "repeater-off", "zeta", "12x12-zeta", "12x12-K4"])
+    def test_the_h0_head_of_a_pass_is_calibrate_s_pass(self, overrides, n_null, n_hit):
+        # the H1 trials follow the H0 trials on one key, mostly in the same block
+        # (in the second one at 385 + 200 trials): whatever follows them, the H0
+        # rows give calibrate's threshold and false-alarm rate bit for bit
+        config = ScenarioConfig(calibration_trials=n_null, mc_trials=n_hit, **overrides)
+        grid = [1e4, 1e8]
+        studies = [run_pod_vs_rcs(config.with_updates(mc_trials=n), grid)
+                   for n in (n_hit, 1)]
+        assert len(studies[0].rows) == len(grid) * (2 if config.repeater_on else 1)
+        for row, short_row in zip(*(study.rows for study in studies)):
+            sigma_t_sq, gain, _, threshold, empirical_pfa, _ = row
+            assert (row[:2], row[3:5]) == (short_row[:2], short_row[3:5])
+            cfg = (config.with_updates(repeater_on=False) if gain == float("-inf") else
+                   config.with_updates(repeater_gain_db=gain))
+            assert calibrate(cfg.with_updates(rcs_variance=sigma_t_sq)) == (threshold,
+                                                                            empirical_pfa)
+
     def test_mean_scnr_shows_where_the_repeater_matters(self):
         # on the default drop the repeater path is ~5.5e-5 of the direct one at
         # 20 dB; at 100 dB it carries the target energy
