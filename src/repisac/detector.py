@@ -9,28 +9,27 @@ Q_H1. That dense form is the reference; an independent brute-force
 least-squares oracle recomputes the same log-likelihood ratio for small
 instances.
 
-The structured form (:func:`schur_statistics`) is checked against it: with
-i.i.d. clutter, Q_H0 splits into two Nt x Nt blocks in the eigenbasis that
-the sensing-noise covariance shares across channel uses, and the RCS drops
-out through a Schur complement. A trial reduces to (u, s, alpha_1), from
-which :func:`glrt_from_statistics` gives its statistic at any RCS variance;
-under H0 the row is read with alpha_1 = 0, so no trial kernel takes the
-hypothesis. :func:`trial_statistics`, the reference simulation, draws
-clutter, residual, symbols and noises, then alpha_1.
+With i.i.d. clutter, Q_H0 splits into two Nt x Nt blocks in the eigenbasis
+that the sensing-noise covariance shares across channel uses, and the RCS
+drops out through a Schur complement (:func:`_clutter_weights`, one stacked
+solve of the clutter blocks A_k z_k = a_tx for a stack of frames). A trial
+reduces to (u, s, alpha_1), from which :func:`glrt_from_statistics` gives its
+statistic at any RCS variance; under H0 the row is read with alpha_1 = 0, so
+the trial kernel does not take the hypothesis.
 
-Monte Carlo passes use the block kernel :func:`block_statistics` instead:
-given the transmit frame X every nuisance term is zero-mean Gaussian, so
-under H0 u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`).
-A block of :func:`block_trials` trials draws only a frame, one unit normal and
-alpha_1 per trial from one generator (:func:`trial_rng`, keyed per block),
-and one call evaluates one block. The frame is the slot's symbols, or at
-zeta^2 = 0, where (s, v) see the frame only through X^H X, a Bartlett factor
-of that Gram matrix: min(tau, K + 1, Nt) rows in place of tau
-(:func:`frame_rows`). Both forms solve the clutter
-blocks A_k z_k = a_tx in one place (:func:`_clutter_weights`, one stacked
-solve for a stack of frames). The empirical threshold of a set of H0
-statistics lives here too; the study setup and the trial passes that use
-them are in ``repisac.harness``.
+The one Monte Carlo kernel is :func:`block_statistics`: given the transmit
+frame X every nuisance term is zero-mean Gaussian, so under H0
+u | X ~ CN(0, v(X)) in closed form (:func:`conditional_statistics`), and no
+observation is simulated. A block of :func:`block_trials` trials draws only a
+frame, one unit normal and alpha_1 per trial from one generator
+(:func:`trial_rng`, keyed per block), and one call evaluates one block. The
+frame is the slot's symbols, or at zeta^2 = 0, where (s, v) see the frame
+only through X^H X, a Bartlett factor of that Gram matrix: min(tau, K + 1, Nt)
+rows in place of tau (:func:`frame_rows`). The per-slot simulation that
+draws clutter, residual, symbols and noises and receives the slot is the
+tests' reference for this kernel, not part of the package. The empirical
+threshold of a set of H0 statistics lives here too; the study setup and the
+trial passes that use them are in ``repisac.harness``.
 
 A call's frame-sized temporaries (its frames, its Bartlett factors, its
 standard-normal draws, conj(X), which also holds X^H diag(w_k) one k at a time,
@@ -47,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, ClutterModel, draw_rcs, redraw_nuisance
+from .channel import ChannelRealization, ClutterModel
 from .errors import ConfigError, NumericalDomainError, OracleFailureError
-from .precoding import PrecoderSet, TransmitFrame, beam_matrix, build_transmit_frame
-from .propagation import SensingObservation, draw_noise, receive_bs_slot
+from .precoding import PrecoderSet, TransmitFrame, beam_matrix
+from .propagation import SensingObservation
 from .scenario import ScenarioConfig, _check_type
 
 _IMAG_RESIDUE_TOL = 1e-9
@@ -244,8 +243,26 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
 
     c = w * (X z) of shape (k, B, tau), z_k = A_k^-1 a_tx,
     A_k = X^H diag(w_k) X + lam I, and s = lam sum_k ||e_k||^2 c_k^H (X a_tx) of
-    shape (B,) (:func:`schur_statistics`); every z_k of every frame comes from
-    one stacked solve. No factorization checks A_k: with w_k > 0
+    shape (B,); every z_k of every frame comes from one stacked solve.
+
+    They are the GLRT's sufficient statistics without forming Q_H0. With
+    cross = sum B^H Sigma_s^-1 r and Q_H0, t_H0, t_top, q_rr as
+    :func:`assemble_statistics` builds them, the RCS row of Q_H1 drops out
+    through the Schur complement of Q_H0: s = q_rr - cross^H Q_H0^-1 cross,
+    u = t_top - cross^H Q_H0^-1 t_H0, and T = |u|^2 / (s + 1/sigma_T^2). Since u is
+    linear in y, an observation y + alpha r has statistic u + alpha s. With
+    Sigma_c = I / lam and P = b_r b_r^H / ||b_r||^2,
+    Q_H0 = A_0 kron (I - P) + A_1 kron P, with w_0 = 1/d and
+    w_1 = 1/(d + m ||b_r||^2) the eigenvalues of Sigma_s[tau]^-1. The target
+    direction v = a_rx + nu g_rep b_r splits into e_0 = (I - P) a_rx and
+    e_1 = P a_rx + nu g_rep b_r (:func:`_noise_blocks`), and for each block
+    z_k and c_k = w_k * (X z_k) give, from A_k - X^H diag(w_k) X = lam I,
+    u = lam sum_k c_k^H Y conj(e_k),
+    s = lam sum_k ||e_k||^2 c_k^H (X a_tx).
+    Neither is a difference of large terms: one Nt x Nt solve per block (one
+    block when m ||b_r||^2 = 0), whatever Nr is.
+
+    No factorization checks A_k: with w_k > 0
     (:func:`_noise_eigenvalues`) and lam > 0 (checked here), A_k is positive
     definite. conj(X) is made in this thread's working array (:func:`_work`):
     it serves the noise eigenvalues, then holds X^H diag(w_k) in place for one
@@ -285,36 +302,6 @@ def _clutter_weights(x: np.ndarray, channels: ChannelRealization, config: Scenar
     return lam, c, e, e_sq, s
 
 
-def schur_statistics(observation: SensingObservation, frame: TransmitFrame,
-                     channels: ChannelRealization, config: ScenarioConfig,
-                     clutter_model: ClutterModel) -> tuple[complex, float]:
-    """GLRT sufficient statistics (u, s) without forming Q_H0, for i.i.d. clutter.
-
-    With c = sum B^H Sigma_s^-1 r (``cross``) and Q_H0, t_H0, t_top, q_rr as
-    :func:`assemble_statistics` builds them, the RCS row of Q_H1 drops out
-    through the Schur complement of Q_H0:
-    s = q_rr - c^H Q_H0^-1 c, u = t_top - c^H Q_H0^-1 t_H0, and
-    T = |u|^2 / (s + 1/sigma_T^2). Since u is linear in y, an observation
-    y + alpha r has statistic u + alpha s.
-
-    With Sigma_c = I / lam and P = b_r b_r^H / ||b_r||^2,
-    Q_H0 = A0 kron (I - P) + A1 kron P, A_k = X^H diag(w_k) X + lam I,
-    w_0 = 1/d, w_1 = 1/(d + m ||b_r||^2) (the eigenvalues of Sigma_s[tau]^-1).
-    The target direction v = a_rx + nu g_rep b_r splits into e_0 = (I - P) a_rx
-    and e_1 = P a_rx + nu g_rep b_r (:func:`_noise_blocks`), and for
-    each block z_k = A_k^-1 a_tx and c_k = w_k * (X z_k) give, from
-    A_k - X^H diag(w_k) X = lam I,
-    u = lam sum_k c_k^H Y conj(e_k),
-    s = lam sum_k ||e_k||^2 c_k^H (X a_tx).
-    Neither is a difference of large terms. This is the one-frame case of
-    :func:`_clutter_weights`: one Nt x Nt solve per block (one block when
-    m ||b_r||^2 = 0), whatever Nr is.
-    """
-    lam, c, e, _, s = _clutter_weights(frame.x[None], channels, config, clutter_model)
-    u = lam * np.einsum("kt,tk->", c[:, 0].conj(), observation.y_slots @ e.conj().T)
-    return complex(u), float(s[0])
-
-
 def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
                            config: ScenarioConfig,
                            clutter_model: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +309,7 @@ def conditional_statistics(x: np.ndarray, channels: ChannelRealization,
     for a stack of frames x (B, tau, Nt), from the weights c (k, B, tau) of
     :func:`_clutter_weights`.
 
-    u = lam sum_k c_k^H Y conj(e_k) (:func:`schur_statistics`) is linear in the
+    u = lam sum_k c_k^H Y conj(e_k) (:func:`_clutter_weights`) is linear in the
     observation Y. Given X, every term of Y under H0 is zero-mean Gaussian:
     clutter C and inter-BS residual E (i.i.d. entries of variance
     sigma_c^2 = 1/lam and zeta^2, fixed over the slot) enter as X (C + E)^T,
@@ -509,30 +496,6 @@ def trial_rng(master_seed: int, key: tuple[int, ...], index: int) -> np.random.G
                                                         spawn_key=(*key, index)))
 
 
-def trial_statistics(config: ScenarioConfig, channels: ChannelRealization,
-                     clutter_model: ClutterModel, precoders: PrecoderSet,
-                     rng: np.random.Generator) -> tuple[complex, float, complex]:
-    """One fully simulated trial reduced to its sufficient statistics (u, s, alpha_1):
-    the reference simulation for :func:`block_statistics`.
-
-    Deterministic channels (user/target/repeater links) stay fixed; clutter,
-    inter-BS residual, symbols and noises are fresh, drawn in that order, and
-    the observation is simulated with the target path left out. The RCS is
-    drawn last, at unit variance, as alpha_1, so the statistic of this trial at
-    any RCS variance is :func:`glrt_from_statistics` of the triple (see
-    :func:`schur_statistics`), and its H0 statistic that of (u, s, 0).
-    """
-    entry_var = clutter_model.entry_variance
-    if entry_var is None:
-        raise NumericalDomainError("per-trial clutter resampling needs an i.i.d. model")
-    ch = redraw_nuisance(channels, config, entry_var, rng, force_null=True)
-    frame = build_transmit_frame(precoders, config, rng)
-    noise = draw_noise(config, rng)
-    obs = receive_bs_slot(frame, ch, noise, config)
-    u, s = schur_statistics(obs, frame, ch, config, clutter_model)
-    return u, s, draw_rcs(1.0, rng)
-
-
 TRIALS_PER_BLOCK = 64  # tau-row symbol frames per block; independent of the worker count
 
 
@@ -560,9 +523,9 @@ def block_statistics(config: ScenarioConfig, channels: ChannelRealization,
 
     Per trial, a tau x p symbol matrix S (p = K + 1), one unit complex normal
     xi and alpha_1 enter; the frame is X = S M
-    (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has the law of
-    :func:`trial_statistics`' u given X (:func:`conditional_statistics`): no
-    clutter, residual or noise is drawn and no observation is simulated. Under
+    (:func:`~repisac.precoding.beam_matrix`), and u = sqrt(v) xi has the law,
+    given X, of the u of a fully simulated slot (:func:`conditional_statistics`):
+    no clutter, residual or noise is drawn and no observation is simulated. Under
     H0 the rows are read with alpha_1 = 0.
 
     At zeta^2 = 0 every row of the slot has the same noise weights, so (s, v)
@@ -649,10 +612,13 @@ def threshold_from_null_stats(t_values: np.ndarray,
     """Empirical (1 - PFA) quantile of H0 statistics along the last axis, as
     ``np.quantile(..., method="higher")`` gives it: the order statistic of index
     ceil((n - 1) (1 - PFA)) of the n statistics, so the threshold is one of them.
-    A row that holds a NaN gives NaN, a PFA outside [0, 1] is a ``ValueError``,
+    A row that holds a NaN gives NaN, a PFA outside [0, 1] and an empty last
+    axis (no H0 statistics, as from a pass of 0 trials) are a ``ValueError``,
     and 1-D input gives a float."""
     q = 1.0 - pfa_target
     if not 0.0 <= q <= 1.0:
         raise ValueError("Quantiles must be in the range [0, 1]")
     t = np.sort(np.asarray(t_values, float), axis=-1)  # a NaN sorts last
+    if t.shape[-1] == 0:
+        raise ValueError("no H0 statistics to take a threshold from")
     return np.where(np.isnan(t[..., -1]), np.nan, t[..., math.ceil((t.shape[-1] - 1) * q)])[()]

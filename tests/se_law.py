@@ -14,13 +14,25 @@ With c = t sigma_UE^2 / (rho pi_u beta):
   SINR <= t iff G + (1 - d) X <= c.
 
 Both are integrals over u by a 200-point Gauss-Legendre rule.
+
+With the repeater on, the user's effective channel is fdot = f + nu h b_tx, with
+h the repeater-to-user LOS gain and b_tx the transmit-BS-to-repeater LOS
+channel. Given a drop's positions, h and b_tx are fixed, so
+fdot = sqrt(beta) (g + mu) with mu = nu h b_tx / sqrt(beta), and
+2 ||fdot||^2 / beta ~ chi'^2(2 Nt, 2 ||mu||^2), noncentral, with
+||mu||^2 = |nu|^2 |h|^2 ||b_tx||^2 / beta. At K = 1 the comm-centric sensing
+beam is orthogonal to fdot and the beam is conj(fdot) / ||fdot||, so
+SINR = rho pi_u ||fdot||^2 / (sigma_UE^2 + |nu h|^2 sigma_R^2): the repeater
+adds its amplified noise at the user. :func:`comm_centric_cdf_given_drops`
+averages that law over drops whose positions are given; beta, |h|^2 and
+||b_tx||^2 are recomputed here from the positions and the path-loss model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import gammainc
-from scipy.stats import poisson
+from scipy.stats import ncx2, poisson
 
 from repisac.scenario import pathloss_linear
 
@@ -75,12 +87,42 @@ def sinr_cdf(config, mode: str, t) -> np.ndarray:
     return given_u @ w_u
 
 
-def sinr_quantiles(config, mode: str, q) -> np.ndarray:
-    """SINR values t with P(SINR <= t) close to each q: bisection on log t."""
+def _quantiles(cdf, q, steps: int) -> np.ndarray:
+    """Values t with cdf(t) close to each q: ``steps`` bisections on log10 t in [-30, 30]."""
     q = np.asarray(q, float)
     lo, hi = np.full(q.shape, -30.0), np.full(q.shape, 30.0)  # log10 t
-    for _ in range(50):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = sinr_cdf(config, mode, 10.0 ** mid) < q
+        below = cdf(10.0 ** mid) < q
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 10.0 ** (0.5 * (lo + hi))
+
+
+def sinr_quantiles(config, mode: str, q) -> np.ndarray:
+    """SINR values t with P(SINR <= t) close to each q: bisection on log t."""
+    return _quantiles(lambda t: sinr_cdf(config, mode, t), q, 50)
+
+
+def comm_centric_cdf_given_drops(config, geometry, t) -> np.ndarray:
+    """P(SINR <= t) of the user of one-user drops with the repeater on and
+    comm-centric sensing, given the positions of ``geometry`` (a block of drops),
+    as the mean over the drops of each drop's law; for each t."""
+    fc, nt = config.carrier_ghz, config.n_tx_antennas
+    user = geometry.users[:, 0]
+    beta = pathloss_linear(np.linalg.norm(user - geometry.tx_bs, axis=-1), fc,
+                           config.user_height_m)
+    h_sq = pathloss_linear(np.linalg.norm(user - geometry.repeater, axis=-1), fc,
+                           config.user_height_m)
+    b_sq = nt * pathloss_linear(np.linalg.norm(geometry.repeater - geometry.tx_bs, axis=-1),
+                                fc, config.repeater_height_m)
+    nu_sq = abs(config.nu) ** 2
+    mu_sq = nu_sq * h_sq * b_sq / beta
+    noise = config.ue_noise_watt + nu_sq * h_sq * config.repeater_noise_watt
+    gain = config.tx_power_watt * config.user_fractions[0] * beta / noise
+    t = np.asarray(t, float)[..., None]
+    return np.mean(ncx2.cdf(2.0 * t / gain, 2 * nt, 2.0 * mu_sq), axis=-1)
+
+
+def comm_centric_quantiles_given_drops(config, geometry, q) -> np.ndarray:
+    """SINR values t with :func:`comm_centric_cdf_given_drops` close to each q."""
+    return _quantiles(lambda t: comm_centric_cdf_given_drops(config, geometry, t), q, 24)

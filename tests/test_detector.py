@@ -20,8 +20,7 @@ from repisac.channel import ClutterModel, draw_rcs, redraw_nuisance
 from repisac.detector import (TRIALS_PER_BLOCK, DetectorWorkspace, block_statistics,
                               block_trials, conditional_statistics, frame_rows,
                               glrt_from_statistics, oracle_check, random_small_instance,
-                              schur_statistics, threshold_from_null_stats, trial_rng,
-                              trial_statistics)
+                              threshold_from_null_stats, trial_rng)
 from repisac.harness import STUDY_POD, _pod_drop, calibrate, run_trials
 from repisac.precoding import PrecoderSet, beam_matrix, build_precoders, build_transmit_frame
 from repisac.propagation import SensingObservation, draw_noise, receive_bs_slot
@@ -29,6 +28,7 @@ from repisac.scenario import MAX_REPEATER_GAIN_DB
 
 import repeater_ceiling
 from conftest import tiny_config
+from trial_reference import schur_statistics, trial_statistics
 
 
 def cn(rng, shape):
@@ -830,6 +830,8 @@ class TestTrials:
                 np.quantile(values, 1.0 - pfa, axis=-1, method="higher")
             with pytest.raises(ValueError, match=r"^Quantiles must be in the range \[0, 1\]$"):
                 threshold_from_null_stats(values, pfa)
+        with pytest.raises(ValueError, match=r"^no H0 statistics to take a threshold from$"):
+            threshold_from_null_stats(values[..., :0], 0.01)  # run_trials(..., n_trials=0)
 
     def test_calibration_controls_false_alarms(self):
         cfg = tiny_config(pfa_target=0.05, calibration_trials=400)

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import norm
 
-from repisac import (ConfigError, DegenerateNullspaceError, NumericalDomainError,
+from repisac import (ConfigError, DegenerateNullspaceError, Geometry, NumericalDomainError,
                      ScenarioConfig, StudyResult, detector, drop_entities, gen_channels,
                      harness, run_pod_vs_rcs, run_se_cdf, user_sinr)
 from repisac.channel import ChannelRealization, ClutterModel, clutter_covariance
@@ -689,6 +689,39 @@ class TestExactReferenceWithoutUsers:
         assert len(pods) == 8 and pods[0] < 0.05 and pods[-1] > 0.99  # spans the transition
 
 
+class TestThreeEstimatesOfOnePod:
+    """At zeta^2 = 0, v = s: given the frame, |u|^2 / s ~ Exp(1) under H0 and
+    |u + sqrt(sigma_T^2) alpha_1 s|^2 / (s (1 + sigma_T^2 s)) ~ Exp(1) under H1. So at
+    a threshold eta, PoD = E exp(-eta / (sigma_T^2 s)) and PFA = e^-eta PoD, and the
+    rows of one pass give the PoD three ways: mean 1{T_H1 >= eta},
+    e^eta mean 1{T_H0 >= eta} and the Rao-Blackwellised mean exp(-eta / (sigma_T^2 s))
+    (Casella & Robert, Biometrika 83:81, 1996). No reference is needed."""
+
+    # seed, sample and bound fixed before the first run: |z| <= 4 for both Monte Carlo
+    # estimates, each with the binomial sigma at the Rao-Blackwellised value (given
+    # the frames, that sigma is an upper bound)
+    @pytest.mark.parametrize("config", [ScenarioConfig(), ScenarioConfig(repeater_on=False)],
+                             ids=["20dB", "repeater_off"])
+    def test_the_three_estimates_agree(self, config):
+        assert config.residual_interbs_power == 0.0
+        n = 20000
+        sigma_t_sq = suggest_rcs_grid(config)[harness.GRID_POINTS // 2]
+        channels, clutter_model = harness._pod_drop(config)
+        rows = harness._trial_pass(config, channels, clutter_model,
+                                   harness._pod_precoders(config, channels), (STUDY_POD, 2), n,
+                                   lambda fn, units: [fn(unit) for unit in units])
+        u, s, alpha1 = rows.T
+        s = s.real
+        for eta in (2.0, 4.6):
+            rb = np.mean(np.exp(-eta / (sigma_t_sq * s)))
+            pod = np.mean(glrt_from_statistics(u, s, alpha1, sigma_t_sq) >= eta)
+            pfa = np.mean(glrt_from_statistics(u, s, 0.0, sigma_t_sq) >= eta)
+            pfa_rb = np.exp(-eta) * rb
+            z_pod = (pod - rb) / np.sqrt(rb * (1.0 - rb) / n)
+            z_pfa = (pfa - pfa_rb) / np.sqrt(pfa_rb * (1.0 - pfa_rb) / n)  # e^eta cancels
+            assert abs(z_pod) <= 4.0 and abs(z_pfa) <= 4.0, (eta, rb, z_pod, z_pfa)
+
+
 class TestExactSeLawWithOneUser:
     """At K = 1 with the repeater off, the SE-CDF study's SINR has an exact law
     (``se_law``): an integral over the user's position of a gamma law, for
@@ -720,6 +753,34 @@ class TestExactSeLawWithOneUser:
             below = np.mean(se[:, None] <= np.log2(1.0 + t), axis=0)
             z = (below - p) / np.sqrt(p * (1.0 - p) / se.size)
             assert np.all(np.abs(z) <= bound), f"{mode}: z = {np.round(z, 2)}"
+
+    # seed and bound fixed before the first run: given the drops' positions each
+    # drop's indicator is an independent Bernoulli, so the binomial sigma at the
+    # law's mean CDF is conservative; |z| <= 4 at each of 19 quantiles. At >= 100 dB
+    # the repeater path is a sizeable share of the channel (median ||mu||^2 / Nt is
+    # ~0.03 at 100 dB), and its noise at the user shows
+    @pytest.mark.parametrize("gain_db", [100.0, 110.0])
+    def test_comm_centric_study_matches_the_exact_law_with_the_repeater_on(self, gain_db):
+        config = ScenarioConfig(n_users=1, mc_trials=4000, master_seed=11,
+                                repeater_gain_db=gain_db)
+        result = run_se_cdf(config, modes=("comm_centric",), repeater_settings=(True,))
+        se = np.array([row[2] for row in result.rows])
+        assert se.size == config.mc_trials
+        n_blocks = -(-config.mc_trials // DROPS_PER_BLOCK)
+        geometries = [draw_drop(config, STUDY_SECDF, b,
+                                min(DROPS_PER_BLOCK, config.mc_trials - b * DROPS_PER_BLOCK))[0]
+                      for b in range(n_blocks)]
+        first = geometries[0]
+        positions = Geometry(tx_bs=first.tx_bs, rx_bs=first.rx_bs, hotspot=first.hotspot,
+                             repeater=np.concatenate([g.repeater for g in geometries]),
+                             users=np.concatenate([g.users for g in geometries]))
+        q = np.arange(1, 20) / 20
+        t = se_law.comm_centric_quantiles_given_drops(config, positions, q)
+        p = se_law.comm_centric_cdf_given_drops(config, positions, t)
+        np.testing.assert_allclose(p, q, atol=1e-4)
+        below = np.mean(se[:, None] <= np.log2(1.0 + t), axis=0)
+        z = (below - p) / np.sqrt(p * (1.0 - p) / se.size)
+        assert np.all(np.abs(z) <= 4.0), f"z = {np.round(z, 2)}"
 
 
 class TestSeCdfStudy:
