@@ -17,6 +17,15 @@ which sets each grid point's threshold), and the CDF of downlink per-user
 spectral efficiency across precoder choices (one stacked RZF solve per block
 of drops and repeater setting).
 
+The PoD study's deterministic setup is built once per process and config, in
+two small LRU caches whose arrays are read-only: :func:`_pod_drop` holds the
+drop, its channels and its clutter model, keyed by the config, and
+:func:`_gain_setup` holds a repeater gain's config and precoders, keyed by
+(config, gain). So the pilot grid, ``calibrate`` and each call of a study run
+one gain at a time share one drop and one precoder build per gain. Nothing a
+trial draws is cached: every pass, pilot block and threshold is drawn and
+computed afresh on each call, so a warm cache gives the bytes of a cold one.
+
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
 sets the SE study's block layout) and a block of trials (``block_trials``: 384
 trials on the default config, 64 at zeta^2 > 0) draw from generators keyed
@@ -42,7 +51,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -54,7 +63,7 @@ from .detector import (block_statistics, block_trials, glrt_from_statistics,
 from .errors import ConfigError, NumericalDomainError
 from .precoding import (PrecoderSet, build_precoders, effective_channels, rzf_precoders,
                         target_precoder)
-from .scenario import Geometry, ScenarioConfig, _check_type, drop_entities
+from .scenario import Geometry, ScenarioConfig, _check_gain, _check_type, drop_entities
 
 STUDY_POD = 1
 STUDY_SECDF = 2
@@ -108,12 +117,27 @@ def draw_drop(config: ScenarioConfig, study: int, block: int,
                                   trial_rng(config.master_seed, (study, 1), block))
 
 
+def _read_only(record):
+    """``record`` with each of its array fields made read-only: a setup cache hands
+    the same record to every caller."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return record
+
+
+@lru_cache(maxsize=4)
 def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]:
     """Channels and clutter model of the PoD study's one drop, ``draw_drop`` on
     block 0 of STUDY_POD: every PoD entry point's setup, the acceptance suite's
-    included, so no block layout changes it."""
+    included, so no block layout changes it.
+
+    Cached per process, keyed by the config (frozen, so hashable), with
+    read-only arrays: a second call on an equal config draws nothing, and
+    configs that differ in any field, ``master_seed`` included, get their own
+    drops. Nothing a trial draws is cached."""
     geometry, channels = draw_drop(config, STUDY_POD, 0)
-    return channels, clutter_covariance(config, geometry)
+    return _read_only(channels), _read_only(clutter_covariance(config, geometry))
 
 
 def _pod_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
@@ -123,6 +147,25 @@ def _pod_precoders(config: ScenarioConfig, channels: ChannelRealization) -> Prec
     except (np.linalg.LinAlgError, NumericalDomainError) as exc:
         raise NumericalDomainError(f"PoD drop with seed keys {(STUDY_POD, 0, 0)} and "
                                    f"{(STUDY_POD, 1, 0)}: {exc}") from exc
+
+
+def _configured_gain(config: ScenarioConfig) -> float | None:
+    """The repeater gain of ``config`` as a study names it: None when the repeater is off."""
+    return config.repeater_gain_db if config.repeater_on else None
+
+
+@lru_cache(maxsize=16)
+def _gain_setup(config: ScenarioConfig,
+                gain_db: float | None) -> tuple[ScenarioConfig, PrecoderSet]:
+    """``config`` at repeater gain ``gain_db`` (None: repeater off, a float checked
+    by ``_check_gain``), and its precoders on the PoD drop of ``config``.
+
+    Cached per process, keyed by (config, gain), with read-only arrays, so the
+    pilot grid, ``calibrate`` and a study's pass at the configured gain share one
+    precoder build."""
+    cfg = (config.with_updates(repeater_on=False) if gain_db is None else
+           config.with_updates(repeater_on=True, repeater_gain_db=gain_db))
+    return cfg, _read_only(_pod_precoders(cfg, _pod_drop(config)[0]))
 
 
 # -- deterministic parallel execution ------------------------------------------
@@ -216,15 +259,16 @@ def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     """GLRT threshold for ``config.pfa_target`` from ``calibration_trials`` H0 trials.
 
     Returns (threshold, in-sample false-alarm rate) at ``config.rcs_variance``.
-    The setup is the detection study's (:func:`_pod_drop`, precoders at the
-    configured repeater setting), the H0 trials draw from key (STUDY_POD, 2),
-    and the study derives its thresholds from the same pass the same way, so
-    ``repisac calibrate`` and ``repisac pod`` give the same threshold.
+    The setup is the detection study's (:func:`_pod_drop`, and :func:`_gain_setup`'s
+    precoders at the configured repeater setting), read from the per-process
+    caches keyed by the config when an equal config has built it before. The H0
+    trials draw from key (STUDY_POD, 2), freshly on every call: no trial row or
+    threshold is cached. The study derives its thresholds from the same pass the
+    same way, so ``repisac calibrate`` and ``repisac pod`` give the same threshold.
     """
     with _mapper(workers) as run:
-        channels, clutter_model = _pod_drop(config)
-        null_rows = _trial_pass(config, channels, clutter_model,
-                                _pod_precoders(config, channels), (STUDY_POD, 2),
+        _, precoders = _gain_setup(config, _configured_gain(config))
+        null_rows = _trial_pass(config, *_pod_drop(config), precoders, (STUDY_POD, 2),
                                 config.calibration_trials, run)
     thresholds, pfas = _thresholds(null_rows, np.array([config.rcs_variance]),
                                    config.pfa_target)
@@ -257,6 +301,12 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     count that is not an integer of at least 1 are a ``ConfigError`` raised
     before the drop is drawn.
 
+    The setup is read from per-process caches: the drop by config
+    (:func:`_pod_drop`), each gain's config and precoders by (config, gain)
+    (:func:`_gain_setup`). So a study run one call per gain, after
+    :func:`suggest_rcs_grid` on the same config, builds them once. Every pass,
+    pilot block and threshold is drawn and computed afresh on each call.
+
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 trials of s, the target energy per unit RCS left after the
     clutter is eliminated (the post-clutter sensing SCNR per unit RCS).
@@ -273,25 +323,23 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     repeater_gains_db = _as_tuple("repeater gains", repeater_gains_db)
     if not repeater_gains_db:
         raise ConfigError("pod study needs at least one repeater gain")
-    gain_configs = [config.with_updates(repeater_on=False) if gain_db is None else
-                    config.with_updates(repeater_on=True, repeater_gain_db=gain_db)
-                    for gain_db in repeater_gains_db]
-    gain_values = [float(cfg.repeater_gain_db) if cfg.repeater_on else float("-inf")
-                   for cfg in gain_configs]
+    # checked before any cached call: a cache would take True for 1.0 and fail on a list
+    gains = [None if gain_db is None else _check_gain(gain_db) for gain_db in repeater_gains_db]
+    gain_values = [float("-inf") if gain is None else gain for gain in gains]
     if len(set(gain_values)) < len(gain_values):
         raise ConfigError(f"repeater gains must be distinct, got {repeater_gains_db}")
 
     rows = []
     mean_scnr = {}
     with _mapper(workers) as run:
-        channels, clutter_model = _pod_drop(config)
         if rcs_grid is None:
-            grid = _pilot_grid(config, channels, clutter_model, GRID_POINTS)
-        for gain_value, cfg_gain in zip(gain_values, gain_configs):
+            grid = _pilot_grid(config, GRID_POINTS)
+        channels, clutter_model = _pod_drop(config)
+        for gain_value, gain in zip(gain_values, gains):
+            cfg_gain, precoders = _gain_setup(config, gain)
             n_null = cfg_gain.calibration_trials
-            pass_rows = _trial_pass(cfg_gain, channels, clutter_model,
-                                    _pod_precoders(cfg_gain, channels), (STUDY_POD, 2),
-                                    n_null + cfg_gain.mc_trials, run)
+            pass_rows = _trial_pass(cfg_gain, channels, clutter_model, precoders,
+                                    (STUDY_POD, 2), n_null + cfg_gain.mc_trials, run)
             thresholds, pfas = _thresholds(pass_rows[:n_null], grid, cfg_gain.pfa_target)
             u, s, alpha1 = pass_rows[n_null:].T
             mean_scnr[gain_value] = float(np.mean(s.real))
@@ -316,14 +364,14 @@ def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.
     _check_type("n_points", n_points, int)
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
-    return _pilot_grid(config, *_pod_drop(config), n_points)
+    return _pilot_grid(config, n_points)
 
 
-def _pilot_grid(config: ScenarioConfig, channels: ChannelRealization,
-                clutter_model: ClutterModel, n_points: int) -> np.ndarray:
-    """The grid of :func:`suggest_rcs_grid` on the study's drop."""
-    rows = _trial_unit(config, channels, clutter_model, _pod_precoders(config, channels),
-                       (STUDY_POD, 9), (0, block_trials(config)))
+def _pilot_grid(config: ScenarioConfig, n_points: int) -> np.ndarray:
+    """The grid of :func:`suggest_rcs_grid` on the study's (cached) setup."""
+    _, precoders = _gain_setup(config, _configured_gain(config))
+    rows = _trial_unit(config, *_pod_drop(config), precoders, (STUDY_POD, 9),
+                       (0, block_trials(config)))
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:
         raise NumericalDomainError(f"pilot trial block with seed key {(STUDY_POD, 9, 0)}: "

@@ -114,9 +114,7 @@ class ScenarioConfig:
             raise ConfigError("tx_power_watt must be positive")
         if self.rcs_variance <= 0:
             raise ConfigError("rcs_variance must be positive")
-        if self.repeater_gain_db > MAX_REPEATER_GAIN_DB:
-            raise ConfigError(f"repeater_gain_db must be at most {MAX_REPEATER_GAIN_DB} dB (|nu|^4 = "
-                              f"10^(G/5) overflows a float above it), got {self.repeater_gain_db}")
+        _check_gain(self.repeater_gain_db)
         if not (0.0 < self.pfa_target < 1.0):
             raise ConfigError("pfa_target must lie in (0, 1)")
         if self.mc_trials < 1 or self.calibration_trials < 1:
@@ -262,6 +260,16 @@ def _check_type(name: str, value, ftype):
     elif not isinstance(value, ftype):
         raise ConfigError(f"{name} must be a {ftype.__name__}, got {value!r}")
     return value
+
+
+def _check_gain(value) -> float:
+    """``value`` as the ``repeater_gain_db`` field holds it, or a ``ConfigError``: a
+    finite number of at most ``MAX_REPEATER_GAIN_DB``, with the repeater on or off."""
+    gain = _check_type("repeater_gain_db", value, float)
+    if gain > MAX_REPEATER_GAIN_DB:
+        raise ConfigError(f"repeater_gain_db must be at most {MAX_REPEATER_GAIN_DB} dB (|nu|^4 = "
+                          f"10^(G/5) overflows a float above it), got {gain}")
+    return gain
 
 
 # pairs of entities whose 3-D distance sets a path loss (gen_channels, clutter)

@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from repisac import ScenarioConfig
-from repisac.harness import _pod_drop
+from repisac.harness import _gain_setup, _pod_drop
 from repisac.precoding import build_precoders
+
+
+def clear_setup_caches() -> None:
+    """Empty the harness's per-process caches of the PoD drop and of each gain's setup."""
+    _pod_drop.cache_clear()
+    _gain_setup.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_setup_caches():
+    """Each test starts on empty setup caches, so that no setup an earlier test
+    cached skips a drop or precoder build that this test patches or records."""
+    clear_setup_caches()
 
 
 def tiny_config(**overrides) -> ScenarioConfig:

@@ -27,7 +27,7 @@ from repisac.precoding import build_precoders, rzf_precoders, target_precoder
 from repisac.scenario import save_config
 
 import se_law
-from conftest import tiny_config
+from conftest import clear_setup_caches, tiny_config
 
 
 def drop_of(channels, d):
@@ -315,8 +315,10 @@ class TestPodStudy:
         # of its time on fixed per-call cost, which timings cannot guard; this
         # counts the calls the package's own frames make, Python (a frame of the
         # package or of a library it calls) and C, so numpy's internals do not count.
-        # The package makes 290 and 191; before the one-product Bartlett frames,
-        # the sorted-index thresholds and the cached type checks it made 455 and 274
+        # The package makes 131 and 54 on warm setup caches; it made 274 and 180
+        # when each call drew the drop and built the precoders again, and 455 and
+        # 274 before the one-product Bartlett frames, the sorted-index thresholds
+        # and the cached type checks
         config = ScenarioConfig(mc_trials=250, calibration_trials=30)
         grid = [float(v) for v in suggest_rcs_grid(config)]
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,))  # fills the caches
@@ -335,7 +337,7 @@ class TestPodStudy:
             run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0,))
         finally:
             sys.setprofile(profile)
-        assert counts["call"] <= 333 and counts["c_call"] <= 220, counts
+        assert counts["call"] <= 151 and counts["c_call"] <= 62, counts
 
     def test_structure_and_determinism_across_workers(self):
         config = tiny_config(mc_trials=60, calibration_trials=300, pfa_target=0.05)
@@ -554,10 +556,15 @@ class TestPodStudy:
         for study in (lambda: run_pod_vs_rcs(tiny_config(), [1e8]),
                       lambda: run_pod_vs_rcs(tiny_config(), None),
                       lambda: calibrate(tiny_config())):
+            clear_setup_caches()  # each study draws the drop, on a cold cache
             keys.clear()
             with pytest.raises(NumericalDomainError, match=message):
                 study()
             assert keys == [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]  # no trial block
+            keys.clear()  # a failed precoder build is not cached: it fails again
+            with pytest.raises(NumericalDomainError, match=message):
+                study()
+            assert keys == []
 
     # from ~400 dB the repeater path nu h b_tx swamps every user's direct channel on
     # the default drop: the effective channels are rank one to double precision, and
@@ -1007,21 +1014,103 @@ class TestDrawDrop:
 class TestSeedKeys:
     def test_each_unit_builds_one_generator(self, keys):
         # the tiny config: a gain's 200 H0 and 50 H1 trials are one pass of 250
-        # trials on key (STUDY_POD, 2), in blocks of 128 and 122
+        # trials on key (STUDY_POD, 2), in blocks of 128 and 122. The setup caches
+        # are emptied before each PoD entry point, so that each one draws the drop
         config = tiny_config()
         assert block_trials(config) == 128
         grid = suggest_rcs_grid(config, 3)
         drop = [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]
         assert keys == drop + [(STUDY_POD, 9, 0)]
+        clear_setup_caches()
         keys.clear()
         run_pod_vs_rcs(config, grid, repeater_gains_db=(20.0, None))
         assert keys == drop + [(STUDY_POD, 2, b) for b in range(2)] * 2
+        clear_setup_caches()
         keys.clear()
         calibrate(config)
         assert keys == drop + [(STUDY_POD, 2, b) for b in range(2)]
         keys.clear()
         run_se_cdf(tiny_config(n_users=1, n_tx_antennas=3, mc_trials=2 * DROPS_PER_BLOCK + 5))
         assert keys == [(STUDY_SECDF, stream, b) for b in range(3) for stream in (0, 1)]
+
+
+class TestSetupCache:
+    """The PoD drop is cached by config, and each gain's config and precoders by
+    (config, gain); no pass, pilot block or threshold is."""
+
+    def test_a_second_study_on_an_equal_config_draws_only_its_passes(self, keys,
+                                                                     monkeypatch):
+        built = []
+
+        def counted_build(cfg, channels):
+            built.append(cfg.repeater_gain_db if cfg.repeater_on else None)
+            return build_precoders(cfg, channels)
+
+        monkeypatch.setattr(harness, "build_precoders", counted_build)
+        config = tiny_config()
+        first = run_pod_vs_rcs(config, None)  # gains 20 dB and repeater-off
+        assert built == [20.0, None]  # the pilot grid shares the 20 dB build
+        drop = [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0)]
+        passes = [(STUDY_POD, 2, b) for b in range(2)]
+        assert keys == drop + [(STUDY_POD, 9, 0)] + passes * 2
+        equal = tiny_config()
+        assert equal == config and equal is not config
+        keys.clear()
+        second = run_pod_vs_rcs(equal, None)
+        assert keys == [(STUDY_POD, 9, 0)] + passes * 2
+        assert second.to_csv_bytes() == first.to_csv_bytes()
+        keys.clear()
+        run_pod_vs_rcs(equal, [1e8], repeater_gains_db=(20.0,))
+        assert keys == passes
+        keys.clear()
+        calibrate(equal)
+        assert keys == passes  # no drop keys
+        assert built == [20.0, None]
+
+    @pytest.mark.parametrize("gains, bad", [((True,), "True"), (([20.0],), "[20.0]")],
+                             ids=["bool", "list"])
+    def test_a_gain_no_config_holds_is_rejected_on_warm_caches(self, keys, gains, bad):
+        # a cache key takes True for 1.0, and a list is no key at all (a raw TypeError)
+        run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=(1.0,))
+        keys.clear()
+        with pytest.raises(ConfigError,
+                           match=f"^repeater_gain_db must be a finite number, got "
+                                 f"{re.escape(bad)}$"):
+            run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
+        assert keys == []
+
+    @pytest.mark.parametrize("config", [tiny_config(), tiny_config(repeater_on=False),
+                                        tiny_config(residual_interbs_power=1e-13)],
+                             ids=["20dB", "repeater_off", "zeta2"])
+    def test_warm_caches_give_the_cold_bytes(self, config):
+        studies = {
+            "pod_auto_grid": lambda: run_pod_vs_rcs(config, None).to_csv_bytes(),
+            "pod_given_grid": lambda: run_pod_vs_rcs(
+                config, [1e6, 1e8], repeater_gains_db=(60.0, None, 20.0)).to_csv_bytes(),
+            "calibrate": lambda: calibrate(config),
+            "suggest_rcs_grid": lambda: suggest_rcs_grid(config).tobytes(),
+        }
+        cold = {}
+        for name, study in studies.items():
+            clear_setup_caches()
+            cold[name] = study()
+        for name, study in [*studies.items()][::-1]:  # each on the caches of the others
+            assert study() == cold[name], name
+
+    def test_cached_arrays_are_read_only(self):
+        config = tiny_config()
+        channels, _ = harness._pod_drop(config)
+        with pytest.raises(ValueError, match="read-only"):
+            channels.a_tx[0] = 0.0
+        _, precoders = harness._gain_setup(config, 20.0)
+        with pytest.raises(ValueError, match="read-only"):
+            precoders.user_precoders[0, 0] = 0.0
+        assert harness._pod_drop(tiny_config())[0] is channels
+
+    def test_configs_that_differ_only_in_the_seed_get_different_drops(self):
+        channels = [harness._pod_drop(tiny_config(master_seed=seed))[0] for seed in (7, 8)]
+        assert not np.array_equal(channels[0].f_user, channels[1].f_user)
+        assert not np.array_equal(channels[0].b_tx, channels[1].b_tx)
 
 
 class TestCli:
