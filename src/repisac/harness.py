@@ -5,26 +5,29 @@ A drop holds only its deterministic links: a slot's clutter, inter-BS residual
 and RCS are nuisance, fresh in each trial (``redraw_nuisance`` draws them in
 the reference trial). Every drop is :func:`draw_drop`, ``drop_entities`` then
 ``gen_channels`` on keys of their own: the PoD study's one drop
-(:func:`_pod_drop`), and the SE-CDF study's blocks of drops. :func:`calibrate`,
-the detection study and its grid suggestion share the PoD drop and one trial
-kernel (:func:`_trial_unit`), and take the threshold from one H0 pass, so one
-config gives one threshold wherever it is asked for. The studies: probability
-of detection versus RCS variance (one pass per repeater gain, whose first
-``calibration_trials`` trials are the H0 pass and the ``mc_trials`` after them
-the H1 trials; each trial's statistic at every grid point follows from its
+(:func:`_pod_drop`), and the SE-CDF study's blocks of drops. The studies:
+probability of detection versus RCS variance (one pass per repeater gain, whose
+first ``calibration_trials`` trials are the H0 pass and the ``mc_trials`` after
+them the H1 trials; each trial's statistic at every grid point follows from its
 sufficient statistics (u, s, alpha_1), read with alpha_1 = 0 in the H0 pass,
 which sets each grid point's threshold), and the CDF of downlink per-user
 spectral efficiency across precoder choices (one stacked RZF solve per block
 of drops and repeater setting).
 
-The PoD study's deterministic setup is built once per process and config, in
-two small LRU caches whose arrays are read-only: :func:`_pod_drop` holds the
-drop, its channels and its clutter model, keyed by the config, and
-:func:`_gain_setup` holds a repeater gain's config and precoders, keyed by
-(config, gain). So the pilot grid, ``calibrate`` and each call of a study run
-one gain at a time share one drop and one precoder build per gain. Nothing a
-trial draws is cached: every pass, pilot block and threshold is drawn and
-computed afresh on each call, so a warm cache gives the bytes of a cold one.
+Every PoD entry point runs the one trial kernel (:func:`_trial_unit`) on one
+setup record, :func:`_gain_setup`'s (config at a repeater gain, channels,
+clutter model, precoders). :func:`calibrate` and each gain of
+:func:`run_pod_vs_rcs` take their thresholds from one function,
+:func:`_calibrated_pass`, so one config gives one threshold wherever it is
+asked for; :func:`suggest_rcs_grid`, the study's auto grid, reads a pilot
+block on the record of the configured repeater setting.
+
+The setup is built once per process and config, in two small LRU caches whose
+arrays are read-only: :func:`_pod_drop` holds the drop's channels and clutter
+model, keyed by the config, and :func:`_gain_setup` the record, keyed by
+(config, gain), with every gain on the config's one drop. Nothing a trial draws
+is cached: every pass, pilot block and threshold is drawn and computed afresh
+on each call, so a warm cache gives the bytes of a cold one.
 
 The PoD drop, a block of drops (``DROPS_PER_BLOCK`` = 64, the one constant that
 sets the SE study's block layout) and a block of trials (``block_trials``: 384
@@ -140,32 +143,33 @@ def _pod_drop(config: ScenarioConfig) -> tuple[ChannelRealization, ClutterModel]
     return _read_only(channels), _read_only(clutter_covariance(config, geometry))
 
 
-def _pod_precoders(config: ScenarioConfig, channels: ChannelRealization) -> PrecoderSet:
-    """``build_precoders`` on the PoD drop; a numerical failure names the drop's seed keys."""
-    try:
-        return build_precoders(config, channels)
-    except (np.linalg.LinAlgError, NumericalDomainError) as exc:
-        raise NumericalDomainError(f"PoD drop with seed keys {(STUDY_POD, 0, 0)} and "
-                                   f"{(STUDY_POD, 1, 0)}: {exc}") from exc
-
-
 def _configured_gain(config: ScenarioConfig) -> float | None:
     """The repeater gain of ``config`` as a study names it: None when the repeater is off."""
     return config.repeater_gain_db if config.repeater_on else None
 
 
 @lru_cache(maxsize=16)
-def _gain_setup(config: ScenarioConfig,
-                gain_db: float | None) -> tuple[ScenarioConfig, PrecoderSet]:
-    """``config`` at repeater gain ``gain_db`` (None: repeater off, a float checked
-    by ``_check_gain``), and its precoders on the PoD drop of ``config``.
+def _gain_setup(config: ScenarioConfig, gain_db: float | None) -> tuple[
+        ScenarioConfig, ChannelRealization, ClutterModel, PrecoderSet]:
+    """The setup record of a pass at repeater gain ``gain_db`` (None: repeater off,
+    a float checked by ``_check_gain``): (``config`` at that gain, the channels and
+    clutter model of the PoD drop of ``config``, the precoders on that drop), in
+    ``block_statistics``'s argument order. A numerical failure of the precoders
+    names the drop's seed keys.
 
-    Cached per process, keyed by (config, gain), with read-only arrays, so the
-    pilot grid, ``calibrate`` and a study's pass at the configured gain share one
-    precoder build."""
+    Cached per process, keyed by (config, gain), with read-only arrays; every gain
+    shares the one drop :func:`_pod_drop` caches for ``config``. So the pilot grid,
+    ``calibrate`` and a study's pass at the configured gain share one precoder
+    build. A failed build is not cached."""
     cfg = (config.with_updates(repeater_on=False) if gain_db is None else
            config.with_updates(repeater_on=True, repeater_gain_db=gain_db))
-    return cfg, _read_only(_pod_precoders(cfg, _pod_drop(config)[0]))
+    channels, clutter_model = _pod_drop(config)
+    try:
+        precoders = build_precoders(cfg, channels)
+    except (np.linalg.LinAlgError, NumericalDomainError) as exc:
+        raise NumericalDomainError(f"PoD drop with seed keys {(STUDY_POD, 0, 0)} and "
+                                   f"{(STUDY_POD, 1, 0)}: {exc}") from exc
+    return cfg, channels, clutter_model, _read_only(precoders)
 
 
 # -- deterministic parallel execution ------------------------------------------
@@ -187,33 +191,29 @@ def _mapper(workers: int):
             pool.map(fn, units, chunksize=max(1, len(units) // (8 * workers))))
 
 
-def _trial_unit(config: ScenarioConfig, channels: ChannelRealization,
-                clutter_model: ClutterModel, precoders: PrecoderSet,
-                key: tuple[int, ...], block: tuple[int, int]) -> np.ndarray:
-    """Rows of block (b, n) of ``key``: its first n trials, drawn from key (*key, b)."""
+def _trial_unit(setup: tuple, key: tuple[int, ...], block: tuple[int, int]) -> np.ndarray:
+    """Rows of block (b, n) of ``key`` on ``setup`` (:func:`_gain_setup`'s record):
+    its first n trials, drawn from key (*key, b)."""
     b, n = block
     try:
-        return block_statistics(config, channels, clutter_model, precoders,
-                                trial_rng(config.master_seed, key, b), n)
+        return block_statistics(*setup, trial_rng(setup[0].master_seed, key, b), n)
     except NumericalDomainError as exc:
         raise NumericalDomainError(f"trial block with seed key {(*key, b)}: {exc}") from exc
 
 
-def _trial_pass(config: ScenarioConfig, channels: ChannelRealization,
-                clutter_model: ClutterModel, precoders: PrecoderSet,
-                key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
-    """Rows (u, s, alpha_1) of ``n_trials`` trials on ``key``, in trial order.
+def _trial_pass(setup: tuple, key: tuple[int, ...], n_trials: int, run) -> np.ndarray:
+    """Rows (u, s, alpha_1) of ``n_trials`` trials on ``key`` and ``setup``, in trial order.
 
     Block b holds trials b * ``block_trials`` onwards, draws from key (*key, b)
     and is one unit of ``run`` (:func:`_mapper`), so its rows depend on neither
     the worker count nor how many trials follow it: the first n trials of a
     pass are the pass of n trials. A pass depends on neither the hypothesis nor
-    ``config.rcs_variance``: every trial's statistic follows from its row
+    the config's ``rcs_variance``: every trial's statistic follows from its row
     (``glrt_from_statistics``, with alpha_1 = 0 under H0).
     """
-    size = block_trials(config)
+    size = block_trials(setup[0])
     units = [(b, min(size, n_trials - b * size)) for b in range(math.ceil(n_trials / size))]
-    parts = run(partial(_trial_unit, config, channels, clutter_model, precoders, key), units)
+    parts = run(partial(_trial_unit, setup, key), units)
     return np.concatenate([np.zeros((0, 3), dtype=complex), *parts])
 
 
@@ -228,21 +228,30 @@ def run_trials(config: ScenarioConfig, channels: ChannelRealization,
     if n_trials < 0:
         raise ConfigError(f"n_trials must be nonnegative, got {n_trials}")
     with _mapper(workers) as run:
-        rows = _trial_pass(config, channels, clutter_model, precoders, key, n_trials, run)
+        rows = _trial_pass((config, channels, clutter_model, precoders), key, n_trials, run)
     u, s, alpha1 = rows.T
     return glrt_from_statistics(u, s.real, 0.0 if force_null else alpha1, config.rcs_variance)
 
 
 # -- threshold calibration -----------------------------------------------------
 
-def _thresholds(null_rows: np.ndarray, sigma_t_sq: np.ndarray,
-                pfa_target: float) -> tuple[np.ndarray, np.ndarray]:
-    """GLRT threshold and in-sample false-alarm rate at each RCS variance, from
-    the rows of the H0 pass (target absent) on key (STUDY_POD, 2)."""
-    u, s, _ = null_rows.T
+def _calibrated_pass(config: ScenarioConfig, gain_db: float | None, sigma_t_sq: np.ndarray,
+                     n_h1: int, run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one threshold function: a pass of ``calibration_trials + n_h1`` trials
+    on key (STUDY_POD, 2) and :func:`_gain_setup`'s record at ``gain_db``.
+
+    Its first ``calibration_trials`` rows are the H0 pass (read with alpha_1 = 0),
+    which gives the GLRT threshold for ``pfa_target`` at each RCS variance of
+    ``sigma_t_sq``. Returns (thresholds, in-sample false-alarm rates, the
+    ``n_h1`` H1 rows after the H0 pass). Since a pass's first n trials are its
+    pass of n, the thresholds do not depend on ``n_h1``."""
+    setup = _gain_setup(config, gain_db)
+    n_null = setup[0].calibration_trials
+    rows = _trial_pass(setup, (STUDY_POD, 2), n_null + n_h1, run)
+    u, s, _ = rows[:n_null].T
     t_null = glrt_from_statistics(u, s.real, 0.0, sigma_t_sq[:, None])
-    thresholds = threshold_from_null_stats(t_null, pfa_target)
-    return thresholds, np.mean(t_null >= thresholds[:, None], axis=1)
+    thresholds = threshold_from_null_stats(t_null, setup[0].pfa_target)
+    return thresholds, np.mean(t_null >= thresholds[:, None], axis=1), rows[n_null:]
 
 
 def calibration_warnings(config: ScenarioConfig) -> list[str]:
@@ -258,20 +267,17 @@ def calibration_warnings(config: ScenarioConfig) -> list[str]:
 def calibrate(config: ScenarioConfig, workers: int = 1) -> tuple[float, float]:
     """GLRT threshold for ``config.pfa_target`` from ``calibration_trials`` H0 trials.
 
-    Returns (threshold, in-sample false-alarm rate) at ``config.rcs_variance``.
-    The setup is the detection study's (:func:`_pod_drop`, and :func:`_gain_setup`'s
-    precoders at the configured repeater setting), read from the per-process
-    caches keyed by the config when an equal config has built it before. The H0
-    trials draw from key (STUDY_POD, 2), freshly on every call: no trial row or
-    threshold is cached. The study derives its thresholds from the same pass the
-    same way, so ``repisac calibrate`` and ``repisac pod`` give the same threshold.
+    Returns (threshold, in-sample false-alarm rate) at ``config.rcs_variance``:
+    :func:`_calibrated_pass` at the configured repeater setting with no H1 trials.
+    The setup record is read from the per-process cache when an equal config has
+    built it before; the H0 trials draw from key (STUDY_POD, 2) freshly on every
+    call, so no trial row or threshold is cached. The study takes each gain's
+    thresholds from the same function, so ``repisac calibrate`` and ``repisac pod``
+    give the same threshold.
     """
     with _mapper(workers) as run:
-        _, precoders = _gain_setup(config, _configured_gain(config))
-        null_rows = _trial_pass(config, *_pod_drop(config), precoders, (STUDY_POD, 2),
-                                config.calibration_trials, run)
-    thresholds, pfas = _thresholds(null_rows, np.array([config.rcs_variance]),
-                                   config.pfa_target)
+        thresholds, pfas, _ = _calibrated_pass(config, _configured_gain(config),
+                                               np.array([config.rcs_variance]), 0, run)
     return float(thresholds[0]), float(pfas[0])
 
 
@@ -288,24 +294,22 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
     The drop (:func:`_pod_drop`) is fixed for the whole study; each trial draws
     its symbols, its clutter, residual and noise term given the frame, and
-    (under H1) the RCS. Per repeater setting, one pass of ``calibration_trials
-    + mc_trials`` trials on key (STUDY_POD, 2) (:func:`_trial_pass`) serves
-    every grid point (the RCS variance only scales each trial's sufficient
-    statistics): its first ``calibration_trials`` trials are the H0 pass, from
-    which the GLRT threshold is recalibrated per grid point, exactly as
-    :func:`calibrate` takes it, and the ``mc_trials`` after them are the H1
-    trials. The default gains are the configured one and repeater-off, or
-    repeater-off alone when the config has the repeater off. A grid or gains
-    that is a string or not a sequence, no gains, equal gains (20, 20.0), a gain
-    or grid value that is not a finite number (inf, nan, True) and a worker
-    count that is not an integer of at least 1 are a ``ConfigError`` raised
-    before the drop is drawn.
+    (under H1) the RCS. Per repeater setting, one :func:`_calibrated_pass` of
+    ``calibration_trials + mc_trials`` trials serves every grid point (the RCS
+    variance only scales each trial's sufficient statistics): its H0 pass gives
+    each grid point's threshold, exactly as :func:`calibrate` takes it, and the
+    ``mc_trials`` after it are the H1 trials. The default gains are the
+    configured one and repeater-off, or repeater-off alone when the config has
+    the repeater off. A grid or gains that is a string or not a sequence, no
+    gains, equal gains (20, 20.0), a gain or grid value that is not a finite
+    number (inf, nan, True) and a worker count that is not an integer of at
+    least 1 are a ``ConfigError`` raised before the drop is drawn.
 
-    The setup is read from per-process caches: the drop by config
-    (:func:`_pod_drop`), each gain's config and precoders by (config, gain)
-    (:func:`_gain_setup`). So a study run one call per gain, after
-    :func:`suggest_rcs_grid` on the same config, builds them once. Every pass,
-    pilot block and threshold is drawn and computed afresh on each call.
+    Each gain's setup record (:func:`_gain_setup`) is read from a per-process
+    cache keyed by (config, gain), and every gain shares the config's one drop.
+    So a study run one call per gain, after :func:`suggest_rcs_grid` on the same
+    config, builds them once. Every pass, pilot block and threshold is drawn and
+    computed afresh on each call.
 
     ``metadata["mean_scnr"]`` maps each ``repeater_gain_db`` of the CSV to the
     mean over its H1 trials of s, the target energy per unit RCS left after the
@@ -333,20 +337,16 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     mean_scnr = {}
     with _mapper(workers) as run:
         if rcs_grid is None:
-            grid = _pilot_grid(config, GRID_POINTS)
-        channels, clutter_model = _pod_drop(config)
+            grid = suggest_rcs_grid(config)
         for gain_value, gain in zip(gain_values, gains):
-            cfg_gain, precoders = _gain_setup(config, gain)
-            n_null = cfg_gain.calibration_trials
-            pass_rows = _trial_pass(cfg_gain, channels, clutter_model, precoders,
-                                    (STUDY_POD, 2), n_null + cfg_gain.mc_trials, run)
-            thresholds, pfas = _thresholds(pass_rows[:n_null], grid, cfg_gain.pfa_target)
-            u, s, alpha1 = pass_rows[n_null:].T
+            thresholds, pfas, h1_rows = _calibrated_pass(config, gain, grid,
+                                                         config.mc_trials, run)
+            u, s, alpha1 = h1_rows.T
             mean_scnr[gain_value] = float(np.mean(s.real))
             t_hit = glrt_from_statistics(u, s.real, alpha1, grid[:, None])
             pods = np.mean(t_hit >= thresholds[:, None], axis=1)
             rows += [(float(sigma_t_sq), gain_value, float(pod), float(threshold), float(pfa),
-                      cfg_gain.mc_trials)
+                      config.mc_trials)
                      for sigma_t_sq, pod, threshold, pfa in zip(grid, pods, thresholds, pfas)]
     return StudyResult(kind="pod_vs_rcs", header=POD_HEADER, rows=rows,
                        metadata={"calibration_trials": config.calibration_trials,
@@ -357,20 +357,15 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
 
 def suggest_rcs_grid(config: ScenarioConfig, n_points: int = GRID_POINTS) -> np.ndarray:
     """Log grid of RCS variances from 0.05 / s_bar to 2000 / s_bar, where s_bar is the
-    mean s (``mean_scnr``) of one whole pilot block of trials on the study's setup,
-    key (STUDY_POD, 9, 0): 384 trials on the default config, 64 at zeta^2 > 0. For
-    a Swerling-I target at zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the
-    grid spans the detector's transition."""
+    mean s (``mean_scnr``) of one whole pilot block of trials, key (STUDY_POD, 9, 0),
+    on the setup record (:func:`_gain_setup`) of the configured repeater setting:
+    384 trials on the default config, 64 at zeta^2 > 0. For a Swerling-I target at
+    zeta^2 = 0, PoD = PFA^(1 / (1 + sigma_T^2 s)): the grid spans the detector's
+    transition. :func:`run_pod_vs_rcs` takes this grid when it is given none."""
     _check_type("n_points", n_points, int)
     if n_points < 1:
         raise ConfigError(f"rcs grid needs at least one point, got {n_points}")
-    return _pilot_grid(config, n_points)
-
-
-def _pilot_grid(config: ScenarioConfig, n_points: int) -> np.ndarray:
-    """The grid of :func:`suggest_rcs_grid` on the study's (cached) setup."""
-    _, precoders = _gain_setup(config, _configured_gain(config))
-    rows = _trial_unit(config, *_pod_drop(config), precoders, (STUDY_POD, 9),
+    rows = _trial_unit(_gain_setup(config, _configured_gain(config)), (STUDY_POD, 9),
                        (0, block_trials(config)))
     s_bar = float(np.mean(rows[:, 1].real))
     if not s_bar > 0.0:

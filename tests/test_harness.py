@@ -196,7 +196,7 @@ class TestRunTrials:
             units.append(blocks)
             return [fn(b) for b in blocks]
 
-        rows = harness._trial_pass(*args, (5,), n_trials, recording_run)
+        rows = harness._trial_pass(args, (5,), n_trials, recording_run)
         assert units == [[(b, size) for b in range(6)] + [(6, 5)]]
         np.testing.assert_array_equal(rows, np.concatenate([
             block_statistics(*args, trial_rng(config.master_seed, (5,), b),
@@ -353,6 +353,29 @@ class TestPodStudy:
         for row in r1.rows:
             assert 0.0 <= row[2] <= 1.0
             assert row[5] == config.mc_trials
+
+    @pytest.mark.parametrize("config, workers", [
+        (tiny_config(), 1), (tiny_config(repeater_on=False), 2),
+        (tiny_config(residual_interbs_power=1e-13), 1)], ids=["20dB", "repeater_off", "zeta2"])
+    def test_the_auto_grid_is_the_suggested_grid(self, config, workers):
+        expected = run_pod_vs_rcs(config, suggest_rcs_grid(config)).to_csv_bytes()
+        assert run_pod_vs_rcs(config, None, workers=workers).to_csv_bytes() == expected
+
+    def test_the_auto_grid_comes_from_the_configured_gain(self, keys):
+        # a repeater-off study on a repeater-on config: the pilot block still runs
+        # on the configured 20 dB setup, key (STUDY_POD, 9, 0)
+        config = tiny_config()
+        result = run_pod_vs_rcs(config, None, repeater_gains_db=(None,))
+        assert keys[:3] == [(STUDY_POD, 0, 0), (STUDY_POD, 1, 0), (STUDY_POD, 9, 0)]
+        rows = block_statistics(*harness._gain_setup(config, 20.0),
+                                trial_rng(config.master_seed, (STUDY_POD, 9), 0),
+                                block_trials(config))
+        s_bar = float(np.mean(rows[:, 1].real))
+        grid = np.geomspace(0.05 / s_bar, 2000.0 / s_bar, harness.GRID_POINTS)
+        np.testing.assert_array_equal([row[0] for row in result.rows], grid)
+        assert not np.array_equal(grid, suggest_rcs_grid(tiny_config(repeater_on=False)))
+        assert result.to_csv_bytes() == run_pod_vs_rcs(
+            config, grid, repeater_gains_db=(None,)).to_csv_bytes()
 
     def test_repeater_off_default_study_runs_once(self, tmp_path):
         # with the repeater off the default gains are repeater-off alone
@@ -713,9 +736,8 @@ class TestThreeEstimatesOfOnePod:
         assert config.residual_interbs_power == 0.0
         n = 20000
         sigma_t_sq = suggest_rcs_grid(config)[harness.GRID_POINTS // 2]
-        channels, clutter_model = harness._pod_drop(config)
-        rows = harness._trial_pass(config, channels, clutter_model,
-                                   harness._pod_precoders(config, channels), (STUDY_POD, 2), n,
+        setup = harness._gain_setup(config, harness._configured_gain(config))
+        rows = harness._trial_pass(setup, (STUDY_POD, 2), n,
                                    lambda fn, units: [fn(unit) for unit in units])
         u, s, alpha1 = rows.T
         s = s.real
@@ -1099,13 +1121,17 @@ class TestSetupCache:
 
     def test_cached_arrays_are_read_only(self):
         config = tiny_config()
-        channels, _ = harness._pod_drop(config)
+        channels, clutter_model = harness._pod_drop(config)
         with pytest.raises(ValueError, match="read-only"):
             channels.a_tx[0] = 0.0
-        _, precoders = harness._gain_setup(config, 20.0)
+        _, _, _, precoders = harness._gain_setup(config, 20.0)
         with pytest.raises(ValueError, match="read-only"):
             precoders.user_precoders[0, 0] = 0.0
         assert harness._pod_drop(tiny_config())[0] is channels
+        # every gain's setup record holds the config's one drop, not a copy of it
+        for gain in (20.0, None):
+            _, gain_channels, gain_clutter, _ = harness._gain_setup(tiny_config(), gain)
+            assert gain_channels is channels and gain_clutter is clutter_model
 
     def test_configs_that_differ_only_in_the_seed_get_different_drops(self):
         channels = [harness._pod_drop(tiny_config(master_seed=seed))[0] for seed in (7, 8)]
