@@ -69,10 +69,13 @@ class ChannelRealization:
 class ClutterModel:
     """Covariance of vec(C) (column-major vec): a dense ``covariance``, or i.i.d.
     entries of ``entry_variance`` (:meth:`iid`), which store no matrix; their
-    ``covariance`` is built when read (by the least-squares oracle)."""
+    ``covariance`` is built when read (by the least-squares oracle). A model given
+    neither a covariance nor an entry variance and a size is a ``ConfigError``."""
 
     def __init__(self, covariance: np.ndarray | None = None,
                  entry_variance: float | None = None, size: int | None = None):
+        if covariance is None and (entry_variance is None or size is None):
+            raise ConfigError("a clutter model needs a covariance, or an entry variance and a size")
         self._covariance, self.entry_variance = covariance, entry_variance
         self.size = covariance.shape[0] if size is None else size
 

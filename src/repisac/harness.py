@@ -82,9 +82,10 @@ class StudyResult:
     metadata: dict = field(default_factory=dict)
 
     def to_csv_bytes(self) -> bytes:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(str(v) for v in row))  # str(float) is its repr
+        """The header line, then one line per row; a row holds one value per header
+        column, each written as its ``str`` (a float's is its repr)."""
+        row_format = ",".join(["%s"] * len(self.header))
+        lines = [",".join(self.header), *(row_format % row for row in self.rows)]
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def write_csv(self, path: str) -> None:
@@ -106,6 +107,20 @@ def _as_tuple(name: str, values) -> tuple:
         except TypeError:
             pass
     raise ConfigError(f"{name} must be a sequence, got {values!r}")
+
+
+def _distinct(study: str, name: str, values, check) -> tuple:
+    """``check`` of each of a study's ``name`` values, as a tuple. In this order, a
+    ``ConfigError``: values that are a string or not a sequence, no values, a value
+    ``check`` rejects, and two values whose checked values are equal (the study
+    would run and write each twice)."""
+    values = _as_tuple(f"{name}s", values)
+    if not values:
+        raise ConfigError(f"{study} study needs at least one {name}")
+    checked = tuple(map(check, values))
+    if len(set(checked)) < len(checked):
+        raise ConfigError(f"{name}s must be distinct, got {values}")
+    return checked
 
 
 def draw_drop(config: ScenarioConfig, study: int, block: int,
@@ -301,9 +316,10 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
     ``mc_trials`` after it are the H1 trials. The default gains are the
     configured one and repeater-off, or repeater-off alone when the config has
     the repeater off. A grid or gains that is a string or not a sequence, no
-    gains, equal gains (20, 20.0), a gain or grid value that is not a finite
-    number (inf, nan, True) and a worker count that is not an integer of at
-    least 1 are a ``ConfigError`` raised before the drop is drawn.
+    gains, a gain or grid value that is not a finite number (inf, nan, True),
+    equal gains (20, 20.0) and a worker count that is not an integer of at least
+    1 are a ``ConfigError`` raised before the drop is drawn; every gain is
+    checked (:func:`_distinct`) before repeats are looked for.
 
     Each gain's setup record (:func:`_gain_setup`) is read from a per-process
     cache keyed by (config, gain), and every gain shares the config's one drop.
@@ -324,14 +340,10 @@ def run_pod_vs_rcs(config: ScenarioConfig, rcs_grid,
             raise ConfigError("rcs variance grid values must be positive")
     if repeater_gains_db is None:
         repeater_gains_db = (config.repeater_gain_db, None) if config.repeater_on else (None,)
-    repeater_gains_db = _as_tuple("repeater gains", repeater_gains_db)
-    if not repeater_gains_db:
-        raise ConfigError("pod study needs at least one repeater gain")
     # checked before any cached call: a cache would take True for 1.0 and fail on a list
-    gains = [None if gain_db is None else _check_gain(gain_db) for gain_db in repeater_gains_db]
+    gains = _distinct("pod", "repeater gain", repeater_gains_db,
+                      lambda gain_db: None if gain_db is None else _check_gain(gain_db))
     gain_values = [float("-inf") if gain is None else gain for gain in gains]
-    if len(set(gain_values)) < len(gain_values):
-        raise ConfigError(f"repeater gains must be distinct, got {repeater_gains_db}")
 
     rows = []
     mean_scnr = {}
@@ -409,25 +421,22 @@ def run_se_cdf(config: ScenarioConfig, modes=("target_centric", "comm_centric"),
     Every (mode, repeater) combination is evaluated on the same drops, in blocks of
     ``DROPS_PER_BLOCK``: block b is ``draw_drop(config, STUDY_SECDF, b, n)`` and one
     unit of the mapper, so drop 0 of block b is ``draw_drop``'s one drop there. A config
-    that cannot run, and modes or repeater settings that are empty, repeated, a string
-    or not a sequence raise ``ConfigError`` before any drop is drawn; a degenerate drop
-    (sensing direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
+    that cannot run, and modes or repeater settings that are a string or not a
+    sequence, empty, a value the config cannot hold or run, or repeated raise
+    ``ConfigError`` before any drop is drawn: each mode and setting is checked
+    (:func:`_distinct`) before repeats are looked for. A degenerate drop (sensing
+    direction fully nulled) is counted (``degenerate_drops``, ``warnings``) and
     skipped, never fatal.
     """
     if config.n_users < 1:
         raise ConfigError("se_cdf study needs at least one user")
-    modes = _as_tuple("precoder modes", modes)
-    repeater_settings = _as_tuple("repeater settings", repeater_settings)
-    for name, values in (("precoder mode", modes), ("repeater setting", repeater_settings)):
-        if not values:
-            raise ConfigError(f"se_cdf study needs at least one {name}")
-        if len(set(values)) < len(values):  # would count each sample twice
-            raise ConfigError(f"{name}s must be distinct, got {values}")
+    # a mode or repeater setting the config cannot run fails here
+    modes = _distinct("se_cdf", "precoder mode", modes,
+                      lambda mode: config.with_updates(precoder_mode=mode).precoder_mode)
+    rep_configs = _distinct("se_cdf", "repeater setting", repeater_settings,
+                            lambda rep: config.with_updates(repeater_on=rep))
     n_drops = config.mc_trials
-    combos = [(m, r) for m in modes for r in repeater_settings]
-    for mode in modes:  # a mode the config cannot run fails here
-        config.with_updates(precoder_mode=mode)
-    rep_configs = tuple(config.with_updates(repeater_on=r) for r in repeater_settings)
+    combos = [(m, cfg.repeater_on) for m in modes for cfg in rep_configs]
     with _mapper(workers) as run:
         blocks = run(partial(_secdf_block, config, modes, rep_configs),
                      range(math.ceil(n_drops / DROPS_PER_BLOCK)))

@@ -59,6 +59,15 @@ class TestClutterModel:
         with pytest.raises(ConfigError, match="^clutter covariance is singular$"):
             ClutterModel(covariance=np.zeros((4, 4))).inverse_covariance()
 
+    @pytest.mark.parametrize("kwargs", [{}, {"entry_variance": 1.0}, {"size": 4}],
+                             ids=["nothing", "no_size", "no_entry_variance"])
+    def test_a_model_of_neither_form_rejected(self, kwargs):
+        # the first two raised a raw AttributeError; a size alone built a model
+        # whose covariance raised a TypeError when read
+        with pytest.raises(ConfigError, match="^a clutter model needs a covariance, or an "
+                                              "entry variance and a size$"):
+            ClutterModel(**kwargs)
+
     def test_zero_entry_variance_rejected(self):
         with pytest.raises(ConfigError):
             ClutterModel.iid(0.0, 2, 2)

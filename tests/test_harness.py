@@ -302,6 +302,16 @@ class TestStudyResult:
         assert lines[0] == "a,b"
         assert float(lines[1].split(",")[0]) == 0.1 + 0.2
 
+    def test_csv_bytes_of_rows_of_mixed_types(self):
+        # one %s per header column: str of each value, a float's repr included
+        result = StudyResult(kind="se_cdf", header=("mode", "n", "x", "y", "z"),
+                             rows=[("comm_centric", 7, 0.1 + 0.2, float("-inf"), 1e-300),
+                                   ("target_centric", -3, 20.0, float("inf"), 5e-324)])
+        assert result.to_csv_bytes() == (b"mode,n,x,y,z\n"
+                                          b"comm_centric,7,0.30000000000000004,-inf,1e-300\n"
+                                          b"target_centric,-3,20.0,inf,5e-324\n")
+        assert StudyResult(kind="se_cdf", header=("a", "b"), rows=[]).to_csv_bytes() == b"a,b\n"
+
     def test_write_csv(self, tmp_path):
         result = StudyResult(kind="se_cdf", header=("x",), rows=[(1.0,), (2.0,)])
         path = tmp_path / "out.csv"
@@ -513,6 +523,15 @@ class TestPodStudy:
         # a scalar raised a raw TypeError, and a string was read one character at a time
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_pod_vs_rcs(tiny_config(), **kwargs)
+        assert keys == []
+
+    @pytest.mark.parametrize("gains, message", [
+        (([20.0],), "repeater_gain_db must be a finite number, got [20.0]"),
+        ((20, 20.0), "repeater gains must be distinct, got (20, 20.0)"),
+    ], ids=["list", "20"])
+    def test_each_gain_is_checked_before_repeats(self, keys, gains, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_pod_vs_rcs(tiny_config(), [1e8], repeater_gains_db=gains)
         assert keys == []
 
     def test_gains_from_a_generator(self):
@@ -941,15 +960,30 @@ class TestSeCdfStudy:
          r"repeater settings must be distinct, got \(True, True\)"),
         ({"modes": "comm_centric"}, "precoder modes must be a sequence, got 'comm_centric'"),
         ({"repeater_settings": True}, "repeater settings must be a sequence, got True"),
+        # each value is checked before repeats are looked for
+        ({"modes": (["target_centric"],)},
+         r"precoder_mode must be a str, got \['target_centric'\]"),
+        ({"repeater_settings": ([True],)}, r"repeater_on must be a bool, got \[True\]"),
+        ({"repeater_settings": (1, True)}, "repeater_on must be a bool, got 1"),
+        ({"modes": ("target_centric", "beam", "beam")}, "unknown precoder_mode 'beam'"),
     ], ids=["no_modes", "no_repeater_settings", "repeated_mode", "repeated_setting",
-            "string_mode", "scalar_setting"])
+            "string_mode", "scalar_setting", "list_mode", "list_setting", "int_setting",
+            "repeated_unknown_mode"])
     def test_bad_modes_and_settings_rejected_before_any_drop(self, keys, kwargs, message):
         # no modes used to fail inside the first block, no settings gave 0 rows, a
         # repeated one wrote every sample twice, a string was read as one mode per
-        # character and a scalar raised a raw TypeError
+        # character, a scalar raised a raw TypeError, a list was looked up in a set
+        # before it was checked (a raw TypeError) and 1 was taken for a repeat of True
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run_se_cdf(tiny_config(n_tx_antennas=4, n_users=2, mc_trials=20), **kwargs)
         assert keys == []
+
+    def test_modes_and_settings_from_generators(self):
+        config = tiny_config(n_tx_antennas=4, n_users=2, mc_trials=20)
+        expected = run_se_cdf(config).to_csv_bytes()
+        result = run_se_cdf(config, modes=(m for m in ("target_centric", "comm_centric")),
+                            repeater_settings=(r for r in (True, False)))
+        assert result.to_csv_bytes() == expected
 
 
 class TestDrawDrop:
